@@ -5,8 +5,9 @@
                           [--brute-loop-max N] [--json | --csv]
     loopbetti conjecture [--n-max N] [--json]
 
-Exit status is 0 exactly when every asserted agreement holds; parse and
-usage errors exit with status 2.
+Exit status is 0 exactly when every asserted agreement holds; unreadable
+files, parse errors and usage errors (including negative numbers) exit
+with status 2.
 """
 
 from __future__ import annotations
@@ -92,6 +93,13 @@ def _cmd_conjecture(args) -> int:
     return 1 if mismatch else 0
 
 
+def nonnegative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="loopbetti",
@@ -104,22 +112,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_betti = sub.add_parser("betti", help="reduced Betti numbers of a simplicial-set file")
     p_betti.add_argument("file")
-    p_betti.add_argument("--max-dim", type=int, default=4)
+    p_betti.add_argument("--max-dim", type=nonnegative, default=4)
     p_betti.add_argument("--json", action="store_true")
     p_betti.set_defaults(func=_cmd_betti)
 
     p_verify = sub.add_parser("verify", help="cross-validate the three computation paths")
     p_verify.add_argument("file")
-    p_verify.add_argument("--s-max", type=int, default=3)
-    p_verify.add_argument("--t-max", type=int, default=4)
-    p_verify.add_argument("--loop-max", type=int, default=None)
+    p_verify.add_argument("--s-max", type=nonnegative, default=3)
+    p_verify.add_argument("--t-max", type=nonnegative, default=4)
+    p_verify.add_argument("--loop-max", type=nonnegative, default=None)
     p_verify.add_argument(
         "--brute-loop-max",
-        type=int,
+        type=nonnegative,
         default=5,
         help="largest smash power brute-forced for the loop row",
     )
-    p_verify.add_argument("--direct-budget", type=int, default=DEFAULT_DIRECT_BUDGET)
+    p_verify.add_argument("--direct-budget", type=nonnegative, default=DEFAULT_DIRECT_BUDGET)
     group = p_verify.add_mutually_exclusive_group()
     group.add_argument("--json", action="store_true")
     group.add_argument("--csv", action="store_true")
@@ -128,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_conj = sub.add_parser(
         "conjecture", help="closed form against the generating-function coefficients"
     )
-    p_conj.add_argument("--n-max", type=int, default=12)
+    p_conj.add_argument("--n-max", type=nonnegative, default=12)
     p_conj.add_argument("--json", action="store_true")
     p_conj.set_defaults(func=_cmd_conjecture)
     return parser
@@ -139,10 +147,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except (ParseError, ValidationError, TruncationError) as exc:
+    except (OSError, UnicodeDecodeError, ParseError, ValidationError, TruncationError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

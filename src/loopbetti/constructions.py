@@ -251,18 +251,10 @@ def quotient(space: SimplicialSet, subset: PointedSubset) -> tuple[FiniteSimplic
         ]
         if kept:
             simplices.setdefault(n, []).extend(kept)
-    quot = FiniteSimplicialSet.__new__(FiniteSimplicialSet)
-    quot.truncation = space.truncation
-    quot._simplices = {n: tuple(keys) for n, keys in simplices.items()}
-    quot._dim_of = {key: n for n, keys in simplices.items() for key in keys}
-    quot._basepoint = space.basepoint
-    if space.top_dim() > space.truncation:
-        # only part of the quotient could be materialized
-        quot._top_bound = space.top_dim()
 
     def project(ref: SimplexRef) -> SimplexRef:
         if subset.contains_ref(ref):
-            return quot.basepoint_ref(ref.dim)
+            return space.basepoint_ref(ref.dim)
         return ref
 
     faces: dict[Any, tuple[SimplexRef, ...]] = {}
@@ -270,7 +262,13 @@ def quotient(space: SimplicialSet, subset: PointedSubset) -> tuple[FiniteSimplic
         for key in simplices.get(n, ()):
             ref = SimplexRef(n, key, ())
             faces[key] = tuple(project(space.face_of(ref, i)) for i in range(n + 1))
-    quot._faces = faces
+    quot = FiniteSimplicialSet.from_tables(
+        space.truncation,
+        simplices,
+        faces,
+        space.basepoint,
+        top_bound=space.top_dim() if space.top_dim() > space.truncation else None,
+    )
     mapping = {
         n: {key: project(SimplexRef(n, key, ())) for key in space.nondeg(n)}
         for n in range(top + 1)
@@ -299,18 +297,13 @@ def orbit_space(
     for n in range(top + 1):
         for key in space.nondeg(n):
             other = invol(key)
-            if space.index_of(n, other) < space.index_of(n, key):
+            if space.key_sort_value(n, other) < space.key_sort_value(n, key):
                 rep[key] = other
             else:
                 rep[key] = key
     simplices = {
         n: tuple(k for k in space.nondeg(n) if rep[k] == k) for n in range(top + 1)
     }
-    orbit = FiniteSimplicialSet.__new__(FiniteSimplicialSet)
-    orbit.truncation = space.truncation
-    orbit._simplices = {n: keys for n, keys in simplices.items() if keys}
-    orbit._dim_of = {key: n for n, keys in simplices.items() for key in keys}
-    orbit._basepoint = space.basepoint
     faces: dict[Any, tuple[SimplexRef, ...]] = {}
     for n in range(1, top + 1):
         for key in simplices.get(n, ()):
@@ -319,7 +312,7 @@ def orbit_space(
                 f = space._base_face(key, n, i)
                 entries.append(SimplexRef(f.base_dim, rep[f.base], f.word))
             faces[key] = tuple(entries)
-    orbit._faces = faces
+    orbit = FiniteSimplicialSet.from_tables(space.truncation, simplices, faces, space.basepoint)
     mapping = {
         n: {key: SimplexRef(n, rep[key], ()) for key in space.nondeg(n)}
         for n in range(top + 1)

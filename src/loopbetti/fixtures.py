@@ -118,14 +118,3 @@ def trivial_circle(
     """The circle with the identity involution; every simplex is fixed."""
     space = circle(truncation)
     return space, Involution(space, {})
-
-
-FIXTURE_BUILDERS = {
-    "point": lambda: (point(), None),
-    "circle": lambda: (circle(), None),
-    "interval": lambda: (interval(), None),
-    "two_disc_sphere": lambda: (two_disc_sphere(), None),
-    "sphere_pair_swap": sphere_pair_swap,
-    "free_double_cover": free_double_cover,
-    "trivial_circle": trivial_circle,
-}

@@ -114,10 +114,10 @@ def vertex_word(n: int) -> tuple[int, ...]:
 class SimplicialSet:
     """Base for pointed simplicial sets; subclasses supply nondegenerate data.
 
-    Subclasses implement ``nondeg``, ``_base_face``, ``top_dim`` and
-    ``basepoint``; the word calculus (``face_of``, ``degenerate_of``) is
-    shared.  All instances are immutable after construction, so any
-    operation may run concurrently on shared inputs.
+    Subclasses implement ``nondeg``, ``_base_face``, ``top_dim``,
+    ``basepoint`` and ``key_sort_value``; the word calculus (``face_of``,
+    ``degenerate_of``) is shared.  All instances are immutable after
+    construction, so any operation may run concurrently on shared inputs.
     """
 
     truncation: int
@@ -135,6 +135,10 @@ class SimplicialSet:
 
     @property
     def basepoint(self) -> Any:
+        raise NotImplementedError
+
+    def key_sort_value(self, n: int, key: Any):
+        """A deterministic sort value for nondegenerate keys at dimension n."""
         raise NotImplementedError
 
     # -- shared operator algebra -------------------------------------------
@@ -204,19 +208,6 @@ class SimplicialSet:
                 for word in combinations(range(n), n - p):
                     out.append(SimplexRef(p, key, word))
         return out
-
-    def index_of(self, n: int, key: Any) -> int:
-        index = getattr(self, "_index_cache", None)
-        if index is None:
-            index = {}
-            object.__setattr__(self, "_index_cache", index)
-        if n not in index:
-            index[n] = {k: i for i, k in enumerate(self.nondeg(n))}
-        return index[n][key]
-
-    def key_sort_value(self, n: int, key: Any):
-        """A deterministic sort value for nondegenerate keys at dimension n."""
-        return self.index_of(n, key)
 
     def ref_sort_value(self, ref: SimplexRef):
         return (ref.base_dim, self.key_sort_value(ref.base_dim, ref.base), ref.word)
@@ -295,8 +286,35 @@ class FiniteSimplicialSet(SimplicialSet):
             for key in keys:
                 if key not in self._faces:
                     raise ValidationError(f"missing face list for simplex {key!r}")
+        self._top_bound: Optional[int] = None
+        self._index: dict[int, dict[Any, int]] = {}
         if check:
             self.check_face_identities()
+
+    @classmethod
+    def from_tables(
+        cls,
+        truncation: int,
+        simplices: Mapping[int, Sequence[Any]],
+        faces: dict[Any, tuple[SimplexRef, ...]],
+        basepoint: Any,
+        top_bound: Optional[int] = None,
+    ) -> "FiniteSimplicialSet":
+        """Trusted constructor for tables a construction already made
+        canonical (faces as ``SimplexRef`` tuples); nothing is validated.
+
+        ``top_bound`` overrides ``top_dim`` when only part of a larger object
+        could be materialized, such as a quotient of a truncated smash power.
+        """
+        space = cls.__new__(cls)
+        space.truncation = truncation
+        space._simplices = {n: tuple(keys) for n, keys in simplices.items() if keys}
+        space._dim_of = {key: n for n, keys in space._simplices.items() for key in keys}
+        space._basepoint = basepoint
+        space._faces = faces
+        space._top_bound = top_bound
+        space._index = {}
+        return space
 
     def _coerce_ref(self, entry: Any, ambient: int) -> SimplexRef:
         if isinstance(entry, SimplexRef):
@@ -327,17 +345,19 @@ class FiniteSimplicialSet(SimplicialSet):
         return self._faces[base][i]
 
     def top_dim(self) -> int:
-        # _top_bound records the honest bound when a constructor could only
-        # materialize part of a larger object (for example a quotient of a
-        # truncated smash power)
-        override = getattr(self, "_top_bound", None)
-        if override is not None:
-            return override
+        if self._top_bound is not None:
+            return self._top_bound
         return max((n for n, keys in self._simplices.items() if keys), default=0)
 
     @property
     def basepoint(self) -> Any:
         return self._basepoint
+
+    def key_sort_value(self, n: int, key: Any) -> int:
+        """Position of the key in the stored order at dimension n."""
+        if n not in self._index:
+            self._index[n] = {k: i for i, k in enumerate(self.nondeg(n))}
+        return self._index[n][key]
 
     def dim_of(self, key: Any) -> int:
         return self._dim_of[key]

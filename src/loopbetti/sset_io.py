@@ -147,8 +147,3 @@ def serialize(space: FiniteSimplicialSet, invol: Optional[Involution] = None) ->
             # record that a (trivial) involution is present
             lines.append(f"involution {space.basepoint} {space.basepoint}")
     return "\n".join(lines) + "\n"
-
-
-def serialize_to_file(path, space: FiniteSimplicialSet, invol: Optional[Involution] = None) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(serialize(space, invol))

@@ -9,8 +9,9 @@ Quotient tables are brute-forced directly when the ambient smash power is
 small enough to materialize; otherwise they follow from exact-sequence
 bookkeeping, which is certified only when in every needed degree either the
 ambient homology (a smash power of the orbit table) or the pinched homology
-vanishes.  Cells that cannot be computed honestly stay empty rather than
-guessed.
+vanishes.  The route is chosen once per smash power: the direct table reads
+no path's pinched table, so all three paths share it.  Cells that cannot be
+computed honestly stay empty rather than guessed.
 """
 
 from __future__ import annotations
@@ -44,9 +45,12 @@ NOT_COMPUTED = "not computed"
 
 
 @dataclass
-class GridCell:
-    s: int
-    t: int
+class Cell:
+    """One entry compared across the three paths: a pinched-grid cell at
+    (s, t), or a loop-row cell at degree n (``s_or_n = n``, ``t = None``)."""
+
+    s_or_n: int
+    t: Optional[int]
     brute: Optional[int]
     mv_e1: Optional[int]
     closed: Optional[int]
@@ -57,19 +61,16 @@ class GridCell:
         values = [v for v in (self.brute, self.mv_e1, self.closed) if v is not None]
         return len(set(values)) <= 1
 
-
-@dataclass
-class LoopCell:
-    n: int
-    brute: Optional[int]
-    mv_e1: Optional[int]
-    closed: Optional[int]
-    notes: dict[str, str] = field(default_factory=dict)
-
-    @property
-    def agree(self) -> bool:
-        values = [v for v in (self.brute, self.mv_e1, self.closed) if v is not None]
-        return len(set(values)) <= 1
+    def to_dict(self) -> dict[str, Any]:
+        at = {"n": self.s_or_n} if self.t is None else {"s": self.s_or_n, "t": self.t}
+        return {
+            **at,
+            "brute": self.brute,
+            "mv_e1": self.mv_e1,
+            "closed": self.closed,
+            "agree": self.agree,
+            "notes": dict(sorted(self.notes.items())),
+        }
 
 
 @dataclass
@@ -82,14 +83,14 @@ class RunReport:
     t_max: int
     section_found: bool
     diagonal_null: bool
-    cells: list[GridCell] = field(default_factory=list)
-    loop_row: list[LoopCell] = field(default_factory=list)
+    cells: list[Cell] = field(default_factory=list)
+    loop_row: list[Cell] = field(default_factory=list)
     messages: list[str] = field(default_factory=list)
     timings: dict[str, float] = field(default_factory=dict)
 
     @property
     def agreement(self) -> bool:
-        return all(c.agree for c in self.cells) and all(c.agree for c in self.loop_row)
+        return all(c.agree for c in self.cells + self.loop_row)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -102,29 +103,8 @@ class RunReport:
                 "section_exists": self.section_found,
                 "diagonal_null": self.diagonal_null,
             },
-            "pinched_cells": [
-                {
-                    "s": c.s,
-                    "t": c.t,
-                    "brute": c.brute,
-                    "mv_e1": c.mv_e1,
-                    "closed": c.closed,
-                    "agree": c.agree,
-                    "notes": dict(sorted(c.notes.items())),
-                }
-                for c in self.cells
-            ],
-            "loop_row": [
-                {
-                    "n": c.n,
-                    "brute": c.brute,
-                    "mv_e1": c.mv_e1,
-                    "closed": c.closed,
-                    "agree": c.agree,
-                    "notes": dict(sorted(c.notes.items())),
-                }
-                for c in self.loop_row
-            ],
+            "pinched_cells": [c.to_dict() for c in self.cells],
+            "loop_row": [c.to_dict() for c in self.loop_row],
             "agreement": self.agreement,
             "messages": list(self.messages),
             "timings": {k: round(v, 6) for k, v in sorted(self.timings.items())},
@@ -139,14 +119,10 @@ class RunReport:
         def show(v: Optional[int]) -> str:
             return "" if v is None else str(v)
 
-        for c in self.cells:
+        for c in self.cells + self.loop_row:
+            kind = "loop" if c.t is None else "pinched"
             rows.append(
-                f"pinched,{c.s},{c.t},{show(c.brute)},{show(c.mv_e1)},"
-                f"{show(c.closed)},{str(c.agree).lower()}"
-            )
-        for c in self.loop_row:
-            rows.append(
-                f"loop,{c.n},,{show(c.brute)},{show(c.mv_e1)},"
+                f"{kind},{c.s_or_n},{show(c.t)},{show(c.brute)},{show(c.mv_e1)},"
                 f"{show(c.closed)},{str(c.agree).lower()}"
             )
         return "\n".join(rows) + "\n"
@@ -166,9 +142,9 @@ class RunReport:
         out.append("pinched grid (brute | cover sum | closed formula)")
         header = "  s\\t " + "".join(f"{t:>12}" for t in range(self.t_max + 1))
         out.append(header)
-        by_s: dict[int, dict[int, GridCell]] = {}
+        by_s: dict[int, dict[Optional[int], Cell]] = {}
         for c in self.cells:
-            by_s.setdefault(c.s, {})[c.t] = c
+            by_s.setdefault(c.s_or_n, {})[c.t] = c
         for s in sorted(by_s):
             row = f"  {s:>3} "
             for t in range(self.t_max + 1):
@@ -184,7 +160,8 @@ class RunReport:
         for c in self.loop_row:
             mark = "" if c.agree else "  <- DISAGREE"
             out.append(
-                f"  n={c.n:>2}  {show(c.brute):>5} | {show(c.mv_e1):>5} | {show(c.closed):>5}{mark}"
+                f"  n={c.s_or_n:>2}  {show(c.brute):>5} | {show(c.mv_e1):>5} | "
+                f"{show(c.closed):>5}{mark}"
             )
         out.append("")
         out.append(f"agreement: {'yes' if self.agreement else 'NO'}")
@@ -209,34 +186,39 @@ def try_materialize_count(space, top: int, budget: int) -> Optional[int]:
     return total
 
 
-def stunted_quotient_betti(
+def direct_quotient_betti(
     q,
     fixed: PointedSubset,
     s: int,
     n_max: int,
-    pinched_table: BettiTable,
     betti_q: BettiTable,
     direct_budget: int = DEFAULT_DIRECT_BUDGET,
-) -> tuple[Optional[BettiTable], str]:
-    """Betti table of (smash power)/(pinched subset) through n_max.
-
-    Directly when the ambient is small enough; otherwise by exact-sequence
-    bookkeeping, valid in each degree where the ambient (Kunneth power of
-    the orbit table) or the pinched homology vanishes.  Returns the table
-    and a note describing the route taken, or (None, reason).
-    """
+) -> Optional[tuple[BettiTable, str]]:
+    """Betti table of (smash power)/(pinched subset) through n_max and a
+    note, without a pinched table: the basepoint quotient at s = 1, else the
+    homology of the materialized quotient.  None when the ambient is over
+    budget.  No path's data is read, so one result serves all three."""
     if s == 1:
-        ambient_table = betti_q
-        entries = {n: ambient_table[n] for n in range(n_max + 1)}
-        zf = q.top_dim() * s + 1
-        return BettiTable(entries, certified=n_max, zero_from=zf), "quotient by the basepoint"
+        entries = {n: betti_q[n] for n in range(n_max + 1)}
+        table = BettiTable(entries, certified=n_max, zero_from=q.top_dim() + 1)
+        return table, "quotient by the basepoint"
     trunc = min(n_max + 1, q.top_dim() * s)
     ambient = smash_power(q, s, trunc)
     count = try_materialize_count(ambient, n_max + 1, direct_budget)
-    if count is not None:
-        subset = pinched_set(q, fixed, s, truncation=trunc, ambient=ambient)
-        quot, _ = quotient(ambient, subset)
-        return reduced_betti(quot, n_max), f"direct quotient homology ({count} cells)"
+    if count is None:
+        return None
+    subset = pinched_set(q, fixed, s, truncation=trunc, ambient=ambient)
+    quot, _ = quotient(ambient, subset)
+    return reduced_betti(quot, n_max), f"direct quotient homology ({count} cells)"
+
+
+def bookkept_quotient_betti(
+    q, s: int, n_max: int, pinched_table: BettiTable, betti_q: BettiTable
+) -> tuple[Optional[BettiTable], str]:
+    """Betti table of (smash power)/(pinched subset) through n_max by
+    exact-sequence bookkeeping, valid in each degree where the ambient
+    (Kunneth power of the orbit table) or the pinched homology vanishes.
+    Returns the table and a note, or (None, reason)."""
     ambient_table = kunneth_power(betti_q, s)
     entries = {}
     for n in range(n_max + 1):
@@ -264,28 +246,51 @@ def stunted_quotient_betti(
     )
 
 
-def loop_tables_for_path(
+def stunted_quotient_betti(
+    q,
+    fixed: PointedSubset,
+    s: int,
+    n_max: int,
+    pinched_table: BettiTable,
+    betti_q: BettiTable,
+    direct_budget: int = DEFAULT_DIRECT_BUDGET,
+) -> tuple[Optional[BettiTable], str]:
+    """Betti table of (smash power)/(pinched subset) through n_max and a
+    note on the route: direct when the ambient is small enough, otherwise
+    bookkeeping from ``pinched_table``; (None, reason) when neither works."""
+    direct = direct_quotient_betti(q, fixed, s, n_max, betti_q, direct_budget)
+    return direct or bookkept_quotient_betti(q, s, n_max, pinched_table, betti_q)
+
+
+def loop_quotient_tables(
     q,
     fixed: PointedSubset,
     n_max: int,
-    pinched_source: Callable[[int], Optional[BettiTable]],
+    sources: dict[str, tuple[int, Callable[[int], BettiTable]]],
     betti_q: BettiTable,
     direct_budget: int = DEFAULT_DIRECT_BUDGET,
-) -> tuple[dict[int, BettiTable], dict[int, str]]:
-    """Quotient tables for s = 1..n_max from a per-s pinched-table source."""
-    tables: dict[int, BettiTable] = {}
-    notes: dict[int, str] = {}
+) -> tuple[dict[str, dict[int, BettiTable]], dict[str, dict[int, str]]]:
+    """Quotient tables and route notes for s = 1..n_max, per path.
+
+    ``sources`` maps each path to the largest s it has a pinched table for
+    and a builder of that table.  The route is chosen once per s and the
+    direct result is shared by every path with a table at s; a path's
+    pinched table is built only when the bookkeeping needs it.  An s that
+    no path has a table for is skipped.
+    """
+    tables: dict[str, dict[int, BettiTable]] = {name: {} for name in sources}
+    notes: dict[str, dict[int, str]] = {name: {} for name in sources}
     for s in range(1, n_max + 1):
-        pinched_table = pinched_source(s)
-        if pinched_table is None:
-            notes[s] = NOT_COMPUTED
+        builders = {name: build for name, (top, build) in sources.items() if s <= top}
+        if not builders:
             continue
-        table, note = stunted_quotient_betti(
-            q, fixed, s, n_max, pinched_table, betti_q, direct_budget
-        )
-        notes[s] = note
-        if table is not None:
-            tables[s] = table
+        direct = direct_quotient_betti(q, fixed, s, n_max, betti_q, direct_budget)
+        for name, build in builders.items():
+            table, notes[name][s] = direct or bookkept_quotient_betti(
+                q, s, n_max, build(s), betti_q
+            )
+            if table is not None:
+                tables[name][s] = table
     return tables, notes
 
 
@@ -338,7 +343,7 @@ def run_verify(
 
     brute_tables: dict[int, BettiTable] = {}
 
-    def brute_table(s: int, needed: int) -> Optional[BettiTable]:
+    def brute_table(s: int, needed: int) -> BettiTable:
         cached = brute_tables.get(s)
         if cached is not None and cached.certified >= needed:
             return cached
@@ -346,87 +351,57 @@ def run_verify(
         brute_tables[s] = table
         return table
 
+    formulas = {
+        "mv_e1": lambda s, t: mv_e1_betti(orbit, fixed, s, t, betti_q, betti_a),
+        "closed": lambda s, t: betti_pinched_formula(inp, s, t),
+    }
+
     # --- pinched grid ---
     t0 = time.perf_counter()
     for s in range(2, s_max + 1):
         table = brute_table(s, t_max)
         for t in range(t_max + 1):
-            brute = table[t] if table is not None and table.covers(t) else None
-            mv: Optional[int] = None
-            closed: Optional[int] = None
-            notes: dict[str, str] = {}
-            if table is None:
-                notes["brute"] = NOT_COMPUTED
             if diagonal_null:
-                mv = mv_e1_betti(orbit, fixed, s, t, betti_q, betti_a)
-                closed = betti_pinched_formula(inp, s, t)
+                cell = Cell(s, t, table[t], formulas["mv_e1"](s, t), formulas["closed"](s, t))
             else:
-                notes["mv_e1"] = HYPOTHESIS_NOT_SATISFIED
-                notes["closed"] = HYPOTHESIS_NOT_SATISFIED
-            report.cells.append(GridCell(s, t, brute, mv, closed, notes))
+                notes = dict.fromkeys(formulas, HYPOTHESIS_NOT_SATISFIED)
+                cell = Cell(s, t, table[t], None, None, notes)
+            report.cells.append(cell)
     report.timings["pinched_grid"] = time.perf_counter() - t0
 
     # --- loop row ---
     t0 = time.perf_counter()
     if section is not None:
-        def brute_source(s: int) -> Optional[BettiTable]:
-            return brute_table(s, max(loop_max - 1, 0)) if s <= brute_loop_max else None
+        def formula_source(betti_at: Callable[[int, int], int]) -> Callable[[int], BettiTable]:
+            def source(s: int) -> BettiTable:
+                bound = pinched_top_bound(orbit, fixed, s)
+                entries = {t: betti_at(s, t) for t in range(min(loop_max - 1, bound) + 1)}
+                return BettiTable(entries, certified=max(loop_max - 1, 0), zero_from=bound + 1)
 
-        def mv_source(s: int) -> Optional[BettiTable]:
-            if not diagonal_null:
-                return None
-            if s == 1:
-                return BettiTable({}, certified=loop_max, zero_from=0)
-            bound = pinched_top_bound(orbit, fixed, s)
-            entries = {
-                t: mv_e1_betti(orbit, fixed, s, t, betti_q, betti_a)
-                for t in range(min(loop_max - 1, bound) + 1)
-            }
-            return BettiTable(entries, certified=max(loop_max - 1, 0), zero_from=bound + 1)
+            return source
 
-        def closed_source(s: int) -> Optional[BettiTable]:
-            if not diagonal_null:
-                return None
-            if s == 1:
-                return BettiTable({}, certified=loop_max, zero_from=0)
-            bound = pinched_top_bound(orbit, fixed, s)
-            entries = {
-                t: betti_pinched_formula(inp, s, t)
-                for t in range(min(loop_max - 1, bound) + 1)
-            }
-            return BettiTable(entries, certified=max(loop_max - 1, 0), zero_from=bound + 1)
-
-        sources = {
-            "brute": brute_source,
-            "mv_e1": mv_source,
-            "closed": closed_source,
-        }
-        per_path_tables: dict[str, dict[int, BettiTable]] = {}
-        per_path_notes: dict[str, dict[int, str]] = {}
-        for name, source in sources.items():
-            tables, notes = loop_tables_for_path(
-                orbit, fixed, loop_max, source, betti_q, direct_budget
-            )
-            per_path_tables[name] = tables
-            per_path_notes[name] = notes
-
+        sources = {"brute": (brute_loop_max, lambda s: brute_table(s, max(loop_max - 1, 0)))}
+        for name, betti_at in formulas.items():
+            sources[name] = (loop_max if diagonal_null else 0, formula_source(betti_at))
+        tables, route_notes = loop_quotient_tables(
+            orbit, fixed, loop_max, sources, betti_q, direct_budget
+        )
         for n in range(1, loop_max + 1):
             values: dict[str, Optional[int]] = {}
             notes: dict[str, str] = {}
             for name in sources:
-                tables = per_path_tables[name]
                 try:
-                    values[name] = loop_betti(tables, n)
-                except (UncertifiedRangeError, KeyError):
+                    values[name] = loop_betti(tables[name], n)
+                except UncertifiedRangeError:
                     values[name] = None
                     missing = [
-                        f"s={s}: {per_path_notes[name].get(s, NOT_COMPUTED)}"
+                        f"s={s}: {route_notes[name].get(s, NOT_COMPUTED)}"
                         for s in range(1, n + 1)
-                        if s not in tables
+                        if s not in tables[name]
                     ]
                     notes[name] = "; ".join(missing) if missing else NOT_COMPUTED
             report.loop_row.append(
-                LoopCell(n, values["brute"], values["mv_e1"], values["closed"], notes)
+                Cell(n, None, values["brute"], values["mv_e1"], values["closed"], notes)
             )
     report.timings["loop_row"] = time.perf_counter() - t0
     report.timings["total"] = time.perf_counter() - t_start

@@ -14,6 +14,7 @@ from loopbetti.fixtures import (
     two_disc_sphere,
 )
 from loopbetti.sset_io import ParseError, parse, serialize
+from loopbetti.verify import DEFAULT_DIRECT_BUDGET
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -216,23 +217,102 @@ def test_cli_conjecture_marks_rows_beyond_twelve(capsys):
     assert all(statuses[n] == "conjectured" for n in range(13, 25))
 
 
-def test_cli_missing_file(capsys):
-    rc = main(["betti", "no_such_file.sset"])
+@pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
+def test_cli_missing_file(kind, tmp_path, capsys):
+    path = {
+        "missing": tmp_path / "no_such_file.sset",
+        "directory": tmp_path,
+        "not_utf8": tmp_path / "latin1.sset",
+    }[kind]
+    (tmp_path / "latin1.sset").write_bytes(b"truncation 4\nbasepoint \xe9\n")
+    rc = main(["betti", str(path)])
     assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
-def test_trivial_action_loop_row_three_ways():
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["betti", "x.sset", "--max-dim", "-1"],
+        ["verify", "x.sset", "--s-max", "-2", "--t-max", "-1"],
+        ["verify", "x.sset", "--loop-max", "-1"],
+        ["verify", "x.sset", "--brute-loop-max", "-1"],
+        ["verify", "x.sset", "--direct-budget", "-1"],
+        ["conjecture", "--n-max", "-3"],
+    ],
+)
+def test_cli_rejects_negative_numbers(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "must be nonnegative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "direct_budget", [DEFAULT_DIRECT_BUDGET, 0], ids=["default_budget", "bookkeeping"]
+)
+def test_trivial_action_loop_row_three_ways(direct_budget):
     """With the identity action the decomposition degenerates to the plain
-    fat-diagonal splitting; all three loop columns must agree through 5."""
+    fat-diagonal splitting; all three loop columns must agree through 5.
+    A zero budget sends every s >= 2 through the exact-sequence bookkeeping."""
     from loopbetti.sset_io import parse_file as load
     from loopbetti.verify import run_verify
 
     space, invol = load(FIXTURE_DIR / "trivial_circle.sset")
-    report = run_verify(space, invol, s_max=2, t_max=2, loop_max=5)
+    report = run_verify(
+        space, invol, s_max=2, t_max=2, loop_max=5, direct_budget=direct_budget
+    )
     assert report.agreement
     for cell in report.loop_row:
         assert cell.brute is not None
         assert cell.brute == cell.mv_e1 == cell.closed
+
+
+def test_verify_chooses_quotient_route_once_per_smash_power(monkeypatch):
+    """The direct quotient reads no path's pinched table, so each s counts
+    its ambient and builds its quotient at most once, and every path with a
+    table at that s carries the same direct route."""
+    from collections import Counter
+
+    import loopbetti.verify as verify
+
+    counted, built, notes = Counter(), Counter(), {}
+    real_count, real_quotient = verify.try_materialize_count, verify.quotient
+    real_tables = verify.loop_quotient_tables
+
+    def count(space, *args):
+        counted[len(space.factors)] += 1
+        return real_count(space, *args)
+
+    def quotient(space, subset):
+        built[len(space.factors)] += 1
+        return real_quotient(space, subset)
+
+    def tables(*args, **kwargs):
+        result = real_tables(*args, **kwargs)
+        notes.update(result[1])
+        return result
+
+    monkeypatch.setattr(verify, "try_materialize_count", count)
+    monkeypatch.setattr(verify, "quotient", quotient)
+    monkeypatch.setattr(verify, "loop_quotient_tables", tables)
+    space, invol = sphere_pair_swap()
+    report = verify.run_verify(
+        space, invol, s_max=2, t_max=2, loop_max=5, brute_loop_max=3
+    )
+
+    assert set(counted) == {2, 3, 4, 5} and set(counted.values()) == {1}
+    assert set(built) == {2, 3} and set(built.values()) == {1}
+    for cell in report.loop_row:
+        if cell.s_or_n > 3:
+            assert cell.brute is None
+            for k in range(4, cell.s_or_n + 1):
+                assert f"s={k}: not computed" in cell.notes["brute"]
+    for s in (2, 3):
+        note = notes["brute"][s]
+        assert note.startswith("direct quotient homology")
+        assert notes["mv_e1"][s] == notes["closed"][s] == note
 
 
 def test_verify_disables_columns_when_diagonal_is_not_null():
