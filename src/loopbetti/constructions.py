@@ -13,6 +13,7 @@ enumeration at all.
 
 from __future__ import annotations
 
+from math import comb
 from typing import Any, Optional, Sequence
 
 from .simplicial import (
@@ -154,6 +155,36 @@ class TupleSpace(SimplicialSet):
             ]
             self._pool_cache[n] = pool
         return self._pool_cache[n]
+
+    def count_nondeg(self, n: int) -> int:
+        """Number of nondegenerate n-simplices, counted without enumeration.
+
+        Inclusion-exclusion over the degeneracy indices shared by every
+        component: tuples whose words all contain a given k-set correspond
+        to tuples at dimension n - k, and a factor has sum_d N_d C(m, d)
+        simplices at ambient dimension m, where N_d counts its nondegenerate
+        d-simplices (the basepoint left out for a smash, which adds its own
+        basepoint back at n = 0).
+        """
+        if n > self.truncation:
+            raise TruncationError(f"dimension {n} beyond truncation {self.truncation}")
+        # per distinct factor: its simplex count at each ambient dimension
+        simplices: dict[int, list[int]] = {}
+        for f in self.factors:
+            if id(f) not in simplices:
+                counts = [len(f.nondeg(d)) for d in range(min(n, f.top_dim()) + 1)]
+                if self.smash:
+                    counts[0] -= 1
+                simplices[id(f)] = [
+                    sum(c * comb(m, d) for d, c in enumerate(counts)) for m in range(n + 1)
+                ]
+        total = 0
+        for k in range(n + 1):
+            tuples = 1
+            for f in self.factors:
+                tuples *= simplices[id(f)][n - k]
+            total += (-1) ** k * comb(n, k) * tuples
+        return total + (1 if self.smash and n == 0 else 0)
 
     def _enumerate(self, n: int):
         pools = []

@@ -233,40 +233,45 @@ def table_from_dict(entries: Mapping[int, int]) -> BettiTable:
     return BettiTable(entries, certified=top, zero_from=top + 1)
 
 
+def _first_uncovered(t: BettiTable) -> Optional[int]:
+    n = max(t.certified + 1, 0)
+    return None if t.zero_from is not None and n >= t.zero_from else n
+
+
+def _first_unknown_or_nonzero(t: BettiTable) -> Optional[int]:
+    known = [n for n in (_first_uncovered(t), min(t.support(), default=None)) if n is not None]
+    return min(known, default=None)
+
+
 def kunneth(a: BettiTable, b: BettiTable) -> BettiTable:
-    """Field-coefficient Betti table of a smash product, by convolution."""
-    entries: dict[int, int] = {}
-    for p, vp in a.nonzero().items():
-        for q, vq in b.nonzero().items():
-            entries[p + q] = entries.get(p + q, 0) + vp * vq
+    """Field-coefficient Betti table of a smash product, by convolution.
+
+    Degree n is certified when every split p + q = n has both factors
+    covered, or a covered zero on one side.  A split fails exactly when one
+    side is uncovered and the other nonzero or uncovered, so the first
+    failing degree is the first uncovered degree of one table plus the
+    first nonzero-or-uncovered degree of the other.  Products landing above
+    the certified range are dropped: they are only lower bounds.
+    """
     if a.zero_from is not None and b.zero_from is not None:
         zero_from: Optional[int] = max(a.zero_from + b.zero_from - 1, 0)
     else:
         zero_from = None
-
-    def resolved(t: BettiTable, n: int) -> bool:
-        return t.covers(n)
-
-    certified = -1
     scan_cap = max(
         a.certified + b.certified + 2,
         (zero_from if zero_from is not None else 0),
     )
-    for t in range(scan_cap + 1):
-        ok = True
-        for p in range(t + 1):
-            q = t - p
-            if resolved(a, p) and resolved(b, q):
-                continue
-            if resolved(a, p) and a[p] == 0:
-                continue
-            if resolved(b, q) and b[q] == 0:
-                continue
-            ok = False
-            break
-        if not ok:
-            break
-        certified = t
+    fails = []
+    for x, y in ((a, b), (b, a)):
+        gap, other = _first_uncovered(x), _first_unknown_or_nonzero(y)
+        if gap is not None and other is not None:
+            fails.append(gap + other)
+    certified = min(scan_cap, min(fails) - 1) if fails else scan_cap
+    entries: dict[int, int] = {}
+    for p, vp in a.nonzero().items():
+        for q, vq in b.nonzero().items():
+            if p + q <= certified:
+                entries[p + q] = entries.get(p + q, 0) + vp * vq
     return BettiTable(entries, certified=certified, zero_from=zero_from)
 
 

@@ -15,6 +15,7 @@ A, so degeneracies of members count and every predicate is face-stable.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
@@ -22,10 +23,9 @@ from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 from .constructions import TupleSpace, reduced_diagonal, smash_power
 from .homology import (
     BettiTable,
+    UncertifiedRangeError,
     is_homologous_zero,
-    kunneth,
     reduced_betti,
-    table_from_dict,
 )
 from .simplicial import (
     PointedSubset,
@@ -491,6 +491,13 @@ def pinched_inductive(
 # The cover-intersection Betti sum.
 # ---------------------------------------------------------------------------
 
+# answers of check_diagonal_null, so that a run checks the hypothesis once
+# and every later cover sum over the same fixed subset reuses the answer.
+# The answer is a function of the subset alone, which is immutable, and the
+# weak keys drop it with the subset, so no caller can see another's state.
+_DIAGONAL_NULL: "weakref.WeakKeyDictionary[PointedSubset, bool]" = weakref.WeakKeyDictionary()
+
+
 def check_diagonal_null(fixed: PointedSubset) -> bool:
     """Whether the reduced diagonal of the fixed set is homologous to zero.
 
@@ -499,18 +506,28 @@ def check_diagonal_null(fixed: PointedSubset) -> bool:
     """
     t_check = fixed.top_dim() + 1
     diag = reduced_diagonal(fixed, truncation=2 * fixed.top_dim() + 2)
-    return is_homologous_zero(diag, t_check)
+    null = is_homologous_zero(diag, t_check)
+    _DIAGONAL_NULL[fixed] = null
+    return null
 
 
-def composition_betti(
-    alpha: Composition, betti_q: BettiTable, betti_a: BettiTable
-) -> BettiTable:
-    """Betti table of a blockwise piece: the smash of one fixed-set factor
-    per block of size >= 2 and one orbit-space factor per singleton block."""
-    table = table_from_dict({0: 1})  # empty smash = the zero-sphere
-    for part in alpha:
-        table = kunneth(table, betti_q if part == 1 else betti_a)
-    return table
+def _diagonal_null(fixed: PointedSubset) -> bool:
+    known = _DIAGONAL_NULL.get(fixed)
+    return check_diagonal_null(fixed) if known is None else known
+
+
+def _times(poly: list[int], factor: list[tuple[int, int]]) -> list[int]:
+    """Product of a dense polynomial with a sparse one, truncated to the
+    length of the dense one."""
+    cap = len(poly) - 1
+    out = [0] * (cap + 1)
+    for d, c in enumerate(poly):
+        if c:
+            for e, v in factor:
+                if d + e > cap:
+                    break
+                out[d + e] += c * v
+    return out
 
 
 def mv_e1_betti(
@@ -527,11 +544,20 @@ def mv_e1_betti(
     (always checked): then the double complex of the blockwise cover
     degenerates and the t-th Betti number of the pinched subset is the sum
     of b_q over intersections of p cover pieces with p + q - 1 = t.
+
+    An intersection of p pieces merges p of the s - 1 gaps between
+    positions; its Betti polynomial is the product of Q(x) per singleton
+    block and A(x) per longer block (Kunneth), with Q and A the Betti
+    polynomials of the orbit space and the fixed set.  So the sum is the
+    coefficient of x^(t+1) in the sum over merge sets of x^p times that
+    product, which a transfer matrix over the gaps evaluates (Stanley,
+    Enumerative Combinatorics I, 4.7): four states, s - 1 steps on
+    polynomials of degree t + 1, instead of 2^(s-1) - 1 intersections.
     """
     _check_fixed_subset(q, fixed)
     if s < 2:
         raise ValidationError("the cover sum needs s >= 2")
-    if not check_diagonal_null(fixed):
+    if not _diagonal_null(fixed):
         raise HypothesisError(
             "the reduced diagonal of the fixed set is not homologous to zero, "
             "so the cover-intersection sum does not compute the pinched homology"
@@ -540,16 +566,32 @@ def mv_e1_betti(
         betti_q = reduced_betti(q, max(t, q.top_dim()))
     if betti_a is None:
         betti_a = reduced_betti(fixed, max(t, fixed.top_dim()))
-    total = 0
-    indices = list(range(1, s))
-    for p in range(1, s):
-        q_deg = t - p + 1
-        if q_deg < 0:
-            continue
-        for index in combinations(indices, p):
-            alpha = intersection_to_composition(index, s)
-            total += composition_betti(alpha, betti_q, betti_a)[q_deg]
-    return total
+    if t < 0:
+        return 0
+    for table in (betti_q, betti_a):
+        if not all(table.covers(n) for n in range(t + 1)):
+            raise UncertifiedRangeError(f"input table not certified through dimension {t}")
+    poly_q = list(betti_q.nonzero().items())
+    poly_a = list(betti_a.nonzero().items())
+    # state (open block is a singleton, some gap merged) -> the polynomial
+    # of the closed blocks times x^(merges so far), truncated at x^(t+1)
+    start = [0] * (t + 2)
+    start[0] = 1
+    states = {(True, False): start}
+    for _gap in range(s - 1):
+        nxt: dict[tuple[bool, bool], list[int]] = {}
+        for (single, merged), poly in states.items():
+            merge = [0] + poly[:-1]
+            cut = _times(poly, poly_q if single else poly_a)
+            for state, moved in (((False, True), merge), ((True, merged), cut)):
+                have = nxt.get(state)
+                nxt[state] = moved if have is None else [x + y for x, y in zip(have, moved)]
+        states = nxt
+    return sum(
+        _times(poly, poly_q if single else poly_a)[-1]
+        for (single, merged), poly in states.items()
+        if merged
+    )
 
 
 def pinched_betti_brute(

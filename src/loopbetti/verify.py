@@ -173,16 +173,17 @@ class RunReport:
 # ---------------------------------------------------------------------------
 
 def try_materialize_count(space, top: int, budget: int) -> Optional[int]:
-    """Total nondegenerate simplices through ``top``, or None over budget.
+    """Total nondegenerate simplices of a tuple space through ``top``, or
+    None over budget.
 
-    Enumeration aborts as soon as the budget is exceeded, so asking about an
-    explosively large smash power stays cheap."""
+    The count is closed-form (``TupleSpace.count_nondeg``), so asking about
+    an explosively large smash power stays cheap and an ambient within
+    budget is enumerated only once, by the quotient."""
     total = 0
     for n in range(min(top, space.top_dim(), space.truncation) + 1):
-        for _ in space.iter_nondeg(n):
-            total += 1
-            if total > budget:
-                return None
+        total += space.count_nondeg(n)
+        if total > budget:
+            return None
     return total
 
 
@@ -197,12 +198,15 @@ def direct_quotient_betti(
     """Betti table of (smash power)/(pinched subset) through n_max and a
     note, without a pinched table: the basepoint quotient at s = 1, else the
     homology of the materialized quotient.  None when the ambient is over
-    budget.  No path's data is read, so one result serves all three."""
+    budget or needs dimensions beyond the truncation of ``q``.  No path's
+    data is read, so one result serves all three."""
     if s == 1:
         entries = {n: betti_q[n] for n in range(n_max + 1)}
         table = BettiTable(entries, certified=n_max, zero_from=q.top_dim() + 1)
         return table, "quotient by the basepoint"
     trunc = min(n_max + 1, q.top_dim() * s)
+    if trunc > q.truncation:
+        return None
     ambient = smash_power(q, s, trunc)
     count = try_materialize_count(ambient, n_max + 1, direct_budget)
     if count is None:

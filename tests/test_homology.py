@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from oracles import kunneth_certified_by_scan
 
 from loopbetti.constructions import (
     product,
@@ -142,6 +143,36 @@ def test_kunneth_on_fixture_smashes():
         direct = reduced_betti(sm, top)
         tensored = kunneth(reduced_betti(a, a.top_dim()), reduced_betti(b, b.top_dim()))
         assert direct.through(top) == tensored.through(top)
+
+
+def test_kunneth_keeps_only_certified_entries():
+    """The product 1 + 3 lands at degree 4, above the certified degree 1
+    (degree 2 is unknown: b_2 of the first factor is uncovered)."""
+    table = kunneth(BettiTable({1: 1}, certified=1), table_from_dict({0: 1, 3: 1}))
+    assert table == BettiTable({1: 1}, certified=1)
+
+
+def random_table(rng):
+    certified = rng.randint(-1, 5)
+    zero_from = rng.choice([None, rng.randint(0, 8)])
+    top = certified if zero_from is None else min(certified, zero_from - 1)
+    entries = {n: rng.choice([0, 0, 1, 2]) for n in range(top + 1)}
+    return BettiTable(entries, certified=certified, zero_from=zero_from)
+
+
+def test_kunneth_certification_matches_the_scan():
+    """The closed-form certified degree equals the degree-by-degree scan,
+    and the table keeps exactly the convolution entries within it."""
+    rng = random.Random(2013)
+    for _ in range(15000):
+        a, b = random_table(rng), random_table(rng)
+        certified = kunneth_certified_by_scan(a, b)
+        table = kunneth(a, b)
+        assert table.certified == certified, (a, b)
+        for n in range(certified + 1):
+            # a split with an uncovered side has a covered zero on the other
+            splits = [p for p in range(n + 1) if a.covers(p) and b.covers(n - p)]
+            assert table[n] == sum(a[p] * b[n - p] for p in splits), (a, b, n)
 
 
 def test_euler_characteristic_consistency():

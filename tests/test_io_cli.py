@@ -315,6 +315,41 @@ def test_verify_chooses_quotient_route_once_per_smash_power(monkeypatch):
         assert notes["mv_e1"][s] == notes["closed"][s] == note
 
 
+def test_verify_trivial_circle_to_degree_forty():
+    """Smash powers past the orbit space's truncation (32) have no direct
+    quotient, so bookkeeping serves them; the loop row is 2^(n-1)."""
+    from loopbetti.sset_io import parse_file as load
+    from loopbetti.verify import run_verify
+
+    space, invol = load(FIXTURE_DIR / "trivial_circle.sset")
+    report = run_verify(space, invol, s_max=3, t_max=40, brute_loop_max=5)
+    assert report.agreement
+    assert [c.s_or_n for c in report.loop_row] == list(range(1, 41))
+    for cell in report.loop_row:
+        assert cell.mv_e1 == cell.closed == 2 ** (cell.s_or_n - 1)
+        if cell.s_or_n <= 5:
+            assert cell.brute == 2 ** (cell.s_or_n - 1)
+
+
+def test_verify_checks_the_diagonal_once_per_run(monkeypatch):
+    import loopbetti.pinched as pinched
+    import loopbetti.verify as verify
+
+    calls = []
+    real = pinched.check_diagonal_null
+
+    def check(fixed):
+        calls.append(fixed)
+        return real(fixed)
+
+    monkeypatch.setattr(pinched, "check_diagonal_null", check)
+    monkeypatch.setattr(verify, "check_diagonal_null", check)
+    space, invol = sphere_pair_swap()
+    report = verify.run_verify(space, invol, s_max=3, t_max=3, loop_max=6, brute_loop_max=3)
+    assert report.agreement and report.diagonal_null
+    assert len(calls) == 1
+
+
 def test_verify_disables_columns_when_diagonal_is_not_null():
     """An edge pair swapped over two fixed endpoints: a section exists but
     the fixed set is a pair of points, whose reduced diagonal is nonzero on

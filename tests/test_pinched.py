@@ -4,16 +4,24 @@ from itertools import combinations
 
 import pytest
 
-from loopbetti.constructions import smash_power
-from loopbetti.fixtures import interval, zero_sphere_subset
-from loopbetti.homology import reduced_betti, table_from_dict
+from oracles import composition_betti, cover_sum_by_intersections
+
+from loopbetti.closed_form import BettiInput, betti_pinched_formula
+from loopbetti.constructions import orbit_space, smash_power
+from loopbetti.fixtures import (
+    free_double_cover,
+    interval,
+    sphere_pair_swap,
+    trivial_circle,
+    zero_sphere_subset,
+)
+from loopbetti.homology import BettiTable, UncertifiedRangeError, reduced_betti, table_from_dict
 from loopbetti.pinched import (
     Composition,
     HypothesisError,
     adjacent_pair_predicate,
     alpha_top_bound,
     check_diagonal_null,
-    composition_betti,
     compositions_of,
     delta_alpha,
     delta_intersection,
@@ -250,6 +258,10 @@ def test_cover_sum_requires_the_hypothesis():
     subset = zero_sphere_subset(space)
     with pytest.raises(HypothesisError):
         mv_e1_betti(space, subset, 2, 1)
+    # a remembered answer refuses just the same
+    assert not check_diagonal_null(subset)
+    with pytest.raises(HypothesisError):
+        mv_e1_betti(space, subset, 2, 1)
 
 
 def test_cover_sum_examples(glued_spheres):
@@ -276,6 +288,41 @@ def test_cover_sum_matches_brute_force_trivial_action(trivial_circle_action, tri
         table = trivial_pinched.betti(s, 5)
         for t in range(6):
             assert mv_e1_betti(orbit, fixed, s, t) == table[t], (s, t)
+
+
+def orbit_tables(builder, t_max):
+    orbit, _, fixed = orbit_space(*builder())
+    betti_q = reduced_betti(orbit, max(t_max, orbit.top_dim()))
+    betti_a = reduced_betti(fixed, max(t_max, fixed.top_dim()))
+    return orbit, fixed, betti_q, betti_a
+
+
+@pytest.mark.parametrize("builder", [sphere_pair_swap, trivial_circle, free_double_cover])
+def test_transfer_matrix_equals_intersection_sum(builder):
+    orbit, fixed, betti_q, betti_a = orbit_tables(builder, 12)
+    for s in range(2, 9):
+        expected = cover_sum_by_intersections(betti_q, betti_a, s, 12)
+        got = [mv_e1_betti(orbit, fixed, s, t, betti_q, betti_a) for t in range(13)]
+        assert got == expected, s
+
+
+@pytest.mark.parametrize("builder", [sphere_pair_swap, trivial_circle])
+def test_transfer_matrix_equals_closed_formula(builder):
+    orbit, fixed, betti_q, betti_a = orbit_tables(builder, 30)
+    inp = BettiInput(betti_q, betti_a)
+    for s in range(2, 31):
+        for t in range(31):
+            expected = betti_pinched_formula(inp, s, t)
+            assert mv_e1_betti(orbit, fixed, s, t, betti_q, betti_a) == expected, (s, t)
+
+
+def test_cover_sum_refuses_uncertified_tables(glued_spheres):
+    orbit, fixed = glued_spheres["orbit"], glued_spheres["fixed"]
+    betti_a = reduced_betti(fixed, fixed.top_dim())
+    short = BettiTable({2: 1}, certified=3)
+    assert mv_e1_betti(orbit, fixed, 3, 3, short, betti_a) == 2
+    with pytest.raises(UncertifiedRangeError):
+        mv_e1_betti(orbit, fixed, 3, 4, short, betti_a)
 
 
 def test_composition_betti_is_a_smash_table():

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from oracles import count_by_enumeration
 
 from loopbetti.constructions import (
     find_section,
@@ -199,6 +200,37 @@ def test_product_counts_match_exhaustive_enumeration():
         pr = product(a, b, truncation=5)
         for n in range(5):
             assert set(pr.nondeg(n)) == exhaustive_product_count(a, b, n)
+
+
+# dimensions enumerated per smash power s = 1..6, kept to a few thousand cells
+COUNT_DEPTHS = {
+    sphere_pair_swap: (2, 4, 4, 3, 2, 2),
+    trivial_circle: (1, 2, 3, 4, 5, 5),
+    free_double_cover: (1, 2, 3, 3, 2, 2),
+}
+
+
+@pytest.mark.parametrize("builder", sorted(COUNT_DEPTHS, key=lambda b: b.__name__))
+def test_closed_count_matches_enumeration_on_smash_powers(builder):
+    from loopbetti.verify import try_materialize_count
+
+    orbit, _, _ = orbit_space(*builder())
+    for s, top in enumerate(COUNT_DEPTHS[builder], start=1):
+        space = smash_power(orbit, s, top)
+        for n in range(top + 1):
+            assert space.count_nondeg(n) == len(space.nondeg(n)), (s, n)
+        total = count_by_enumeration(space, top)
+        assert try_materialize_count(space, top, total) == total
+        assert try_materialize_count(space, top, total - 1) is None
+
+
+def test_closed_count_matches_enumeration_on_products():
+    factors = [circle(), two_disc_sphere(), point(), sphere_pair_swap()[0]]
+    for a in factors:
+        for b in factors[:3]:
+            for space in (product(a, b, truncation=4), smash(a, b, truncation=4)):
+                for n in range(5):
+                    assert space.count_nondeg(n) == len(space.nondeg(n)), (space, n)
 
 
 def test_smash_of_point_is_point():
