@@ -42,7 +42,6 @@ from .pinched import (
     Composition,
     delta_alpha,
     delta_intersection,
-    intersection_to_composition,
     mv_e1_betti,
     pinched_betti_brute,
     pinched_inductive,
@@ -93,7 +92,6 @@ __all__ = [
     "Composition",
     "delta_alpha",
     "delta_intersection",
-    "intersection_to_composition",
     "mv_e1_betti",
     "pinched_betti_brute",
     "pinched_inductive",

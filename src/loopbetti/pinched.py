@@ -17,13 +17,16 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress, repeat
+from operator import and_, is_, not_
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from .constructions import TupleSpace, reduced_diagonal, smash_power
 from .homology import (
     BettiTable,
     UncertifiedRangeError,
+    boundary_ranks,
+    check_squares_to_zero,
     is_homologous_zero,
     reduced_betti,
 )
@@ -73,44 +76,11 @@ class Composition:
         return len(self.parts)
 
 
-def compositions_of(total: int) -> list[Composition]:
-    """All compositions of a nonnegative integer (2^(total-1) of them)."""
-    if total == 0:
-        return [Composition(())]
-    out = []
-    for first in range(1, total + 1):
-        for rest in compositions_of(total - first):
-            out.append(Composition((first,) + rest.parts))
-    return out
-
-
 def cover_composition(j: int, s: int) -> Composition:
     """The composition (1, ..., 2, ..., 1) of s with the 2 in position j."""
     if not 1 <= j <= s - 1:
         raise ValidationError(f"cover index {j} outside 1..{s - 1}")
     return Composition((1,) * (j - 1) + (2,) + (1,) * (s - j - 1))
-
-
-def intersection_to_composition(cover_index: Iterable[int], s: int) -> Composition:
-    """The composition of s whose blockwise piece equals a cover intersection.
-
-    Each j in the index merges positions j and j+1; transitively linked
-    positions collapse into single blocks, so the result has s - #index
-    parts.
-    """
-    index = frozenset(cover_index)
-    if any(not 1 <= j <= s - 1 for j in index):
-        raise ValidationError(f"cover index {sorted(index)} outside 1..{s - 1}")
-    parts = []
-    run = 1
-    for j in range(1, s):
-        if j in index:
-            run += 1
-        else:
-            parts.append(run)
-            run = 1
-    parts.append(run)
-    return Composition(tuple(parts))
 
 
 def blocks_of(alpha: Composition) -> list[tuple[int, int]]:
@@ -239,41 +209,6 @@ def _fixed_pool(ambient: TupleSpace, fixed: PointedSubset, n: int):
     return [(r, ws) for r, ws in _pool(ambient, n) if fixed.contains_ref(r)]
 
 
-def _enum_adjacent(ambient: TupleSpace, fixed: PointedSubset, n: int) -> list[Any]:
-    """Witness-pushed DFS for the direct membership predicate."""
-    s = len(ambient.factors)
-    pool = _pool(ambient, n)
-    top_q = ambient.factors[0].top_dim()
-    out: list[Any] = []
-    acc: list[SimplexRef] = []
-
-    def rec(c: int, inter: frozenset, witness: bool):
-        if c == s:
-            if witness and not inter:
-                out.append(tuple(acc))
-            return
-        remaining_after = s - c - 1
-        if not witness and remaining_after == 0:
-            # the last slot must close a witness pair with the previous one
-            prev = acc[-1]
-            if not fixed.contains_ref(prev):
-                return
-            candidates = [(prev, frozenset(prev.word))]
-        else:
-            candidates = pool
-        for ref, words in candidates:
-            ninter = words if c == 0 else (inter & words)
-            if len(ninter) > remaining_after * top_q:
-                continue
-            new_witness = witness or (c > 0 and ref == acc[-1] and fixed.contains_ref(ref))
-            acc.append(ref)
-            rec(c + 1, ninter, new_witness)
-            acc.pop()
-
-    rec(0, frozenset(), False)
-    return out
-
-
 def _enum_blocks(
     ambient: TupleSpace, fixed: PointedSubset, alpha: Composition, n: int
 ) -> list[Any]:
@@ -314,6 +249,159 @@ def _enum_blocks(
 
 
 # ---------------------------------------------------------------------------
+# The adjacent-pair enumeration on integers.
+# ---------------------------------------------------------------------------
+
+class _FactorTables:
+    """The factor of a smash power encoded as integers, per ambient
+    dimension n = 0..top.
+
+    Component i at dimension n stands for ``refs[n][i]``, a simplex of the
+    factor (degenerate ones included; basepoint-based ones left out, since
+    they collapse the smash).  ``masks[n][i]`` is its degeneracy word as a
+    bitmask and ``fixed[n][i]`` whether it lies in the fixed set.
+    ``faces[n][k][i]`` is the index at n - 1 of face k of component i, or
+    the basepoint marker ``len(refs[n - 1])``, whose mask ``masks[n - 1][-1]``
+    is -1 (every bit), so that it never makes a face look nondegenerate.
+    ``groups[n]`` and ``fixed_groups[n]`` bucket the components, all or
+    only the fixed ones, by mask.
+    """
+
+    def __init__(self, q: SimplicialSet, fixed: PointedSubset, top: int):
+        self.top_q = q.top_dim()
+        self.refs: list[list[SimplexRef]] = []
+        self.masks: list[list[int]] = []
+        self.fixed: list[list[bool]] = []
+        self.faces: list[list[list[int]]] = []
+        self.groups: list[list[tuple[int, list[int]]]] = []
+        self.fixed_groups: list[list[tuple[int, list[int]]]] = []
+        index: dict[SimplexRef, int] = {}
+        for n in range(top + 1):
+            refs = q.refs_at(n, include_basepoint=False)
+            marker = len(index)
+            self.faces.append([
+                [
+                    marker if q.is_basepoint_ref(face) else index[face]
+                    for face in (q.face_of(r, k) for r in refs)
+                ]
+                for k in range(n + 1 if n else 0)
+            ])
+            index = {r: i for i, r in enumerate(refs)}
+            masks = [sum(1 << w for w in r.word) for r in refs]
+            flags = [fixed.contains_ref(r) for r in refs]
+            by_mask: dict[int, list[int]] = {}
+            for i, mask in enumerate(masks):
+                by_mask.setdefault(mask, []).append(i)
+            self.refs.append(refs)
+            self.masks.append(masks + [-1])
+            self.fixed.append(flags)
+            self.groups.append(list(by_mask.items()))
+            self.fixed_groups.append([
+                (mask, kept)
+                for mask, members in by_mask.items()
+                if (kept := [i for i in members if flags[i]])
+            ])
+
+
+def _pinched_cells(tables: _FactorTables, s: int, n: int) -> list[tuple[int, ...]]:
+    """The nondegenerate pinched s-tuples at ambient dimension n (s >= 2),
+    as tuples of component indices.
+
+    Depth first over the slots, keeping the common degeneracy word, which
+    must end empty.  A component with base dimension p clears at most
+    p <= top(Q) bits of it, and none when it repeats the slot before.
+    Until a witness (an adjacent equal fixed pair) exists, one slot still
+    to come must repeat its predecessor, so the slots left clear top(Q)
+    fewer bits, and the slot before the last takes only fixed components.
+    """
+    masks, fixed = tables.masks[n], tables.fixed[n]
+    groups, fixed_groups = tables.groups[n], tables.fixed_groups[n]
+    top_q = tables.top_q
+    out: list[tuple[int, ...]] = []
+
+    def extend(prefix: tuple[int, ...], common: int, witness: bool) -> None:
+        rem = s - len(prefix)
+        prev = prefix[-1]
+        if rem == 1:
+            if witness:
+                for mask, members in groups:
+                    if not common & mask:
+                        out.extend([prefix + (i,) for i in members])
+            elif not common:
+                out.append(prefix + (prev,))  # prev is fixed
+            return
+        cap = (rem - 1) * top_q  # the most the slots after this one clear
+        if witness:
+            for mask, members in groups:
+                inter = common & mask
+                if inter.bit_count() <= cap:
+                    for i in members:
+                        extend(prefix + (i,), inter, True)
+            return
+        witness_mask = masks[prev] if fixed[prev] else None
+        for mask, members in fixed_groups if rem == 2 else groups:
+            inter = common & mask
+            bits = inter.bit_count()
+            if bits <= cap - top_q:
+                for i in members:
+                    extend(prefix + (i,), inter, i == prev and fixed[i])
+            elif bits <= cap and mask == witness_mask:
+                extend(prefix + (prev,), inter, True)
+
+    for mask, members in fixed_groups if s == 2 else groups:
+        if mask.bit_count() <= (s - 2) * top_q:
+            for i in members:
+                extend((i,), mask, False)
+    return out
+
+
+def _boundary_columns(
+    tables: _FactorTables,
+    cells: list[tuple[int, ...]],
+    lower: dict[tuple[int, ...], int],
+    n: int,
+) -> list[tuple[int, ...]]:
+    """Columns of the boundary from degree n of the pinched chains: for
+    each cell, the indices in ``lower`` (the cells at n - 1) of its faces
+    that occur an odd number of times.
+
+    Face k of every cell is computed at once, slot by slot, from the face
+    table.  A face missing from ``lower`` must be the basepoint or
+    degenerate (its component words share an index); any other miss means
+    the cells are not closed under faces and raises ValidationError.
+    """
+    slots = list(zip(*cells))
+    masks = tables.masks[n - 1]
+    marker = len(masks) - 1
+    rows_by_face = []
+    for k, face_k in enumerate(tables.faces[n]):
+        comps = [list(map(face_k.__getitem__, slot)) for slot in slots]
+        faces = list(zip(*comps))
+        rows = list(map(lower.get, faces))
+        if None in rows:
+            common: Iterator[int] = map(masks.__getitem__, comps[0])
+            for comp in comps[1:]:
+                common = map(and_, common, map(masks.__getitem__, comp))
+            # the missed faces with no shared word index must be the basepoint
+            missed = map(is_, rows, repeat(None))
+            for face in compress(faces, map(and_, missed, map(not_, common))):
+                if marker not in face:
+                    raise ValidationError(
+                        f"pinched cells are not face-closed: face {k} of a "
+                        f"{n}-cell is missing"
+                    )
+        rows_by_face.append(rows)
+    columns = []
+    for entries in zip(*rows_by_face):
+        col = set(entries)
+        col.discard(None)
+        if len(col) != len(entries) - entries.count(None):
+            col = {r for r in col if entries.count(r) % 2}
+        columns.append(tuple(col))
+    return columns
+
+
+# ---------------------------------------------------------------------------
 # Subset constructors.
 # ---------------------------------------------------------------------------
 
@@ -349,9 +437,14 @@ def pinched_set(
         return basepoint_subset(space)
     amb = _ambient_for(q, s, truncation, ambient)
     bound = pinched_top_bound(q, fixed, s)
-    return _subset_from_enum(
-        amb, lambda n: _enum_adjacent(amb, fixed, n), bound, truncation
-    )
+    trunc = amb.truncation if truncation is None else min(truncation, amb.truncation)
+    tables = _FactorTables(q, fixed, min(trunc, bound))
+
+    def enum(n: int) -> list[Any]:
+        refs = tables.refs[n]
+        return [tuple(map(refs.__getitem__, cell)) for cell in _pinched_cells(tables, s, n)]
+
+    return _subset_from_enum(amb, enum, bound, truncation)
 
 
 def delta_alpha(
@@ -599,18 +692,37 @@ def pinched_betti_brute(
     fixed: PointedSubset,
     s: int,
     t_max: int,
-    ambient: Optional[TupleSpace] = None,
 ) -> BettiTable:
     """Brute-force Betti table of the pinched subset through t_max.
 
-    The subset is enumerated only up to its structural top bound, so the
-    table also certifies vanishing above it.
+    Runs on the integer tables and never builds a ``SimplexRef`` tuple:
+    cells per dimension from the adjacent-pair enumeration, boundary columns
+    from the tabulated faces (the face-closure and boundary-squares-to-zero
+    checks stay on), ranks with clearing.  The subset is enumerated only up
+    to its structural top bound, so the table also certifies vanishing
+    above it.
     """
     if s <= 1:
         return BettiTable({}, certified=t_max, zero_from=0)
+    _check_fixed_subset(q, fixed)
     bound = pinched_top_bound(q, fixed, s)
     trunc = min(t_max + 1, bound)
-    if ambient is None:
-        ambient = smash_power(q, s, trunc)
-    subset = pinched_set(q, fixed, s, truncation=trunc, ambient=ambient)
-    return reduced_betti(subset, t_max)
+    tables = _FactorTables(q, fixed, trunc)
+    sizes = []
+    boundaries: dict[int, list[tuple[int, ...]]] = {}
+    lower: dict[tuple[int, ...], int] = {}
+    for n in range(trunc + 1):
+        cells = _pinched_cells(tables, s, n)
+        if n >= 1:
+            boundaries[n] = _boundary_columns(tables, cells, lower, n)
+        if n >= 2:
+            check_squares_to_zero(boundaries[n - 1], boundaries[n], n)
+        lower = {cell: j for j, cell in enumerate(cells)}
+        sizes.append(len(cells))
+    del lower
+    ranks = boundary_ranks(boundaries)
+    entries = {
+        n: sizes[n] - ranks.get(n, 0) - ranks.get(n + 1, 0)
+        for n in range(min(t_max, trunc) + 1)
+    }
+    return BettiTable(entries, certified=t_max, zero_from=bound + 1)

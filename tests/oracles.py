@@ -2,9 +2,44 @@
 test oracles so that the runtime modules carry only the fast paths."""
 
 from itertools import combinations
+from typing import Iterable
 
 from loopbetti.homology import BettiTable, kunneth, table_from_dict
-from loopbetti.pinched import Composition, intersection_to_composition
+from loopbetti.pinched import Composition
+from loopbetti.simplicial import ValidationError
+
+
+def compositions_of(total: int) -> list[Composition]:
+    """All compositions of a nonnegative integer (2^(total-1) of them)."""
+    if total == 0:
+        return [Composition(())]
+    out = []
+    for first in range(1, total + 1):
+        for rest in compositions_of(total - first):
+            out.append(Composition((first,) + rest.parts))
+    return out
+
+
+def intersection_to_composition(cover_index: Iterable[int], s: int) -> Composition:
+    """The composition of s whose blockwise piece equals a cover intersection.
+
+    Each j in the index merges positions j and j+1; transitively linked
+    positions collapse into single blocks, so the result has s - #index
+    parts.
+    """
+    index = frozenset(cover_index)
+    if any(not 1 <= j <= s - 1 for j in index):
+        raise ValidationError(f"cover index {sorted(index)} outside 1..{s - 1}")
+    parts = []
+    run = 1
+    for j in range(1, s):
+        if j in index:
+            run += 1
+        else:
+            parts.append(run)
+            run = 1
+    parts.append(run)
+    return Composition(tuple(parts))
 
 
 def composition_betti(

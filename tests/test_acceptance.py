@@ -9,6 +9,8 @@ import time
 from contextlib import contextmanager
 from itertools import combinations
 
+from oracles import compositions_of, intersection_to_composition
+
 from loopbetti.closed_form import (
     EXAMPLE_LOOP_BETTI_1_TO_12,
     BettiInput,
@@ -42,8 +44,6 @@ from loopbetti.homology import (
 from loopbetti.pinched import (
     delta_alpha,
     delta_intersection,
-    intersection_to_composition,
-    compositions_of,
     mv_e1_betti,
 )
 from loopbetti.simplicial import PointedSubset, SimplexRef

@@ -1,6 +1,7 @@
 """The combinatorial formulas and the generating function."""
 
 import pytest
+from oracles import compositions_of
 
 from loopbetti.closed_form import (
     EXAMPLE_LOOP_BETTI_1_TO_12,
@@ -18,7 +19,6 @@ from loopbetti.closed_form import (
     quotient_betti_concentrated,
 )
 from loopbetti.homology import BettiTable, UncertifiedRangeError, table_from_dict
-from loopbetti.pinched import compositions_of
 
 GLUED_INPUT = BettiInput(table_from_dict({2: 1}), table_from_dict({1: 1}))
 CIRCLE_INPUT = BettiInput(table_from_dict({1: 1}), table_from_dict({1: 1}))

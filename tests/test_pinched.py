@@ -4,11 +4,17 @@ from itertools import combinations
 
 import pytest
 
-from oracles import composition_betti, cover_sum_by_intersections
+from oracles import (
+    composition_betti,
+    compositions_of,
+    cover_sum_by_intersections,
+    intersection_to_composition,
+)
 
 from loopbetti.closed_form import BettiInput, betti_pinched_formula
 from loopbetti.constructions import orbit_space, smash_power
 from loopbetti.fixtures import (
+    DEFAULT_TRUNCATION,
     free_double_cover,
     interval,
     sphere_pair_swap,
@@ -19,22 +25,24 @@ from loopbetti.homology import BettiTable, UncertifiedRangeError, reduced_betti,
 from loopbetti.pinched import (
     Composition,
     HypothesisError,
+    _FactorTables,
+    _boundary_columns,
+    _pinched_cells,
     adjacent_pair_predicate,
     alpha_top_bound,
     check_diagonal_null,
-    compositions_of,
     delta_alpha,
     delta_intersection,
     inductive_predicate,
-    intersection_to_composition,
     mv_e1_betti,
+    pinched_betti_brute,
     pinched_inductive,
     pinched_set,
     pinched_top_bound,
     pinched_union,
     union_predicate,
 )
-from loopbetti.simplicial import ValidationError
+from loopbetti.simplicial import FiniteSimplicialSet, Involution, ValidationError
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +194,59 @@ def test_pinched_vanishing_above_bound(glued_pinched):
         assert table.zero_from <= bound + 1
         for t in range(bound + 1, 2 * s - 1):
             assert table[t] == 0
+
+
+# ---------------------------------------------------------------------------
+# The brute kernel against the generic route.
+# ---------------------------------------------------------------------------
+
+def dunce_cap():
+    """One triangle with all three edges on the same loop, trivial action:
+    a boundary column meets one face three times, so mod 2 it keeps it once."""
+    space = FiniteSimplicialSet(
+        DEFAULT_TRUNCATION,
+        {0: ["*"], 1: ["a"], 2: ["x"]},
+        {"a": ["*", "*"], "x": ["a", "a", "a"]},
+    )
+    return space, Involution(space, {})
+
+
+@pytest.mark.parametrize(
+    "builder", [sphere_pair_swap, trivial_circle, free_double_cover, dunce_cap]
+)
+def test_brute_kernel_equals_generic_route(builder):
+    """The integer kernel equals the generic route, pinched_set through the
+    chain complex over SimplexRef keys, for s <= 4 and every t <= 5."""
+    orbit, _, fixed = orbit_space(*builder())
+    for s in range(2, 5):
+        trunc = min(6, pinched_top_bound(orbit, fixed, s))
+        generic = reduced_betti(pinched_set(orbit, fixed, s, truncation=trunc), 5)
+        for t in range(6):
+            brute = pinched_betti_brute(orbit, fixed, s, t)
+            assert (brute.certified, brute.zero_from) == (t, generic.zero_from), (s, t)
+            assert brute.through(t) == generic.through(t), (s, t)
+
+
+def test_brute_kernel_equals_generic_route_at_five(glued_spheres, glued_pinched):
+    orbit, fixed = glued_spheres["orbit"], glued_spheres["fixed"]
+    generic = glued_pinched.betti(5, 6)
+    brute = pinched_betti_brute(orbit, fixed, 5, 6)
+    assert brute.through(6) == generic.through(6)
+    assert brute.zero_from == generic.zero_from
+
+
+def test_brute_kernel_refuses_cells_missing_a_face(glued_spheres):
+    orbit, fixed = glued_spheres["orbit"], glued_spheres["fixed"]
+    tables = _FactorTables(orbit, fixed, 3)
+    lower = {cell: j for j, cell in enumerate(_pinched_cells(tables, 3, 2))}
+    cells = _pinched_cells(tables, 3, 3)
+    # the complete cells pass, though some faces are degenerate or the basepoint
+    columns = _boundary_columns(tables, cells, lower, 3)
+    assert sum(map(len, columns)) < 4 * len(cells)
+    hit = next(cell for cell, j in lower.items() if any(j in col for col in columns))
+    del lower[hit]
+    with pytest.raises(ValidationError):
+        _boundary_columns(tables, cells, lower, 3)
 
 
 # ---------------------------------------------------------------------------
