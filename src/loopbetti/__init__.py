@@ -15,6 +15,7 @@ from .simplicial import (
     ValidationError,
 )
 from .constructions import (
+    decide_section,
     find_section,
     image_subset,
     orbit_space,
@@ -69,6 +70,7 @@ __all__ = [
     "SimplicialMap",
     "TruncationError",
     "ValidationError",
+    "decide_section",
     "find_section",
     "image_subset",
     "orbit_space",

@@ -354,107 +354,137 @@ def orbit_space(
     return orbit, projection, fixed
 
 
-def find_section(space: FiniteSimplicialSet, invol: Involution) -> Optional[PointedSubset]:
-    """Search for a simplicial section of the orbit projection.
+def decide_section(
+    space: FiniteSimplicialSet, invol: Involution
+) -> tuple[Optional[PointedSubset], tuple[Any, ...]]:
+    """Decide whether the orbit projection has a simplicial section.
 
-    A section exists iff one representative can be picked from every free
-    orbit so that, together with the fixed simplices, the choice is closed
-    under faces.  Orbits are processed by increasing dimension (faces only
-    constrain lower dimensions); within a dimension forced orbits are
-    propagated before branching, and the search backtracks across
-    dimensions.  Returns the witness subset, or None when no section exists.
+    A section picks one simplex from every free orbit {x, tx} so that,
+    together with the fixed simplices, the choice is closed under faces.
+    That is 2-SAT (Aspvall, Plass and Tarjan 1979): literal 2k means the
+    k-th orbit's first simplex x is chosen, 2k + 1 that tx is, and each
+    free face base b of a free simplex x gives the clause x => b with its
+    contrapositive tb => tx; fixed faces are always present.  The clauses
+    are satisfiable iff no literal shares a strongly connected component of
+    the implication graph with its negation, and then choosing in every
+    orbit the literal whose component comes later in topological order
+    satisfies them all.  Linear time, no recursion.
+
+    Returns ``(witness, ())`` when a section exists, else ``(None, cycle)``
+    with ``cycle`` the simplices x, ..., tx, ..., x of one orbit: choosing
+    each forces choosing the next, so neither x nor tx can be chosen.
     """
-    space_top = space.top_dim()
-    chosen: dict[frozenset, Any] = {}
-    fixed_sets = {n: set(invol.fixed(n)) for n in range(space_top + 1)}
-
-    def orbit_id(key: Any) -> frozenset:
-        return frozenset((key, invol(key)))
-
-    def consistent(n: int, key: Any) -> bool:
-        if n == 0:
-            return True
-        ref = SimplexRef(n, key, ())
-        for i in range(n + 1):
-            base = space.face_of(ref, i).base
-            base_dim = space.dim_of(base)
-            if base in fixed_sets[base_dim]:
-                continue
-            if chosen.get(orbit_id(base)) != base:
-                return False
-        return True
-
-    orbits_by_dim: dict[int, list[tuple[Any, Any]]] = {}
-    for n in range(space_top + 1):
-        seen = set()
-        level = []
+    top = space.top_dim()
+    literal: dict[Any, int] = {}
+    keys: list[Any] = []
+    for n in range(top + 1):
         for key in space.nondeg(n):
             other = invol(key)
-            if other == key or key in seen:
+            if other != key and key not in literal:
+                literal[key], literal[other] = len(keys), len(keys) + 1
+                keys += (key, other)
+    implies: list[list[int]] = [[] for _ in keys]
+    lookup, base_face = literal.get, space._base_face
+    for n in range(1, top + 1):
+        for key in space.nondeg(n):
+            x = lookup(key)
+            if x is None:
                 continue
-            seen.add(key)
-            seen.add(other)
-            level.append((key, other))
-        orbits_by_dim[n] = level
-
-    def solve(n: int, pending: list[tuple[Any, Any]]) -> bool:
-        while True:
-            if not pending:
-                if n == space_top:
-                    return True
-                return solve(n + 1, list(orbits_by_dim[n + 1]))
-            # propagate forced orbits before branching
-            forced_index = None
-            for idx, (a, b) in enumerate(pending):
-                options = [x for x in (a, b) if consistent(n, x)]
-                if not options:
-                    return False
-                if len(options) == 1:
-                    forced_index = (idx, options[0])
-                    break
-            if forced_index is not None:
-                idx, value = forced_index
-                a, b = pending[idx]
-                chosen[frozenset((a, b))] = value
-                rest = pending[:idx] + pending[idx + 1 :]
-                if solve(n, rest):
-                    return True
-                del chosen[frozenset((a, b))]
-                return False
-            a, b = pending[0]
-            rest = pending[1:]
-            for value in (a, b):
-                chosen[frozenset((a, b))] = value
-                if solve(n, rest):
-                    return True
-            del chosen[frozenset((a, b))]
-            return False
-
-    if not solve(0, list(orbits_by_dim[0])):
-        return None
+            for i in range(n + 1):
+                b = lookup(base_face(key, n, i).base)
+                if b is not None:
+                    implies[x].append(b)
+                    implies[b ^ 1].append(x ^ 1)
+    comp = _strong_components(implies)
+    for x in range(0, len(keys), 2):
+        if comp[x] == comp[x + 1]:
+            there = _path_within(implies, comp, x, x + 1)
+            back = _path_within(implies, comp, x + 1, x)
+            return None, tuple(keys[v] for v in there + back[1:])
+    # the fixed simplices, and in each free orbit the literal whose component
+    # comes later in topological order: components are numbered sinks first.
+    # (As the involution commutes with faces, tx => tb is a clause too, so
+    # every clause also holds backwards and either order would do here; the
+    # rule is general 2-SAT's.)
     members = {
-        n: list(fixed_sets[n])
-        + [v for orbit, v in chosen.items() if space.dim_of(v) == n]
-        for n in range(space_top + 1)
+        n: [
+            key
+            for key in space.nondeg(n)
+            if key not in literal or comp[literal[key]] < comp[literal[key] ^ 1]
+        ]
+        for n in range(top + 1)
     }
-    return PointedSubset(space, members, check=True)
+    return PointedSubset(space, members, check=True), ()
 
 
-def section_map(
-    orbit: FiniteSimplicialSet,
-    space: FiniteSimplicialSet,
-    section: PointedSubset,
-    invol: Involution,
-) -> SimplicialMap:
-    """The simplicial map orbit space -> space induced by a section witness."""
-    mapping: dict[int, dict[Any, SimplexRef]] = {}
-    for n in range(orbit.top_dim() + 1):
-        level = {}
-        for key in orbit.nondeg(n):
-            value = key if section.contains_key(n, key) else invol(key)
-            level[key] = SimplexRef(n, value, ())
-        mapping[n] = level
-    return SimplicialMap(orbit, space, mapping)
+def find_section(space: FiniteSimplicialSet, invol: Involution) -> Optional[PointedSubset]:
+    """A face-closed subset holding the fixed simplices and one simplex of
+    every free orbit (a simplicial section of the orbit projection), or None
+    when there is none; see ``decide_section``."""
+    return decide_section(space, invol)[0]
+
+
+def _strong_components(graph: list[list[int]]) -> list[int]:
+    """Component number of every vertex, by Tarjan's algorithm on an
+    explicit stack.  Components are numbered as they complete, which is a
+    reverse topological order: no edge leads to a higher number."""
+    order = [0] * len(graph)  # visit order from 1; 0 means unvisited
+    low = [0] * len(graph)
+    comp = [-1] * len(graph)  # -1 while unvisited or on the stack
+    stack: list[int] = []
+    visited = done = 0
+    for root in range(len(graph)):
+        if order[root]:
+            continue
+        visited += 1
+        order[root] = low[root] = visited
+        stack.append(root)
+        work = [(root, iter(graph[root]))]
+        while work:
+            v, edges = work[-1]
+            for w in edges:
+                if not order[w]:
+                    visited += 1
+                    order[w] = low[w] = visited
+                    stack.append(w)
+                    work.append((w, iter(graph[w])))
+                    break
+                if comp[w] < 0 and order[w] < low[v]:
+                    low[v] = order[w]
+            else:
+                work.pop()
+                if low[v] == order[v]:
+                    while True:
+                        w = stack.pop()
+                        comp[w] = done
+                        if w == v:
+                            break
+                    done += 1
+                else:
+                    # a search root always closes its component, so v has
+                    # a parent here
+                    parent = work[-1][0]
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
+    return comp
+
+
+def _path_within(graph: list[list[int]], comp: list[int], start: int, goal: int) -> list[int]:
+    """A shortest path from start to goal through the component they share."""
+    parent = {start: start}
+    frontier = [start]
+    while goal not in parent:
+        nxt = []
+        for v in frontier:
+            for w in graph[v]:
+                if w not in parent and comp[w] == comp[start]:
+                    parent[w] = v
+                    nxt.append(w)
+        frontier = nxt
+    path = [goal]
+    while path[-1] != start:
+        path.append(parent[path[-1]])
+    return path[::-1]
 
 
 # ---------------------------------------------------------------------------

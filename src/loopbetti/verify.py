@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from .closed_form import BettiInput, betti_pinched_formula, loop_betti
-from .constructions import find_section, orbit_space, quotient, smash_power
+from .constructions import decide_section, orbit_space, quotient, smash_power
 from .homology import (
     BettiTable,
     UncertifiedRangeError,
@@ -318,7 +318,7 @@ def run_verify(
     loop_max = t_max if loop_max is None else loop_max
     brute_loop_max = loop_max if brute_loop_max is None else brute_loop_max
 
-    section = find_section(space, invol)
+    section, refutation = decide_section(space, invol)
     diagonal_null = check_diagonal_null(fixed)
     report = RunReport(
         fixture=fixture,
@@ -329,10 +329,13 @@ def run_verify(
         diagonal_null=diagonal_null,
     )
     if section is None:
+        x, partner = refutation[0], invol(refutation[0])
         report.messages.append(
-            "no simplicial section of the orbit projection exists (exhaustive "
-            "search); the loop-space decomposition does not apply, so loop "
-            "rows carry brute-force columns only where defined"
+            "no simplicial section of the orbit projection exists: a section "
+            f"through {x} must contain {partner} and one through {partner} must "
+            f"contain {x} ({' => '.join(map(str, refutation))}, each step forced "
+            "by a face relation); the loop-space decomposition does not apply, "
+            "so loop rows carry brute-force columns only where defined"
         )
     if not diagonal_null:
         report.messages.append(

@@ -176,6 +176,13 @@ def test_cli_verify_no_section(capsys):
     assert rc == 0
     assert "no simplicial section" in out
     assert "pinched grid" in out  # brute columns still computed
+    # the refutation names the first free orbit {v0, v2} and a cycle of
+    # forced choices through both of its simplices
+    message = next(line for line in out.splitlines() if line.startswith("no simplicial section"))
+    assert "a section through v0 must contain v2 and one through v2 must contain v0" in message
+    cycle = message.split("(", 1)[1].split(",", 1)[0].split(" => ")
+    assert cycle[0] == cycle[-1] == "v0" and "v2" in cycle
+    assert set(cycle) <= {"v0", "v1", "v2", "v3", "e0", "e1", "e2", "e3"}
 
 
 def test_cli_verify_requires_involution(capsys):

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from oracles import count_by_enumeration
+from oracles import count_by_enumeration, section_map
 
 from loopbetti.constructions import (
     find_section,
@@ -12,7 +12,6 @@ from loopbetti.constructions import (
     product,
     quotient,
     reduced_diagonal,
-    section_map,
     smash,
     smash_power,
     wedge_axes_subset,
