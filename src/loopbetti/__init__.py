@@ -29,26 +29,14 @@ from .homology import (
     BettiTable,
     GF2SparseMatrix,
     ChainComplexGF2,
-    chain_complex,
-    gf2_rank,
-    induced_map,
+    induced_ranks,
     is_homologous_zero,
     kunneth,
     kunneth_power,
-    quotient_betti_via_les,
     reduced_betti,
     table_from_dict,
 )
-from .pinched import (
-    Composition,
-    delta_alpha,
-    delta_intersection,
-    mv_e1_betti,
-    pinched_betti_brute,
-    pinched_inductive,
-    pinched_set,
-    pinched_union,
-)
+from .pinched import mv_e1_betti, pinched_betti_brute, pinched_set
 from .closed_form import (
     BettiInput,
     RecurrenceSeries,
@@ -82,23 +70,15 @@ __all__ = [
     "BettiTable",
     "GF2SparseMatrix",
     "ChainComplexGF2",
-    "chain_complex",
-    "gf2_rank",
-    "induced_map",
+    "induced_ranks",
     "is_homologous_zero",
     "kunneth",
     "kunneth_power",
-    "quotient_betti_via_les",
     "reduced_betti",
     "table_from_dict",
-    "Composition",
-    "delta_alpha",
-    "delta_intersection",
     "mv_e1_betti",
     "pinched_betti_brute",
-    "pinched_inductive",
     "pinched_set",
-    "pinched_union",
     "BettiInput",
     "RecurrenceSeries",
     "betti_pinched_example",

@@ -239,24 +239,6 @@ def poincare_coeffs(n_max: int) -> RecurrenceSeries:
     return RecurrenceSeries.expand((1, -1), (1, -1, -2, 1), n_max)
 
 
-def example_quotient_tables(s_max: int) -> dict[int, BettiTable]:
-    """Quotient tables for the glued-spheres example from the closed pinched
-    formula, for s = 1..s_max."""
-    out: dict[int, BettiTable] = {}
-    for s in range(1, s_max + 1):
-        if s == 1:
-            pinched = BettiTable({}, certified=2 * s, zero_from=0)
-        else:
-            entries = {t: betti_pinched_example(s, t) for t in range(2 * s + 1)}
-            pinched = BettiTable(
-                {t: v for t, v in entries.items() if v},
-                certified=2 * s,
-                zero_from=2 * s - 2,
-            )
-        out[s] = quotient_betti_concentrated(s, pinched)
-    return out
-
-
 def conjecture_rows(n_max: int) -> list[tuple[int, int, int, bool]]:
     """Rows (n, closed-form value, series coefficient, asserted) where only
     degrees 1..12 are asserted equal; beyond that the match is conjectural."""

@@ -44,14 +44,14 @@ class TupleSpace(SimplicialSet):
         for f in factors:
             if truncation > f.truncation:
                 raise TruncationError(
-                    "factor truncation is smaller than the requested truncation"
+                    f"factor truncation {f.truncation} is smaller than the "
+                    f"requested truncation {truncation}"
                 )
         self.factors = tuple(factors)
         self.truncation = truncation
         self.smash = smash
         self._bp = tuple(SimplexRef(0, f.basepoint, ()) for f in self.factors)
         self._nondeg_cache: dict[int, tuple[Any, ...]] = {}
-        self._pool_cache: dict[int, list[tuple[SimplexRef, frozenset]]] = {}
         self._top = sum(f.top_dim() for f in self.factors)
         # component faces come from tiny pools and repeat across tuples, so
         # memoize them per distinct factor
@@ -141,21 +141,6 @@ class TupleSpace(SimplicialSet):
             f.apply_word(comp, ref.word) for f, comp in zip(self.factors, ref.base)
         )
 
-    def component_pool(self, n: int) -> list[tuple[SimplexRef, frozenset]]:
-        """Simplices of a factor at ambient dimension n, with their word sets.
-
-        Valid for identical-factor powers; for mixed factors use
-        ``refs_at`` on each factor.  Basepoint-based refs are omitted for a
-        smash (they collapse), kept for a product.
-        """
-        if n not in self._pool_cache:
-            pool = [
-                (r, frozenset(r.word))
-                for r in self.factors[0].refs_at(n, include_basepoint=not self.smash)
-            ]
-            self._pool_cache[n] = pool
-        return self._pool_cache[n]
-
     def count_nondeg(self, n: int) -> int:
         """Number of nondegenerate n-simplices, counted without enumeration.
 
@@ -238,24 +223,6 @@ def smash_power(q: SimplicialSet, s: int, truncation: Optional[int] = None) -> T
     if truncation is None:
         truncation = q.truncation
     return TupleSpace((q,) * s, truncation, smash=True)
-
-
-def wedge_axes_subset(prod: TupleSpace) -> PointedSubset:
-    """The subset of a product whose simplices touch a basepoint component."""
-    if prod.smash:
-        raise ValidationError("the axes subset lives in the product, not the smash")
-    members: dict[int, list[Any]] = {}
-    for n in range(min(prod.truncation, prod.top_dim()) + 1):
-        hit = []
-        for key in prod.nondeg(n):
-            if any(
-                c.base_dim == 0 and c.base == f.basepoint
-                for f, c in zip(prod.factors, key)
-            ):
-                hit.append(key)
-        if hit:
-            members[n] = hit
-    return PointedSubset(prod, members, check=False)
 
 
 # ---------------------------------------------------------------------------

@@ -6,21 +6,16 @@ face sum, where signs vanish mod 2 and faces whose canonical form is
 degenerate or the basepoint contribute nothing.  Everything downstream is
 sparse linear algebra over the two-element field: columns are sets of row
 indices and row operations are symmetric differences, so results are exact
-and there are no tolerances anywhere.
+and there are no tolerances anywhere.  A map is read only through the rank
+it induces per degree, which is all that "is f_* zero" and exact-sequence
+bookkeeping ask of it.
 """
 
 from __future__ import annotations
 
 from typing import Any, Container, Iterable, Mapping, Optional, Sequence
 
-from .simplicial import (
-    PointedSubset,
-    SimplexRef,
-    SimplicialMap,
-    SimplicialSet,
-    TruncationError,
-    inclusion_map,
-)
+from .simplicial import SimplexRef, SimplicialMap, SimplicialSet, TruncationError
 
 
 class UncertifiedRangeError(ValueError):
@@ -56,58 +51,16 @@ class GF2SparseMatrix:
     def zero(cls, nrows: int, ncols: int) -> "GF2SparseMatrix":
         return cls(nrows, ncols, [()] * ncols)
 
-    @classmethod
-    def identity(cls, n: int) -> "GF2SparseMatrix":
-        return cls(n, n, [(i,) for i in range(n)])
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.nrows, self.ncols)
-
     def is_zero(self) -> bool:
         return all(not col for col in self.cols)
 
     def nnz(self) -> int:
         return sum(len(col) for col in self.cols)
 
-    def column_sets(self) -> list[set[int]]:
-        return [set(col) for col in self.cols]
-
     def rank(self) -> int:
         if self._rank is None:
-            self._rank = rank_of_columns(self.column_sets())
+            self._rank = rank_of_columns(self.cols)
         return self._rank
-
-    def dense(self) -> list[list[int]]:
-        out = [[0] * self.ncols for _ in range(self.nrows)]
-        for j, col in enumerate(self.cols):
-            for i in col:
-                out[i][j] = 1
-        return out
-
-    def __matmul__(self, other: "GF2SparseMatrix") -> "GF2SparseMatrix":
-        if other.nrows != self.ncols:
-            raise ValueError("shape mismatch in matrix product")
-        cols = []
-        for col in other.cols:
-            acc: set[int] = set()
-            for k in col:
-                acc ^= set(self.cols[k])
-            cols.append(acc)
-        return GF2SparseMatrix(self.nrows, other.ncols, cols)
-
-    def apply(self, vector: Iterable[int]) -> set[int]:
-        acc: set[int] = set()
-        for j in vector:
-            acc ^= set(self.cols[j])
-        return acc
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, GF2SparseMatrix)
-            and self.shape == other.shape
-            and self.cols == other.cols
-        )
 
     def __repr__(self) -> str:
         return f"<GF2SparseMatrix {self.nrows}x{self.ncols} nnz={self.nnz()}>"
@@ -167,11 +120,6 @@ def check_squares_to_zero(
             acc.symmetric_difference_update(lower[j])
         if acc:
             raise ValueError(f"boundary does not square to zero at dimension {n}")
-
-
-def gf2_rank(matrix: GF2SparseMatrix) -> int:
-    """Rank of a sparse GF(2) matrix; the input is not modified."""
-    return matrix.rank()
 
 
 def kernel_basis(matrix: GF2SparseMatrix) -> list[set[int]]:
@@ -394,11 +342,6 @@ class ChainComplexGF2:
         return len(self.basis(n)) - ranks.get(n, 0) - ranks.get(n + 1, 0)
 
 
-def chain_complex(space: SimplicialSet, top: int, check: bool = True) -> ChainComplexGF2:
-    """Normalized reduced chain complex through dimension ``top``."""
-    return ChainComplexGF2(space, top, check=check)
-
-
 def reduced_betti(space: SimplicialSet, t_max: int) -> BettiTable:
     """Reduced mod-2 Betti numbers through dimension ``t_max``.
 
@@ -406,138 +349,48 @@ def reduced_betti(space: SimplicialSet, t_max: int) -> BettiTable:
     space must either be truncated past ``t_max`` or have no nondegenerate
     simplices there.
     """
-    cc = chain_complex(space, t_max + 1)
+    cc = ChainComplexGF2(space, t_max + 1)
     entries = {n: cc.betti(n) for n in range(t_max + 1)}
     return BettiTable(entries, certified=t_max, zero_from=space.top_dim() + 1)
 
 
 # ---------------------------------------------------------------------------
-# Homology bases and induced maps.
+# Induced maps.
 # ---------------------------------------------------------------------------
 
-class HomologyBasis:
-    """Cycle representatives spanning homology, with reduction data.
-
-    Per dimension we keep an echelon spanning the cycle space whose leading
-    entries are boundary columns first, then the chosen homology
-    representatives; reducing any cycle against it expresses the cycle in
-    the representative basis modulo boundaries.
-    """
-
-    def __init__(self, cc: ChainComplexGF2, t_max: int):
-        if t_max + 1 > cc.top:
-            raise TruncationError("homology basis needs chains one dimension higher")
-        self.complex = cc
-        self.t_max = t_max
-        self._reps: dict[int, list[frozenset[int]]] = {}
-        self._echelon: dict[int, dict[int, tuple[set[int], Optional[int]]]] = {}
-        for n in range(t_max + 1):
-            echelon: dict[int, tuple[set[int], Optional[int]]] = {}
-
-            def insert(vec: set[int], tag: Optional[int]) -> Optional[set[int]]:
-                v = set(vec)
-                while v:
-                    p = max(v)
-                    hit = echelon.get(p)
-                    if hit is None:
-                        echelon[p] = (v, tag)
-                        return v
-                    v = v ^ hit[0]
-                return None
-
-            for col in cc.boundary(n + 1).cols:
-                insert(set(col), None)
-            reps: list[frozenset[int]] = []
-            if n == 0:
-                cycles = [{j} for j in range(len(cc.basis(0)))]
-            else:
-                cycles = kernel_basis(cc.boundary(n))
-            for vec in cycles:
-                reduced = insert(vec, len(reps))
-                if reduced is not None:
-                    reps.append(frozenset(reduced))
-            self._reps[n] = reps
-            self._echelon[n] = echelon
-
-    def betti(self, n: int) -> int:
-        return len(self._reps.get(n, ()))
-
-    def representatives(self, n: int) -> list[frozenset[int]]:
-        return list(self._reps.get(n, ()))
-
-    def express(self, n: int, cycle: Iterable[int]) -> set[int]:
-        """Coordinates of a cycle in the homology basis, modulo boundaries."""
-        v = set(cycle)
-        coords: set[int] = set()
-        echelon = self._echelon.get(n, {})
-        while v:
-            p = max(v)
-            hit = echelon.get(p)
-            if hit is None:
-                raise ValueError("vector is not a cycle of this complex")
-            vec, tag = hit
-            v = v ^ vec
-            if tag is not None:
-                coords ^= {tag}
-        return coords
-
-
-def induced_map(
-    f: SimplicialMap,
-    t_max: int,
-    source_cc: Optional[ChainComplexGF2] = None,
-    target_cc: Optional[ChainComplexGF2] = None,
-) -> dict[int, GF2SparseMatrix]:
-    """Matrices of the induced map on reduced mod-2 homology, per dimension.
+def induced_ranks(f: SimplicialMap, t_max: int) -> dict[int, int]:
+    """Rank of the map f induces on reduced mod-2 homology, per degree
+    n <= t_max.
 
     The chain map sends a basis simplex to its image when that image is
-    nondegenerate and not the basepoint, and to zero otherwise.
+    nondegenerate and not the basepoint, and to zero otherwise.  The image
+    of the cycles Z_n(source) spans f_*(H_n) modulo the boundaries
+    B_n(target), so the rank is rank[B_n | f(Z_n)] - rank[B_n].
     """
-    src = source_cc or chain_complex(f.source, t_max + 1)
-    tgt = target_cc or chain_complex(f.target, t_max + 1)
-    src_h = HomologyBasis(src, t_max)
-    tgt_h = HomologyBasis(tgt, t_max)
-    out: dict[int, GF2SparseMatrix] = {}
+    src = ChainComplexGF2(f.source, t_max)
+    tgt = ChainComplexGF2(f.target, t_max + 1)
+    boundary_rank = tgt.ranks()
+    out: dict[int, int] = {}
     for n in range(t_max + 1):
-        tgt_index = tgt.basis_index(n)
-        chain_cols: list[set[int]] = []
+        index = tgt.basis_index(n)
+        images = []
         for key in src.basis(n):
-            image = f.apply(SimplexRef(n, key, ()))
-            if image.word or f.target.is_basepoint_ref(image):
-                chain_cols.append(set())
-            else:
-                chain_cols.append({tgt_index[image.base]})
-        cols = []
-        for rep in src_h.representatives(n):
-            pushed: set[int] = set()
-            for j in rep:
-                pushed ^= chain_cols[j]
-            cols.append(tgt_h.express(n, pushed))
-        out[n] = GF2SparseMatrix(tgt_h.betti(n), src_h.betti(n), cols)
+            image = f.apply_key(n, key)
+            images.append(
+                () if image.word or f.target.is_basepoint_ref(image) else (index[image.base],)
+            )
+        pushed = []
+        # the boundary from degree 0 is zero, so every 0-chain is a cycle
+        for cycle in kernel_basis(src.boundary(n)):
+            acc: set[int] = set()
+            for j in cycle:
+                acc.symmetric_difference_update(images[j])
+            pushed.append(acc)
+        spanned = _reduce(tgt.boundary(n + 1).cols + tuple(pushed))
+        out[n] = len(spanned) - boundary_rank.get(n + 1, 0)
     return out
 
 
 def is_homologous_zero(f: SimplicialMap, t_max: int) -> bool:
     """Whether a map induces zero on reduced mod-2 homology through t_max."""
-    return all(mat.is_zero() for mat in induced_map(f, t_max).values())
-
-
-def quotient_betti_via_les(
-    space: SimplicialSet, subset: PointedSubset, t_max: int
-) -> BettiTable:
-    """Betti table of space/subset from exact-sequence rank bookkeeping.
-
-    Over a field the cofiber sequence subset -> space -> space/subset gives
-    ``b_n(Q/S) = (b_n(Q) - rank i_n) + (b_{n-1}(S) - rank i_{n-1})`` with
-    ``i`` the inclusion-induced map on homology.
-    """
-    incl = inclusion_map(subset)
-    ranks = {n: mat.rank() for n, mat in induced_map(incl, t_max).items()}
-    b_space = reduced_betti(space, t_max)
-    b_sub = reduced_betti(subset, t_max)
-    entries = {}
-    for n in range(t_max + 1):
-        prev = b_sub[n - 1] - ranks.get(n - 1, 0) if n >= 1 else 0
-        entries[n] = b_space[n] - ranks.get(n, 0) + prev
-    # the quotient has no cells above the ambient top dimension
-    return BettiTable(entries, certified=t_max, zero_from=space.top_dim() + 1)
+    return not any(induced_ranks(f, t_max).values())

@@ -43,10 +43,6 @@ class SimplexRef(NamedTuple):
     def dim(self) -> int:
         return self.base_dim + len(self.word)
 
-    @property
-    def is_degenerate(self) -> bool:
-        return bool(self.word)
-
 
 # ---------------------------------------------------------------------------
 # Word calculus.
@@ -94,14 +90,6 @@ def strip_word(word: tuple[int, ...], shared: Sequence[int]) -> tuple[int, ...]:
     return tuple(w - bisect_right(sh, w) for w in word if w not in shared_set)
 
 
-def expand_word(word: tuple[int, ...], shared: Sequence[int], n: int) -> tuple[int, ...]:
-    """Inverse of :func:`strip_word`: re-insert ``shared`` at ambient ``n``."""
-    sh = sorted(shared)
-    shared_set = set(sh)
-    complement = [x for x in range(n) if x not in shared_set]
-    return tuple(sorted([complement[w] for w in word] + sh))
-
-
 def vertex_word(n: int) -> tuple[int, ...]:
     """The unique degeneracy word taking a vertex to ambient dimension n."""
     return tuple(range(n))
@@ -142,9 +130,6 @@ class SimplicialSet:
         raise NotImplementedError
 
     # -- shared operator algebra -------------------------------------------
-    def dims(self) -> range:
-        return range(self.truncation + 1)
-
     def iter_nondeg(self, n: int) -> Iterator[Any]:
         return iter(self.nondeg(n))
 
@@ -188,9 +173,6 @@ class SimplicialSet:
     def is_basepoint_ref(self, ref: SimplexRef) -> bool:
         return ref.base_dim == 0 and ref.base == self.basepoint
 
-    def key_ref(self, n: int, key: Any) -> SimplexRef:
-        return SimplexRef(n, key, ())
-
     # -- enumeration helpers -------------------------------------------------
     def refs_at(self, n: int, include_basepoint: bool = True) -> list[SimplexRef]:
         """All simplices at ambient dimension ``n`` (degenerate ones included).
@@ -218,7 +200,7 @@ class SimplicialSet:
         top = min(self.top_dim(), self.truncation if max_dim is None else max_dim)
         for n in range(2, top + 1):
             for key in self.nondeg(n):
-                ref = self.key_ref(n, key)
+                ref = SimplexRef(n, key, ())
                 for j in range(1, n + 1):
                     dj = self.face_of(ref, j)
                     for i in range(j):
@@ -435,10 +417,6 @@ class Involution:
         # an involution commutes with degeneracies, so the word is untouched
         return SimplexRef(ref.base_dim, self(ref.base), ref.word)
 
-    @property
-    def is_trivial(self) -> bool:
-        return all(self(k) == k for k in self._map)
-
     def fixed(self, n: int) -> tuple[Any, ...]:
         return tuple(k for k in self.space.nondeg(n) if self(k) == k)
 
@@ -544,41 +522,20 @@ class PointedSubset(SimplicialSet):
             for n in dims
         )
 
-    def union(self, other: "PointedSubset") -> "PointedSubset":
-        dims = set(self._member_sets) | set(other._member_sets)
-        merged = {
-            n: self._member_sets.get(n, set()) | other._member_sets.get(n, set())
-            for n in dims
-        }
-        return PointedSubset(
-            self.ambient,
-            merged,
-            truncation=min(self.truncation, other.truncation),
-            top_bound=max(self._top_bound, other._top_bound),
-            check=False,
-        )
-
     def check_closure(self) -> None:
         for n in sorted(self._member_sets):
             if n == 0:
                 continue
             for key in self._member_sets[n]:
-                ref = SimplexRef(n, key, ())
+                # members are nondegenerate, so their faces are stored ones
                 for i in range(n + 1):
-                    face = self.ambient.face_of(ref, i)
-                    if not self.contains_ref(face):
+                    if not self.contains_ref(self.ambient._base_face(key, n, i)):
                         raise ValidationError(
                             f"subset is not face-closed: face {i} of {key!r} escapes"
                         )
 
     def __repr__(self) -> str:
         return f"<PointedSubset {self.counts()} of {self.ambient!r}>"
-
-
-def whole_subset(space: SimplicialSet, truncation: Optional[int] = None) -> PointedSubset:
-    trunc = space.truncation if truncation is None else truncation
-    members = {n: space.nondeg(n) for n in range(min(trunc, space.top_dim()) + 1)}
-    return PointedSubset(space, members, truncation=trunc, check=False)
 
 
 def basepoint_subset(space: SimplicialSet) -> PointedSubset:
@@ -651,28 +608,3 @@ class SimplicialMap:
                         raise ValidationError(
                             f"map fails to commute with d_{i} at {key!r}"
                         )
-
-
-def identity_map(space: SimplicialSet) -> SimplicialMap:
-    mapping = {
-        n: {key: SimplexRef(n, key, ()) for key in space.nondeg(n)}
-        for n in range(min(space.top_dim(), space.truncation) + 1)
-    }
-    return SimplicialMap(space, space, mapping, check=False)
-
-
-def constant_map(source: SimplicialSet, target: SimplicialSet) -> SimplicialMap:
-    mapping = {
-        n: {key: target.basepoint_ref(n) for key in source.nondeg(n)}
-        for n in range(min(source.top_dim(), source.truncation) + 1)
-    }
-    return SimplicialMap(source, target, mapping, check=False)
-
-
-def inclusion_map(subset: PointedSubset) -> SimplicialMap:
-    """The inclusion of a pointed subset into its ambient set."""
-    mapping = {
-        n: {key: SimplexRef(n, key, ()) for key in subset.nondeg(n)}
-        for n in range(min(subset.top_dim(), subset.truncation) + 1)
-    }
-    return SimplicialMap(subset, subset.ambient, mapping, check=False)

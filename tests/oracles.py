@@ -1,19 +1,89 @@
-"""Slow, obviously correct versions of fast library routines, kept here as
-test oracles so that the runtime modules carry only the fast paths."""
+"""Test-only code: slow, obviously correct versions of fast library
+routines, and the constructions of the paper that no run executes.
 
+The runtime modules carry one implementation per job.  What only the tests
+call lives here: the blockwise pieces of the pinched subset indexed by
+compositions, their intersections, the union and inductive constructions
+and the membership predicates behind them; the exact-sequence bookkeeping
+on induced ranks; dense views and products of sparse GF(2) matrices; the
+identity, constant and inclusion maps; and the backtracking section search.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
 from itertools import combinations
-from typing import Any, Iterable, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
-from loopbetti.homology import BettiTable, kunneth, table_from_dict
-from loopbetti.pinched import Composition
+from loopbetti.closed_form import betti_pinched_example, quotient_betti_concentrated
+from loopbetti.constructions import TupleSpace, smash_power
+from loopbetti.homology import (
+    BettiTable,
+    GF2SparseMatrix,
+    induced_ranks,
+    kunneth,
+    reduced_betti,
+    table_from_dict,
+)
+from loopbetti.pinched import _ambient_for, _check_fixed_subset, pinched_set, pinched_top_bound
 from loopbetti.simplicial import (
     FiniteSimplicialSet,
     Involution,
     PointedSubset,
     SimplexRef,
     SimplicialMap,
+    SimplicialSet,
     ValidationError,
 )
+
+
+# ---------------------------------------------------------------------------
+# Compositions (multi-indices of positive integers).
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Composition:
+    """An ordered sequence of positive integers; possibly empty.
+
+    ``length`` is the sum of the parts and ``dim`` the number of parts.
+    """
+
+    parts: tuple[int, ...]
+
+    def __post_init__(self):
+        if any(p < 1 for p in self.parts):
+            raise ValidationError("composition parts must be positive")
+
+    @property
+    def length(self) -> int:
+        return sum(self.parts)
+
+    @property
+    def dim(self) -> int:
+        return len(self.parts)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.parts)
+
+    def __len__(self) -> int:
+        return len(self.parts)
+
+
+def cover_composition(j: int, s: int) -> Composition:
+    """The composition (1, ..., 2, ..., 1) of s with the 2 in position j."""
+    if not 1 <= j <= s - 1:
+        raise ValidationError(f"cover index {j} outside 1..{s - 1}")
+    return Composition((1,) * (j - 1) + (2,) + (1,) * (s - j - 1))
+
+
+def blocks_of(alpha: Composition) -> list[tuple[int, int]]:
+    """Half-open position ranges (0-based) of the blocks of a composition."""
+    out = []
+    start = 0
+    for part in alpha:
+        out.append((start, start + part))
+        start += part
+    return out
 
 
 def compositions_of(total: int) -> list[Composition]:
@@ -203,3 +273,394 @@ def section_map(
             level[key] = SimplexRef(n, value, ())
         mapping[n] = level
     return SimplicialMap(orbit, space, mapping)
+
+
+# ---------------------------------------------------------------------------
+# Membership predicates on component tuples.  "A component lies in A" means
+# the base of its canonical form is a member of A, so degeneracies of
+# members count and every predicate is face-stable.
+# ---------------------------------------------------------------------------
+
+def adjacent_pair_predicate(fixed: PointedSubset) -> Callable[[Sequence[SimplexRef]], bool]:
+    """Some adjacent pair of components is equal and lies in the fixed set."""
+
+    def pred(comps: Sequence[SimplexRef]) -> bool:
+        for a, b in zip(comps, comps[1:]):
+            if a == b and fixed.contains_ref(a):
+                return True
+        return False
+
+    return pred
+
+
+def inductive_predicate(
+    ambient_q: SimplicialSet, fixed: PointedSubset
+) -> Callable[[Sequence[SimplexRef]], bool]:
+    """The two-term recursion: pinched(s) holds when the last pair is equal
+    and fixed, or the (s-1)-prefix is already pinched; a basepoint component
+    collapses the whole tuple onto the basepoint, which always belongs."""
+
+    def pred(comps: Sequence[SimplexRef]) -> bool:
+        if any(ambient_q.is_basepoint_ref(c) for c in comps):
+            return True
+        if len(comps) <= 1:
+            return False
+        if comps[-2] == comps[-1] and fixed.contains_ref(comps[-1]):
+            return True
+        return pred(comps[:-1])
+
+    return pred
+
+
+def block_predicate(
+    fixed: PointedSubset, alpha: Composition
+) -> Callable[[Sequence[SimplexRef]], bool]:
+    """Blocks of size >= 2 are constant and fixed; singleton blocks are free."""
+    ranges = [r for r in blocks_of(alpha) if r[1] - r[0] >= 2]
+
+    def pred(comps: Sequence[SimplexRef]) -> bool:
+        for lo, hi in ranges:
+            first = comps[lo]
+            if not fixed.contains_ref(first):
+                return False
+            if any(comps[k] != first for k in range(lo + 1, hi)):
+                return False
+        return True
+
+    return pred
+
+
+def union_predicate(
+    fixed: PointedSubset, s: int
+) -> Callable[[Sequence[SimplexRef]], bool]:
+    """Union of the blockwise pieces for the s-1 two-in-one-slot compositions."""
+    preds = [block_predicate(fixed, cover_composition(j, s)) for j in range(1, s)]
+
+    def pred(comps: Sequence[SimplexRef]) -> bool:
+        return any(p(comps) for p in preds)
+
+    return pred
+
+
+# ---------------------------------------------------------------------------
+# Blockwise pieces, their intersections, and the union and inductive
+# constructions of the pinched subset.  The enumerators produce
+# nondegenerate tuple keys (no basepoint components, empty common word
+# intersection) per ambient dimension.
+# ---------------------------------------------------------------------------
+
+def alpha_top_bound(q: SimplicialSet, fixed: PointedSubset, alpha: Composition) -> int:
+    """No blockwise member exists above this dimension: each block
+    contributes one word complement."""
+    return sum(q.top_dim() if part == 1 else fixed.top_dim() for part in alpha)
+
+
+def _pool(ambient: TupleSpace, n: int):
+    """Simplices of the factor at ambient dimension n with their word sets,
+    the basepoint-based ones left out (they collapse the smash)."""
+    return [(r, frozenset(r.word)) for r in ambient.factors[0].refs_at(n, include_basepoint=False)]
+
+
+def _fixed_pool(ambient: TupleSpace, fixed: PointedSubset, n: int):
+    return [(r, ws) for r, ws in _pool(ambient, n) if fixed.contains_ref(r)]
+
+
+def _enum_blocks(
+    ambient: TupleSpace, fixed: PointedSubset, alpha: Composition, n: int
+) -> list[Any]:
+    """DFS over blocks: constant fixed components on blocks of size >= 2."""
+    s = len(ambient.factors)
+    if alpha.length != s:
+        raise ValidationError("composition length must match the smash power")
+    pool = _pool(ambient, n)
+    fixed_pool = _fixed_pool(ambient, fixed, n)
+    top_q = ambient.factors[0].top_dim()
+    top_a = fixed.top_dim()
+    ranges = blocks_of(alpha)
+    # slack available after each block, for intersection pruning
+    caps = [0] * (len(ranges) + 1)
+    for b in range(len(ranges) - 1, -1, -1):
+        lo, hi = ranges[b]
+        caps[b] = caps[b + 1] + (top_q if hi - lo == 1 else top_a)
+    out: list[Any] = []
+    acc: list[SimplexRef] = []
+
+    def rec(b: int, inter: frozenset):
+        if b == len(ranges):
+            if not inter:
+                out.append(tuple(acc))
+            return
+        lo, hi = ranges[b]
+        candidates = pool if hi - lo == 1 else fixed_pool
+        for ref, words in candidates:
+            ninter = words if b == 0 else (inter & words)
+            if len(ninter) > caps[b + 1]:
+                continue
+            acc.extend([ref] * (hi - lo))
+            rec(b + 1, ninter)
+            del acc[lo:]
+
+    rec(0, frozenset())
+    return out
+
+
+def _subset_from_enum(
+    ambient: TupleSpace,
+    enum: Callable[[int], list[Any]],
+    top_bound: int,
+    truncation: Optional[int] = None,
+) -> PointedSubset:
+    trunc = ambient.truncation if truncation is None else min(truncation, ambient.truncation)
+    members = {n: enum(n) for n in range(min(trunc, top_bound) + 1)}
+    return PointedSubset(ambient, members, truncation=trunc, top_bound=top_bound, check=False)
+
+
+def delta_alpha(
+    q: SimplicialSet,
+    fixed: PointedSubset,
+    alpha: Composition | Sequence[int],
+    truncation: Optional[int] = None,
+    ambient: Optional[TupleSpace] = None,
+) -> PointedSubset:
+    """The blockwise-constant subset for a composition: components within a
+    block of size >= 2 agree and are fixed; singleton blocks are free."""
+    _check_fixed_subset(q, fixed)
+    if not isinstance(alpha, Composition):
+        alpha = Composition(tuple(alpha))
+    if alpha.dim == 0:
+        raise ValidationError("the empty composition does not index a subset")
+    amb = _ambient_for(q, alpha.length, truncation, ambient)
+    bound = alpha_top_bound(q, fixed, alpha)
+    return _subset_from_enum(
+        amb, lambda n: _enum_blocks(amb, fixed, alpha, n), bound, truncation
+    )
+
+
+def delta_intersection(
+    q: SimplicialSet,
+    fixed: PointedSubset,
+    cover_index: Iterable[int],
+    s: int,
+    truncation: Optional[int] = None,
+    ambient: Optional[TupleSpace] = None,
+) -> PointedSubset:
+    """Intersection of cover pieces, computed independently of the merged
+    composition: members of one piece filtered by the other predicates."""
+    index = sorted(frozenset(cover_index))
+    if not index:
+        raise ValidationError("the empty cover index is the whole pinched union")
+    _check_fixed_subset(q, fixed)
+    amb = _ambient_for(q, s, truncation, ambient)
+    preds = [
+        block_predicate(fixed, cover_composition(j, s)) for j in index[1:]
+    ]
+    first = cover_composition(index[0], s)
+    bound = min(
+        alpha_top_bound(q, fixed, cover_composition(j, s)) for j in index
+    )
+
+    def enum(n: int) -> list[Any]:
+        return [
+            key
+            for key in _enum_blocks(amb, fixed, first, n)
+            if all(p(key) for p in preds)
+        ]
+
+    return _subset_from_enum(amb, enum, bound, truncation)
+
+
+def pinched_union(
+    q: SimplicialSet,
+    fixed: PointedSubset,
+    s: int,
+    truncation: Optional[int] = None,
+    ambient: Optional[TupleSpace] = None,
+) -> PointedSubset:
+    """The pinched subset as the union of the s-1 blockwise cover pieces."""
+    _check_fixed_subset(q, fixed)
+    if s <= 1:
+        return pinched_set(q, fixed, s, truncation, ambient)
+    amb = _ambient_for(q, s, truncation, ambient)
+    bound = pinched_top_bound(q, fixed, s)
+
+    def enum(n: int) -> list[Any]:
+        seen: dict[Any, None] = {}
+        for j in range(1, s):
+            for key in _enum_blocks(amb, fixed, cover_composition(j, s), n):
+                seen.setdefault(key, None)
+        return list(seen)
+
+    return _subset_from_enum(amb, enum, bound, truncation)
+
+
+def expand_word(word: tuple[int, ...], shared: Sequence[int], n: int) -> tuple[int, ...]:
+    """Re-insert the degeneracy indices ``shared`` into ``word`` at ambient
+    ``n`` (the inverse of stripping them)."""
+    sh = sorted(shared)
+    shared_set = set(sh)
+    complement = [x for x in range(n) if x not in shared_set]
+    return tuple(sorted([complement[w] for w in word] + sh))
+
+
+def pinched_inductive(
+    q: SimplicialSet,
+    fixed: PointedSubset,
+    s: int,
+    truncation: Optional[int] = None,
+    ambient: Optional[TupleSpace] = None,
+) -> PointedSubset:
+    """The pinched subset built by the two-term recursion.
+
+    Members at level s come from the last-pair piece, plus every way of
+    fattening a level-(s-1) member: re-insert a shared degeneracy word into
+    all of its components and append a free component avoiding it.  The
+    shared word re-inserted has size n - d <= top(Q), so only members within
+    top(Q) dimensions below contribute.
+    """
+    _check_fixed_subset(q, fixed)
+    if s <= 1:
+        return pinched_set(q, fixed, s, truncation, ambient)
+    amb = _ambient_for(q, s, truncation, ambient)
+    bound = pinched_top_bound(q, fixed, s)
+    trunc = amb.truncation if truncation is None else min(truncation, amb.truncation)
+    if s == 2:
+        return delta_alpha(q, fixed, Composition((2,)), trunc, amb)
+
+    prev_amb = smash_power(q, s - 1, amb.truncation)
+    prev = pinched_inductive(q, fixed, s - 1, trunc, prev_amb)
+    members: dict[int, set[Any]] = {}
+    for n in range(min(trunc, bound) + 1):
+        level: set[Any] = set()
+        # last two components equal and fixed
+        for key in _enum_blocks(amb, fixed, cover_composition(s - 1, s), n):
+            level.add(key)
+        # prefix pinched at level s-1, possibly after stripping a shared word
+        pool = _pool(amb, n)
+        for d in range(max(0, n - q.top_dim()), n + 1):
+            if d > prev.truncation:
+                continue
+            for m_key in prev.nondeg(d):
+                if d == 0 and m_key == prev_amb.basepoint:
+                    continue
+                for shared in combinations(range(n), n - d):
+                    prefix = tuple(
+                        SimplexRef(c.base_dim, c.base, expand_word(c.word, shared, n))
+                        for c in m_key
+                    )
+                    shared_set = frozenset(shared)
+                    for ref, words in pool:
+                        if words & shared_set:
+                            continue
+                        level.add(prefix + (ref,))
+        if level:
+            members[n] = level
+    return PointedSubset(amb, members, truncation=trunc, top_bound=bound, check=False)
+
+
+# ---------------------------------------------------------------------------
+# Maps, matrices and exact-sequence bookkeeping.
+# ---------------------------------------------------------------------------
+
+def _map_on_nondeg(
+    source: SimplicialSet, target: SimplicialSet, image: Callable[[int, Any], SimplexRef]
+) -> SimplicialMap:
+    mapping = {
+        n: {key: image(n, key) for key in source.nondeg(n)}
+        for n in range(min(source.top_dim(), source.truncation) + 1)
+    }
+    return SimplicialMap(source, target, mapping, check=False)
+
+
+def identity_map(space: SimplicialSet) -> SimplicialMap:
+    return _map_on_nondeg(space, space, lambda n, key: SimplexRef(n, key, ()))
+
+
+def constant_map(source: SimplicialSet, target: SimplicialSet) -> SimplicialMap:
+    return _map_on_nondeg(source, target, lambda n, key: target.basepoint_ref(n))
+
+
+def inclusion_map(subset: PointedSubset) -> SimplicialMap:
+    """The inclusion of a pointed subset into its ambient set."""
+    return _map_on_nondeg(subset, subset.ambient, lambda n, key: SimplexRef(n, key, ()))
+
+
+def whole_subset(space: SimplicialSet, truncation: Optional[int] = None) -> PointedSubset:
+    trunc = space.truncation if truncation is None else truncation
+    members = {n: space.nondeg(n) for n in range(min(trunc, space.top_dim()) + 1)}
+    return PointedSubset(space, members, truncation=trunc, check=False)
+
+
+def wedge_axes_subset(prod: TupleSpace) -> PointedSubset:
+    """The subset of a product whose simplices touch a basepoint component."""
+    if prod.smash:
+        raise ValidationError("the axes subset lives in the product, not the smash")
+    members: dict[int, list[Any]] = {}
+    for n in range(min(prod.truncation, prod.top_dim()) + 1):
+        members[n] = [
+            key
+            for key in prod.nondeg(n)
+            if any(c.base_dim == 0 and c.base == f.basepoint for f, c in zip(prod.factors, key))
+        ]
+    return PointedSubset(prod, members, check=False)
+
+
+def identity_matrix(n: int) -> GF2SparseMatrix:
+    return GF2SparseMatrix(n, n, [(i,) for i in range(n)])
+
+
+def dense(matrix: GF2SparseMatrix) -> list[list[int]]:
+    out = [[0] * matrix.ncols for _ in range(matrix.nrows)]
+    for j, col in enumerate(matrix.cols):
+        for i in col:
+            out[i][j] = 1
+    return out
+
+
+def matmul(a: GF2SparseMatrix, b: GF2SparseMatrix) -> GF2SparseMatrix:
+    if b.nrows != a.ncols:
+        raise ValueError("shape mismatch in matrix product")
+    cols = []
+    for col in b.cols:
+        acc: set[int] = set()
+        for k in col:
+            acc ^= set(a.cols[k])
+        cols.append(acc)
+    return GF2SparseMatrix(a.nrows, b.ncols, cols)
+
+
+def quotient_betti_via_les(
+    space: SimplicialSet, subset: PointedSubset, t_max: int
+) -> BettiTable:
+    """Betti table of space/subset from exact-sequence rank bookkeeping.
+
+    Over a field the cofiber sequence subset -> space -> space/subset gives
+    ``b_n(Q/S) = (b_n(Q) - rank i_n) + (b_{n-1}(S) - rank i_{n-1})`` with
+    ``i`` the inclusion-induced map on homology.
+    """
+    ranks = induced_ranks(inclusion_map(subset), t_max)
+    b_space = reduced_betti(space, t_max)
+    b_sub = reduced_betti(subset, t_max)
+    entries = {}
+    for n in range(t_max + 1):
+        prev = b_sub[n - 1] - ranks.get(n - 1, 0) if n >= 1 else 0
+        entries[n] = b_space[n] - ranks[n] + prev
+    # the quotient has no cells above the ambient top dimension
+    return BettiTable(entries, certified=t_max, zero_from=space.top_dim() + 1)
+
+
+def example_quotient_tables(s_max: int) -> dict[int, BettiTable]:
+    """Quotient tables for the glued-spheres example from the closed pinched
+    formula, for s = 1..s_max."""
+    out: dict[int, BettiTable] = {}
+    for s in range(1, s_max + 1):
+        if s == 1:
+            pinched = BettiTable({}, certified=2 * s, zero_from=0)
+        else:
+            entries = {t: betti_pinched_example(s, t) for t in range(2 * s + 1)}
+            pinched = BettiTable(
+                {t: v for t, v in entries.items() if v},
+                certified=2 * s,
+                zero_from=2 * s - 2,
+            )
+        out[s] = quotient_betti_concentrated(s, pinched)
+    return out

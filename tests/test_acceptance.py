@@ -9,7 +9,13 @@ import time
 from contextlib import contextmanager
 from itertools import combinations
 
-from oracles import compositions_of, intersection_to_composition
+from oracles import (
+    compositions_of,
+    delta_alpha,
+    delta_intersection,
+    intersection_to_composition,
+    quotient_betti_via_les,
+)
 
 from loopbetti.closed_form import (
     EXAMPLE_LOOP_BETTI_1_TO_12,
@@ -35,17 +41,8 @@ from loopbetti.fixtures import (
     trivial_circle,
     two_disc_sphere,
 )
-from loopbetti.homology import (
-    chain_complex,
-    kunneth,
-    quotient_betti_via_les,
-    reduced_betti,
-)
-from loopbetti.pinched import (
-    delta_alpha,
-    delta_intersection,
-    mv_e1_betti,
-)
+from loopbetti.homology import ChainComplexGF2, kunneth, reduced_betti
+from loopbetti.pinched import mv_e1_betti
 from loopbetti.simplicial import PointedSubset, SimplexRef
 from loopbetti.verify import stunted_quotient_betti
 
@@ -201,10 +198,10 @@ def test_criterion_8_property_suites(glued_spheres):
 
         # every constructed complex has boundary squaring to zero
         complexes = [
-            chain_complex(circle(), 3),
-            chain_complex(two_disc_sphere(), 3),
-            chain_complex(smash_power(circle(), 3, truncation=4), 4),
-            chain_complex(product(circle(), two_disc_sphere(), truncation=4), 4),
+            ChainComplexGF2(circle(), 3),
+            ChainComplexGF2(two_disc_sphere(), 3),
+            ChainComplexGF2(smash_power(circle(), 3, truncation=4), 4),
+            ChainComplexGF2(product(circle(), two_disc_sphere(), truncation=4), 4),
         ]
         for cc in complexes:
             cc.check_boundary_squares_to_zero()

@@ -1,7 +1,7 @@
 """The combinatorial formulas and the generating function."""
 
 import pytest
-from oracles import compositions_of
+from oracles import compositions_of, example_quotient_tables
 
 from loopbetti.closed_form import (
     EXAMPLE_LOOP_BETTI_1_TO_12,
@@ -12,7 +12,6 @@ from loopbetti.closed_form import (
     binom,
     c_coeff,
     conjecture_rows,
-    example_quotient_tables,
     loop_betti,
     loop_betti_example,
     poincare_coeffs,

@@ -398,3 +398,33 @@ def test_cli_verify_deterministic_output(capsys):
     doc1.pop("timings")
     doc2.pop("timings")
     assert doc1 == doc2
+
+
+def verify_json(capsys, path, *flags):
+    assert main(["verify", str(path), *flags, "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    for key in ("fixture", "truncation", "timings"):
+        doc.pop(key)
+    return doc
+
+
+@pytest.mark.parametrize("truncation", [2, 3])
+def test_verify_on_a_low_truncation_file(truncation, tmp_path, capsys):
+    """The diagonal check asks for no more truncation than its chains
+    read: the glued spheres with truncation 2 or 3 give the same report as
+    the shipped file, which has truncation 32."""
+    shipped = FIXTURE_DIR / "sphere_pair_swap.sset"
+    text = shipped.read_text()
+    assert text.startswith("truncation 32\n")
+    low = tmp_path / "low.sset"
+    low.write_text(text.replace("truncation 32", f"truncation {truncation}", 1))
+    flags = ("--s-max", "2", "--t-max", "1", "--loop-max", "1")
+    assert verify_json(capsys, low, *flags) == verify_json(capsys, shipped, *flags)
+
+
+def test_truncation_error_names_both_truncations():
+    from loopbetti.constructions import smash_power
+    from loopbetti.simplicial import TruncationError
+
+    with pytest.raises(TruncationError, match="factor truncation 1 .* truncation 3"):
+        smash_power(circle(truncation=1), 2, 3)

@@ -5,10 +5,19 @@ from itertools import combinations
 import pytest
 
 from oracles import (
+    Composition,
+    adjacent_pair_predicate,
+    alpha_top_bound,
     composition_betti,
     compositions_of,
     cover_sum_by_intersections,
+    delta_alpha,
+    delta_intersection,
+    inductive_predicate,
     intersection_to_composition,
+    pinched_inductive,
+    pinched_union,
+    union_predicate,
 )
 
 from loopbetti.closed_form import BettiInput, betti_pinched_formula
@@ -23,24 +32,15 @@ from loopbetti.fixtures import (
 )
 from loopbetti.homology import BettiTable, UncertifiedRangeError, reduced_betti, table_from_dict
 from loopbetti.pinched import (
-    Composition,
     HypothesisError,
     _FactorTables,
     _boundary_columns,
     _pinched_cells,
-    adjacent_pair_predicate,
-    alpha_top_bound,
     check_diagonal_null,
-    delta_alpha,
-    delta_intersection,
-    inductive_predicate,
     mv_e1_betti,
     pinched_betti_brute,
-    pinched_inductive,
     pinched_set,
     pinched_top_bound,
-    pinched_union,
-    union_predicate,
 )
 from loopbetti.simplicial import FiniteSimplicialSet, Involution, ValidationError
 

@@ -3,7 +3,14 @@
 import random
 
 import pytest
-from oracles import count_by_enumeration, section_map
+from oracles import (
+    constant_map,
+    count_by_enumeration,
+    identity_map,
+    section_map,
+    wedge_axes_subset,
+    whole_subset,
+)
 
 from loopbetti.constructions import (
     find_section,
@@ -14,7 +21,6 @@ from loopbetti.constructions import (
     reduced_diagonal,
     smash,
     smash_power,
-    wedge_axes_subset,
 )
 from loopbetti.fixtures import (
     circle,
@@ -33,10 +39,7 @@ from loopbetti.simplicial import (
     SimplexRef,
     ValidationError,
     basepoint_subset,
-    identity_map,
-    constant_map,
     insert_degeneracy,
-    whole_subset,
 )
 
 
