@@ -65,44 +65,51 @@ def _weighted_products(table: BettiTable, max_parts: int, max_total: int) -> lis
     return out
 
 
-def betti_pinched_formula(inp: BettiInput, s: int, t: int) -> int:
-    """The t-th Betti number of the pinched subset of the s-fold smash power.
+def betti_pinched_formula_table(inp: BettiInput, s: int, t_max: int) -> list[int]:
+    """The t-th Betti numbers of the pinched subset of the s-fold smash
+    power for t = 0..t_max.
 
     Sum over multi-index pairs (lam, mu), lam possibly empty and mu nonempty,
     with |lam| + |mu| = t - s + dim lam + dim mu + 1 and
     2 <= dim lam + dim mu + 1 <= s, of
     c_coeff * prod(betti_orbit over lam) * prod(betti_fixed over mu).
-    The sum is finite because |lam| + |mu| <= t.
+    The sum is finite because |lam| + |mu| <= t.  The weighted products of
+    totals up to t_max hold those of every smaller total, so one table per
+    input serves every t.
     """
     if s < 2:
         raise ValueError("the pinched formula needs s >= 2")
-    if t < 0:
-        return 0
+    if t_max < 0:
+        return []
     for table in (inp.betti_orbit, inp.betti_fixed):
-        for p in range(t + 1):
+        for p in range(t_max + 1):
             if not table.covers(p):
                 raise UncertifiedRangeError(
-                    f"input table not certified through dimension {t}"
+                    f"input table not certified through dimension {t_max}"
                 )
-    w_orbit = _weighted_products(inp.betti_orbit, s, t)
-    w_fixed = _weighted_products(inp.betti_fixed, s, t)
-    total = 0
+    w_orbit = _weighted_products(inp.betti_orbit, s, t_max)
+    w_fixed = _weighted_products(inp.betti_fixed, s, t_max)
+    out = [0] * (t_max + 1)
     for i in range(0, s - 1):
         for j in range(1, s - i):
             coeff = c_coeff(i, j, s)
             if coeff == 0:
                 continue
-            target = t - s + i + j + 1
-            if target < 0 or target > t:
-                continue
-            pairs = 0
+            # |lam| + |mu| = t - shift, and shift >= 0 as i + j <= s - 1
+            shift = s - i - j - 1
             for l_tot, wl in w_orbit[i].items():
-                m_tot = target - l_tot
-                wm = w_fixed[j].get(m_tot, 0)
-                if wm:
-                    pairs += wl * wm
-            total += coeff * pairs
-    return total
+                for m_tot, wm in w_fixed[j].items():
+                    t = l_tot + m_tot + shift
+                    if t <= t_max:
+                        out[t] += coeff * wl * wm
+    return out
+
+
+def betti_pinched_formula(inp: BettiInput, s: int, t: int) -> int:
+    """The t-th Betti number of the pinched subset of the s-fold smash
+    power; see ``betti_pinched_formula_table``, whose checks it runs."""
+    table = betti_pinched_formula_table(inp, s, t)
+    return table[t] if t >= 0 else 0
 
 
 def betti_pinched_example(s: int, n: int) -> int:
@@ -209,19 +216,6 @@ class RecurrenceSeries:
                 value -= den[k] * coeffs[n - k]
             coeffs.append(value)
         return cls(num, den, tuple(coeffs))
-
-    def check_recurrence(self) -> bool:
-        """Convolving the coefficients with the denominator returns the
-        numerator, which certifies the expansion."""
-        for n in range(len(self.coeffs)):
-            acc = sum(
-                self.denominator[k] * self.coeffs[n - k]
-                for k in range(min(n, len(self.denominator) - 1) + 1)
-            )
-            expected = self.numerator[n] if n < len(self.numerator) else 0
-            if acc != expected:
-                return False
-        return True
 
     def __getitem__(self, n: int) -> int:
         return self.coeffs[n]

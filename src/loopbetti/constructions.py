@@ -42,7 +42,7 @@ class TupleSpace(SimplicialSet):
         if not factors:
             raise ValidationError("a tuple space needs at least one factor")
         for f in factors:
-            if truncation > f.truncation:
+            if not f.reaches(truncation):
                 raise TruncationError(
                     f"factor truncation {f.truncation} is smaller than the "
                     f"requested truncation {truncation}"

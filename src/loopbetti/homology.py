@@ -51,9 +51,6 @@ class GF2SparseMatrix:
     def zero(cls, nrows: int, ncols: int) -> "GF2SparseMatrix":
         return cls(nrows, ncols, [()] * ncols)
 
-    def is_zero(self) -> bool:
-        return all(not col for col in self.cols)
-
     def nnz(self) -> int:
         return sum(len(col) for col in self.cols)
 

@@ -4,7 +4,9 @@ Inside the s-fold smash power of the orbit space Q sits the pinched subset:
 tuples with some adjacent pair of components equal and lying in the fixed
 subset A.  This module enumerates that subset on integer tables, one depth
 first pass per dimension, and computes its homology by brute force on the
-same tables.  It also evaluates the cover-intersection Betti sum, which
+same tables; the complement of that search gives the cells of the quotient
+of the smash power by the subset, whose homology one shared kernel computes
+on the same tables.  It also evaluates the cover-intersection Betti sum, which
 gives the pinched homology when the reduced diagonal of A is homologous to
 zero.  The paper's other constructions of the subset (blockwise pieces
 indexed by compositions, their intersections, their union and the two-term
@@ -17,7 +19,7 @@ from __future__ import annotations
 import weakref
 from itertools import compress, repeat
 from operator import and_, is_, not_
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .constructions import TupleSpace, reduced_diagonal, smash_power
 from .homology import (
@@ -180,23 +182,67 @@ def _pinched_cells(tables: _FactorTables, s: int, n: int) -> list[tuple[int, ...
     return out
 
 
+def _quotient_cells(tables: _FactorTables, s: int, n: int) -> list[tuple[int, ...]]:
+    """The cells of the smash power modulo the pinched subset at ambient
+    dimension n (s >= 2) other than the basepoint: the nondegenerate
+    s-tuples with no adjacent equal fixed pair, as tuples of component
+    indices.
+
+    The complement of the witness branch of ``_pinched_cells``: depth first
+    over the slots with the same cap on the common degeneracy word, and a
+    slot never repeats a fixed predecessor.
+    """
+    fixed, groups = tables.fixed[n], tables.groups[n]
+    top_q = tables.top_q
+    out: list[tuple[int, ...]] = []
+
+    def extend(prefix: tuple[int, ...], common: int) -> None:
+        rem = s - len(prefix)
+        prev = prefix[-1]
+        skip = prev if fixed[prev] else -1
+        if rem == 1:
+            for mask, members in groups:
+                if not common & mask:
+                    out.extend([prefix + (i,) for i in members if i != skip])
+            return
+        cap = (rem - 1) * top_q  # the most the slots after this one clear
+        for mask, members in groups:
+            inter = common & mask
+            if inter.bit_count() <= cap:
+                for i in members:
+                    if i != skip:
+                        extend(prefix + (i,), inter)
+
+    for mask, members in groups:
+        if mask.bit_count() <= (s - 1) * top_q:
+            for i in members:
+                extend((i,), mask)
+    return out
+
+
+def _is_pinched(cell: tuple[int, ...], fixed: list[bool]) -> bool:
+    return any(a == b and fixed[a] for a, b in zip(cell, cell[1:]))
+
+
 def _boundary_columns(
     tables: _FactorTables,
     cells: list[tuple[int, ...]],
     lower: dict[tuple[int, ...], int],
     n: int,
+    relative: bool = False,
 ) -> list[tuple[int, ...]]:
-    """Columns of the boundary from degree n of the pinched chains: for
-    each cell, the indices in ``lower`` (the cells at n - 1) of its faces
-    that occur an odd number of times.
+    """Columns of the boundary from degree n: for each cell, the indices in
+    ``lower`` (the cells at n - 1) of its faces that occur an odd number of
+    times.
 
     Face k of every cell is computed at once, slot by slot, from the face
     table.  A face missing from ``lower`` must be the basepoint or
-    degenerate (its component words share an index); any other miss means
-    the cells are not closed under faces and raises ValidationError.
+    degenerate (its component words share an index), or, for the chains
+    relative to the pinched subset (``relative``), pinched; any other miss
+    means the cells are not closed under faces and raises ValidationError.
     """
     slots = list(zip(*cells))
-    masks = tables.masks[n - 1]
+    masks, fixed = tables.masks[n - 1], tables.fixed[n - 1]
     marker = len(masks) - 1
     rows_by_face = []
     for k, face_k in enumerate(tables.faces[n]):
@@ -208,12 +254,12 @@ def _boundary_columns(
             for comp in comps[1:]:
                 common = map(and_, common, map(masks.__getitem__, comp))
             # the missed faces with no shared word index must be the basepoint
+            # or, relative to the pinched subset, pinched
             missed = map(is_, rows, repeat(None))
             for face in compress(faces, map(and_, missed, map(not_, common))):
-                if marker not in face:
+                if marker not in face and not (relative and _is_pinched(face, fixed)):
                     raise ValidationError(
-                        f"pinched cells are not face-closed: face {k} of a "
-                        f"{n}-cell is missing"
+                        f"cells are not face-closed: face {k} of a {n}-cell is missing"
                     )
         rows_by_face.append(rows)
     columns = []
@@ -297,15 +343,16 @@ def _times(poly: list[int], factor: list[tuple[int, int]]) -> list[int]:
     return out
 
 
-def mv_e1_betti(
+def mv_e1_table(
     q: SimplicialSet,
     fixed: PointedSubset,
     s: int,
-    t: int,
+    t_max: int,
     betti_q: Optional[BettiTable] = None,
     betti_a: Optional[BettiTable] = None,
-) -> int:
-    """Pinched Betti number as a sum over nonempty cover intersections.
+) -> list[int]:
+    """Pinched Betti numbers for t = 0..t_max as sums over nonempty cover
+    intersections.
 
     Requires the reduced diagonal of the fixed set to be homologous to zero
     (always checked): then the double complex of the blockwise cover
@@ -319,7 +366,9 @@ def mv_e1_betti(
     coefficient of x^(t+1) in the sum over merge sets of x^p times that
     product, which a transfer matrix over the gaps evaluates (Stanley,
     Enumerative Combinatorics I, 4.7): four states, s - 1 steps on
-    polynomials of degree t + 1, instead of 2^(s-1) - 1 intersections.
+    polynomials of degree t_max + 1, instead of 2^(s-1) - 1 intersections.
+    Truncating a product never changes its lower coefficients, so one pass
+    gives every t.
     """
     _check_fixed_subset(q, fixed)
     if s < 2:
@@ -330,19 +379,19 @@ def mv_e1_betti(
             "so the cover-intersection sum does not compute the pinched homology"
         )
     if betti_q is None:
-        betti_q = reduced_betti(q, max(t, q.top_dim()))
+        betti_q = reduced_betti(q, max(t_max, q.top_dim()))
     if betti_a is None:
-        betti_a = reduced_betti(fixed, max(t, fixed.top_dim()))
-    if t < 0:
-        return 0
+        betti_a = reduced_betti(fixed, max(t_max, fixed.top_dim()))
+    if t_max < 0:
+        return []
     for table in (betti_q, betti_a):
-        if not all(table.covers(n) for n in range(t + 1)):
-            raise UncertifiedRangeError(f"input table not certified through dimension {t}")
+        if not all(table.covers(n) for n in range(t_max + 1)):
+            raise UncertifiedRangeError(f"input table not certified through dimension {t_max}")
     poly_q = list(betti_q.nonzero().items())
     poly_a = list(betti_a.nonzero().items())
     # state (open block is a singleton, some gap merged) -> the polynomial
-    # of the closed blocks times x^(merges so far), truncated at x^(t+1)
-    start = [0] * (t + 2)
+    # of the closed blocks times x^(merges so far), truncated at x^(t_max+1)
+    start = [0] * (t_max + 2)
     start[0] = 1
     states = {(True, False): start}
     for _gap in range(s - 1):
@@ -354,11 +403,65 @@ def mv_e1_betti(
                 have = nxt.get(state)
                 nxt[state] = moved if have is None else [x + y for x, y in zip(have, moved)]
         states = nxt
-    return sum(
-        _times(poly, poly_q if single else poly_a)[-1]
-        for (single, merged), poly in states.items()
-        if merged
-    )
+    total = [0] * (t_max + 2)
+    for (single, merged), poly in states.items():
+        if merged:
+            total = [x + y for x, y in zip(total, _times(poly, poly_q if single else poly_a))]
+    return total[1:]
+
+
+def mv_e1_betti(
+    q: SimplicialSet,
+    fixed: PointedSubset,
+    s: int,
+    t: int,
+    betti_q: Optional[BettiTable] = None,
+    betti_a: Optional[BettiTable] = None,
+) -> int:
+    """The t-th pinched Betti number as a sum over nonempty cover
+    intersections; see ``mv_e1_table``, whose checks it runs."""
+    table = mv_e1_table(q, fixed, s, t, betti_q, betti_a)
+    return table[t] if t >= 0 else 0
+
+
+# ---------------------------------------------------------------------------
+# Brute-force Betti tables on the integer tables.
+# ---------------------------------------------------------------------------
+
+def _table_betti(
+    tables: _FactorTables,
+    cells_at: Callable[[_FactorTables, int, int], list[tuple[int, ...]]],
+    s: int,
+    top: int,
+    t_max: int,
+    relative: bool = False,
+) -> tuple[dict[int, int], list[int]]:
+    """Betti numbers through min(t_max, top) of the chains whose n-cells are
+    ``cells_at(tables, s, n)`` for n <= top, and the cell count per
+    dimension.
+
+    Cells per dimension, boundary columns from the tabulated faces (the
+    face-closure and boundary-squares-to-zero checks stay on), ranks with
+    clearing.  No ``SimplexRef`` tuple is built.
+    """
+    sizes = []
+    boundaries: dict[int, list[tuple[int, ...]]] = {}
+    lower: dict[tuple[int, ...], int] = {}
+    for n in range(top + 1):
+        cells = cells_at(tables, s, n)
+        if n >= 1:
+            boundaries[n] = _boundary_columns(tables, cells, lower, n, relative)
+        if n >= 2:
+            check_squares_to_zero(boundaries[n - 1], boundaries[n], n)
+        lower = {cell: j for j, cell in enumerate(cells)}
+        sizes.append(len(cells))
+    del lower
+    ranks = boundary_ranks(boundaries)
+    entries = {
+        n: sizes[n] - ranks.get(n, 0) - ranks.get(n + 1, 0)
+        for n in range(min(t_max, top) + 1)
+    }
+    return entries, sizes
 
 
 def pinched_betti_brute(
@@ -369,12 +472,9 @@ def pinched_betti_brute(
 ) -> BettiTable:
     """Brute-force Betti table of the pinched subset through t_max.
 
-    Runs on the integer tables and never builds a ``SimplexRef`` tuple:
-    cells per dimension from the adjacent-pair enumeration, boundary columns
-    from the tabulated faces (the face-closure and boundary-squares-to-zero
-    checks stay on), ranks with clearing.  The subset is enumerated only up
-    to its structural top bound, so the table also certifies vanishing
-    above it.
+    Runs on the integer tables: the cells of each dimension come from the
+    adjacent-pair enumeration.  The subset is enumerated only up to its
+    structural top bound, so the table also certifies vanishing above it.
     """
     if s <= 1:
         return BettiTable({}, certified=t_max, zero_from=0)
@@ -382,21 +482,36 @@ def pinched_betti_brute(
     bound = pinched_top_bound(q, fixed, s)
     trunc = min(t_max + 1, bound)
     tables = _FactorTables(q, fixed, trunc)
-    sizes = []
-    boundaries: dict[int, list[tuple[int, ...]]] = {}
-    lower: dict[tuple[int, ...], int] = {}
-    for n in range(trunc + 1):
-        cells = _pinched_cells(tables, s, n)
-        if n >= 1:
-            boundaries[n] = _boundary_columns(tables, cells, lower, n)
-        if n >= 2:
-            check_squares_to_zero(boundaries[n - 1], boundaries[n], n)
-        lower = {cell: j for j, cell in enumerate(cells)}
-        sizes.append(len(cells))
-    del lower
-    ranks = boundary_ranks(boundaries)
-    entries = {
-        n: sizes[n] - ranks.get(n, 0) - ranks.get(n + 1, 0)
-        for n in range(min(t_max, trunc) + 1)
-    }
+    entries, _ = _table_betti(tables, _pinched_cells, s, trunc, t_max)
     return BettiTable(entries, certified=t_max, zero_from=bound + 1)
+
+
+def quotient_betti_brute(
+    q: SimplicialSet,
+    fixed: PointedSubset,
+    s: int,
+    n_max: int,
+) -> BettiTable:
+    """Brute-force Betti table of the s-fold smash power modulo its pinched
+    subset through n_max (s >= 2).
+
+    Runs on the integer tables: the cells of each dimension are the
+    nondegenerate tuples outside the pinched subset, and a face that is the
+    basepoint, degenerate or pinched is zero in the relative chains.  Cells
+    are enumerated through min(n_max + 1, s top(Q)), which must not exceed
+    the truncation of ``q``; the table certifies vanishing above the top
+    dimension of the smash power, or above the last cell when every
+    dimension up to that one was enumerated.
+    """
+    _check_fixed_subset(q, fixed)
+    if s < 2:
+        raise ValidationError("the integer quotient needs s >= 2")
+    top = q.top_dim() * s
+    trunc = min(n_max + 1, top)
+    tables = _FactorTables(q, fixed, trunc)
+    entries, sizes = _table_betti(tables, _quotient_cells, s, trunc, n_max, relative=True)
+    if trunc < top:
+        zero_from = top + 1
+    else:
+        zero_from = max((n for n, size in enumerate(sizes) if size), default=0) + 1
+    return BettiTable(entries, certified=n_max, zero_from=zero_from)

@@ -155,7 +155,7 @@ class SimplicialSet:
         n = ref.dim
         if not 0 <= j <= n:
             raise ValueError(f"degeneracy index {j} out of range for dimension {n}")
-        if n + 1 > self.truncation:
+        if not self.reaches(n + 1):
             raise TruncationError(
                 f"degeneracy to dimension {n + 1} exceeds truncation {self.truncation}"
             )
@@ -166,6 +166,13 @@ class SimplicialSet:
         for j in word:
             ref = self.degenerate_of(ref, j)
         return ref
+
+    def reaches(self, n: int) -> bool:
+        """Whether the simplices at ambient dimension n are known: n is
+        within the truncation, or the truncation is at least the top
+        dimension, so that every simplex at n is a degeneracy of a stored
+        one."""
+        return n <= self.truncation or self.truncation >= self.top_dim()
 
     def basepoint_ref(self, n: int) -> SimplexRef:
         return SimplexRef(0, self.basepoint, vertex_word(n))
@@ -180,7 +187,7 @@ class SimplicialSet:
         A canonical word from base dimension ``p`` to ambient ``n`` is any
         ``(n - p)``-subset of ``{0, ..., n-1}``, so enumeration is by shuffles.
         """
-        if n > self.truncation:
+        if not self.reaches(n):
             raise TruncationError(f"dimension {n} beyond truncation {self.truncation}")
         out: list[SimplexRef] = []
         for p in range(min(n, self.top_dim()) + 1):
@@ -509,9 +516,6 @@ class PointedSubset(SimplicialSet):
         """Whether a simplex (possibly degenerate) lies in the subset."""
         return self.contains_key(ref.base_dim, ref.base)
 
-    def member_dims(self) -> list[int]:
-        return sorted(n for n, ks in self._members.items() if ks)
-
     def counts(self) -> dict[int, int]:
         return {n: len(ks) for n, ks in self._members.items() if ks}
 
@@ -573,16 +577,6 @@ class SimplicialMap:
 
     def apply_key(self, n: int, key: Any) -> SimplexRef:
         return self._mapping[n][key]
-
-    def compose(self, other: "SimplicialMap") -> "SimplicialMap":
-        """The composite ``self . other`` (other first)."""
-        if other.target is not self.source:
-            raise ValidationError("composition needs matching middle spaces")
-        mapping = {
-            n: {key: self.apply(ref) for key, ref in level.items()}
-            for n, level in other._mapping.items()
-        }
-        return SimplicialMap(other.source, self.target, mapping, check=False)
 
     def check(self) -> None:
         src, tgt = self.source, self.target

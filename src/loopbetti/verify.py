@@ -21,8 +21,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-from .closed_form import BettiInput, betti_pinched_formula, loop_betti
-from .constructions import decide_section, orbit_space, quotient, smash_power
+from .closed_form import BettiInput, betti_pinched_formula_table, loop_betti
+from .constructions import decide_section, orbit_space, smash_power
 from .homology import (
     BettiTable,
     UncertifiedRangeError,
@@ -31,10 +31,10 @@ from .homology import (
 )
 from .pinched import (
     check_diagonal_null,
-    mv_e1_betti,
+    mv_e1_table,
     pinched_betti_brute,
-    pinched_set,
     pinched_top_bound,
+    quotient_betti_brute,
 )
 from .simplicial import FiniteSimplicialSet, Involution, PointedSubset
 
@@ -197,9 +197,10 @@ def direct_quotient_betti(
 ) -> Optional[tuple[BettiTable, str]]:
     """Betti table of (smash power)/(pinched subset) through n_max and a
     note, without a pinched table: the basepoint quotient at s = 1, else the
-    homology of the materialized quotient.  None when the ambient is over
-    budget or needs dimensions beyond the truncation of ``q``.  No path's
-    data is read, so one result serves all three."""
+    homology of the quotient's cells on the integer tables
+    (``quotient_betti_brute``).  None when the ambient is over budget or
+    needs dimensions beyond the truncation of ``q``.  No path's data is
+    read, so one result serves all three."""
     if s == 1:
         entries = {n: betti_q[n] for n in range(n_max + 1)}
         table = BettiTable(entries, certified=n_max, zero_from=q.top_dim() + 1)
@@ -207,13 +208,10 @@ def direct_quotient_betti(
     trunc = min(n_max + 1, q.top_dim() * s)
     if trunc > q.truncation:
         return None
-    ambient = smash_power(q, s, trunc)
-    count = try_materialize_count(ambient, n_max + 1, direct_budget)
+    count = try_materialize_count(smash_power(q, s, trunc), n_max + 1, direct_budget)
     if count is None:
         return None
-    subset = pinched_set(q, fixed, s, truncation=trunc, ambient=ambient)
-    quot, _ = quotient(ambient, subset)
-    return reduced_betti(quot, n_max), f"direct quotient homology ({count} cells)"
+    return quotient_betti_brute(q, fixed, s, n_max), f"direct quotient homology ({count} cells)"
 
 
 def bookkept_quotient_betti(
@@ -358,20 +356,31 @@ def run_verify(
         brute_tables[s] = table
         return table
 
-    formulas = {
-        "mv_e1": lambda s, t: mv_e1_betti(orbit, fixed, s, t, betti_q, betti_a),
-        "closed": lambda s, t: betti_pinched_formula(inp, s, t),
+    # each gives the pinched Betti numbers of one s in every degree <= top
+    formula_tables: dict[str, Callable[[int, int], list[int]]] = {
+        "mv_e1": lambda s, top: mv_e1_table(orbit, fixed, s, top, betti_q, betti_a),
+        "closed": lambda s, top: betti_pinched_formula_table(inp, s, top),
     }
+    built: dict[tuple[str, int], list[int]] = {}
+
+    def formula_values(name: str, s: int, top: int) -> list[int]:
+        values = built.get((name, s))
+        if values is None or len(values) <= top:
+            values = formula_tables[name](s, top)
+            built[(name, s)] = values
+        return values
 
     # --- pinched grid ---
     t0 = time.perf_counter()
     for s in range(2, s_max + 1):
         table = brute_table(s, t_max)
+        if diagonal_null:
+            cover, closed = (formula_values(name, s, t_max) for name in ("mv_e1", "closed"))
         for t in range(t_max + 1):
             if diagonal_null:
-                cell = Cell(s, t, table[t], formulas["mv_e1"](s, t), formulas["closed"](s, t))
+                cell = Cell(s, t, table[t], cover[t], closed[t])
             else:
-                notes = dict.fromkeys(formulas, HYPOTHESIS_NOT_SATISFIED)
+                notes = dict.fromkeys(formula_tables, HYPOTHESIS_NOT_SATISFIED)
                 cell = Cell(s, t, table[t], None, None, notes)
             report.cells.append(cell)
     report.timings["pinched_grid"] = time.perf_counter() - t0
@@ -379,17 +388,18 @@ def run_verify(
     # --- loop row ---
     t0 = time.perf_counter()
     if section is not None:
-        def formula_source(betti_at: Callable[[int, int], int]) -> Callable[[int], BettiTable]:
+        def formula_source(name: str) -> Callable[[int], BettiTable]:
             def source(s: int) -> BettiTable:
                 bound = pinched_top_bound(orbit, fixed, s)
-                entries = {t: betti_at(s, t) for t in range(min(loop_max - 1, bound) + 1)}
+                top = min(loop_max - 1, bound)
+                entries = dict(enumerate(formula_values(name, s, top)[: top + 1]))
                 return BettiTable(entries, certified=max(loop_max - 1, 0), zero_from=bound + 1)
 
             return source
 
         sources = {"brute": (brute_loop_max, lambda s: brute_table(s, max(loop_max - 1, 0)))}
-        for name, betti_at in formulas.items():
-            sources[name] = (loop_max if diagonal_null else 0, formula_source(betti_at))
+        for name in formula_tables:
+            sources[name] = (loop_max if diagonal_null else 0, formula_source(name))
         tables, route_notes = loop_quotient_tables(
             orbit, fixed, loop_max, sources, betti_q, direct_budget
         )

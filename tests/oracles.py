@@ -6,7 +6,10 @@ call lives here: the blockwise pieces of the pinched subset indexed by
 compositions, their intersections, the union and inductive constructions
 and the membership predicates behind them; the exact-sequence bookkeeping
 on induced ranks; dense views and products of sparse GF(2) matrices; the
-identity, constant and inclusion maps; and the backtracking section search.
+identity, constant and inclusion maps and composites; and the
+backtracking section search.  Helpers that only tests call, such as the
+member dimensions of a subset or the recurrence check of a series, live here
+as functions as well.
 """
 
 from __future__ import annotations
@@ -15,7 +18,11 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
-from loopbetti.closed_form import betti_pinched_example, quotient_betti_concentrated
+from loopbetti.closed_form import (
+    RecurrenceSeries,
+    betti_pinched_example,
+    quotient_betti_concentrated,
+)
 from loopbetti.constructions import TupleSpace, smash_power
 from loopbetti.homology import (
     BettiTable,
@@ -584,6 +591,18 @@ def inclusion_map(subset: PointedSubset) -> SimplicialMap:
     return _map_on_nondeg(subset, subset.ambient, lambda n, key: SimplexRef(n, key, ()))
 
 
+def compose(f: SimplicialMap, g: SimplicialMap) -> SimplicialMap:
+    """The composite ``f . g`` (g first)."""
+    if g.target is not f.source:
+        raise ValidationError("composition needs matching middle spaces")
+    return _map_on_nondeg(g.source, f.target, lambda n, key: f.apply(g.apply_key(n, key)))
+
+
+def member_dims(subset: PointedSubset) -> list[int]:
+    """The dimensions holding a member of the subset."""
+    return sorted(subset.counts())
+
+
 def whole_subset(space: SimplicialSet, truncation: Optional[int] = None) -> PointedSubset:
     trunc = space.truncation if truncation is None else truncation
     members = {n: space.nondeg(n) for n in range(min(trunc, space.top_dim()) + 1)}
@@ -602,6 +621,10 @@ def wedge_axes_subset(prod: TupleSpace) -> PointedSubset:
             if any(c.base_dim == 0 and c.base == f.basepoint for f, c in zip(prod.factors, key))
         ]
     return PointedSubset(prod, members, check=False)
+
+
+def is_zero(matrix: GF2SparseMatrix) -> bool:
+    return all(not col for col in matrix.cols)
 
 
 def identity_matrix(n: int) -> GF2SparseMatrix:
@@ -664,3 +687,17 @@ def example_quotient_tables(s_max: int) -> dict[int, BettiTable]:
             )
         out[s] = quotient_betti_concentrated(s, pinched)
     return out
+
+
+def check_recurrence(series: RecurrenceSeries) -> bool:
+    """Convolving the coefficients with the denominator returns the
+    numerator, which certifies the expansion."""
+    for n in range(len(series.coeffs)):
+        acc = sum(
+            series.denominator[k] * series.coeffs[n - k]
+            for k in range(min(n, len(series.denominator) - 1) + 1)
+        )
+        expected = series.numerator[n] if n < len(series.numerator) else 0
+        if acc != expected:
+            return False
+    return True

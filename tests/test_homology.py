@@ -9,6 +9,7 @@ from oracles import (
     identity_map,
     identity_matrix,
     inclusion_map,
+    is_zero,
     kunneth_certified_by_scan,
     matmul,
     quotient_betti_via_les,
@@ -100,7 +101,7 @@ def test_matrix_product():
 
 def test_circle_boundary_is_zero():
     cc = ChainComplexGF2(circle(), 2)
-    assert cc.boundary(1).is_zero()
+    assert is_zero(cc.boundary(1))
     assert reduced_betti(circle(), 3).nonzero() == {1: 1}
 
 

@@ -278,23 +278,23 @@ def test_trivial_action_loop_row_three_ways(direct_budget):
 
 def test_verify_chooses_quotient_route_once_per_smash_power(monkeypatch):
     """The direct quotient reads no path's pinched table, so each s counts
-    its ambient and builds its quotient at most once, and every path with a
-    table at that s carries the same direct route."""
+    its ambient and runs the integer quotient kernel at most once, and every
+    path with a table at that s carries the same direct route."""
     from collections import Counter
 
     import loopbetti.verify as verify
 
     counted, built, notes = Counter(), Counter(), {}
-    real_count, real_quotient = verify.try_materialize_count, verify.quotient
+    real_count, real_quotient = verify.try_materialize_count, verify.quotient_betti_brute
     real_tables = verify.loop_quotient_tables
 
     def count(space, *args):
         counted[len(space.factors)] += 1
         return real_count(space, *args)
 
-    def quotient(space, subset):
-        built[len(space.factors)] += 1
-        return real_quotient(space, subset)
+    def quotient(q, fixed, s, n_max):
+        built[s] += 1
+        return real_quotient(q, fixed, s, n_max)
 
     def tables(*args, **kwargs):
         result = real_tables(*args, **kwargs)
@@ -302,7 +302,7 @@ def test_verify_chooses_quotient_route_once_per_smash_power(monkeypatch):
         return result
 
     monkeypatch.setattr(verify, "try_materialize_count", count)
-    monkeypatch.setattr(verify, "quotient", quotient)
+    monkeypatch.setattr(verify, "quotient_betti_brute", quotient)
     monkeypatch.setattr(verify, "loop_quotient_tables", tables)
     space, invol = sphere_pair_swap()
     report = verify.run_verify(
@@ -422,9 +422,30 @@ def test_verify_on_a_low_truncation_file(truncation, tmp_path, capsys):
     assert verify_json(capsys, low, *flags) == verify_json(capsys, shipped, *flags)
 
 
+def test_verify_on_a_file_truncated_at_its_top_dimension(tmp_path, capsys):
+    """A finite set whose truncation reaches its top dimension has every
+    degeneracy, so the diagonal check may ask the smash square of the fixed
+    circle for one dimension more: the trivial circle with truncation 1
+    gives the same report as the shipped file, which has truncation 32."""
+    shipped = FIXTURE_DIR / "trivial_circle.sset"
+    text = shipped.read_text()
+    assert text.startswith("truncation 32\n")
+    low = tmp_path / "low.sset"
+    low.write_text(text.replace("truncation 32", "truncation 1", 1))
+    flags = ("--s-max", "2", "--t-max", "1", "--loop-max", "1")
+    assert verify_json(capsys, low, *flags) == verify_json(capsys, shipped, *flags)
+
+
 def test_truncation_error_names_both_truncations():
+    """A factor truncated below its top dimension refuses a higher
+    truncation; a finite set truncated at its top dimension accepts any."""
     from loopbetti.constructions import smash_power
     from loopbetti.simplicial import TruncationError
 
+    torus_part = smash_power(circle(), 2, 1)  # top dimension 2
     with pytest.raises(TruncationError, match="factor truncation 1 .* truncation 3"):
-        smash_power(circle(truncation=1), 2, 3)
+        smash_power(torus_part, 2, 3)
+    square, shipped = smash_power(circle(truncation=1), 2, 3), smash_power(circle(), 2, 3)
+    for n in range(4):
+        assert square.nondeg(n) == shipped.nondeg(n)
+        assert square.count_nondeg(n) == len(square.nondeg(n))

@@ -15,13 +15,14 @@ from oracles import (
     delta_intersection,
     inductive_predicate,
     intersection_to_composition,
+    member_dims,
     pinched_inductive,
     pinched_union,
     union_predicate,
 )
 
-from loopbetti.closed_form import BettiInput, betti_pinched_formula
-from loopbetti.constructions import orbit_space, smash_power
+from loopbetti.closed_form import BettiInput, betti_pinched_formula, betti_pinched_formula_table
+from loopbetti.constructions import orbit_space, quotient, smash_power
 from loopbetti.fixtures import (
     DEFAULT_TRUNCATION,
     free_double_cover,
@@ -36,11 +37,14 @@ from loopbetti.pinched import (
     _FactorTables,
     _boundary_columns,
     _pinched_cells,
+    _quotient_cells,
     check_diagonal_null,
     mv_e1_betti,
+    mv_e1_table,
     pinched_betti_brute,
     pinched_set,
     pinched_top_bound,
+    quotient_betti_brute,
 )
 from loopbetti.simplicial import FiniteSimplicialSet, Involution, ValidationError
 
@@ -250,6 +254,71 @@ def test_brute_kernel_refuses_cells_missing_a_face(glued_spheres):
 
 
 # ---------------------------------------------------------------------------
+# The integer quotient against the generic route.
+# ---------------------------------------------------------------------------
+
+def generic_quotient_betti(orbit, fixed, s, n_max):
+    """The quotient table over SimplexRef keys: smash power, pinched
+    subset, quotient, chain complex."""
+    trunc = min(n_max + 1, orbit.top_dim() * s)
+    ambient = smash_power(orbit, s, trunc)
+    subset = pinched_set(orbit, fixed, s, truncation=trunc, ambient=ambient)
+    return reduced_betti(quotient(ambient, subset)[0], n_max)
+
+
+@pytest.mark.parametrize(
+    "make_space, s, n_max",
+    [
+        # every dimension enumerated, and a truncated top
+        *((free_double_cover, s, n) for s in (2, 3, 4) for n in (s - 1, s + 1)),
+        *((sphere_pair_swap, s, n) for s, n in ((2, 2), (2, 5), (3, 3), (3, 6), (4, 3))),
+        *((trivial_circle, s, n) for s in range(2, 7) for n in (s - 2, s)),
+    ],
+)
+def test_integer_quotient_equals_generic_route(make_space, s, n_max):
+    orbit, _, fixed = orbit_space(*make_space())
+    generic = generic_quotient_betti(orbit, fixed, s, n_max)
+    table = quotient_betti_brute(orbit, fixed, s, n_max)
+    assert table.nonzero() == generic.nonzero()
+    assert (table.certified, table.zero_from) == (generic.certified, generic.zero_from)
+
+
+def test_integer_quotient_refuses_cells_missing_a_face(glued_spheres):
+    """Pinched faces are zero in the quotient, so the quotient cells pass
+    only as relative chains; a missing face that is not pinched, degenerate
+    or the basepoint raises in either mode.  The face taken out repeats a
+    component outside the fixed set, which does not make it pinched."""
+    orbit, fixed = glued_spheres["orbit"], glued_spheres["fixed"]
+    tables = _FactorTables(orbit, fixed, 3)
+    lower = {cell: j for j, cell in enumerate(_quotient_cells(tables, 3, 2))}
+    cells = _quotient_cells(tables, 3, 3)
+    columns = _boundary_columns(tables, cells, lower, 3, relative=True)
+    with pytest.raises(ValidationError):
+        _boundary_columns(tables, cells, lower, 3)
+    in_fixed = tables.fixed[2]
+    hit = next(
+        cell
+        for cell, j in lower.items()
+        if any(j in col for col in columns)
+        and any(a == b and not in_fixed[a] for a, b in zip(cell, cell[1:]))
+    )
+    del lower[hit]
+    with pytest.raises(ValidationError):
+        _boundary_columns(tables, cells, lower, 3, relative=True)
+
+
+def test_quotient_cells_are_the_complement_of_the_pinched_cells(glued_spheres):
+    orbit, fixed = glued_spheres["orbit"], glued_spheres["fixed"]
+    tables = _FactorTables(orbit, fixed, 5)
+    for s in (2, 3):
+        ambient = smash_power(orbit, s, 5)
+        for n in range(6):
+            pinched, rest = _pinched_cells(tables, s, n), _quotient_cells(tables, s, n)
+            assert not set(pinched) & set(rest)
+            assert len(pinched) + len(rest) + (n == 0) == ambient.count_nondeg(n), (s, n)
+
+
+# ---------------------------------------------------------------------------
 # Blockwise pieces.
 # ---------------------------------------------------------------------------
 
@@ -377,6 +446,19 @@ def test_transfer_matrix_equals_closed_formula(builder):
             assert mv_e1_betti(orbit, fixed, s, t, betti_q, betti_a) == expected, (s, t)
 
 
+@pytest.mark.parametrize("make_space", [sphere_pair_swap, trivial_circle])
+def test_formula_tables_equal_the_per_degree_calls(make_space):
+    orbit, fixed, betti_q, betti_a = orbit_tables(make_space, 30)
+    inp = BettiInput(betti_q, betti_a)
+    for s in range(2, 11):
+        cover = mv_e1_table(orbit, fixed, s, 30, betti_q, betti_a)
+        closed = betti_pinched_formula_table(inp, s, 30)
+        assert cover == [mv_e1_betti(orbit, fixed, s, t, betti_q, betti_a) for t in range(31)]
+        assert closed == [betti_pinched_formula(inp, s, t) for t in range(31)]
+        assert mv_e1_table(orbit, fixed, s, -1, betti_q, betti_a) == []
+        assert betti_pinched_formula_table(inp, s, -1) == []
+
+
 def test_cover_sum_refuses_uncertified_tables(glued_spheres):
     orbit, fixed = glued_spheres["orbit"], glued_spheres["fixed"]
     betti_a = reduced_betti(fixed, fixed.top_dim())
@@ -402,5 +484,5 @@ def test_top_bounds_are_sharp_enough(glued_spheres, glued_pinched):
         bound = pinched_top_bound(orbit, fixed, s)
         assert bound == 2 * s - 3
         subset = glued_pinched.subset(s, 2 * s)
-        assert max(subset.member_dims()) <= bound
+        assert max(member_dims(subset)) <= bound
     assert alpha_top_bound(orbit, fixed, Composition((2, 1, 1))) == 5

@@ -4,6 +4,7 @@ import random
 
 import pytest
 from oracles import (
+    compose,
     constant_map,
     count_by_enumeration,
     identity_map,
@@ -345,7 +346,7 @@ def test_section_exists_for_glued_spheres(glued_spheres):
     assert section is not None
     assert section.counts() == {0: 1, 1: 1, 2: 2}
     j = section_map(orbit, space, section, invol)
-    composite = projection.compose(j)
+    composite = compose(projection, j)
     for n in range(orbit.top_dim() + 1):
         for key in orbit.nondeg(n):
             assert composite.apply_key(n, key) == SimplexRef(n, key, ())
