@@ -14,6 +14,7 @@ enumeration at all.
 from __future__ import annotations
 
 from math import comb
+from operator import getitem
 from typing import Any, Optional, Sequence
 
 from .simplicial import (
@@ -27,6 +28,18 @@ from .simplicial import (
     ValidationError,
     strip_word,
 )
+
+
+class _SortValues(dict):
+    """Component ref -> its sort value in one factor, filled on first use."""
+
+    def __init__(self, factor: SimplicialSet):
+        super().__init__()
+        self.factor = factor
+
+    def __missing__(self, ref: SimplexRef):
+        value = self[ref] = self.factor.ref_sort_value(ref)
+        return value
 
 
 class TupleSpace(SimplicialSet):
@@ -58,6 +71,12 @@ class TupleSpace(SimplicialSet):
         caches: dict[int, dict] = {}
         self._comp_face_caches = tuple(
             caches.setdefault(id(f), {}) for f in self.factors
+        )
+        # and so do component sort values, which sorting a subset asks for
+        # once per component per member
+        sort_values: dict[int, _SortValues] = {}
+        self._sort_values = tuple(
+            sort_values.setdefault(id(f), _SortValues(f)) for f in self.factors
         )
 
     # -- protocol ------------------------------------------------------------
@@ -100,9 +119,7 @@ class TupleSpace(SimplicialSet):
         return self.canonical_ref(comps)
 
     def key_sort_value(self, n: int, key: Any):
-        return tuple(
-            f.ref_sort_value(comp) for f, comp in zip(self.factors, key)
-        )
+        return tuple(map(getitem, self._sort_values, key))
 
     # -- tuple calculus --------------------------------------------------------
     def canonical_ref(self, comps: Sequence[SimplexRef]) -> SimplexRef:

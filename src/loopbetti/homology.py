@@ -63,7 +63,9 @@ class GF2SparseMatrix:
         return f"<GF2SparseMatrix {self.nrows}x{self.ncols} nnz={self.nnz()}>"
 
 
-def _reduce(cols: Iterable[Iterable[int]], skip: Container[int] = ()) -> dict[int, set[int]]:
+def reduce_columns(
+    cols: Iterable[Iterable[int]], skip: Container[int] = ()
+) -> dict[int, set[int]]:
     """Column elimination with largest-row pivoting, leaving out the columns
     whose index is in ``skip``; the reduced nonzero columns by pivot row."""
     pivots: dict[int, set[int]] = {}
@@ -83,7 +85,7 @@ def _reduce(cols: Iterable[Iterable[int]], skip: Container[int] = ()) -> dict[in
 
 def rank_of_columns(cols: Iterable[Iterable[int]]) -> int:
     """GF(2) rank by column elimination with largest-row pivoting."""
-    return len(_reduce(cols))
+    return len(reduce_columns(cols))
 
 
 def boundary_ranks(boundaries: Mapping[int, Sequence[Iterable[int]]]) -> dict[int, int]:
@@ -100,7 +102,7 @@ def boundary_ranks(boundaries: Mapping[int, Sequence[Iterable[int]]]) -> dict[in
     ranks: dict[int, int] = {}
     cleared: Container[int] = ()
     for n in sorted(boundaries, reverse=True):
-        pivots = _reduce(boundaries[n], cleared if n + 1 in ranks else ())
+        pivots = reduce_columns(boundaries[n], cleared if n + 1 in ranks else ())
         ranks[n] = len(pivots)
         cleared = set(pivots)
     return ranks
@@ -383,7 +385,7 @@ def induced_ranks(f: SimplicialMap, t_max: int) -> dict[int, int]:
             for j in cycle:
                 acc.symmetric_difference_update(images[j])
             pushed.append(acc)
-        spanned = _reduce(tgt.boundary(n + 1).cols + tuple(pushed))
+        spanned = reduce_columns(tgt.boundary(n + 1).cols + tuple(pushed))
         out[n] = len(spanned) - boundary_rank.get(n + 1, 0)
     return out
 

@@ -6,28 +6,30 @@ subset A.  This module enumerates that subset on integer tables, one depth
 first pass per dimension, and computes its homology by brute force on the
 same tables; the complement of that search gives the cells of the quotient
 of the smash power by the subset, whose homology one shared kernel computes
-on the same tables.  It also evaluates the cover-intersection Betti sum, which
-gives the pinched homology when the reduced diagonal of A is homologous to
-zero.  The paper's other constructions of the subset (blockwise pieces
-indexed by compositions, their intersections, their union and the two-term
-recursion) are checked against this one in the test suite and run nowhere
-else.
+on the same tables.  The kernel codes each cell as one int, finds faces
+through tables over groups of slots, and builds and reduces the chains from
+the top dimension down, two dimensions at a time.  The module also
+evaluates the cover-intersection Betti sum, which gives the pinched
+homology when the reduced diagonal of A is homologous to zero.  The paper's
+other constructions of the subset (blockwise pieces indexed by
+compositions, their intersections, their union and the two-term recursion)
+are checked against this one in the test suite and run nowhere else.
 """
 
 from __future__ import annotations
 
 import weakref
-from itertools import compress, repeat
-from operator import and_, is_, not_
-from typing import Callable, Iterator, Optional
+from itertools import compress, count, repeat
+from operator import add, and_, eq, floordiv, is_, mod, or_
+from typing import Callable, Iterable, Optional
 
 from .constructions import TupleSpace, reduced_diagonal, smash_power
 from .homology import (
     BettiTable,
     UncertifiedRangeError,
-    boundary_ranks,
     check_squares_to_zero,
     is_homologous_zero,
+    reduce_columns,
     reduced_betti,
 )
 from .simplicial import (
@@ -130,9 +132,9 @@ class _FactorTables:
             ])
 
 
-def _pinched_cells(tables: _FactorTables, s: int, n: int) -> list[tuple[int, ...]]:
+def _pinched_cells(tables: _FactorTables, s: int, n: int) -> list[int]:
     """The nondegenerate pinched s-tuples at ambient dimension n (s >= 2),
-    as tuples of component indices.
+    as cell codes (see ``_slot_groups``).
 
     Depth first over the slots, keeping the common degeneracy word, which
     must end empty.  A component with base dimension p clears at most
@@ -143,19 +145,19 @@ def _pinched_cells(tables: _FactorTables, s: int, n: int) -> list[tuple[int, ...
     """
     masks, fixed = tables.masks[n], tables.fixed[n]
     groups, fixed_groups = tables.groups[n], tables.fixed_groups[n]
-    top_q = tables.top_q
-    out: list[tuple[int, ...]] = []
+    top_q, radix = tables.top_q, len(masks)
+    out: list[int] = []
 
-    def extend(prefix: tuple[int, ...], common: int, witness: bool) -> None:
-        rem = s - len(prefix)
-        prev = prefix[-1]
+    def extend(code: int, prev: int, rem: int, common: int, witness: bool) -> None:
+        # code: the prefix so far, ending in component prev; rem slots to come
+        base = code * radix
         if rem == 1:
             if witness:
                 for mask, members in groups:
                     if not common & mask:
-                        out.extend([prefix + (i,) for i in members])
+                        out.extend(map(base.__add__, members))
             elif not common:
-                out.append(prefix + (prev,))  # prev is fixed
+                out.append(base + prev)  # prev is fixed
             return
         cap = (rem - 1) * top_q  # the most the slots after this one clear
         if witness:
@@ -163,7 +165,7 @@ def _pinched_cells(tables: _FactorTables, s: int, n: int) -> list[tuple[int, ...
                 inter = common & mask
                 if inter.bit_count() <= cap:
                     for i in members:
-                        extend(prefix + (i,), inter, True)
+                        extend(base + i, i, rem - 1, inter, True)
             return
         witness_mask = masks[prev] if fixed[prev] else None
         for mask, members in fixed_groups if rem == 2 else groups:
@@ -171,39 +173,38 @@ def _pinched_cells(tables: _FactorTables, s: int, n: int) -> list[tuple[int, ...
             bits = inter.bit_count()
             if bits <= cap - top_q:
                 for i in members:
-                    extend(prefix + (i,), inter, i == prev and fixed[i])
+                    extend(base + i, i, rem - 1, inter, i == prev and fixed[i])
             elif bits <= cap and mask == witness_mask:
-                extend(prefix + (prev,), inter, True)
+                extend(base + prev, prev, rem - 1, inter, True)
 
     for mask, members in fixed_groups if s == 2 else groups:
         if mask.bit_count() <= (s - 2) * top_q:
             for i in members:
-                extend((i,), mask, False)
+                extend(i, i, s - 1, mask, False)
     return out
 
 
-def _quotient_cells(tables: _FactorTables, s: int, n: int) -> list[tuple[int, ...]]:
+def _quotient_cells(tables: _FactorTables, s: int, n: int) -> list[int]:
     """The cells of the smash power modulo the pinched subset at ambient
     dimension n (s >= 2) other than the basepoint: the nondegenerate
-    s-tuples with no adjacent equal fixed pair, as tuples of component
-    indices.
+    s-tuples with no adjacent equal fixed pair, as cell codes (see
+    ``_slot_groups``).
 
     The complement of the witness branch of ``_pinched_cells``: depth first
     over the slots with the same cap on the common degeneracy word, and a
     slot never repeats a fixed predecessor.
     """
     fixed, groups = tables.fixed[n], tables.groups[n]
-    top_q = tables.top_q
-    out: list[tuple[int, ...]] = []
+    top_q, radix = tables.top_q, len(tables.masks[n])
+    out: list[int] = []
 
-    def extend(prefix: tuple[int, ...], common: int) -> None:
-        rem = s - len(prefix)
-        prev = prefix[-1]
+    def extend(code: int, prev: int, rem: int, common: int) -> None:
+        base = code * radix
         skip = prev if fixed[prev] else -1
         if rem == 1:
             for mask, members in groups:
                 if not common & mask:
-                    out.extend([prefix + (i,) for i in members if i != skip])
+                    out.extend([base + i for i in members if i != skip])
             return
         cap = (rem - 1) * top_q  # the most the slots after this one clear
         for mask, members in groups:
@@ -211,57 +212,149 @@ def _quotient_cells(tables: _FactorTables, s: int, n: int) -> list[tuple[int, ..
             if inter.bit_count() <= cap:
                 for i in members:
                     if i != skip:
-                        extend(prefix + (i,), inter)
+                        extend(base + i, i, rem - 1, inter)
 
     for mask, members in groups:
         if mask.bit_count() <= (s - 1) * top_q:
             for i in members:
-                extend((i,), mask)
+                extend(i, i, s - 1, mask)
     return out
 
 
-def _is_pinched(cell: tuple[int, ...], fixed: list[bool]) -> bool:
-    return any(a == b and fixed[a] for a, b in zip(cell, cell[1:]))
+def _slot_groups(s: int, radix: int, cells: int) -> list[tuple[int, int]]:
+    """The slot groups of a cell code as (exponent, width).
+
+    A cell at dimension n is coded as the int sum of c_j * R^(s-1-j) over
+    its component indices c_j, with R = len(tables.masks[n]) (the
+    components and the basepoint marker), so codes sort as the tuples do
+    and a face at n - 1 is coded alike at its own radix.  A group holds the
+    digits of w adjacent slots ending e slots from the right, so its code is
+    (code // R^e) % R^w.  The groups are the pairs (0, 1), (2, 3), ... and a
+    lone last slot when s is odd; a pair table has R^2 entries per face, so
+    when that exceeds the number of cells every slot is a group of its own.
+    """
+    width = 2 if radix * radix <= cells else 1
+    starts = range(0, s, width)
+    return [(max(s - a - width, 0), min(width, s - a)) for a in starts]
+
+
+def _digits(codes: list[int], radix: int, s: int) -> list[list[int]]:
+    """The component indices of each code, slot by slot."""
+    return _group_codes(codes, radix, s, [(e, 1) for e in reversed(range(s))])
+
+
+def _group_codes(
+    codes: list[int], radix: int, s: int, groups: list[tuple[int, int]]
+) -> list[list[int]]:
+    out = []
+    for e, w in groups:
+        part: Iterable[int] = map(floordiv, codes, repeat(radix**e)) if e else codes
+        if e + w < s:
+            part = map(mod, part, repeat(radix**w))
+        out.append(codes if part is codes else list(part))
+    return out
+
+
+def _face_tables(
+    tables: _FactorTables, s: int, n: int, groups: list[tuple[int, int]]
+) -> tuple[list[list[tuple[list[int], list[int]]]], int]:
+    """Per face k, per slot group: the map from a group code at n to its
+    share of the face code at n - 1, and to the AND of its faces' flagged
+    masks; and the flag.
+
+    A component's flagged mask is FLAG | its word mask, FLAG being a bit
+    above every word bit at n - 1, and the basepoint marker's is every word
+    bit without FLAG.  So the AND over a face's groups is exactly FLAG when
+    the face is neither degenerate nor the basepoint.
+    """
+    low_masks = tables.masks[n - 1]
+    low = len(low_masks)
+    flag = 1 << (n - 1)
+    flagged = [flag | m for m in low_masks[:-1]] + [flag - 1]
+    pairs = any(w == 2 for _, w in groups)
+    out = []
+    for face_k in tables.faces[n]:
+        digits = face_k + [low - 1]  # pads the marker digit, which no cell holds
+        digit_masks = list(map(flagged.__getitem__, digits))
+        if pairs:
+            pair_codes = [x * low + y for x in digits for y in digits]
+            pair_masks = [x & y for x in digit_masks for y in digit_masks]
+        out.append([
+            ([c * low**e for c in pair_codes], pair_masks)
+            if w == 2
+            else ([c * low**e for c in digits], digit_masks)
+            for e, w in groups
+        ])
+    return out, flag
+
+
+def _face_codes(
+    per_group: list[tuple[list[int], list[int]]], codes: list[list[int]]
+) -> Iterable[int]:
+    """The codes of one face of the cells with these group codes."""
+    faces: Iterable[int] = map(per_group[0][0].__getitem__, codes[0])
+    for (table, _), group in zip(per_group[1:], codes[1:]):
+        faces = map(add, faces, map(table.__getitem__, group))
+    return faces
+
+
+def _pinched(faces: list[int], radix: int, s: int, fixed: list[bool]) -> Iterable[bool]:
+    """Whether each code has an adjacent equal pair of fixed components."""
+    digits = _digits(faces, radix, s)
+    pinched: Iterable[bool] = repeat(False)
+    for left, right in zip(digits, digits[1:]):
+        pair = map(and_, map(eq, left, right), map(fixed.__getitem__, left))
+        pinched = map(or_, pinched, pair)
+    return pinched
 
 
 def _boundary_columns(
     tables: _FactorTables,
-    cells: list[tuple[int, ...]],
-    lower: dict[tuple[int, ...], int],
+    s: int,
+    cells: list[int],
+    lower: dict[int, int],
     n: int,
     relative: bool = False,
 ) -> list[tuple[int, ...]]:
-    """Columns of the boundary from degree n: for each cell, the indices in
-    ``lower`` (the cells at n - 1) of its faces that occur an odd number of
-    times.
+    """Columns of the boundary from degree n: for each cell code, the
+    indices in ``lower`` (code -> index of the cells at n - 1) of its faces
+    that occur an odd number of times.
 
-    Face k of every cell is computed at once, slot by slot, from the face
-    table.  A face missing from ``lower`` must be the basepoint or
-    degenerate (its component words share an index), or, for the chains
-    relative to the pinched subset (``relative``), pinched; any other miss
-    means the cells are not closed under faces and raises ValidationError.
+    Face k of every cell is computed at once: its code is the sum over the
+    slot groups of a tabulated share of each group code.  A face missing
+    from ``lower`` must be the basepoint or degenerate, which the flagged
+    mask tables tell, or, for the chains relative to the pinched subset
+    (``relative``), pinched; any other miss means the cells are not closed
+    under faces and raises ValidationError.
     """
-    slots = list(zip(*cells))
-    masks, fixed = tables.masks[n - 1], tables.fixed[n - 1]
-    marker = len(masks) - 1
+    radix = len(tables.masks[n])
+    groups = _slot_groups(s, radix, len(cells))
+    codes = _group_codes(cells, radix, s, groups)
+    face_tables, flag = _face_tables(tables, s, n, groups)
     rows_by_face = []
-    for k, face_k in enumerate(tables.faces[n]):
-        comps = [list(map(face_k.__getitem__, slot)) for slot in slots]
-        faces = list(zip(*comps))
-        rows = list(map(lower.get, faces))
+    for k, per_group in enumerate(face_tables):
+        rows = list(map(lower.get, _face_codes(per_group, codes)))
         if None in rows:
-            common: Iterator[int] = map(masks.__getitem__, comps[0])
-            for comp in comps[1:]:
-                common = map(and_, common, map(masks.__getitem__, comp))
-            # the missed faces with no shared word index must be the basepoint
-            # or, relative to the pinched subset, pinched
-            missed = map(is_, rows, repeat(None))
-            for face in compress(faces, map(and_, missed, map(not_, common))):
-                if marker not in face and not (relative and _is_pinched(face, fixed)):
-                    raise ValidationError(
-                        f"cells are not face-closed: face {k} of a {n}-cell is missing"
-                    )
+            missed = list(compress(count(), map(is_, rows, repeat(None))))
+            ands: Iterable[int] = repeat(-1)
+            for (_, masks), group in zip(per_group, codes):
+                picked = map(group.__getitem__, missed)
+                ands = map(and_, ands, map(masks.__getitem__, picked))
+            if relative:
+                # the missed faces that are neither degenerate nor the basepoint
+                live = list(compress(missed, map(eq, ands, repeat(flag))))
+                picked_codes = [list(map(group.__getitem__, live)) for group in codes]
+                faces = list(_face_codes(per_group, picked_codes))
+                low = len(tables.masks[n - 1])
+                closed = all(_pinched(faces, low, s, tables.fixed[n - 1]))
+            else:
+                closed = flag not in ands
+            if not closed:
+                raise ValidationError(
+                    f"cells are not face-closed: face {k} of a {n}-cell is missing"
+                )
         rows_by_face.append(rows)
+    del codes  # held no longer than the face lookups
     columns = []
     for entries in zip(*rows_by_face):
         col = set(entries)
@@ -291,10 +384,10 @@ def pinched_set(
     bound = pinched_top_bound(q, fixed, s)
     trunc = amb.truncation if truncation is None else min(truncation, amb.truncation)
     tables = _FactorTables(q, fixed, min(trunc, bound))
-    members = {
-        n: [tuple(map(refs.__getitem__, cell)) for cell in _pinched_cells(tables, s, n)]
-        for n, refs in enumerate(tables.refs)
-    }
+    members = {}
+    for n, refs in enumerate(tables.refs):
+        digits = _digits(_pinched_cells(tables, s, n), len(refs) + 1, s)
+        members[n] = list(zip(*(map(refs.__getitem__, slot) for slot in digits)))
     return PointedSubset(amb, members, truncation=trunc, top_bound=bound, check=False)
 
 
@@ -430,33 +523,39 @@ def mv_e1_betti(
 
 def _table_betti(
     tables: _FactorTables,
-    cells_at: Callable[[_FactorTables, int, int], list[tuple[int, ...]]],
+    cells_at: Callable[[_FactorTables, int, int], list[int]],
     s: int,
     top: int,
     t_max: int,
     relative: bool = False,
-) -> tuple[dict[int, int], list[int]]:
+) -> tuple[dict[int, int], dict[int, int]]:
     """Betti numbers through min(t_max, top) of the chains whose n-cells are
     ``cells_at(tables, s, n)`` for n <= top, and the cell count per
     dimension.
 
-    Cells per dimension, boundary columns from the tabulated faces (the
-    face-closure and boundary-squares-to-zero checks stay on), ranks with
-    clearing.  No ``SimplexRef`` tuple is built.
+    Streams from the top dimension down, enumerating each dimension once:
+    the boundary from n is built from the cells at n and n - 1 (the
+    face-closure check stays on), checked to compose to zero with the
+    boundary from n + 1, which is then reduced with clearing by the pivots
+    of the boundary from n + 2 (see ``boundary_ranks``) and dropped.  So
+    the cells and boundaries of at most two dimensions are held at once.
     """
-    sizes = []
-    boundaries: dict[int, list[tuple[int, ...]]] = {}
-    lower: dict[tuple[int, ...], int] = {}
-    for n in range(top + 1):
-        cells = cells_at(tables, s, n)
-        if n >= 1:
-            boundaries[n] = _boundary_columns(tables, cells, lower, n, relative)
-        if n >= 2:
-            check_squares_to_zero(boundaries[n - 1], boundaries[n], n)
-        lower = {cell: j for j, cell in enumerate(cells)}
-        sizes.append(len(cells))
-    del lower
-    ranks = boundary_ranks(boundaries)
+    cells = cells_at(tables, s, top)
+    sizes = {top: len(cells)}
+    ranks: dict[int, int] = {}
+    upper: Optional[list[tuple[int, ...]]] = None  # the boundary from n + 1
+    cleared: set[int] = set()
+    for n in range(top, 0, -1):
+        below = cells_at(tables, s, n - 1)
+        sizes[n - 1] = len(below)
+        columns = _boundary_columns(tables, s, cells, dict(zip(below, count())), n, relative)
+        if upper is not None:
+            check_squares_to_zero(columns, upper, n + 1)
+            cleared = set(reduce_columns(upper, cleared))
+            ranks[n + 1] = len(cleared)
+        upper, cells = columns, below
+    if upper is not None:
+        ranks[1] = len(reduce_columns(upper, cleared))
     entries = {
         n: sizes[n] - ranks.get(n, 0) - ranks.get(n + 1, 0)
         for n in range(min(t_max, top) + 1)
@@ -513,5 +612,5 @@ def quotient_betti_brute(
     if trunc < top:
         zero_from = top + 1
     else:
-        zero_from = max((n for n, size in enumerate(sizes) if size), default=0) + 1
+        zero_from = max((n for n, size in sizes.items() if size), default=0) + 1
     return BettiTable(entries, certified=n_max, zero_from=zero_from)

@@ -403,6 +403,8 @@ def run_verify(
         tables, route_notes = loop_quotient_tables(
             orbit, fixed, loop_max, sources, betti_q, direct_budget
         )
+        # an s with no route note is one the path has no table for
+        beyond = {"brute": f"{NOT_COMPUTED} (beyond --brute-loop-max {brute_loop_max})"}
         for n in range(1, loop_max + 1):
             values: dict[str, Optional[int]] = {}
             notes: dict[str, str] = {}
@@ -412,7 +414,7 @@ def run_verify(
                 except UncertifiedRangeError:
                     values[name] = None
                     missing = [
-                        f"s={s}: {route_notes[name].get(s, NOT_COMPUTED)}"
+                        f"s={s}: {route_notes[name].get(s, beyond.get(name, NOT_COMPUTED))}"
                         for s in range(1, n + 1)
                         if s not in tables[name]
                     ]

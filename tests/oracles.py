@@ -6,16 +6,18 @@ call lives here: the blockwise pieces of the pinched subset indexed by
 compositions, their intersections, the union and inductive constructions
 and the membership predicates behind them; the exact-sequence bookkeeping
 on induced ranks; dense views and products of sparse GF(2) matrices; the
-identity, constant and inclusion maps and composites; and the
-backtracking section search.  Helpers that only tests call, such as the
-member dimensions of a subset or the recurrence check of a series, live here
-as functions as well.
+identity, constant and inclusion maps and composites; the backtracking
+section search; and the brute kernel on tuples of component indices, the
+reference for the packed one.  Helpers that only tests call, such as the
+member dimensions of a subset or the recurrence check of a series, live
+here as functions as well.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress, repeat
+from operator import and_, is_, not_
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from loopbetti.closed_form import (
@@ -27,12 +29,20 @@ from loopbetti.constructions import TupleSpace, smash_power
 from loopbetti.homology import (
     BettiTable,
     GF2SparseMatrix,
+    boundary_ranks,
+    check_squares_to_zero,
     induced_ranks,
     kunneth,
     reduced_betti,
     table_from_dict,
 )
-from loopbetti.pinched import _ambient_for, _check_fixed_subset, pinched_set, pinched_top_bound
+from loopbetti.pinched import (
+    _ambient_for,
+    _check_fixed_subset,
+    _FactorTables,
+    pinched_set,
+    pinched_top_bound,
+)
 from loopbetti.simplicial import (
     FiniteSimplicialSet,
     Involution,
@@ -701,3 +711,179 @@ def check_recurrence(series: RecurrenceSeries) -> bool:
         if acc != expected:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# The brute kernel on tuples of component indices: the reference for the
+# packed kernel of loopbetti.pinched, which codes each cell as one int.
+# ---------------------------------------------------------------------------
+
+def tuple_pinched_cells(tables: _FactorTables, s: int, n: int) -> list[tuple[int, ...]]:
+    """The nondegenerate pinched s-tuples at ambient dimension n (s >= 2),
+    as tuples of component indices.
+
+    Depth first over the slots, keeping the common degeneracy word, which
+    must end empty.  A component with base dimension p clears at most
+    p <= top(Q) bits of it, and none when it repeats the slot before.
+    Until a witness (an adjacent equal fixed pair) exists, one slot still
+    to come must repeat its predecessor, so the slots left clear top(Q)
+    fewer bits, and the slot before the last takes only fixed components.
+    """
+    masks, fixed = tables.masks[n], tables.fixed[n]
+    groups, fixed_groups = tables.groups[n], tables.fixed_groups[n]
+    top_q = tables.top_q
+    out: list[tuple[int, ...]] = []
+
+    def extend(prefix: tuple[int, ...], common: int, witness: bool) -> None:
+        rem = s - len(prefix)
+        prev = prefix[-1]
+        if rem == 1:
+            if witness:
+                for mask, members in groups:
+                    if not common & mask:
+                        out.extend([prefix + (i,) for i in members])
+            elif not common:
+                out.append(prefix + (prev,))  # prev is fixed
+            return
+        cap = (rem - 1) * top_q  # the most the slots after this one clear
+        if witness:
+            for mask, members in groups:
+                inter = common & mask
+                if inter.bit_count() <= cap:
+                    for i in members:
+                        extend(prefix + (i,), inter, True)
+            return
+        witness_mask = masks[prev] if fixed[prev] else None
+        for mask, members in fixed_groups if rem == 2 else groups:
+            inter = common & mask
+            bits = inter.bit_count()
+            if bits <= cap - top_q:
+                for i in members:
+                    extend(prefix + (i,), inter, i == prev and fixed[i])
+            elif bits <= cap and mask == witness_mask:
+                extend(prefix + (prev,), inter, True)
+
+    for mask, members in fixed_groups if s == 2 else groups:
+        if mask.bit_count() <= (s - 2) * top_q:
+            for i in members:
+                extend((i,), mask, False)
+    return out
+
+
+def tuple_quotient_cells(tables: _FactorTables, s: int, n: int) -> list[tuple[int, ...]]:
+    """The cells of the smash power modulo the pinched subset at ambient
+    dimension n (s >= 2) other than the basepoint: the nondegenerate
+    s-tuples with no adjacent equal fixed pair, as tuples of component
+    indices.
+
+    The complement of the witness branch of ``tuple_pinched_cells``: depth first
+    over the slots with the same cap on the common degeneracy word, and a
+    slot never repeats a fixed predecessor.
+    """
+    fixed, groups = tables.fixed[n], tables.groups[n]
+    top_q = tables.top_q
+    out: list[tuple[int, ...]] = []
+
+    def extend(prefix: tuple[int, ...], common: int) -> None:
+        rem = s - len(prefix)
+        prev = prefix[-1]
+        skip = prev if fixed[prev] else -1
+        if rem == 1:
+            for mask, members in groups:
+                if not common & mask:
+                    out.extend([prefix + (i,) for i in members if i != skip])
+            return
+        cap = (rem - 1) * top_q  # the most the slots after this one clear
+        for mask, members in groups:
+            inter = common & mask
+            if inter.bit_count() <= cap:
+                for i in members:
+                    if i != skip:
+                        extend(prefix + (i,), inter)
+
+    for mask, members in groups:
+        if mask.bit_count() <= (s - 1) * top_q:
+            for i in members:
+                extend((i,), mask)
+    return out
+
+
+def _tuple_is_pinched(cell: tuple[int, ...], fixed: list[bool]) -> bool:
+    return any(a == b and fixed[a] for a, b in zip(cell, cell[1:]))
+
+
+def tuple_boundary_columns(
+    tables: _FactorTables,
+    cells: list[tuple[int, ...]],
+    lower: dict[tuple[int, ...], int],
+    n: int,
+    relative: bool = False,
+) -> list[tuple[int, ...]]:
+    """Columns of the boundary from degree n: for each cell, the indices in
+    ``lower`` (the cells at n - 1) of its faces that occur an odd number of
+    times.
+
+    Face k of every cell is computed at once, slot by slot, from the face
+    table.  A face missing from ``lower`` must be the basepoint or
+    degenerate (its component words share an index), or, for the chains
+    relative to the pinched subset (``relative``), pinched; any other miss
+    means the cells are not closed under faces and raises ValidationError.
+    """
+    slots = list(zip(*cells))
+    masks, fixed = tables.masks[n - 1], tables.fixed[n - 1]
+    marker = len(masks) - 1
+    rows_by_face = []
+    for k, face_k in enumerate(tables.faces[n]):
+        comps = [list(map(face_k.__getitem__, slot)) for slot in slots]
+        faces = list(zip(*comps))
+        rows = list(map(lower.get, faces))
+        if None in rows:
+            common: Iterator[int] = map(masks.__getitem__, comps[0])
+            for comp in comps[1:]:
+                common = map(and_, common, map(masks.__getitem__, comp))
+            # the missed faces with no shared word index must be the basepoint
+            # or, relative to the pinched subset, pinched
+            missed = map(is_, rows, repeat(None))
+            for face in compress(faces, map(and_, missed, map(not_, common))):
+                if marker not in face and not (relative and _tuple_is_pinched(face, fixed)):
+                    raise ValidationError(
+                        f"cells are not face-closed: face {k} of a {n}-cell is missing"
+                    )
+        rows_by_face.append(rows)
+    columns = []
+    for entries in zip(*rows_by_face):
+        col = set(entries)
+        col.discard(None)
+        if len(col) != len(entries) - entries.count(None):
+            col = {r for r in col if entries.count(r) % 2}
+        columns.append(tuple(col))
+    return columns
+
+
+def tuple_table_betti(
+    tables: _FactorTables,
+    cells_at: Callable[[_FactorTables, int, int], list[tuple[int, ...]]],
+    s: int,
+    top: int,
+    t_max: int,
+    relative: bool = False,
+) -> dict[int, int]:
+    """Betti numbers through min(t_max, top) of the chains whose n-cells are
+    ``cells_at(tables, s, n)``: every dimension built bottom up and held,
+    then ranked with ``boundary_ranks``."""
+    sizes = []
+    boundaries: dict[int, list[tuple[int, ...]]] = {}
+    lower: dict[tuple[int, ...], int] = {}
+    for n in range(top + 1):
+        cells = cells_at(tables, s, n)
+        if n >= 1:
+            boundaries[n] = tuple_boundary_columns(tables, cells, lower, n, relative)
+        if n >= 2:
+            check_squares_to_zero(boundaries[n - 1], boundaries[n], n)
+        lower = {cell: j for j, cell in enumerate(cells)}
+        sizes.append(len(cells))
+    ranks = boundary_ranks(boundaries)
+    return {
+        n: sizes[n] - ranks.get(n, 0) - ranks.get(n + 1, 0)
+        for n in range(min(t_max, top) + 1)
+    }

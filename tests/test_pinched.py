@@ -1,6 +1,7 @@
 """Pinched subsets, blockwise pieces, intersections, and the cover sum."""
 
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +19,12 @@ from oracles import (
     member_dims,
     pinched_inductive,
     pinched_union,
+    tuple_boundary_columns,
+    tuple_pinched_cells,
+    tuple_quotient_cells,
+    tuple_table_betti,
     union_predicate,
+    whole_subset,
 )
 
 from loopbetti.closed_form import BettiInput, betti_pinched_formula, betti_pinched_formula_table
@@ -36,8 +42,10 @@ from loopbetti.pinched import (
     HypothesisError,
     _FactorTables,
     _boundary_columns,
+    _digits,
     _pinched_cells,
     _quotient_cells,
+    _table_betti,
     check_diagonal_null,
     mv_e1_betti,
     mv_e1_table,
@@ -47,6 +55,7 @@ from loopbetti.pinched import (
     quotient_betti_brute,
 )
 from loopbetti.simplicial import FiniteSimplicialSet, Involution, ValidationError
+from loopbetti.sset_io import parse_file
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +107,25 @@ def test_pinched_trivial_levels(glued_spheres):
     for s in (0, 1):
         subset = pinched_set(orbit, fixed, s)
         assert subset.counts() == {0: 1}
+
+
+def test_subset_members_keep_the_component_sort_order(glued_spheres):
+    """The memoized component sort values of a smash power order a
+    subset's members exactly as the factors' ``ref_sort_value`` does."""
+    orbit, fixed = glued_spheres["orbit"], glued_spheres["fixed"]
+    ambient = smash_power(orbit, 3, 4)
+    for subset in (
+        pinched_set(orbit, fixed, 3, truncation=4, ambient=ambient),
+        whole_subset(ambient, 4),
+    ):
+        for n in range(5):
+            members = list(subset.nondeg(n))
+            assert members == sorted(
+                members,
+                key=lambda key: tuple(
+                    f.ref_sort_value(comp) for f, comp in zip(ambient.factors, key)
+                ),
+            ), n
 
 
 def test_pinched_two_is_the_fixed_circle(glued_pinched):
@@ -245,12 +273,55 @@ def test_brute_kernel_refuses_cells_missing_a_face(glued_spheres):
     lower = {cell: j for j, cell in enumerate(_pinched_cells(tables, 3, 2))}
     cells = _pinched_cells(tables, 3, 3)
     # the complete cells pass, though some faces are degenerate or the basepoint
-    columns = _boundary_columns(tables, cells, lower, 3)
+    columns = _boundary_columns(tables, 3, cells, lower, 3)
     assert sum(map(len, columns)) < 4 * len(cells)
     hit = next(cell for cell, j in lower.items() if any(j in col for col in columns))
     del lower[hit]
     with pytest.raises(ValidationError):
-        _boundary_columns(tables, cells, lower, 3)
+        _boundary_columns(tables, 3, cells, lower, 3)
+
+
+FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
+SHIPPED_ACTIONS = {
+    path.stem: action
+    for path in sorted(FIXTURE_DIR.glob("*.sset"))
+    if (action := parse_file(path))[1] is not None
+}
+
+
+@pytest.mark.parametrize("name", [*SHIPPED_ACTIONS, "dunce_cap"])
+def test_packed_kernel_equals_tuple_reference(name):
+    """The packed kernel (cell codes, slot-group face tables, the flagged
+    miss check, streaming) gives the cells, the per-cell column row sets
+    and the Betti tables of the tuple kernel, for the pinched chains and
+    the chains relative to them, for s <= 4 and n <= 6 (Betti numbers
+    through 4)."""
+    orbit, _, fixed = orbit_space(*(dunce_cap() if name == "dunce_cap" else SHIPPED_ACTIONS[name]))
+    tables = _FactorTables(orbit, fixed, 6)
+    kernels = [
+        (_pinched_cells, tuple_pinched_cells, False),
+        (_quotient_cells, tuple_quotient_cells, True),
+    ]
+    for s in range(2, 5):
+        for packed_at, tuple_at, relative in kernels:
+            top = min(6, orbit.top_dim() * s)
+            lower, tuple_lower = {}, {}
+            for n in range(top + 1):
+                codes, cells = packed_at(tables, s, n), tuple_at(tables, s, n)
+                radix = len(tables.masks[n])
+                assert list(zip(*_digits(codes, radix, s))) == cells, (s, n)
+                if n:
+                    packed = _boundary_columns(tables, s, codes, lower, n, relative)
+                    reference = tuple_boundary_columns(tables, cells, tuple_lower, n, relative)
+                    assert list(map(set, packed)) == list(map(set, reference)), (s, n)
+                lower = {code: j for j, code in enumerate(codes)}
+                tuple_lower = {cell: j for j, cell in enumerate(cells)}
+            # through n = 4: the ranks of the relative boundaries from n = 5
+            # and 6 at s = 4 (125,640 and 191,520 columns on the glued
+            # spheres) take seconds per kernel
+            top = min(4, top)
+            entries, _ = _table_betti(tables, packed_at, s, top, top, relative)
+            assert entries == tuple_table_betti(tables, tuple_at, s, top, top, relative), s
 
 
 # ---------------------------------------------------------------------------
@@ -292,19 +363,20 @@ def test_integer_quotient_refuses_cells_missing_a_face(glued_spheres):
     tables = _FactorTables(orbit, fixed, 3)
     lower = {cell: j for j, cell in enumerate(_quotient_cells(tables, 3, 2))}
     cells = _quotient_cells(tables, 3, 3)
-    columns = _boundary_columns(tables, cells, lower, 3, relative=True)
+    columns = _boundary_columns(tables, 3, cells, lower, 3, relative=True)
     with pytest.raises(ValidationError):
-        _boundary_columns(tables, cells, lower, 3)
-    in_fixed = tables.fixed[2]
+        _boundary_columns(tables, 3, cells, lower, 3)
+    in_fixed, radix = tables.fixed[2], len(tables.masks[2])
+    cell_of = dict(zip(lower, zip(*_digits(list(lower), radix, 3))))
     hit = next(
-        cell
-        for cell, j in lower.items()
+        code
+        for code, j in lower.items()
         if any(j in col for col in columns)
-        and any(a == b and not in_fixed[a] for a, b in zip(cell, cell[1:]))
+        and any(a == b and not in_fixed[a] for a, b in zip(cell_of[code], cell_of[code][1:]))
     )
     del lower[hit]
     with pytest.raises(ValidationError):
-        _boundary_columns(tables, cells, lower, 3, relative=True)
+        _boundary_columns(tables, 3, cells, lower, 3, relative=True)
 
 
 def test_quotient_cells_are_the_complement_of_the_pinched_cells(glued_spheres):
