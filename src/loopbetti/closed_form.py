@@ -46,10 +46,11 @@ class BettiInput:
 
 
 def _weighted_products(table: BettiTable, max_parts: int, max_total: int) -> list[dict[int, int]]:
-    """w[d][l] = sum over d-tuples of positive dimensions totalling l of the
-    product of table entries; w[0] = {0: 1} for the empty tuple."""
+    """w[d][l] = sum over d-tuples of dimensions totalling l of the product
+    of table entries; w[0] = {0: 1} for the empty tuple.  Degree 0 counts:
+    a disconnected space has a nonzero reduced b_0."""
     support = {}
-    for p in range(1, max_total + 1):
+    for p in range(max_total + 1):
         v = table[p]
         if v:
             support[p] = v
@@ -69,11 +70,13 @@ def betti_pinched_formula_table(inp: BettiInput, s: int, t_max: int) -> list[int
     """The t-th Betti numbers of the pinched subset of the s-fold smash
     power for t = 0..t_max.
 
-    Sum over multi-index pairs (lam, mu), lam possibly empty and mu nonempty,
-    with |lam| + |mu| = t - s + dim lam + dim mu + 1 and
+    Sum over multi-index pairs (lam, mu) of dimensions, degree 0 included,
+    lam possibly empty and mu nonempty, with
+    |lam| + |mu| = t - s + dim lam + dim mu + 1 and
     2 <= dim lam + dim mu + 1 <= s, of
     c_coeff * prod(betti_orbit over lam) * prod(betti_fixed over mu).
-    The sum is finite because |lam| + |mu| <= t.  The weighted products of
+    The sum is finite because dim lam + dim mu < s and |lam| + |mu| <= t.
+    The weighted products of
     totals up to t_max hold those of every smaller total, so one table per
     input serves every t.
     """

@@ -88,23 +88,40 @@ def rank_of_columns(cols: Iterable[Iterable[int]]) -> int:
     return len(reduce_columns(cols))
 
 
-def boundary_ranks(boundaries: Mapping[int, Sequence[Iterable[int]]]) -> dict[int, int]:
-    """Ranks of the boundary matrices of a GF(2) chain complex, given as
-    ``boundaries[n]`` = the row-index columns of the boundary from degree n.
+Columns = Sequence[Iterable[int]]
 
-    Reduces from the top degree down with clearing (Chen and Kerber,
-    "Persistent homology computation with a twist", 2011): a reduced column
-    of the boundary from degree n + 1 with pivot row j is a boundary, so the
-    boundary from degree n kills it, which makes column j of that boundary a
-    sum of columns left of j.  Skipping every such column leaves the rank
-    unchanged.  Valid only when the boundary squares to zero.
+
+def boundary_ranks(
+    boundaries: Mapping[int, Columns] | Iterable[tuple[int, Columns]],
+) -> dict[int, int]:
+    """Ranks of the boundary matrices of a GF(2) chain complex, given as
+    ``boundaries[n]`` = the row-index columns of the boundary from degree n,
+    or as ``(n, columns)`` pairs from the top degree down.
+
+    Holds at most two boundaries at once.  Before the boundary from n + 1
+    is reduced, the one from n must kill it (or ValueError is raised).  It
+    is then reduced with clearing (Chen and Kerber, "Persistent homology
+    computation with a twist", 2011): a reduced column of the boundary from
+    n + 2 with pivot row j is a boundary, so the boundary from n + 1 kills
+    it, which makes column j of that boundary a sum of columns left of j.
+    Skipping every such column leaves the rank unchanged.
     """
+    if isinstance(boundaries, Mapping):
+        boundaries = sorted(boundaries.items(), reverse=True)
     ranks: dict[int, int] = {}
     cleared: Container[int] = ()
-    for n in sorted(boundaries, reverse=True):
-        pivots = reduce_columns(boundaries[n], cleared if n + 1 in ranks else ())
-        ranks[n] = len(pivots)
-        cleared = set(pivots)
+    upper_n, upper = 0, None
+    for n, columns in boundaries:
+        if upper is not None:
+            adjacent = upper_n == n + 1
+            if adjacent:
+                check_squares_to_zero(columns, upper, upper_n)
+            pivots = set(reduce_columns(upper, cleared))
+            ranks[upper_n] = len(pivots)
+            cleared = pivots if adjacent else ()
+        upper_n, upper = n, columns
+    if upper is not None:
+        ranks[upper_n] = len(reduce_columns(upper, cleared))
     return ranks
 
 
@@ -119,26 +136,6 @@ def check_squares_to_zero(
             acc.symmetric_difference_update(lower[j])
         if acc:
             raise ValueError(f"boundary does not square to zero at dimension {n}")
-
-
-def kernel_basis(matrix: GF2SparseMatrix) -> list[set[int]]:
-    """A basis of the right kernel, as sets of column indices."""
-    pivots: dict[int, tuple[set[int], set[int]]] = {}
-    kernel: list[set[int]] = []
-    for j, col in enumerate(matrix.cols):
-        c = set(col)
-        combo = {j}
-        while c:
-            p = max(c)
-            hit = pivots.get(p)
-            if hit is None:
-                pivots[p] = (c, combo)
-                break
-            c = c ^ hit[0]
-            combo = combo ^ hit[1]
-        else:
-            kernel.append(combo)
-    return kernel
 
 
 # ---------------------------------------------------------------------------
@@ -275,9 +272,10 @@ def kunneth_power(table: BettiTable, s: int) -> BettiTable:
 # ---------------------------------------------------------------------------
 
 class ChainComplexGF2:
-    """Normalized reduced chains of a pointed simplicial set over GF(2)."""
+    """Normalized reduced chains of a pointed simplicial set over GF(2),
+    checked to square to zero and ranked when built."""
 
-    def __init__(self, space: SimplicialSet, top: int, check: bool = True):
+    def __init__(self, space: SimplicialSet, top: int):
         need = min(top, space.top_dim())
         if need > space.truncation:
             raise TruncationError(
@@ -309,9 +307,7 @@ class ChainComplexGF2:
                 cols.append(col)
             matrices[n] = GF2SparseMatrix(rows, len(bases[n]), cols)
         self._matrices = matrices
-        self._ranks: Optional[dict[int, int]] = None
-        if check:
-            self.check_boundary_squares_to_zero()
+        self.check_boundary_squares_to_zero()
 
     def basis(self, n: int) -> tuple[Any, ...]:
         return self._bases.get(n, ())
@@ -326,14 +322,12 @@ class ChainComplexGF2:
         return mat
 
     def check_boundary_squares_to_zero(self) -> None:
-        for n in sorted(self._matrices):
-            if n - 1 in self._matrices:
-                check_squares_to_zero(self._matrices[n - 1].cols, self._matrices[n].cols, n)
+        """Check that the boundary squares to zero and store the ranks, in
+        one pass of ``boundary_ranks``."""
+        self._ranks = boundary_ranks({n: m.cols for n, m in self._matrices.items()})
 
     def ranks(self) -> dict[int, int]:
         """Rank of the boundary from each degree (absent where it is zero)."""
-        if self._ranks is None:
-            self._ranks = boundary_ranks({n: m.cols for n, m in self._matrices.items()})
         return self._ranks
 
     def betti(self, n: int) -> int:
@@ -361,33 +355,36 @@ def induced_ranks(f: SimplicialMap, t_max: int) -> dict[int, int]:
     """Rank of the map f induces on reduced mod-2 homology, per degree
     n <= t_max.
 
-    The chain map sends a basis simplex to its image when that image is
-    nondegenerate and not the basepoint, and to zero otherwise.  The image
-    of the cycles Z_n(source) spans f_*(H_n) modulo the boundaries
-    B_n(target), so the rank is rank[B_n | f(Z_n)] - rank[B_n].
+    The chain map f_n sends a basis simplex to its image when that image is
+    nondegenerate and not the basepoint, and to zero otherwise.  Its mapping
+    cone has the boundary [d_(n+1) of the target | f_n over d_n of the
+    source] from degree n + 1, with the rows of C_n(target) first.
+    Eliminating the source columns that d_n does not kill leaves rank d_n
+    plus the rank of B_n(target) together with f(Z_n), and f_*(H_n) is that
+    span modulo B_n(target).  So the rank is rank(cone) - rank d_n(source)
+    - rank d_(n+1)(target); the cone's boundary squares to zero exactly
+    when f commutes with the boundaries, which ``boundary_ranks`` checks.
     """
     src = ChainComplexGF2(f.source, t_max)
     tgt = ChainComplexGF2(f.target, t_max + 1)
-    boundary_rank = tgt.ranks()
-    out: dict[int, int] = {}
-    for n in range(t_max + 1):
-        index = tgt.basis_index(n)
-        images = []
-        for key in src.basis(n):
-            image = f.apply_key(n, key)
-            images.append(
-                () if image.word or f.target.is_basepoint_ref(image) else (index[image.base],)
-            )
-        pushed = []
-        # the boundary from degree 0 is zero, so every 0-chain is a cycle
-        for cycle in kernel_basis(src.boundary(n)):
-            acc: set[int] = set()
-            for j in cycle:
-                acc.symmetric_difference_update(images[j])
-            pushed.append(acc)
-        spanned = reduce_columns(tgt.boundary(n + 1).cols + tuple(pushed))
-        out[n] = len(spanned) - boundary_rank.get(n + 1, 0)
-    return out
+
+    def cone() -> Iterable[tuple[int, list[tuple[int, ...]]]]:
+        for n in range(t_max, -1, -1):
+            index = tgt.basis_index(n)
+            columns = list(tgt.boundary(n + 1).cols)
+            for key, col in zip(src.basis(n), src.boundary(n).cols):
+                image = f.apply_key(n, key)
+                zero = image.word or f.target.is_basepoint_ref(image)
+                head = () if zero else (index[image.base],)
+                columns.append(head + tuple(len(index) + j for j in col))
+            yield n + 1, columns
+
+    cone_ranks = boundary_ranks(cone())
+    src_ranks, tgt_ranks = src.ranks(), tgt.ranks()
+    return {
+        n: cone_ranks[n + 1] - src_ranks.get(n, 0) - tgt_ranks.get(n + 1, 0)
+        for n in range(t_max + 1)
+    }
 
 
 def is_homologous_zero(f: SimplicialMap, t_max: int) -> bool:

@@ -27,9 +27,8 @@ from .constructions import TupleSpace, reduced_diagonal, smash_power
 from .homology import (
     BettiTable,
     UncertifiedRangeError,
-    check_squares_to_zero,
+    boundary_ranks,
     is_homologous_zero,
-    reduce_columns,
     reduced_betti,
 )
 from .simplicial import (
@@ -533,29 +532,23 @@ def _table_betti(
     ``cells_at(tables, s, n)`` for n <= top, and the cell count per
     dimension.
 
-    Streams from the top dimension down, enumerating each dimension once:
-    the boundary from n is built from the cells at n and n - 1 (the
-    face-closure check stays on), checked to compose to zero with the
-    boundary from n + 1, which is then reduced with clearing by the pivots
-    of the boundary from n + 2 (see ``boundary_ranks``) and dropped.  So
-    the cells and boundaries of at most two dimensions are held at once.
+    Streams the boundaries into ``boundary_ranks`` from the top dimension
+    down, enumerating each dimension once: the boundary from n is built
+    from the cells at n and n - 1 (the face-closure check stays on), so the
+    cells and boundaries of at most two dimensions are held at once.
     """
-    cells = cells_at(tables, s, top)
-    sizes = {top: len(cells)}
-    ranks: dict[int, int] = {}
-    upper: Optional[list[tuple[int, ...]]] = None  # the boundary from n + 1
-    cleared: set[int] = set()
-    for n in range(top, 0, -1):
-        below = cells_at(tables, s, n - 1)
-        sizes[n - 1] = len(below)
-        columns = _boundary_columns(tables, s, cells, dict(zip(below, count())), n, relative)
-        if upper is not None:
-            check_squares_to_zero(columns, upper, n + 1)
-            cleared = set(reduce_columns(upper, cleared))
-            ranks[n + 1] = len(cleared)
-        upper, cells = columns, below
-    if upper is not None:
-        ranks[1] = len(reduce_columns(upper, cleared))
+    sizes: dict[int, int] = {}
+
+    def boundaries() -> Iterable[tuple[int, list[tuple[int, ...]]]]:
+        cells = cells_at(tables, s, top)
+        sizes[top] = len(cells)
+        for n in range(top, 0, -1):
+            below = cells_at(tables, s, n - 1)
+            sizes[n - 1] = len(below)
+            yield n, _boundary_columns(tables, s, cells, dict(zip(below, count())), n, relative)
+            cells = below
+
+    ranks = boundary_ranks(boundaries())
     entries = {
         n: sizes[n] - ranks.get(n, 0) - ranks.get(n + 1, 0)
         for n in range(min(t_max, top) + 1)

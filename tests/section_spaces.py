@@ -9,6 +9,8 @@
   double cover of an m-cycle, so there is no section.
 * ``random_space``: a few vertices, edges and triangles, each fixed or in a
   free pair, glued at random; the verdict is left to the searches.
+* ``random_verify_case``: a small ``random_space`` with random ``verify``
+  bounds, for the three-path agreement checks.
 """
 
 from __future__ import annotations
@@ -112,3 +114,20 @@ def random_space(rng: random.Random, vertex_orbits: int, edges: int, triangles: 
         fixed = all(ref_image(e) == e for e in entries) and rng.random() < 0.5
         add(2, f"T{k}", entries, fixed)
     return build(simplices, faces, tau)
+
+
+def random_verify_case(rng: random.Random):
+    """A small random space with involution and keyword arguments of
+    ``run_verify``: s <= 4, t <= 5, loop row through n <= 6, brute-forced
+    through s = 4.  One run takes tens of milliseconds."""
+    space, invol = random_space(
+        rng, rng.randint(1, 3), edges=rng.randint(1, 4), triangles=rng.randint(0, 3)
+    )
+    loop_max = rng.randint(0, 6)
+    flags = {
+        "s_max": rng.randint(2, 4),
+        "t_max": rng.randint(0, 5),
+        "loop_max": loop_max,
+        "brute_loop_max": min(loop_max, 4),
+    }
+    return space, invol, flags

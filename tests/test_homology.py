@@ -9,6 +9,7 @@ from oracles import (
     identity_map,
     identity_matrix,
     inclusion_map,
+    induced_ranks_via_cycles,
     is_zero,
     kunneth_certified_by_scan,
     matmul,
@@ -186,6 +187,57 @@ def test_clearing_skips_only_pivot_rows_of_the_degree_above():
     assert boundary_ranks({1: edges}) == {1: 2}
     # pivot rows of d3 index 2-cells, so they never clear columns of d1
     assert boundary_ranks({1: [{0, 1}], 3: [{0}]}) == {1: 1, 3: 1}
+
+
+def test_boundary_ranks_raises_on_a_non_complex():
+    # d2 sends the one 2-cell to 1-cell 0, whose boundary {0, 1} is not zero
+    with pytest.raises(ValueError, match="does not square to zero at dimension 2"):
+        boundary_ranks({1: [(0, 1)], 2: [(0,)]})
+    with pytest.raises(ValueError, match="does not square to zero at dimension 2"):
+        boundary_ranks(iter([(2, [(0,)]), (1, [(0, 1)])]))
+
+
+def test_streamed_boundaries_rank_like_a_mapping():
+    for space, top in clearing_spaces():
+        cc = ChainComplexGF2(space, top)
+        mats = {n: cc.boundary(n).cols for n in range(1, top + 1)}
+        streamed = boundary_ranks((n, mats[n]) for n in range(top, 0, -1))
+        assert streamed == boundary_ranks(mats), space
+        assert cc.ranks().items() <= streamed.items(), space
+
+
+def test_boundary_ranks_checks_each_pair_before_reducing_and_streams(monkeypatch):
+    """d_n d_(n+1) = 0 is checked before d_(n+1) is reduced, and d_(n+1) is
+    reduced before the boundary below d_n is asked for, so at most two
+    boundaries are held."""
+    import loopbetti.homology as homology
+
+    cc = ChainComplexGF2(smash_power(circle(), 3, truncation=4), 3)
+    mats = {n: list(cc.boundary(n).cols) for n in (1, 2, 3)}
+    degree = {id(cols): n for n, cols in mats.items()}
+    events = []
+    check, reduce = homology.check_squares_to_zero, homology.reduce_columns
+
+    def checked(lower, upper, n):
+        events.append(("check", n))
+        return check(lower, upper, n)
+
+    def reduced(cols, skip=()):
+        events.append(("reduce", degree[id(cols)]))
+        return reduce(cols, skip)
+
+    def stream():
+        for n in (3, 2, 1):
+            events.append(("yield", n))
+            yield n, mats[n]
+
+    monkeypatch.setattr(homology, "check_squares_to_zero", checked)
+    monkeypatch.setattr(homology, "reduce_columns", reduced)
+    assert homology.boundary_ranks(stream()) == cc.ranks()
+    assert events == [
+        ("yield", 3), ("yield", 2), ("check", 3), ("reduce", 3),
+        ("yield", 1), ("check", 2), ("reduce", 2), ("reduce", 1),
+    ]
 
 
 def test_smash_powers_of_spheres():
@@ -370,7 +422,38 @@ def test_les_matches_direct_quotient_on_random_pairs():
         direct = reduced_betti(quotient(space, subset)[0], t_max)
         via_les = quotient_betti_via_les(space, subset, t_max)
         assert direct.through(t_max) == via_les.through(t_max)
+        incl = inclusion_map(subset)
+        assert induced_ranks(incl, t_max) == induced_ranks_via_cycles(incl, t_max)
         checked += 1
+
+
+def cone_test_maps():
+    """Identity, constant, reduced diagonal and inclusion maps of the
+    fixtures, each with a degree bound."""
+    sphere = two_disc_sphere()
+    spaces = [circle(), interval(), sphere, sphere_pair_swap()[0]]
+    subsets = [circle_subset(sphere), zero_sphere_subset(interval())]
+    for space, invol in (sphere_pair_swap(), free_double_cover(), trivial_circle()):
+        orbit, _, fixed = orbit_space(space, invol)
+        spaces.append(orbit)
+        subsets.append(fixed)
+    maps = [(identity_map(sp), 2) for sp in spaces]
+    maps += [(constant_map(a, b), 2) for a in spaces[:3] for b in spaces[:3]]
+    for subset in subsets:
+        top = subset.top_dim()
+        maps.append((reduced_diagonal(subset, truncation=min(top + 1, 2 * top)), top))
+        maps.append((inclusion_map(subset), 2))
+    return maps
+
+
+def test_cone_ranks_match_the_cycle_basis_oracle():
+    nonzero = set()
+    for f, t_max in cone_test_maps():
+        ranks = induced_ranks(f, t_max)
+        assert ranks == induced_ranks_via_cycles(f, t_max), f
+        nonzero.add(any(ranks.values()))
+    # the maps induce zero and nonzero ranks alike
+    assert nonzero == {True, False}
 
 
 def test_pinched_inclusion_into_smash_square_is_zero(glued_pinched, glued_spheres):
