@@ -147,17 +147,6 @@ class TupleSpace(SimplicialSet):
         )
         return SimplexRef(n - len(sh), stripped, sh)
 
-    def components(self, ref: SimplexRef) -> tuple[SimplexRef, ...]:
-        """Component tuple of an arbitrary simplex at its ambient dimension."""
-        if self.smash and self.is_basepoint_ref(ref):
-            return tuple(
-                f.basepoint_ref(ref.dim) if ref.word else SimplexRef(0, f.basepoint, ())
-                for f in self.factors
-            )
-        return tuple(
-            f.apply_word(comp, ref.word) for f, comp in zip(self.factors, ref.base)
-        )
-
     def count_nondeg(self, n: int) -> int:
         """Number of nondegenerate n-simplices, counted without enumeration.
 

@@ -5,6 +5,12 @@ and degree t: brute-force homology of the pinched subset, the
 cover-intersection sum, and the closed multi-index formula.  The loop row
 assembles the loop-space Betti numbers from quotient tables per path.
 
+Each path has one builder of a pinched Betti table per s, and one cache
+serves both parts: the grid reads the tables through t_max and the loop
+row asks for them through its last degree, so no loop cell depends on
+t_max.  A path disabled by a failed hypothesis, or brute force past
+--brute-loop-max, leaves cells empty with one reason, the same in both.
+
 Quotient tables are brute-forced directly when the ambient smash power is
 small enough to materialize; otherwise they follow from exact-sequence
 bookkeeping, which is certified only when in every needed degree either the
@@ -41,7 +47,7 @@ from .simplicial import FiniteSimplicialSet, Involution, PointedSubset
 DEFAULT_DIRECT_BUDGET = 30000
 
 HYPOTHESIS_NOT_SATISFIED = "hypothesis not satisfied"
-NOT_COMPUTED = "not computed"
+PATHS = ("brute", "mv_e1", "closed")
 
 
 @dataclass
@@ -268,29 +274,42 @@ def loop_quotient_tables(
     q,
     fixed: PointedSubset,
     n_max: int,
-    sources: dict[str, tuple[int, Callable[[int], BettiTable]]],
+    limits: dict[str, int],
+    pinched: Callable[[str, int, int], BettiTable],
     betti_q: BettiTable,
     direct_budget: int = DEFAULT_DIRECT_BUDGET,
 ) -> tuple[dict[str, dict[int, BettiTable]], dict[str, dict[int, str]]]:
     """Quotient tables and route notes for s = 1..n_max, per path.
 
-    ``sources`` maps each path to the largest s it has a pinched table for
-    and a builder of that table.  The route is chosen once per s and the
-    direct result is shared by every path with a table at s; a path's
-    pinched table is built only when the bookkeeping needs it.  An s that
-    no path has a table for is skipped.
+    ``limits`` maps each path to the largest s it has a pinched table for
+    (0 for none), and ``pinched(path, s, top)`` gives that table through
+    degree ``top``.  The route is chosen once per s and the direct result
+    is shared by every path with a table at s.  The bookkeeping asks for a
+    path's pinched table through n_max, the last degree its inclusion-rank
+    check reads.  Below the lowest degree d where the ambient is nonzero no
+    check can fail on a pinched value, so the bookkeeping first runs through
+    d on a table through d: a refusal there is the full run's refusal, and
+    the deeper table is never built.  An s that no path has a table for is
+    skipped.
     """
-    tables: dict[str, dict[int, BettiTable]] = {name: {} for name in sources}
-    notes: dict[str, dict[int, str]] = {name: {} for name in sources}
+    tables: dict[str, dict[int, BettiTable]] = {name: {} for name in limits}
+    notes: dict[str, dict[int, str]] = {name: {} for name in limits}
     for s in range(1, n_max + 1):
-        builders = {name: build for name, (top, build) in sources.items() if s <= top}
-        if not builders:
+        names = [name for name, top in limits.items() if s <= top]
+        if not names:
             continue
         direct = direct_quotient_betti(q, fixed, s, n_max, betti_q, direct_budget)
-        for name, build in builders.items():
-            table, notes[name][s] = direct or bookkept_quotient_betti(
-                q, s, n_max, build(s), betti_q
-            )
+        if direct is None:
+            first = min(kunneth_power(betti_q, s).support()[:1] + [n_max])
+        for name in names:
+            result = direct
+            if result is None:
+                result = bookkept_quotient_betti(q, s, first, pinched(name, s, first), betti_q)
+                if result[0] is not None and first < n_max:
+                    result = bookkept_quotient_betti(
+                        q, s, n_max, pinched(name, s, n_max), betti_q
+                    )
+            table, notes[name][s] = result
             if table is not None:
                 tables[name][s] = table
     return tables, notes
@@ -346,82 +365,68 @@ def run_verify(
     betti_a = reduced_betti(fixed, max(top_needed, fixed.top_dim()))
     inp = BettiInput(betti_q, betti_a)
 
-    brute_tables: dict[int, BettiTable] = {}
+    def bound(s: int) -> int:
+        return pinched_top_bound(orbit, fixed, s)
 
-    def brute_table(s: int, needed: int) -> BettiTable:
-        cached = brute_tables.get(s)
-        if cached is not None and cached.certified >= needed:
-            return cached
-        table = pinched_betti_brute(orbit, fixed, s, needed)
-        brute_tables[s] = table
-        return table
+    def formula(s: int, top: int, values: list[int]) -> BettiTable:
+        return BettiTable(dict(enumerate(values)), certified=top, zero_from=bound(s) + 1)
 
-    # each gives the pinched Betti numbers of one s in every degree <= top
-    formula_tables: dict[str, Callable[[int, int], list[int]]] = {
-        "mv_e1": lambda s, top: mv_e1_table(orbit, fixed, s, top, betti_q, betti_a),
-        "closed": lambda s, top: betti_pinched_formula_table(inp, s, top),
+    # each builds the pinched Betti table of one s through degree top; brute
+    # force goes one degree further when that is the structural bound, which
+    # enumerates the same cells and makes the table complete
+    builders: dict[str, Callable[[int, int], BettiTable]] = {
+        "brute": lambda s, top: pinched_betti_brute(
+            orbit, fixed, s, top + 1 if top + 1 == bound(s) else top
+        ),
+        "mv_e1": lambda s, top: formula(
+            s, top, mv_e1_table(orbit, fixed, s, top, betti_q, betti_a)
+        ),
+        "closed": lambda s, top: formula(s, top, betti_pinched_formula_table(inp, s, top)),
     }
-    built: dict[tuple[str, int], list[int]] = {}
+    # why a path leaves a cell empty, the same in the grid and the loop row
+    reasons = {"brute": f"not computed (beyond --brute-loop-max {brute_loop_max})"}
+    if not diagonal_null:
+        for name in ("mv_e1", "closed"):
+            del builders[name]
+            reasons[name] = HYPOTHESIS_NOT_SATISFIED
+    disabled = {name: reasons[name] for name in PATHS if name not in builders}
+    cache: dict[tuple[str, int], BettiTable] = {}
 
-    def formula_values(name: str, s: int, top: int) -> list[int]:
-        values = built.get((name, s))
-        if values is None or len(values) <= top:
-            values = formula_tables[name](s, top)
-            built[(name, s)] = values
-        return values
+    def pinched(name: str, s: int, top: int) -> BettiTable:
+        table = cache.get((name, s))
+        if table is None or not (table.complete or table.certified >= top):
+            table = cache[name, s] = builders[name](s, top)
+        return table
 
     # --- pinched grid ---
     t0 = time.perf_counter()
     for s in range(2, s_max + 1):
-        table = brute_table(s, t_max)
-        if diagonal_null:
-            cover, closed = (formula_values(name, s, t_max) for name in ("mv_e1", "closed"))
         for t in range(t_max + 1):
-            if diagonal_null:
-                cell = Cell(s, t, table[t], cover[t], closed[t])
-            else:
-                notes = dict.fromkeys(formula_tables, HYPOTHESIS_NOT_SATISFIED)
-                cell = Cell(s, t, table[t], None, None, notes)
-            report.cells.append(cell)
+            values = {name: pinched(name, s, t_max)[t] for name in builders}
+            report.cells.append(Cell(s, t, *map(values.get, PATHS), dict(disabled)))
     report.timings["pinched_grid"] = time.perf_counter() - t0
 
     # --- loop row ---
     t0 = time.perf_counter()
     if section is not None:
-        def formula_source(name: str) -> Callable[[int], BettiTable]:
-            def source(s: int) -> BettiTable:
-                bound = pinched_top_bound(orbit, fixed, s)
-                top = min(loop_max - 1, bound)
-                entries = dict(enumerate(formula_values(name, s, top)[: top + 1]))
-                return BettiTable(entries, certified=max(loop_max - 1, 0), zero_from=bound + 1)
-
-            return source
-
-        sources = {"brute": (brute_loop_max, lambda s: brute_table(s, max(loop_max - 1, 0)))}
-        for name in formula_tables:
-            sources[name] = (loop_max if diagonal_null else 0, formula_source(name))
+        limits = {name: loop_max if name in builders else 0 for name in PATHS}
+        limits["brute"] = brute_loop_max
         tables, route_notes = loop_quotient_tables(
-            orbit, fixed, loop_max, sources, betti_q, direct_budget
+            orbit, fixed, loop_max, limits, pinched, betti_q, direct_budget
         )
-        # an s with no route note is one the path has no table for
-        beyond = {"brute": f"{NOT_COMPUTED} (beyond --brute-loop-max {brute_loop_max})"}
         for n in range(1, loop_max + 1):
-            values: dict[str, Optional[int]] = {}
-            notes: dict[str, str] = {}
-            for name in sources:
+            values, notes = {}, dict(disabled)
+            for name in builders:
                 try:
                     values[name] = loop_betti(tables[name], n)
                 except UncertifiedRangeError:
-                    values[name] = None
-                    missing = [
-                        f"s={s}: {route_notes[name].get(s, beyond.get(name, NOT_COMPUTED))}"
+                    # an s past the path's limit has no route note
+                    notes[name] = "; ".join(
+                        f"s={s}: {route_notes[name].get(s) or reasons[name]}"
                         for s in range(1, n + 1)
                         if s not in tables[name]
-                    ]
-                    notes[name] = "; ".join(missing) if missing else NOT_COMPUTED
-            report.loop_row.append(
-                Cell(n, None, values["brute"], values["mv_e1"], values["closed"], notes)
-            )
+                    )
+            report.loop_row.append(Cell(n, None, *map(values.get, PATHS), notes))
     report.timings["loop_row"] = time.perf_counter() - t0
     report.timings["total"] = time.perf_counter() - t_start
     return report

@@ -360,7 +360,8 @@ def test_verify_checks_the_diagonal_once_per_run(monkeypatch):
 def test_verify_disables_columns_when_diagonal_is_not_null():
     """An edge pair swapped over two fixed endpoints: a section exists but
     the fixed set is a pair of points, whose reduced diagonal is nonzero on
-    homology, so only the brute columns may be filled."""
+    homology, so only the brute columns may be filled, and the loop row
+    names the failed hypothesis as the grid does."""
     from loopbetti.simplicial import FiniteSimplicialSet, Involution
     from loopbetti.verify import run_verify
 
@@ -378,9 +379,11 @@ def test_verify_disables_columns_when_diagonal_is_not_null():
         assert cell.notes["mv_e1"] == "hypothesis not satisfied"
         assert cell.brute is not None
     assert report.agreement  # nothing computed can disagree with itself
+    assert [c.s_or_n for c in report.loop_row] == [1, 2]
     for cell in report.loop_row:
         assert cell.brute is not None
         assert cell.mv_e1 is None and cell.closed is None
+        assert cell.notes == dict.fromkeys(("mv_e1", "closed"), "hypothesis not satisfied")
 
 
 def test_cli_verify_deterministic_output(capsys):

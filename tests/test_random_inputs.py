@@ -8,9 +8,10 @@ from pathlib import Path
 import pytest
 from section_spaces import random_verify_case
 
+import loopbetti.verify as verify
 from loopbetti.cli import main
 from loopbetti.sset_io import parse, serialize
-from loopbetti.verify import HYPOTHESIS_NOT_SATISFIED, run_verify
+from loopbetti.verify import DEFAULT_DIRECT_BUDGET, HYPOTHESIS_NOT_SATISFIED, run_verify
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -19,25 +20,83 @@ FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 # Three-path agreement.
 # ---------------------------------------------------------------------------
 
-def test_three_paths_agree_on_random_spaces():
+@pytest.mark.parametrize(
+    "direct_budget", [DEFAULT_DIRECT_BUDGET, 0], ids=["default_budget", "bookkeeping"]
+)
+def test_three_paths_agree_on_random_spaces(direct_budget):
     """Every computed cell agrees, and a failed hypothesis disables exactly
-    the columns it should.  Seed 11 draws spaces with a disconnected orbit
-    space, on which a closed formula without degree 0 disagreed."""
+    the columns it should, in the grid and in the loop row.  Seed 11 draws
+    spaces with a disconnected orbit space, on which a closed formula
+    without degree 0 disagreed.  A zero budget sends every s >= 2 through
+    the per-path exact-sequence bookkeeping."""
     rng = random.Random(11)
     both_hypotheses = 0
     for i in range(150):
         space, invol, flags = random_verify_case(rng)
-        report = run_verify(space, invol, **flags)
+        report = run_verify(space, invol, direct_budget=direct_budget, **flags)
         assert report.agreement, (i, flags, serialize(space, invol))
         if not report.diagonal_null:
-            for cell in report.cells:
+            for cell in report.cells + report.loop_row:
                 assert cell.mv_e1 is None and cell.closed is None
-                assert set(cell.notes.values()) == {HYPOTHESIS_NOT_SATISFIED}
-            assert all(c.mv_e1 is None and c.closed is None for c in report.loop_row)
+                assert cell.notes["mv_e1"] == cell.notes["closed"] == HYPOTHESIS_NOT_SATISFIED
         if not report.section_found:
             assert report.loop_row == []
         both_hypotheses += report.diagonal_null and report.section_found
     assert both_hypotheses >= 40
+
+
+# draw 278 of ``random_verify_case(random.Random(1))``: s_max 4, t_max 5,
+# loop_max 4, brute_loop_max 4
+THREE_ORBITS_OF_POINTS = """\
+truncation 8
+basepoint *
+simplices 0 * u0 w0 u1 w1 u2 w2
+simplices 1 x0 x0'
+simplices 2 T0 T0' T1 T1' T2 T2'
+faces x0 u1 w0
+faces x0' w1 u0
+faces T0 s0@w1 s0@w1 s0@w1
+faces T0' s0@u1 s0@u1 s0@u1
+faces T1 s0@u0 s0@u0 s0@u0
+faces T1' s0@w0 s0@w0 s0@w0
+faces T2 s0@u1 s0@u1 s0@u1
+faces T2' s0@w1 s0@w1 s0@w1
+involution u0 w0
+involution w0 u0
+involution u1 w1
+involution w1 u1
+involution u2 w2
+involution w2 u2
+involution x0 x0'
+involution x0' x0
+involution T0 T0'
+involution T0' T0
+involution T1 T1'
+involution T1' T1
+involution T2 T2'
+involution T2' T2
+"""
+
+
+@pytest.mark.parametrize(
+    "direct_budget", [DEFAULT_DIRECT_BUDGET, 0], ids=["default_budget", "bookkeeping"]
+)
+def test_loop_row_does_not_depend_on_t_max(direct_budget):
+    """Every path's pinched table is asked through the loop row's last
+    degree, so the loop row is the same whether the grid stops at t = 0 or
+    goes past it; at n = 4 the inclusion-rank check reads b_4 of the s = 4
+    pinched table in all three paths."""
+    space, invol = parse(THREE_ORBITS_OF_POINTS)
+    rows = []
+    for t_max in (0, 5):
+        report = run_verify(
+            space, invol, 4, t_max, loop_max=4, brute_loop_max=4, direct_budget=direct_budget
+        )
+        assert report.agreement and report.diagonal_null and report.section_found
+        rows.append([c.to_dict() for c in report.loop_row])
+    assert rows[0] == rows[1]
+    last = rows[0][-1]
+    assert (last["n"], last["brute"], last["mv_e1"], last["closed"]) == (4, 279, 279, 279)
 
 
 DISCONNECTED_ORBITS = """\
@@ -64,6 +123,69 @@ def test_closed_formula_counts_degree_zero():
         cell = grid[(s, t)]
         assert cell.brute == cell.mv_e1 == cell.closed == value, cell
     assert [c.closed for c in report.loop_row] == [0, 3, 3, 13]
+
+
+# draw 4 of ``random_space`` from ``random.Random(11)``: the orbit space has
+# reduced b_0 = 1 and the fixed set {*, p0} a nonzero reduced diagonal
+ISOLATED_FIXED_POINT = """\
+truncation 8
+basepoint *
+simplices 0 * p0 u1 w1
+simplices 1 x0 x0' x1 x1'
+simplices 2 T0 T0' T1 T1'
+faces x0 * w1
+faces x0' * u1
+faces x1 * u1
+faces x1' * w1
+faces T0 x0' x0' s0@u1
+faces T0' x0 x0 s0@w1
+faces T1 s0@* x0 x0
+faces T1' s0@* x0' x0'
+involution u1 w1
+involution w1 u1
+involution x0 x0'
+involution x0' x0
+involution x1 x1'
+involution x1' x1
+involution T0 T0'
+involution T0' T0
+involution T1 T1'
+involution T1' T1
+"""
+
+
+def test_bookkeeping_refuses_before_building_deep_tables(monkeypatch):
+    """From s = 4 on the ambient is over the direct budget, so the brute
+    loop column goes through the bookkeeping, which refuses at degree 0:
+    the Kunneth ambient and the pinched homology are both nonzero there.
+    It learns so from tables through degree 0 and never builds the s >= 4
+    brute tables through the loop row's degree 6."""
+    built = []
+    real = verify.pinched_betti_brute
+
+    def brute(q, fixed, s, t_max):
+        built.append((s, t_max))
+        return real(q, fixed, s, t_max)
+
+    monkeypatch.setattr(verify, "pinched_betti_brute", brute)
+    space, invol = parse(ISOLATED_FIXED_POINT)
+    report = run_verify(space, invol, 2, 4, loop_max=6)
+    assert report.section_found and not report.diagonal_null
+    assert all(t_max <= 1 for s, t_max in built if s >= 4), built
+    refused = (
+        "cannot certify the inclusion rank at degree 0: "
+        "ambient and pinched homology may both be nonzero"
+    )
+    for cell in report.loop_row:
+        assert cell.notes["mv_e1"] == cell.notes["closed"] == HYPOTHESIS_NOT_SATISFIED
+        if cell.s_or_n < 4:
+            assert "brute" not in cell.notes
+        else:
+            assert cell.brute is None
+            assert cell.notes["brute"] == "; ".join(
+                f"s={s}: {refused}" for s in range(4, cell.s_or_n + 1)
+            )
+    assert [c.brute for c in report.loop_row[:3]] == [1, 7, 17]
 
 
 # ---------------------------------------------------------------------------
