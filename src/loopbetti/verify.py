@@ -368,8 +368,8 @@ def run_verify(
     def bound(s: int) -> int:
         return pinched_top_bound(orbit, fixed, s)
 
-    def formula(s: int, top: int, values: list[int]) -> BettiTable:
-        return BettiTable(dict(enumerate(values)), certified=top, zero_from=bound(s) + 1)
+    def formula(top: int, values: list[int]) -> BettiTable:
+        return BettiTable(dict(enumerate(values)), certified=top)
 
     # each builds the pinched Betti table of one s through degree top; brute
     # force goes one degree further when that is the structural bound, which
@@ -378,10 +378,8 @@ def run_verify(
         "brute": lambda s, top: pinched_betti_brute(
             orbit, fixed, s, top + 1 if top + 1 == bound(s) else top
         ),
-        "mv_e1": lambda s, top: formula(
-            s, top, mv_e1_table(orbit, fixed, s, top, betti_q, betti_a)
-        ),
-        "closed": lambda s, top: formula(s, top, betti_pinched_formula_table(inp, s, top)),
+        "mv_e1": lambda s, top: formula(top, mv_e1_table(orbit, fixed, s, top, betti_q, betti_a)),
+        "closed": lambda s, top: formula(top, betti_pinched_formula_table(inp, s, top)),
     }
     # why a path leaves a cell empty, the same in the grid and the loop row
     reasons = {"brute": f"not computed (beyond --brute-loop-max {brute_loop_max})"}

@@ -36,7 +36,10 @@ def test_three_paths_agree_on_random_spaces(direct_budget):
         report = run_verify(space, invol, direct_budget=direct_budget, **flags)
         assert report.agreement, (i, flags, serialize(space, invol))
         if not report.diagonal_null:
-            for cell in report.cells + report.loop_row:
+            for cell in report.cells:
+                assert cell.mv_e1 is None and cell.closed is None
+                assert set(cell.notes.values()) == {HYPOTHESIS_NOT_SATISFIED}
+            for cell in report.loop_row:
                 assert cell.mv_e1 is None and cell.closed is None
                 assert cell.notes["mv_e1"] == cell.notes["closed"] == HYPOTHESIS_NOT_SATISFIED
         if not report.section_found:
@@ -97,6 +100,29 @@ def test_loop_row_does_not_depend_on_t_max(direct_budget):
     assert rows[0] == rows[1]
     last = rows[0][-1]
     assert (last["n"], last["brute"], last["mv_e1"], last["closed"]) == (4, 279, 279, 279)
+
+
+@pytest.mark.parametrize("loop_max", [4, 5])
+def test_loop_row_at_and_past_a_small_truncation(loop_max, monkeypatch):
+    """The shipped sphere pair swap stored only through dimension 4.  At
+    s = 4 the structural bound is 5, so the brute table is built one
+    degree past the truncation; every simplex there is a degeneracy of a
+    stored one, so the loop row is filled, not refused."""
+    built = []
+    real = verify.pinched_betti_brute
+
+    def brute(q, fixed, s, t_max):
+        built.append((s, t_max))
+        return real(q, fixed, s, t_max)
+
+    monkeypatch.setattr(verify, "pinched_betti_brute", brute)
+    text = (FIXTURE_DIR / "sphere_pair_swap.sset").read_text()
+    space, invol = parse(text.replace("truncation 32", "truncation 4"))
+    report = run_verify(space, invol, 2, 2, loop_max=loop_max)
+    assert (4, 5) in built
+    assert report.agreement
+    values = [(c.brute, c.mv_e1, c.closed) for c in report.loop_row]
+    assert values == [(b, b, b) for b in [0, 2, 1, 5, 5][:loop_max]]
 
 
 DISCONNECTED_ORBITS = """\
