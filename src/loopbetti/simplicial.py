@@ -203,17 +203,24 @@ class SimplicialSet:
 
     # -- validation ----------------------------------------------------------
     def check_face_identities(self, max_dim: Optional[int] = None) -> None:
-        """Check d_i d_j = d_{j-1} d_i (i < j) on every stored simplex."""
+        """Check d_i d_j = d_{j-1} d_i (i < j) on every stored simplex.
+
+        The faces of each distinct face are computed once per call.
+        """
         top = min(self.top_dim(), self.truncation if max_dim is None else max_dim)
+        faces_of: dict[SimplexRef, list[SimplexRef]] = {}
         for n in range(2, top + 1):
             for key in self.nondeg(n):
-                ref = SimplexRef(n, key, ())
+                outer = []
+                for i in range(n + 1):
+                    face = self._base_face(key, n, i)
+                    inner = faces_of.get(face)
+                    if inner is None:
+                        inner = faces_of[face] = [self.face_of(face, k) for k in range(n)]
+                    outer.append(inner)
                 for j in range(1, n + 1):
-                    dj = self.face_of(ref, j)
                     for i in range(j):
-                        lhs = self.face_of(dj, i)
-                        rhs = self.face_of(self.face_of(ref, i), j - 1)
-                        if lhs != rhs:
+                        if outer[j][i] != outer[i][j - 1]:
                             raise ValidationError(
                                 f"face identity fails on {key!r}: "
                                 f"d_{i} d_{j} != d_{j - 1} d_{i}"
@@ -228,6 +235,11 @@ class FiniteSimplicialSet(SimplicialSet):
     ``n + 1`` faces as canonical refs.  Face entries may be written as
     ``"label"`` (nondegenerate) or ``"s1s0@label"`` (degenerate; operators
     outermost first) when all keys are strings.
+
+    Validation computes each distinct face once: an entry is resolved once
+    per ambient dimension (equal entries share one ref), and the face
+    identities compute the faces of each distinct face once, so simplices
+    that share faces add only table lookups.
     """
 
     def __init__(
@@ -258,6 +270,9 @@ class FiniteSimplicialSet(SimplicialSet):
         if self._dim_of.get(self._basepoint) != 0:
             raise ValidationError(f"basepoint {self._basepoint!r} is not a vertex")
         self._faces: dict[Any, tuple[SimplexRef, ...]] = {}
+        # entry -> ref per ambient dimension: each distinct entry is resolved
+        # once, and equal entries share one ref
+        resolved: dict[int, dict[Any, SimplexRef]] = {}
         for key, entries in faces.items():
             n = self._dim_of.get(key)
             if n is None:
@@ -268,7 +283,13 @@ class FiniteSimplicialSet(SimplicialSet):
                 raise ValidationError(
                     f"simplex {key!r} of dimension {n} needs {n + 1} faces"
                 )
-            self._faces[key] = tuple(self._coerce_ref(e, n - 1) for e in entries)
+            refs = resolved.setdefault(n - 1, {})
+            for e in entries:
+                if not isinstance(e, (str, SimplexRef)):
+                    raise ValidationError(f"cannot interpret face entry {e!r}")
+                if e not in refs:
+                    refs[e] = self._coerce_ref(e, n - 1)
+            self._faces[key] = tuple([refs[e] for e in entries])
         for n, keys in self._simplices.items():
             if n == 0:
                 continue
@@ -306,12 +327,7 @@ class FiniteSimplicialSet(SimplicialSet):
         return space
 
     def _coerce_ref(self, entry: Any, ambient: int) -> SimplexRef:
-        if isinstance(entry, SimplexRef):
-            ref = entry
-        elif isinstance(entry, str):
-            ref = parse_ref_token(entry, self._dim_of)
-        else:
-            raise ValidationError(f"cannot interpret face entry {entry!r}")
+        ref = entry if isinstance(entry, SimplexRef) else parse_ref_token(entry, self._dim_of)
         if ref.base not in self._dim_of or self._dim_of[ref.base] != ref.base_dim:
             raise ValidationError(f"face ref {entry!r} names an unknown simplex")
         if ref.dim != ambient:
@@ -409,10 +425,11 @@ class Involution:
     def __init__(self, space: FiniteSimplicialSet, mapping: Mapping[Any, Any] = (), check: bool = True):
         self.space = space
         self._map: dict[Any, Any] = dict(mapping) if mapping else {}
+        dim_of = space._dim_of
         for src, dst in self._map.items():
-            if src not in space._dim_of or dst not in space._dim_of:
+            if src not in dim_of or dst not in dim_of:
                 raise ValidationError(f"involution names unknown simplex {src!r} -> {dst!r}")
-            if space.dim_of(src) != space.dim_of(dst):
+            if dim_of[src] != dim_of[dst]:
                 raise ValidationError(f"involution {src!r} -> {dst!r} changes dimension")
         if check:
             self.check()
@@ -420,28 +437,31 @@ class Involution:
     def __call__(self, key: Any) -> Any:
         return self._map.get(key, key)
 
-    def apply_ref(self, ref: SimplexRef) -> SimplexRef:
-        # an involution commutes with degeneracies, so the word is untouched
-        return SimplexRef(ref.base_dim, self(ref.base), ref.word)
-
     def fixed(self, n: int) -> tuple[Any, ...]:
         return tuple(k for k in self.space.nondeg(n) if self(k) == k)
 
     def check(self) -> None:
         space = self.space
-        if self(space.basepoint) != space.basepoint:
+        t = self._map.get
+        if t(space.basepoint, space.basepoint) != space.basepoint:
             raise ValidationError("involution moves the basepoint")
         for n in range(space.top_dim() + 1):
             for key in space.nondeg(n):
-                if self(self(key)) != key:
+                image = t(key, key)
+                if t(image, image) != key:
                     raise ValidationError(f"involution does not square to one at {key!r}")
                 if n == 0:
                     continue
-                image = self(key)
-                for i in range(n + 1):
-                    lhs = self.apply_ref(space._base_face(key, n, i))
-                    rhs = space._base_face(image, n, i)
-                    if lhs != rhs:
+                # t commutes with degeneracies, so t(d_i x) = d_i(tx) says that
+                # the stored faces of x and tx share base dimension and word,
+                # and that t maps the one base to the other
+                pairs = zip(space._faces[key], space._faces[image])
+                for i, (face, image_face) in enumerate(pairs):
+                    if (
+                        image_face.base_dim != face.base_dim
+                        or image_face.word != face.word
+                        or image_face.base != t(face.base, face.base)
+                    ):
                         raise ValidationError(
                             f"involution fails to commute with d_{i} at {key!r}"
                         )

@@ -88,16 +88,20 @@ def parse(text: str) -> tuple[FiniteSimplicialSet, Optional[Involution]]:
     if not simplices.get(0):
         raise ParseError("no vertices declared")
     declared = {label for labels in simplices.values() for label in labels}
+    named: set[str] = set()  # entries already seen to name a declared simplex
     for label, entries in faces.items():
         lineno = face_lines[label]
         if label not in declared:
             raise ParseError(f"faces given for undeclared simplex {label!r}", lineno)
         for entry in entries:
+            if entry in named:
+                continue
             target = entry.split("@", 1)[-1]
             if target not in declared:
                 raise ParseError(
                     f"face of {label!r} names undeclared simplex {target!r}", lineno
                 )
+            named.add(entry)
     try:
         space = FiniteSimplicialSet(truncation, simplices, faces, basepoint=basepoint)
     except ValidationError as exc:

@@ -13,6 +13,7 @@ from loopbetti.fixtures import (
     trivial_circle,
     two_disc_sphere,
 )
+from loopbetti.simplicial import FiniteSimplicialSet, ValidationError
 from loopbetti.sset_io import ParseError, parse, serialize
 from loopbetti.verify import DEFAULT_DIRECT_BUDGET
 
@@ -95,6 +96,65 @@ def test_broken_involution_rejected():
     broken = text.replace("involution D1- D1+", "involution D1- D2+")
     with pytest.raises(ParseError):
         parse(broken)
+
+
+HEAD = "truncation 4\nbasepoint *\n"
+
+# Each text is rejected with exactly this message.  Validation resolves a
+# face token once per ambient dimension and reuses faces it has computed,
+# so every case puts the bad use of a token or face after a good one.  A
+# validation message gets the line of the first faces record whose label
+# it quotes, so "line 6" in dimension_of_label is the record of ``e``.
+# The unhashable entry reaches FiniteSimplicialSet without a text.
+REJECTIONS = {
+    "unhashable_entry": (
+        lambda: FiniteSimplicialSet(
+            4, {0: ["*"], 1: ["e", "f"]}, {"e": ["*", "*"], "f": ["*", ["*"]]}
+        ),
+        "cannot interpret face entry ['*']",
+    ),
+    "undeclared_label": (
+        HEAD + "simplices 0 *\nsimplices 1 e f\nfaces e * *\nfaces f * ghost\n",
+        "line 6: face of 'f' names undeclared simplex 'ghost'",
+    ),
+    "dimension_of_label": (
+        HEAD + "simplices 0 *\nsimplices 1 e f\nsimplices 2 g\n"
+        "faces e * *\nfaces g e e e\nfaces f e *\n",
+        "line 6: face ref 'e' has dimension 1, expected 0",
+    ),
+    "dimension_of_degenerate": (
+        HEAD + "simplices 0 *\nsimplices 1 e f\nsimplices 2 g\n"
+        "faces e * *\nfaces g s0@* s0@* s0@*\nfaces f s0@* *\n",
+        "face ref 's0@*' has dimension 1, expected 0",
+    ),
+    "word_beyond_dimension": (
+        HEAD + "simplices 0 *\nsimplices 1 e\nsimplices 2 g\nfaces e * *\nfaces g e s1@* s0@*\n",
+        "face ref 's1@*' has a non-canonical word",
+    ),
+    "word_out_of_order": (
+        HEAD + "simplices 0 *\nsimplices 1 e\nsimplices 3 k\n"
+        "faces e * *\nfaces k s1s0@* s0s1@* s1s0@* s1s0@*\n",
+        "degeneracy word in 's0s1@*' is not canonical",
+    ),
+    "identity_on_second_of_shared_face": (
+        HEAD + "simplices 0 * v\nsimplices 1 e f\nsimplices 2 g h\n"
+        "faces e * *\nfaces f v *\nfaces g e e e\nfaces h e f e\n",
+        "line 9: face identity fails on 'h': d_0 d_1 != d_0 d_0",
+    ),
+    "involution_off_d0": (
+        HEAD + "simplices 0 * u w\nsimplices 1 e f\nfaces e u *\nfaces f * w\n"
+        "involution u w\ninvolution w u\ninvolution e f\ninvolution f e\n",
+        "involution fails to commute with d_0 at 'e'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTIONS))
+def test_rejection_messages_are_pinned(case):
+    source, message = REJECTIONS[case]
+    with pytest.raises(ValidationError if callable(source) else ParseError) as err:
+        source() if callable(source) else parse(source)
+    assert str(err.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +296,23 @@ def test_cli_missing_file(kind, tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_cli_out_of_memory_is_one_line(monkeypatch, capsys):
+    import loopbetti.cli as cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "run_verify", exhausted)
+    rc = main(["verify", str(FIXTURE_DIR / "sphere_pair_swap.sset"), "--s-max", "6"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "error: out of memory in verify; lower --s-max, --t-max or --brute-loop-max\n"
+    )
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ from oracles import (
     wedge_axes_subset,
     whole_subset,
 )
+from section_spaces import planted
 
 from loopbetti.constructions import (
     find_section,
@@ -40,6 +41,7 @@ from loopbetti.simplicial import (
     SimplexRef,
     ValidationError,
     basepoint_subset,
+    SimplicialSet,
     insert_degeneracy,
 )
 
@@ -151,6 +153,32 @@ def test_simplicial_identities_randomized():
 def test_stored_face_tables_satisfy_identities():
     for space in SPACES:
         space.check_face_identities()
+
+
+def test_validation_computes_each_distinct_face_once(monkeypatch):
+    # every edge of the planted space is a disc face, and each disc's other
+    # faces are s0@*, so the faces of faces computed while validating the
+    # space and its involution are d_0 and d_1 of 20 edges and of s0@*
+    face_of = SimplicialSet.face_of
+    calls = 0
+
+    def counting(self, ref, i):
+        nonlocal calls
+        calls += 1
+        return face_of(self, ref, i)
+
+    monkeypatch.setattr(SimplicialSet, "face_of", counting)
+    counts = []
+    for discs in (1000, 2000):
+        calls = 0
+        space, _ = planted(random.Random(1), 10, discs)
+        counts.append(calls)
+        disc_faces = [space._base_face(d, 2, i) for d in space.nondeg(2) for i in range(3)]
+        assert {ref.base for ref in disc_faces[::3]} == set(space.nondeg(1))
+    assert counts == [2 * 21, 2 * 21]
+    degenerate = [ref for k, ref in enumerate(disc_faces) if k % 3]
+    assert degenerate[0] == SimplexRef(0, "*", (0,))
+    assert all(ref is degenerate[0] for ref in degenerate)
 
 
 def test_face_index_out_of_range():
