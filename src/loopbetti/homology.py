@@ -13,7 +13,7 @@ bookkeeping ask of it.
 
 from __future__ import annotations
 
-from typing import Any, Container, Iterable, Mapping, Optional, Sequence
+from typing import Any, Collection, Container, Iterable, Mapping, Optional, Sequence
 
 from .simplicial import SimplexRef, SimplicialMap, SimplicialSet, TruncationError
 
@@ -64,76 +64,110 @@ class GF2SparseMatrix:
 
 
 def reduce_columns(
-    cols: Iterable[Iterable[int]], skip: Container[int] = ()
-) -> dict[int, set[int]]:
+    cols: Iterable[Collection[int]], skip: Container[int] = ()
+) -> dict[int, Collection[int]]:
     """Column elimination with largest-row pivoting, leaving out the columns
-    whose index is in ``skip``; the reduced nonzero columns by pivot row."""
-    pivots: dict[int, set[int]] = {}
+    whose index is in ``skip``; the reduced nonzero columns by pivot row.
+
+    The input columns are never mutated.  A column that needs no elimination
+    is stored as given, so it aliases the caller's column; only the column
+    being reduced is a set, and it is stored as a tuple once reduced.
+    """
+    pivots: dict[int, Collection[int]] = {}
+    get = pivots.get
     for j, col in enumerate(cols):
-        if j in skip:
+        if not col or j in skip:
+            continue
+        p = max(col)
+        other = get(p)
+        if other is None:
+            pivots[p] = col
             continue
         c = set(col)
-        while c:
-            p = max(c)
-            other = pivots.get(p)
-            if other is None:
-                pivots[p] = c
+        while True:
+            c.symmetric_difference_update(other)
+            if not c:
                 break
-            c ^= other
+            p = max(c)
+            other = get(p)
+            if other is None:
+                pivots[p] = tuple(c)
+                break
     return pivots
 
 
-def rank_of_columns(cols: Iterable[Iterable[int]]) -> int:
+def rank_of_columns(cols: Iterable[Collection[int]]) -> int:
     """GF(2) rank by column elimination with largest-row pivoting."""
     return len(reduce_columns(cols))
 
 
-Columns = Sequence[Iterable[int]]
+def transpose(cols: Iterable[Iterable[int]], nrows: int) -> list[tuple[int, ...]]:
+    """The columns of the transpose of a matrix with ``nrows`` rows: for
+    each row, the ascending indices of the columns holding it."""
+    rows: list[list[int]] = [[] for _ in range(nrows)]
+    for j, col in enumerate(cols):
+        for i in col:
+            rows[i].append(j)
+    return list(map(tuple, rows))
+
+
+Coboundary = Sequence[Collection[int]]
 
 
 def boundary_ranks(
-    boundaries: Mapping[int, Columns] | Iterable[tuple[int, Columns]],
+    coboundaries: Mapping[int, Coboundary] | Iterable[tuple[int, Coboundary]],
 ) -> dict[int, int]:
-    """Ranks of the boundary matrices of a GF(2) chain complex, given as
-    ``boundaries[n]`` = the row-index columns of the boundary from degree n,
-    or as ``(n, columns)`` pairs from the top degree down.
+    """Ranks of the boundary matrices of a GF(2) chain complex, given by
+    their transposes: the coboundary to degree n lists, for each
+    (n - 1)-cell, the indices of the n-cells whose boundary holds it.  Given
+    as a mapping n -> coboundary to n, or as ``(n, coboundary)`` pairs from
+    the lowest degree up; the result maps n to the rank of the boundary
+    from n.
 
-    Holds at most two boundaries at once.  Before the boundary from n + 1
-    is reduced, the one from n must kill it (or ValueError is raised).  It
-    is then reduced with clearing (Chen and Kerber, "Persistent homology
-    computation with a twist", 2011): a reduced column of the boundary from
-    n + 2 with pivot row j is a boundary, so the boundary from n + 1 kills
-    it, which makes column j of that boundary a sum of columns left of j.
-    Skipping every such column leaves the rank unchanged.
+    Works bottom up and holds at most two coboundaries at once.  Before the
+    coboundary to n is reduced, it must kill the one to n - 1 (or
+    ValueError is raised), which is d_(n-1) d_n = 0.  It is then reduced
+    with clearing (de Silva, Morozov and Vejdemo-Johansson, "Dualities in
+    persistent (co)homology", 2011; Chen and Kerber, "Persistent homology
+    computation with a twist", 2011): a reduced column of the coboundary to
+    n - 1 with pivot row j is a coboundary, so the one to n kills it, which
+    makes column j of that one a sum of other columns.  Skipping every such
+    column leaves the rank unchanged, and what is left to eliminate to zero
+    is one column per (n - 1)-st Betti number.
     """
-    if isinstance(boundaries, Mapping):
-        boundaries = sorted(boundaries.items(), reverse=True)
+    if isinstance(coboundaries, Mapping):
+        coboundaries = sorted(coboundaries.items())
     ranks: dict[int, int] = {}
+    below: Optional[int] = None  # the degree of the coboundary held, if any
+    lower: Coboundary = ()
     cleared: Container[int] = ()
-    upper_n, upper = 0, None
-    for n, columns in boundaries:
-        if upper is not None:
-            adjacent = upper_n == n + 1
-            if adjacent:
-                check_squares_to_zero(columns, upper, upper_n)
-            pivots = set(reduce_columns(upper, cleared))
-            ranks[upper_n] = len(pivots)
-            cleared = pivots if adjacent else ()
-        upper_n, upper = n, columns
-    if upper is not None:
-        ranks[upper_n] = len(reduce_columns(upper, cleared))
+    for n, rows in coboundaries:
+        if below is not None and n <= below:
+            raise ValueError("coboundaries must come from the lowest degree up")
+        adjacent = below == n - 1
+        if adjacent:
+            check_squares_to_zero(rows, lower, n)
+        lower = ()  # let go of the coboundary below before reducing
+        pivots = reduce_columns(rows, cleared if adjacent else ())
+        ranks[n] = len(pivots)
+        cleared = set(pivots)
+        del pivots  # only the pivot rows are kept, not the reduced columns
+        below, lower = n, rows
     return ranks
 
 
 def check_squares_to_zero(
-    lower: Sequence[Iterable[int]], upper: Iterable[Iterable[int]], n: int
+    upper: Sequence[Collection[int]], lower: Iterable[Iterable[int]], n: int
 ) -> None:
-    """Raise unless the boundary from degree n - 1 (columns ``lower``)
-    kills every column of the boundary from degree n (``upper``)."""
-    for col in upper:
-        acc: set[int] = set()
+    """Raise unless the coboundary to n (columns ``upper``) kills every
+    column of the coboundary to n - 1 (``lower``), which is
+    d_(n-1) d_n = 0.  One accumulator serves every column: it is empty
+    again after each column that passes."""
+    acc: set[int] = set()
+    update = acc.symmetric_difference_update
+    for col in lower:
         for j in col:
-            acc.symmetric_difference_update(lower[j])
+            update(upper[j])
         if acc:
             raise ValueError(f"boundary does not square to zero at dimension {n}")
 
@@ -323,8 +357,11 @@ class ChainComplexGF2:
 
     def check_boundary_squares_to_zero(self) -> None:
         """Check that the boundary squares to zero and store the ranks, in
-        one pass of ``boundary_ranks``."""
-        self._ranks = boundary_ranks({n: m.cols for n, m in self._matrices.items()})
+        one pass of ``boundary_ranks`` over the transposes, made one at a
+        time from degree 1 up."""
+        self._ranks = boundary_ranks(
+            (n, transpose(m.cols, m.nrows)) for n, m in sorted(self._matrices.items())
+        )
 
     def ranks(self) -> dict[int, int]:
         """Rank of the boundary from each degree (absent where it is zero)."""
@@ -369,7 +406,7 @@ def induced_ranks(f: SimplicialMap, t_max: int) -> dict[int, int]:
     tgt = ChainComplexGF2(f.target, t_max + 1)
 
     def cone() -> Iterable[tuple[int, list[tuple[int, ...]]]]:
-        for n in range(t_max, -1, -1):
+        for n in range(t_max + 1):
             index = tgt.basis_index(n)
             columns = list(tgt.boundary(n + 1).cols)
             for key, col in zip(src.basis(n), src.boundary(n).cols):
@@ -377,7 +414,7 @@ def induced_ranks(f: SimplicialMap, t_max: int) -> dict[int, int]:
                 zero = image.word or f.target.is_basepoint_ref(image)
                 head = () if zero else (index[image.base],)
                 columns.append(head + tuple(len(index) + j for j in col))
-            yield n + 1, columns
+            yield n + 1, transpose(columns, len(index) + len(src.basis(n - 1)))
 
     cone_ranks = boundary_ranks(cone())
     src_ranks, tgt_ranks = src.ranks(), tgt.ranks()

@@ -7,8 +7,8 @@ first pass per dimension, and computes its homology by brute force on the
 same tables; the complement of that search gives the cells of the quotient
 of the smash power by the subset, whose homology one shared kernel computes
 on the same tables.  The kernel codes each cell as one int, finds faces
-through tables over groups of slots, and builds and reduces the chains from
-the top dimension down, two dimensions at a time.  The module also
+through tables over groups of slots, and builds and reduces the cochains
+from degree 0 up, two dimensions at a time.  The module also
 evaluates the cover-intersection Betti sum, which gives the pinched
 homology when the reduced diagonal of A is homologous to zero.  The paper's
 other constructions of the subset (blockwise pieces indexed by
@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import weakref
 from itertools import compress, count, repeat
-from operator import add, and_, eq, floordiv, is_, mod, or_
-from typing import Callable, Iterable, Optional
+from operator import add, and_, eq, floordiv, mod, or_
+from typing import Any, Callable, Iterable, Optional
 
 from .constructions import TupleSpace, reduced_diagonal, smash_power
 from .homology import (
@@ -307,7 +307,7 @@ def _pinched(faces: list[int], radix: int, s: int, fixed: list[bool]) -> Iterabl
     return pinched
 
 
-def _boundary_columns(
+def _coboundary_columns(
     tables: _FactorTables,
     s: int,
     cells: list[int],
@@ -315,26 +315,34 @@ def _boundary_columns(
     n: int,
     relative: bool = False,
 ) -> list[tuple[int, ...]]:
-    """Columns of the boundary from degree n: for each cell code, the
-    indices in ``lower`` (code -> index of the cells at n - 1) of its faces
-    that occur an odd number of times.
+    """Columns of the coboundary to degree n, the transpose of the boundary
+    from n: for each cell at n - 1 (``lower`` maps its code to its index),
+    the indices in ``cells`` of the n-cells that hold it as a face an odd
+    number of times.
 
     Face k of every cell is computed at once: its code is the sum over the
-    slot groups of a tabulated share of each group code.  A face missing
-    from ``lower`` must be the basepoint or degenerate, which the flagged
-    mask tables tell, or, for the chains relative to the pinched subset
-    (``relative``), pinched; any other miss means the cells are not closed
-    under faces and raises ValidationError.
+    slot groups of a tabulated share of each group code.  Its row is
+    scattered straight into the column of that face, so no column of the
+    boundary is built.  A face missing from ``lower`` must be the basepoint
+    or degenerate, which the flagged mask tables tell, or, for the chains
+    relative to the pinched subset (``relative``), pinched; any other miss
+    means the cells are not closed under faces and raises ValidationError.
+    A cell that holds one face twice lands twice in its column, so a
+    column with a repeated index keeps the indices that occur an odd
+    number of times.
     """
     radix = len(tables.masks[n])
     groups = _slot_groups(s, radix, len(cells))
     codes = _group_codes(cells, radix, s, groups)
     face_tables, flag = _face_tables(tables, s, n, groups)
-    rows_by_face = []
+    sink = len(lower)  # the column past the last one takes the missed faces
+    columns: list[Any] = [[] for _ in range(sink + 1)]  # lists, then tuples
+    column = columns.__getitem__
+    ids = list(range(len(cells)))  # one int object per cell, shared by its faces
     for k, per_group in enumerate(face_tables):
-        rows = list(map(lower.get, _face_codes(per_group, codes)))
-        if None in rows:
-            missed = list(compress(count(), map(is_, rows, repeat(None))))
+        rows = list(map(lower.get, _face_codes(per_group, codes), repeat(sink)))
+        if sink in rows:
+            missed = list(compress(count(), map(eq, rows, repeat(sink))))
             ands: Iterable[int] = repeat(-1)
             for (_, masks), group in zip(per_group, codes):
                 picked = map(group.__getitem__, missed)
@@ -352,15 +360,15 @@ def _boundary_columns(
                 raise ValidationError(
                     f"cells are not face-closed: face {k} of a {n}-cell is missing"
                 )
-        rows_by_face.append(rows)
-    del codes  # held no longer than the face lookups
-    columns = []
-    for entries in zip(*rows_by_face):
-        col = set(entries)
-        col.discard(None)
-        if len(col) != len(entries) - entries.count(None):
-            col = {r for r in col if entries.count(r) % 2}
-        columns.append(tuple(col))
+        # list.append returns None, so any() runs every append, in C
+        any(map(list.append, map(column, rows), ids))
+        del rows
+        columns[sink].clear()
+    del codes, columns[sink]
+    for j, col in enumerate(columns):
+        if len(set(col)) != len(col):
+            col = [c for c in set(col) if col.count(c) % 2]
+        columns[j] = tuple(col)  # in place: each list goes as its tuple comes
     return columns
 
 
@@ -532,23 +540,26 @@ def _table_betti(
     ``cells_at(tables, s, n)`` for n <= top, and the cell count per
     dimension.
 
-    Streams the boundaries into ``boundary_ranks`` from the top dimension
-    down, enumerating each dimension once: the boundary from n is built
-    from the cells at n and n - 1 (the face-closure check stays on), so the
-    cells and boundaries of at most two dimensions are held at once.
+    Streams the coboundaries into ``boundary_ranks`` from degree 0 up,
+    enumerating each dimension once: the coboundary to n is built from the
+    cells at n and n - 1 (the face-closure check stays on), so the cells
+    and coboundaries of at most two dimensions are held at once.  Bottom
+    up, clearing leaves the coboundary to n one column per (n - 1)-st Betti
+    number to eliminate to zero, also at the top of a table cut below its
+    last cell.
     """
     sizes: dict[int, int] = {}
 
-    def boundaries() -> Iterable[tuple[int, list[tuple[int, ...]]]]:
-        cells = cells_at(tables, s, top)
-        sizes[top] = len(cells)
-        for n in range(top, 0, -1):
-            below = cells_at(tables, s, n - 1)
-            sizes[n - 1] = len(below)
-            yield n, _boundary_columns(tables, s, cells, dict(zip(below, count())), n, relative)
-            cells = below
+    def coboundaries() -> Iterable[tuple[int, list[tuple[int, ...]]]]:
+        below = cells_at(tables, s, 0)
+        sizes[0] = len(below)
+        for n in range(1, top + 1):
+            cells = cells_at(tables, s, n)
+            sizes[n] = len(cells)
+            yield n, _coboundary_columns(tables, s, cells, dict(zip(below, count())), n, relative)
+            below = cells
 
-    ranks = boundary_ranks(boundaries())
+    ranks = boundary_ranks(coboundaries())
     entries = {
         n: sizes[n] - ranks.get(n, 0) - ranks.get(n + 1, 0)
         for n in range(min(t_max, top) + 1)

@@ -29,7 +29,15 @@ class TruncationError(ValueError):
 
 
 class ValidationError(ValueError):
-    """Structural data violates a simplicial-set invariant."""
+    """Structural data violates a simplicial-set invariant.
+
+    ``simplex`` is the key of the simplex whose stored faces, or whose
+    involution entry, failed, when the failure has one.
+    """
+
+    def __init__(self, message: str, simplex: Any = None):
+        super().__init__(message)
+        self.simplex = simplex
 
 
 class SimplexRef(NamedTuple):
@@ -223,7 +231,8 @@ class SimplicialSet:
                         if outer[j][i] != outer[i][j - 1]:
                             raise ValidationError(
                                 f"face identity fails on {key!r}: "
-                                f"d_{i} d_{j} != d_{j - 1} d_{i}"
+                                f"d_{i} d_{j} != d_{j - 1} d_{i}",
+                                key,
                             )
 
 
@@ -276,26 +285,30 @@ class FiniteSimplicialSet(SimplicialSet):
         for key, entries in faces.items():
             n = self._dim_of.get(key)
             if n is None:
-                raise ValidationError(f"faces given for unknown simplex {key!r}")
+                raise ValidationError(f"faces given for unknown simplex {key!r}", key)
             if n == 0:
-                raise ValidationError(f"vertex {key!r} cannot have faces")
+                raise ValidationError(f"vertex {key!r} cannot have faces", key)
             if len(entries) != n + 1:
                 raise ValidationError(
-                    f"simplex {key!r} of dimension {n} needs {n + 1} faces"
+                    f"simplex {key!r} of dimension {n} needs {n + 1} faces", key
                 )
             refs = resolved.setdefault(n - 1, {})
             for e in entries:
                 if not isinstance(e, (str, SimplexRef)):
-                    raise ValidationError(f"cannot interpret face entry {e!r}")
+                    raise ValidationError(f"cannot interpret face entry {e!r}", key)
                 if e not in refs:
-                    refs[e] = self._coerce_ref(e, n - 1)
+                    try:
+                        refs[e] = self._coerce_ref(e, n - 1)
+                    except ValidationError as exc:
+                        exc.simplex = key
+                        raise
             self._faces[key] = tuple([refs[e] for e in entries])
         for n, keys in self._simplices.items():
             if n == 0:
                 continue
             for key in keys:
                 if key not in self._faces:
-                    raise ValidationError(f"missing face list for simplex {key!r}")
+                    raise ValidationError(f"missing face list for simplex {key!r}", key)
         self._top_bound: Optional[int] = None
         self._index: dict[int, dict[Any, int]] = {}
         if check:
@@ -428,9 +441,11 @@ class Involution:
         dim_of = space._dim_of
         for src, dst in self._map.items():
             if src not in dim_of or dst not in dim_of:
-                raise ValidationError(f"involution names unknown simplex {src!r} -> {dst!r}")
+                raise ValidationError(
+                    f"involution names unknown simplex {src!r} -> {dst!r}", src
+                )
             if dim_of[src] != dim_of[dst]:
-                raise ValidationError(f"involution {src!r} -> {dst!r} changes dimension")
+                raise ValidationError(f"involution {src!r} -> {dst!r} changes dimension", src)
         if check:
             self.check()
 
@@ -444,12 +459,12 @@ class Involution:
         space = self.space
         t = self._map.get
         if t(space.basepoint, space.basepoint) != space.basepoint:
-            raise ValidationError("involution moves the basepoint")
+            raise ValidationError("involution moves the basepoint", space.basepoint)
         for n in range(space.top_dim() + 1):
             for key in space.nondeg(n):
                 image = t(key, key)
                 if t(image, image) != key:
-                    raise ValidationError(f"involution does not square to one at {key!r}")
+                    raise ValidationError(f"involution does not square to one at {key!r}", key)
                 if n == 0:
                     continue
                 # t commutes with degeneracies, so t(d_i x) = d_i(tx) says that
@@ -463,7 +478,7 @@ class Involution:
                         or image_face.base != t(face.base, face.base)
                     ):
                         raise ValidationError(
-                            f"involution fails to commute with d_{i} at {key!r}"
+                            f"involution fails to commute with d_{i} at {key!r}", key
                         )
 
 

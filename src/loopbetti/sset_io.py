@@ -38,10 +38,13 @@ class ParseError(ValueError):
 def parse(text: str) -> tuple[FiniteSimplicialSet, Optional[Involution]]:
     truncation: Optional[int] = None
     basepoint: Optional[str] = None
+    basepoint_line: Optional[int] = None
     simplices: dict[int, list[str]] = {}
+    declared: set[str] = set()
     faces: dict[str, list[str]] = {}
     face_lines: dict[str, int] = {}
     involution: dict[str, str] = {}
+    involution_lines: dict[str, int] = {}
     has_involution = False
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -57,7 +60,7 @@ def parse(text: str) -> tuple[FiniteSimplicialSet, Optional[Involution]]:
         elif kind == "basepoint":
             if len(args) != 1:
                 raise ParseError("basepoint needs one label", lineno)
-            basepoint = args[0]
+            basepoint, basepoint_line = args[0], lineno
         elif kind == "simplices":
             if len(args) < 2 or not args[0].isdigit():
                 raise ParseError("simplices needs a dimension and labels", lineno)
@@ -65,6 +68,9 @@ def parse(text: str) -> tuple[FiniteSimplicialSet, Optional[Involution]]:
             for label in args[1:]:
                 if "@" in label or "#" in label:
                     raise ParseError(f"label {label!r} contains a reserved character", lineno)
+                if label in declared:
+                    raise ParseError(f"duplicate simplex identifier {label!r}", lineno)
+                declared.add(label)
             simplices.setdefault(dim, []).extend(args[1:])
         elif kind == "faces":
             if len(args) < 2:
@@ -80,6 +86,7 @@ def parse(text: str) -> tuple[FiniteSimplicialSet, Optional[Involution]]:
             if args[0] in involution:
                 raise ParseError(f"duplicate involution entry for {args[0]!r}", lineno)
             involution[args[0]] = args[1]
+            involution_lines[args[0]] = lineno
         else:
             raise ParseError(f"unknown record {kind!r}", lineno)
 
@@ -87,7 +94,8 @@ def parse(text: str) -> tuple[FiniteSimplicialSet, Optional[Involution]]:
         raise ParseError("missing truncation record")
     if not simplices.get(0):
         raise ParseError("no vertices declared")
-    declared = {label for labels in simplices.values() for label in labels}
+    if basepoint is not None and basepoint not in simplices[0]:
+        raise ParseError(f"basepoint {basepoint!r} is not a vertex", basepoint_line)
     named: set[str] = set()  # entries already seen to name a declared simplex
     for label, entries in faces.items():
         lineno = face_lines[label]
@@ -105,15 +113,15 @@ def parse(text: str) -> tuple[FiniteSimplicialSet, Optional[Involution]]:
     try:
         space = FiniteSimplicialSet(truncation, simplices, faces, basepoint=basepoint)
     except ValidationError as exc:
-        # attach the faces line when the message names a known simplex
-        line = next((face_lines[k] for k in face_lines if repr(k) in str(exc)), None)
-        raise ParseError(str(exc), line) from exc
+        # the line of the faces record of the simplex that failed
+        raise ParseError(str(exc), face_lines.get(exc.simplex)) from exc
     invol = None
     if has_involution:
         try:
             invol = Involution(space, involution)
         except ValidationError as exc:
-            raise ParseError(str(exc)) from exc
+            # the line of the involution record of the source that failed
+            raise ParseError(str(exc), involution_lines.get(exc.simplex)) from exc
     return space, invol
 
 

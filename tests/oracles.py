@@ -36,6 +36,7 @@ from loopbetti.homology import (
     reduce_columns,
     reduced_betti,
     table_from_dict,
+    transpose,
 )
 from loopbetti.pinched import (
     _ambient_for,
@@ -921,17 +922,18 @@ def tuple_table_betti(
 ) -> dict[int, int]:
     """Betti numbers through min(t_max, top) of the chains whose n-cells are
     ``cells_at(tables, s, n)``: every dimension built bottom up and held,
-    then checked and ranked with ``boundary_ranks``."""
+    then transposed, checked and ranked with ``boundary_ranks``."""
     sizes = []
-    boundaries: dict[int, list[tuple[int, ...]]] = {}
+    coboundaries: dict[int, list[tuple[int, ...]]] = {}
     lower: dict[tuple[int, ...], int] = {}
     for n in range(top + 1):
         cells = cells_at(tables, s, n)
         if n >= 1:
-            boundaries[n] = tuple_boundary_columns(tables, cells, lower, n, relative)
+            columns = tuple_boundary_columns(tables, cells, lower, n, relative)
+            coboundaries[n] = transpose(columns, len(lower))
         lower = {cell: j for j, cell in enumerate(cells)}
         sizes.append(len(cells))
-    ranks = boundary_ranks(boundaries)
+    ranks = boundary_ranks(coboundaries)
     return {
         n: sizes[n] - ranks.get(n, 0) - ranks.get(n + 1, 0)
         for n in range(min(t_max, top) + 1)

@@ -45,8 +45,10 @@ from loopbetti.homology import (
     is_homologous_zero,
     kunneth,
     rank_of_columns,
+    reduce_columns,
     reduced_betti,
     table_from_dict,
+    transpose,
 )
 from loopbetti.simplicial import PointedSubset, SimplexRef
 
@@ -164,7 +166,7 @@ def test_rank_with_clearing_equals_rank_without():
     for space, top in clearing_spaces():
         cc = ChainComplexGF2(space, top)
         mats = {n: cc.boundary(n) for n in range(1, top + 1)}
-        cleared = boundary_ranks({n: mat.cols for n, mat in mats.items()})
+        cleared = boundary_ranks({n: transpose(mat.cols, mat.nrows) for n, mat in mats.items()})
         for n, mat in mats.items():
             plain = rank_of_columns(mat.cols)
             assert cleared[n] == plain == mat.rank(), (space, n)
@@ -179,65 +181,118 @@ def test_rank_with_clearing_equals_rank_without():
     assert dense_checked >= 90
 
 
-def test_clearing_skips_only_pivot_rows_of_the_degree_above():
-    # a filled triangle: the reduced d2 has pivot row 2, so edge 2 is
-    # skipped and the two edges left still give d1 rank 2
-    edges = [{0, 1}, {1, 2}, {0, 2}]
-    assert boundary_ranks({1: edges, 2: [{0, 1, 2}]}) == {1: 2, 2: 1}
-    assert boundary_ranks({1: edges}) == {1: 2}
-    # pivot rows of d3 index 2-cells, so they never clear columns of d1
-    assert boundary_ranks({1: [{0, 1}], 3: [{0}]}) == {1: 1, 3: 1}
+def test_clearing_skips_only_pivot_rows_of_the_degree_below(monkeypatch):
+    # a filled triangle, bottom up: the coboundary to 1 lists each vertex's
+    # edges and reduces to pivot rows 1 and 2, so edges 1 and 2 are skipped
+    # in the coboundary to 2, and edge 0 alone still gives it rank 1
+    import loopbetti.homology as homology
+
+    vertices, edges = [{0, 2}, {0, 1}, {1, 2}], [{0}, {0}, {0}]
+    skipped = []
+    reduce = homology.reduce_columns
+
+    def reduced(cols, skip=()):
+        skipped.append(set(skip))
+        return reduce(cols, skip)
+
+    monkeypatch.setattr(homology, "reduce_columns", reduced)
+    assert boundary_ranks({1: vertices, 2: edges}) == {1: 2, 2: 1}
+    assert skipped == [set(), {1, 2}]
+    assert boundary_ranks({2: edges}) == {2: 1}
+    # pivot rows of the coboundary to 1 index 1-cells, so they never clear
+    # columns of the coboundary to 3, which index 2-cells
+    assert boundary_ranks({1: [{0}], 3: [{0}]}) == {1: 1, 3: 1}
 
 
 def test_boundary_ranks_raises_on_a_non_complex():
-    # d2 sends the one 2-cell to 1-cell 0, whose boundary {0, 1} is not zero
+    # one edge on vertices 0 and 1, and one 2-cell whose boundary is that
+    # edge, whose own boundary {0, 1} is not zero
+    cob = {1: [(0,), (0,)], 2: [(0,)]}
     with pytest.raises(ValueError, match="does not square to zero at dimension 2"):
-        boundary_ranks({1: [(0, 1)], 2: [(0,)]})
+        boundary_ranks(cob)
     with pytest.raises(ValueError, match="does not square to zero at dimension 2"):
-        boundary_ranks(iter([(2, [(0,)]), (1, [(0, 1)])]))
+        boundary_ranks(iter(sorted(cob.items())))
+    with pytest.raises(ValueError, match="lowest degree up"):
+        boundary_ranks(iter([(2, [(0,)]), (1, [(0,), (0,)])]))
 
 
 def test_streamed_boundaries_rank_like_a_mapping():
     for space, top in clearing_spaces():
         cc = ChainComplexGF2(space, top)
-        mats = {n: cc.boundary(n).cols for n in range(1, top + 1)}
-        streamed = boundary_ranks((n, mats[n]) for n in range(top, 0, -1))
+        mats = {n: transpose(cc.boundary(n).cols, cc.boundary(n).nrows) for n in range(1, top + 1)}
+        streamed = boundary_ranks((n, mats[n]) for n in range(1, top + 1))
         assert streamed == boundary_ranks(mats), space
         assert cc.ranks().items() <= streamed.items(), space
 
 
 def test_boundary_ranks_checks_each_pair_before_reducing_and_streams(monkeypatch):
-    """d_n d_(n+1) = 0 is checked before d_(n+1) is reduced, and d_(n+1) is
-    reduced before the boundary below d_n is asked for, so at most two
-    boundaries are held."""
+    """Bottom up: d_(n-1) d_n = 0 is checked before the coboundary to n is
+    reduced, and that one is reduced before the next is asked for; by then
+    the routine has let go of every coboundary but the one below, so at
+    most two are held."""
+    import weakref
+
     import loopbetti.homology as homology
 
+    class Coboundary(list):
+        degree = 0
+
     cc = ChainComplexGF2(smash_power(circle(), 3, truncation=4), 3)
-    mats = {n: list(cc.boundary(n).cols) for n in (1, 2, 3)}
-    degree = {id(cols): n for n, cols in mats.items()}
     events = []
+    alive: dict[int, weakref.ref] = {}
     check, reduce = homology.check_squares_to_zero, homology.reduce_columns
 
-    def checked(lower, upper, n):
+    def checked(upper, lower, n):
         events.append(("check", n))
-        return check(lower, upper, n)
+        assert (upper.degree, lower.degree) == (n, n - 1)
+        return check(upper, lower, n)
 
     def reduced(cols, skip=()):
-        events.append(("reduce", degree[id(cols)]))
+        events.append(("reduce", cols.degree))
         return reduce(cols, skip)
 
     def stream():
-        for n in (3, 2, 1):
+        for n in (1, 2, 3):
+            held = [k for k, ref in alive.items() if ref() is not None]
+            assert held == ([n - 1] if n > 1 else []), (n, held)
             events.append(("yield", n))
-            yield n, mats[n]
+            cob = Coboundary(transpose(cc.boundary(n).cols, cc.boundary(n).nrows))
+            cob.degree = n
+            alive[n] = weakref.ref(cob)
+            yield n, cob
+            del cob
 
     monkeypatch.setattr(homology, "check_squares_to_zero", checked)
     monkeypatch.setattr(homology, "reduce_columns", reduced)
     assert homology.boundary_ranks(stream()) == cc.ranks()
     assert events == [
-        ("yield", 3), ("yield", 2), ("check", 3), ("reduce", 3),
-        ("yield", 1), ("check", 2), ("reduce", 2), ("reduce", 1),
+        ("yield", 1), ("reduce", 1),
+        ("yield", 2), ("check", 2), ("reduce", 2),
+        ("yield", 3), ("check", 3), ("reduce", 3),
     ]
+
+
+def test_reduce_columns_leaves_its_input_columns_unmutated():
+    """A column that needs no elimination becomes a pivot as it is, so the
+    pivots alias the caller's columns, which the next d^2 check reads
+    again; neither tuple nor set columns may change."""
+    cc = ChainComplexGF2(smash_power(two_disc_sphere(), 2, truncation=5), 4)
+    for kind in (tuple, set):
+        aliased = reduced = 0
+        for n in (1, 2, 3, 4):
+            cols = list(map(kind, transpose(cc.boundary(n).cols, cc.boundary(n).nrows)))
+            before = [sorted(col) for col in cols]
+            pivots = reduce_columns(cols)
+            assert [sorted(col) for col in cols] == before, (kind, n)
+            assert len(pivots) == cc.ranks().get(n, 0), (kind, n)
+            given = {id(col) for col in cols}
+            for p, col in pivots.items():
+                assert max(col) == p
+                assert id(col) in given or type(col) is tuple
+                aliased += id(col) in given
+                reduced += id(col) not in given
+        # both kinds of pivot occur, so both paths were checked
+        assert aliased and reduced, kind
 
 
 def test_smash_powers_of_spheres():

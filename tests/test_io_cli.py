@@ -103,9 +103,10 @@ HEAD = "truncation 4\nbasepoint *\n"
 # Each text is rejected with exactly this message.  Validation resolves a
 # face token once per ambient dimension and reuses faces it has computed,
 # so every case puts the bad use of a token or face after a good one.  A
-# validation message gets the line of the first faces record whose label
-# it quotes, so "line 6" in dimension_of_label is the record of ``e``.
-# The unhashable entry reaches FiniteSimplicialSet without a text.
+# validation message gets the line of the faces or involution record of
+# the simplex that failed, so "line 8" in dimension_of_label is the record
+# of ``f``, not of the ``e`` it quotes.  The unhashable entry reaches
+# FiniteSimplicialSet without a text.
 REJECTIONS = {
     "unhashable_entry": (
         lambda: FiniteSimplicialSet(
@@ -120,21 +121,21 @@ REJECTIONS = {
     "dimension_of_label": (
         HEAD + "simplices 0 *\nsimplices 1 e f\nsimplices 2 g\n"
         "faces e * *\nfaces g e e e\nfaces f e *\n",
-        "line 6: face ref 'e' has dimension 1, expected 0",
+        "line 8: face ref 'e' has dimension 1, expected 0",
     ),
     "dimension_of_degenerate": (
         HEAD + "simplices 0 *\nsimplices 1 e f\nsimplices 2 g\n"
         "faces e * *\nfaces g s0@* s0@* s0@*\nfaces f s0@* *\n",
-        "face ref 's0@*' has dimension 1, expected 0",
+        "line 8: face ref 's0@*' has dimension 1, expected 0",
     ),
     "word_beyond_dimension": (
         HEAD + "simplices 0 *\nsimplices 1 e\nsimplices 2 g\nfaces e * *\nfaces g e s1@* s0@*\n",
-        "face ref 's1@*' has a non-canonical word",
+        "line 7: face ref 's1@*' has a non-canonical word",
     ),
     "word_out_of_order": (
         HEAD + "simplices 0 *\nsimplices 1 e\nsimplices 3 k\n"
         "faces e * *\nfaces k s1s0@* s0s1@* s1s0@* s1s0@*\n",
-        "degeneracy word in 's0s1@*' is not canonical",
+        "line 7: degeneracy word in 's0s1@*' is not canonical",
     ),
     "identity_on_second_of_shared_face": (
         HEAD + "simplices 0 * v\nsimplices 1 e f\nsimplices 2 g h\n"
@@ -144,7 +145,19 @@ REJECTIONS = {
     "involution_off_d0": (
         HEAD + "simplices 0 * u w\nsimplices 1 e f\nfaces e u *\nfaces f * w\n"
         "involution u w\ninvolution w u\ninvolution e f\ninvolution f e\n",
-        "involution fails to commute with d_0 at 'e'",
+        "line 9: involution fails to commute with d_0 at 'e'",
+    ),
+    "duplicate_label": (
+        HEAD + "simplices 0 * a\nsimplices 1 e a\nfaces a * *\n",
+        "line 4: duplicate simplex identifier 'a'",
+    ),
+    "basepoint_not_a_vertex": (
+        "truncation 4\nbasepoint e\nsimplices 0 *\nsimplices 1 e\nfaces e * *\n",
+        "line 2: basepoint 'e' is not a vertex",
+    ),
+    "involution_to_unknown": (
+        HEAD + "simplices 0 * u\ninvolution u u\ninvolution * ghost\n",
+        "line 5: involution names unknown simplex '*' -> 'ghost'",
     ),
 }
 

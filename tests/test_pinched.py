@@ -37,11 +37,17 @@ from loopbetti.fixtures import (
     trivial_circle,
     zero_sphere_subset,
 )
-from loopbetti.homology import BettiTable, UncertifiedRangeError, reduced_betti, table_from_dict
+from loopbetti.homology import (
+    BettiTable,
+    UncertifiedRangeError,
+    reduced_betti,
+    table_from_dict,
+    transpose,
+)
 from loopbetti.pinched import (
     HypothesisError,
     _FactorTables,
-    _boundary_columns,
+    _coboundary_columns,
     _digits,
     _pinched_cells,
     _quotient_cells,
@@ -243,8 +249,19 @@ def dunce_cap():
     return space, Involution(space, {})
 
 
+def doubled_face():
+    """One triangle with faces (a, a, b) on two loops, trivial action: a
+    column meets face a twice, so mod 2 it drops it."""
+    space = FiniteSimplicialSet(
+        DEFAULT_TRUNCATION,
+        {0: ["*"], 1: ["a", "b"], 2: ["x"]},
+        {"a": ["*", "*"], "b": ["*", "*"], "x": ["a", "a", "b"]},
+    )
+    return space, Involution(space, {})
+
+
 @pytest.mark.parametrize(
-    "builder", [sphere_pair_swap, trivial_circle, free_double_cover, dunce_cap]
+    "builder", [sphere_pair_swap, trivial_circle, free_double_cover, dunce_cap, doubled_face]
 )
 def test_brute_kernel_equals_generic_route(builder):
     """The integer kernel equals the generic route, pinched_set through the
@@ -273,12 +290,42 @@ def test_brute_kernel_refuses_cells_missing_a_face(glued_spheres):
     lower = {cell: j for j, cell in enumerate(_pinched_cells(tables, 3, 2))}
     cells = _pinched_cells(tables, 3, 3)
     # the complete cells pass, though some faces are degenerate or the basepoint
-    columns = _boundary_columns(tables, 3, cells, lower, 3)
+    columns = _coboundary_columns(tables, 3, cells, lower, 3)
     assert sum(map(len, columns)) < 4 * len(cells)
-    hit = next(cell for cell, j in lower.items() if any(j in col for col in columns))
+    hit = next(cell for cell, j in lower.items() if columns[j])
     del lower[hit]
     with pytest.raises(ValidationError):
-        _boundary_columns(tables, 3, cells, lower, 3)
+        _coboundary_columns(tables, 3, cells, lower, 3)
+
+
+def test_cut_table_eliminates_at_most_a_betti_number_of_columns(glued_spheres, monkeypatch):
+    """Bottom up with clearing, the coboundary to n eliminates at most
+    b_(n-1) columns to zero, even at the top of a table cut below its
+    structural bound (s = 4 is cut at n = 3 here, its bound being 5).  Top
+    down, the boundary from 3 gets no clearing and eliminates every column
+    outside its rank to zero."""
+    import loopbetti.homology as homology
+
+    orbit, fixed = glued_spheres["orbit"], glued_spheres["fixed"]
+    assert pinched_top_bound(orbit, fixed, 4) > 3
+    reduce = homology.reduce_columns
+    zeros, ranks = [], []
+
+    def counted(cols, skip=()):
+        pivots = reduce(cols, skip)
+        kept = sum(1 for j in range(len(cols)) if j not in skip)
+        zeros.append(kept - len(pivots))
+        ranks.append(len(pivots))
+        return pivots
+
+    monkeypatch.setattr(homology, "reduce_columns", counted)
+    table = pinched_betti_brute(orbit, fixed, 4, 2)
+    assert len(zeros) == 3
+    for n, eliminated in enumerate(zeros, start=1):
+        assert eliminated <= table[n - 1], (n, eliminated)
+    tables = _FactorTables(orbit, fixed, 3)
+    # 438 cells at n = 3 and rank 75: 363 columns top down
+    assert len(_pinched_cells(tables, 4, 3)) - ranks[2] > 300
 
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
@@ -289,14 +336,15 @@ SHIPPED_ACTIONS = {
 }
 
 
-@pytest.mark.parametrize("name", [*SHIPPED_ACTIONS, "dunce_cap"])
+@pytest.mark.parametrize("name", [*SHIPPED_ACTIONS, "dunce_cap", "doubled_face"])
 def test_packed_kernel_equals_tuple_reference(name):
     """The packed kernel (cell codes, slot-group face tables, the flagged
-    miss check, streaming) gives the cells, the per-cell column row sets
-    and the Betti tables of the tuple kernel, for the pinched chains and
-    the chains relative to them, for s <= 4 and n <= 6 (Betti numbers
-    through 4)."""
-    orbit, _, fixed = orbit_space(*(dunce_cap() if name == "dunce_cap" else SHIPPED_ACTIONS[name]))
+    miss check, streaming) gives the cells, the transposes of the per-cell
+    column row sets and the Betti tables of the tuple kernel, for the
+    pinched chains and the chains relative to them, for s <= 4 and n <= 6
+    (Betti numbers through 4)."""
+    built = {"dunce_cap": dunce_cap, "doubled_face": doubled_face}
+    orbit, _, fixed = orbit_space(*(built[name]() if name in built else SHIPPED_ACTIONS[name]))
     tables = _FactorTables(orbit, fixed, 6)
     kernels = [
         (_pinched_cells, tuple_pinched_cells, False),
@@ -311,9 +359,10 @@ def test_packed_kernel_equals_tuple_reference(name):
                 radix = len(tables.masks[n])
                 assert list(zip(*_digits(codes, radix, s))) == cells, (s, n)
                 if n:
-                    packed = _boundary_columns(tables, s, codes, lower, n, relative)
+                    packed = _coboundary_columns(tables, s, codes, lower, n, relative)
                     reference = tuple_boundary_columns(tables, cells, tuple_lower, n, relative)
-                    assert list(map(set, packed)) == list(map(set, reference)), (s, n)
+                    reference = transpose(reference, len(tuple_lower))
+                    assert list(map(sorted, packed)) == list(map(list, reference)), (s, n)
                 lower = {code: j for j, code in enumerate(codes)}
                 tuple_lower = {cell: j for j, cell in enumerate(cells)}
             # through n = 4: the ranks of the relative boundaries from n = 5
@@ -363,20 +412,20 @@ def test_integer_quotient_refuses_cells_missing_a_face(glued_spheres):
     tables = _FactorTables(orbit, fixed, 3)
     lower = {cell: j for j, cell in enumerate(_quotient_cells(tables, 3, 2))}
     cells = _quotient_cells(tables, 3, 3)
-    columns = _boundary_columns(tables, 3, cells, lower, 3, relative=True)
+    columns = _coboundary_columns(tables, 3, cells, lower, 3, relative=True)
     with pytest.raises(ValidationError):
-        _boundary_columns(tables, 3, cells, lower, 3)
+        _coboundary_columns(tables, 3, cells, lower, 3)
     in_fixed, radix = tables.fixed[2], len(tables.masks[2])
     cell_of = dict(zip(lower, zip(*_digits(list(lower), radix, 3))))
     hit = next(
         code
         for code, j in lower.items()
-        if any(j in col for col in columns)
+        if columns[j]
         and any(a == b and not in_fixed[a] for a, b in zip(cell_of[code], cell_of[code][1:]))
     )
     del lower[hit]
     with pytest.raises(ValidationError):
-        _boundary_columns(tables, 3, cells, lower, 3, relative=True)
+        _coboundary_columns(tables, 3, cells, lower, 3, relative=True)
 
 
 def test_quotient_cells_are_the_complement_of_the_pinched_cells(glued_spheres):
