@@ -4,16 +4,16 @@ The normalized chain complex of a pointed simplicial set has one generator
 per nondegenerate non-basepoint simplex; the boundary is the alternating
 face sum, where signs vanish mod 2 and faces whose canonical form is
 degenerate or the basepoint contribute nothing.  Everything downstream is
-sparse linear algebra over the two-element field: columns are sets of row
-indices and row operations are symmetric differences, so results are exact
-and there are no tolerances anywhere.  A map is read only through the rank
-it induces per degree, which is all that "is f_* zero" and exact-sequence
+sparse linear algebra over the two-element field: columns are sets of rows
+(indices or cell codes) and row operations are symmetric differences, so
+results are exact, with no tolerances.  A map is read only through the rank
+it induces per degree, all that "is f_* zero" and exact-sequence
 bookkeeping ask of it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Collection, Container, Iterable, Mapping, Optional, Sequence
+from typing import Any, Collection, Container, Hashable, Iterable, Mapping, Optional, Sequence
 
 from .simplicial import SimplexRef, SimplicialMap, SimplicialSet, TruncationError
 
@@ -64,10 +64,11 @@ class GF2SparseMatrix:
 
 
 def reduce_columns(
-    cols: Iterable[Collection[int]], skip: Container[int] = ()
+    cols: Iterable[tuple[Hashable, Collection[int]]], skip: Container[Hashable] = ()
 ) -> dict[int, Collection[int]]:
-    """Column elimination with largest-row pivoting, leaving out the columns
-    whose index is in ``skip``; the reduced nonzero columns by pivot row.
+    """Column elimination with largest-row pivoting over (id, column)
+    pairs, leaving out the columns whose id is in ``skip``; the reduced
+    nonzero columns by pivot row.
 
     The input columns are never mutated.  A column that needs no elimination
     is stored as given, so it aliases the caller's column; only the column
@@ -75,7 +76,7 @@ def reduce_columns(
     """
     pivots: dict[int, Collection[int]] = {}
     get = pivots.get
-    for j, col in enumerate(cols):
+    for j, col in cols:
         if not col or j in skip:
             continue
         p = max(col)
@@ -98,7 +99,7 @@ def reduce_columns(
 
 def rank_of_columns(cols: Iterable[Collection[int]]) -> int:
     """GF(2) rank by column elimination with largest-row pivoting."""
-    return len(reduce_columns(cols))
+    return len(reduce_columns(enumerate(cols)))
 
 
 def transpose(cols: Iterable[Iterable[int]], nrows: int) -> list[tuple[int, ...]]:
@@ -111,7 +112,7 @@ def transpose(cols: Iterable[Iterable[int]], nrows: int) -> list[tuple[int, ...]
     return list(map(tuple, rows))
 
 
-Coboundary = Sequence[Collection[int]]
+Coboundary = Sequence[Collection[int]] | Mapping[Hashable, Collection[int]]
 
 
 def boundary_ranks(
@@ -119,49 +120,50 @@ def boundary_ranks(
 ) -> dict[int, int]:
     """Ranks of the boundary matrices of a GF(2) chain complex, given by
     their transposes: the coboundary to degree n lists, for each
-    (n - 1)-cell, the indices of the n-cells whose boundary holds it.  Given
-    as a mapping n -> coboundary to n, or as ``(n, coboundary)`` pairs from
-    the lowest degree up; the result maps n to the rank of the boundary
-    from n.
+    (n - 1)-cell, the n-cells whose boundary holds it; a cell is named by
+    its index where its coboundary is a sequence and by its key where it is
+    a mapping.  Given as a mapping n -> coboundary to n, or as
+    ``(n, coboundary)`` pairs from the lowest degree up; the result maps n
+    to the rank of the boundary from n.
 
-    Works bottom up and holds at most two coboundaries at once.  Before the
-    coboundary to n is reduced, it must kill the one to n - 1 (or
-    ValueError is raised), which is d_(n-1) d_n = 0.  It is then reduced
-    with clearing (de Silva, Morozov and Vejdemo-Johansson, "Dualities in
-    persistent (co)homology", 2011; Chen and Kerber, "Persistent homology
-    computation with a twist", 2011): a reduced column of the coboundary to
-    n - 1 with pivot row j is a coboundary, so the one to n kills it, which
-    makes column j of that one a sum of other columns.  Skipping every such
-    column leaves the rank unchanged, and what is left to eliminate to zero
-    is one column per (n - 1)-st Betti number.
+    Works bottom up, reducing the coboundary to n with clearing (de Silva,
+    Morozov and Vejdemo-Johansson, "Dualities in persistent (co)homology",
+    2011; Chen and Kerber, "Persistent homology computation with a twist",
+    2011): a reduced column of the coboundary to n - 1 with pivot row j is
+    a coboundary, so the one to n kills it, which makes column j of that
+    one a sum of other columns.  Skipping every such column leaves the rank
+    unchanged, and what is left to eliminate to zero is one column per
+    (n - 1)-st Betti number.  Of the coboundary below only these pivots are
+    kept, and before the one to n is reduced it must kill each of them, or
+    ValueError is raised.  That is exactly d_(n-1) d_n = 0: once the pair
+    below has passed, a column that clearing skipped or that was eliminated
+    to zero is a sum of pivots, so the pivots span the columns.
     """
     if isinstance(coboundaries, Mapping):
         coboundaries = sorted(coboundaries.items())
     ranks: dict[int, int] = {}
-    below: Optional[int] = None  # the degree of the coboundary held, if any
-    lower: Coboundary = ()
-    cleared: Container[int] = ()
+    below: Optional[int] = None  # the degree of the last coboundary, if any
+    pivots: dict[int, Collection[int]] = {}  # its reduced columns by pivot row
     for n, rows in coboundaries:
         if below is not None and n <= below:
             raise ValueError("coboundaries must come from the lowest degree up")
         adjacent = below == n - 1
         if adjacent:
-            check_squares_to_zero(rows, lower, n)
-        lower = ()  # let go of the coboundary below before reducing
-        pivots = reduce_columns(rows, cleared if adjacent else ())
+            check_squares_to_zero(rows, pivots.values(), n)
+        columns = rows.items() if isinstance(rows, Mapping) else enumerate(rows)
+        pivots = reduce_columns(columns, pivots if adjacent else ())
         ranks[n] = len(pivots)
-        cleared = set(pivots)
-        del pivots  # only the pivot rows are kept, not the reduced columns
-        below, lower = n, rows
+        below = n
+        del rows, columns  # the raw coboundary goes before the next is built
     return ranks
 
 
 def check_squares_to_zero(
-    upper: Sequence[Collection[int]], lower: Iterable[Iterable[int]], n: int
+    upper: Coboundary, lower: Iterable[Iterable[Hashable]], n: int
 ) -> None:
-    """Raise unless the coboundary to n (columns ``upper``) kills every
-    column of the coboundary to n - 1 (``lower``), which is
-    d_(n-1) d_n = 0.  One accumulator serves every column: it is empty
+    """Raise unless the coboundary to n (``upper``) kills every column of
+    ``lower``, the pivots of the coboundary to n - 1 (or its columns): that
+    is d_(n-1) d_n = 0.  One accumulator serves every column: it is empty
     again after each column that passes."""
     acc: set[int] = set()
     update = acc.symmetric_difference_update

@@ -6,9 +6,9 @@ subset A.  This module enumerates that subset on integer tables, one depth
 first pass per dimension, and computes its homology by brute force on the
 same tables; the complement of that search gives the cells of the quotient
 of the smash power by the subset, whose homology one shared kernel computes
-on the same tables.  The kernel codes each cell as one int, finds faces
-through tables over groups of slots, and builds and reduces the cochains
-from degree 0 up, two dimensions at a time.  The module also
+on the same tables.  The kernel codes each cell as one int, which is also
+its id in the cochains, finds faces through tables over groups of slots,
+and builds and reduces the cochains from degree 0 up.  The module also
 evaluates the cover-intersection Betti sum, which gives the pinched
 homology when the reduced diagonal of A is homologous to zero.  The paper's
 other constructions of the subset (blockwise pieces indexed by
@@ -19,7 +19,7 @@ are checked against this one in the test suite and run nowhere else.
 from __future__ import annotations
 
 import weakref
-from itertools import compress, count, repeat
+from itertools import compress, repeat
 from operator import add, and_, eq, floordiv, mod, or_
 from typing import Any, Callable, Iterable, Optional
 
@@ -245,13 +245,18 @@ def _digits(codes: list[int], radix: int, s: int) -> list[list[int]]:
 def _group_codes(
     codes: list[int], radix: int, s: int, groups: list[tuple[int, int]]
 ) -> list[list[int]]:
-    out = []
-    for e, w in groups:
-        part: Iterable[int] = map(floordiv, codes, repeat(radix**e)) if e else codes
-        if e + w < s:
-            part = map(mod, part, repeat(radix**w))
-        out.append(codes if part is codes else list(part))
-    return out
+    """The code of each slot group of each code, drawn from one pool of
+    ints: a code above 256 costs a pointer, not an int object of its own."""
+    pool = list(range(radix ** max(w for _, w in groups))).__getitem__
+    return [
+        codes if w == s else list(map(pool, _group(codes, radix, s, e, w))) for e, w in groups
+    ]
+
+
+def _group(codes: Iterable[int], radix: int, s: int, e: int, w: int) -> Iterable[int]:
+    """The codes of the group (e, w) of each code, one at a time."""
+    part = map(floordiv, codes, repeat(radix**e)) if e else codes
+    return map(mod, part, repeat(radix**w)) if e + w < s else part
 
 
 def _face_tables(
@@ -311,64 +316,56 @@ def _coboundary_columns(
     tables: _FactorTables,
     s: int,
     cells: list[int],
-    lower: dict[int, int],
+    below: Iterable[int],
     n: int,
     relative: bool = False,
-) -> list[tuple[int, ...]]:
-    """Columns of the coboundary to degree n, the transpose of the boundary
-    from n: for each cell at n - 1 (``lower`` maps its code to its index),
-    the indices in ``cells`` of the n-cells that hold it as a face an odd
-    number of times.
+) -> dict[int, tuple[int, ...]]:
+    """The coboundary to degree n, the transpose of the boundary from n: for
+    the code of each cell at n - 1 (``below``), the codes of the n-cells
+    (``cells``) that hold it as a face an odd number of times.
 
-    Face k of every cell is computed at once: its code is the sum over the
-    slot groups of a tabulated share of each group code.  Its row is
-    scattered straight into the column of that face, so no column of the
-    boundary is built.  A face missing from ``lower`` must be the basepoint
-    or degenerate, which the flagged mask tables tell, or, for the chains
-    relative to the pinched subset (``relative``), pinched; any other miss
-    means the cells are not closed under faces and raises ValidationError.
-    A cell that holds one face twice lands twice in its column, so a
-    column with a repeated index keeps the indices that occur an odd
-    number of times.
+    Each cell is its own id: the dict is both the face lookup and the
+    column store.  Face k of every cell is computed at once: its code is
+    the sum over the slot groups of a tabulated share of each group code.
+    The cell is appended straight to the column of that face, so no column
+    of the boundary is built, and a cell whose face k is not below goes to
+    a sink list.  Such a face must be the basepoint or degenerate, which the
+    flagged mask tables tell, or, for the chains relative to the pinched
+    subset (``relative``), pinched; any other miss means the cells are not
+    closed under faces and raises ValidationError.  A cell that holds one
+    face twice lands twice in its column, so a column with a repeated cell
+    keeps the cells that occur an odd number of times.
     """
     radix = len(tables.masks[n])
     groups = _slot_groups(s, radix, len(cells))
     codes = _group_codes(cells, radix, s, groups)
     face_tables, flag = _face_tables(tables, s, n, groups)
-    sink = len(lower)  # the column past the last one takes the missed faces
-    columns: list[Any] = [[] for _ in range(sink + 1)]  # lists, then tuples
-    column = columns.__getitem__
-    ids = list(range(len(cells)))  # one int object per cell, shared by its faces
+    columns: dict[int, Any] = {code: [] for code in below}  # lists, then tuples
+    get = columns.get
     for k, per_group in enumerate(face_tables):
-        rows = list(map(lower.get, _face_codes(per_group, codes), repeat(sink)))
-        if sink in rows:
-            missed = list(compress(count(), map(eq, rows, repeat(sink))))
+        sink: list[int] = []
+        # list.append returns None, so any() runs every append, in C
+        any(map(list.append, map(get, _face_codes(per_group, codes), repeat(sink)), cells))
+        if sink:
             ands: Iterable[int] = repeat(-1)
-            for (_, masks), group in zip(per_group, codes):
-                picked = map(group.__getitem__, missed)
-                ands = map(and_, ands, map(masks.__getitem__, picked))
+            for (e, w), (_, masks) in zip(groups, per_group):
+                ands = map(and_, ands, map(masks.__getitem__, _group(sink, radix, s, e, w)))
             if relative:
                 # the missed faces that are neither degenerate nor the basepoint
-                live = list(compress(missed, map(eq, ands, repeat(flag))))
-                picked_codes = [list(map(group.__getitem__, live)) for group in codes]
-                faces = list(_face_codes(per_group, picked_codes))
-                low = len(tables.masks[n - 1])
-                closed = all(_pinched(faces, low, s, tables.fixed[n - 1]))
+                live = list(compress(sink, map(eq, ands, repeat(flag))))
+                faces = list(_face_codes(per_group, _group_codes(live, radix, s, groups)))
+                closed = all(_pinched(faces, len(tables.masks[n - 1]), s, tables.fixed[n - 1]))
             else:
                 closed = flag not in ands
             if not closed:
                 raise ValidationError(
                     f"cells are not face-closed: face {k} of a {n}-cell is missing"
                 )
-        # list.append returns None, so any() runs every append, in C
-        any(map(list.append, map(column, rows), ids))
-        del rows
-        columns[sink].clear()
-    del codes, columns[sink]
-    for j, col in enumerate(columns):
+    del codes
+    for code, col in columns.items():
         if len(set(col)) != len(col):
             col = [c for c in set(col) if col.count(c) % 2]
-        columns[j] = tuple(col)  # in place: each list goes as its tuple comes
+        columns[code] = tuple(col)  # in place: each list goes as its tuple comes
     return columns
 
 
@@ -542,21 +539,22 @@ def _table_betti(
 
     Streams the coboundaries into ``boundary_ranks`` from degree 0 up,
     enumerating each dimension once: the coboundary to n is built from the
-    cells at n and n - 1 (the face-closure check stays on), so the cells
-    and coboundaries of at most two dimensions are held at once.  Bottom
+    cell codes at n and n - 1 (the face-closure check stays on) and keyed
+    by the codes at n - 1, so the cells of at most two dimensions, one
+    coboundary and the pivots of the one below are held at once.  Bottom
     up, clearing leaves the coboundary to n one column per (n - 1)-st Betti
     number to eliminate to zero, also at the top of a table cut below its
     last cell.
     """
     sizes: dict[int, int] = {}
 
-    def coboundaries() -> Iterable[tuple[int, list[tuple[int, ...]]]]:
+    def coboundaries() -> Iterable[tuple[int, dict[int, tuple[int, ...]]]]:
         below = cells_at(tables, s, 0)
         sizes[0] = len(below)
         for n in range(1, top + 1):
             cells = cells_at(tables, s, n)
             sizes[n] = len(cells)
-            yield n, _coboundary_columns(tables, s, cells, dict(zip(below, count())), n, relative)
+            yield n, _coboundary_columns(tables, s, cells, below, n, relative)
             below = cells
 
     ranks = boundary_ranks(coboundaries())
@@ -583,7 +581,7 @@ def pinched_betti_brute(
         return BettiTable({}, certified=t_max, zero_from=0)
     _check_fixed_subset(q, fixed)
     bound = pinched_top_bound(q, fixed, s)
-    trunc = min(t_max + 1, bound)
+    trunc = max(min(t_max + 1, bound), 0)
     tables = _FactorTables(q, fixed, trunc)
     entries, _ = _table_betti(tables, _pinched_cells, s, trunc, t_max)
     return BettiTable(entries, certified=t_max, zero_from=bound + 1)
@@ -610,7 +608,7 @@ def quotient_betti_brute(
     if s < 2:
         raise ValidationError("the integer quotient needs s >= 2")
     top = q.top_dim() * s
-    trunc = min(n_max + 1, top)
+    trunc = max(min(n_max + 1, top), 0)
     tables = _FactorTables(q, fixed, trunc)
     entries, sizes = _table_betti(tables, _quotient_cells, s, trunc, n_max, relative=True)
     if trunc < top:

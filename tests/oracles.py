@@ -6,7 +6,8 @@ call lives here: the blockwise pieces of the pinched subset indexed by
 compositions, their intersections, the union and inductive constructions
 and the membership predicates behind them; induced ranks from a cycle
 basis and the exact-sequence bookkeeping on induced ranks; dense views and
-products of sparse GF(2) matrices; the identity, constant and inclusion
+products of sparse GF(2) matrices, the d^2 check over every raw column and
+the columns an elimination keeps; the identity, constant and inclusion
 maps and composites; the backtracking section search; and the brute kernel
 on tuples of component indices, the reference for the packed one.  Helpers that only tests call, such as the
 member dimensions of a subset or the recurrence check of a series, live
@@ -708,7 +709,7 @@ def induced_ranks_via_cycles(f: SimplicialMap, t_max: int) -> dict[int, int]:
             for j in cycle:
                 acc.symmetric_difference_update(images[j])
             pushed.append(acc)
-        spanned = reduce_columns(tgt.boundary(n + 1).cols + tuple(pushed))
+        spanned = reduce_columns(enumerate(tgt.boundary(n + 1).cols + tuple(pushed)))
         out[n] = len(spanned) - boundary_rank.get(n + 1, 0)
     return out
 
@@ -938,3 +939,47 @@ def tuple_table_betti(
         n: sizes[n] - ranks.get(n, 0) - ranks.get(n + 1, 0)
         for n in range(min(t_max, top) + 1)
     }
+
+
+def first_nonzero_square(
+    coboundaries: dict[int, Sequence[Sequence[int]]],
+) -> Optional[tuple[int, list[int]]]:
+    """The lowest degree n at which the coboundary to n fails to kill some
+    raw column of the coboundary to n - 1, with the indices of those
+    columns; None when every consecutive pair squares to zero.  Every
+    column is checked on its own, with no reduction, clearing or pivots."""
+    for n in sorted(coboundaries):
+        if n - 1 not in coboundaries:
+            continue
+        upper = coboundaries[n]
+        failing = []
+        for j, col in enumerate(coboundaries[n - 1]):
+            acc: set[int] = set()
+            for i in col:
+                acc ^= set(upper[i])
+            if acc:
+                failing.append(j)
+        if failing:
+            return n, failing
+    return None
+
+
+def pivot_columns(cols: Iterable[tuple[Any, Any]], skip: Any = ()) -> dict[Any, bool]:
+    """The ids of the columns, outside ``skip``, that are not in the span of
+    the kept columns before them, which a column elimination keeps as
+    pivots rather than eliminating to zero; each with whether it is kept as
+    given, which under largest-row pivoting (as in ``reduce_columns``)
+    means that no kept column before it has the same largest row."""
+    pivots: dict[Any, set[Any]] = {}
+    kept = {}
+    for j, col in cols:
+        if j in skip or not col:
+            continue
+        c = set(col)
+        given = max(c) not in pivots
+        while c and max(c) in pivots:
+            c ^= pivots[max(c)]
+        if c:
+            pivots[max(c)] = c
+            kept[j] = given
+    return kept

@@ -6,6 +6,7 @@ import pytest
 from oracles import (
     constant_map,
     dense,
+    first_nonzero_square,
     identity_map,
     identity_matrix,
     inclusion_map,
@@ -13,6 +14,7 @@ from oracles import (
     is_zero,
     kunneth_certified_by_scan,
     matmul,
+    pivot_columns,
     quotient_betti_via_les,
 )
 
@@ -226,10 +228,11 @@ def test_streamed_boundaries_rank_like_a_mapping():
 
 
 def test_boundary_ranks_checks_each_pair_before_reducing_and_streams(monkeypatch):
-    """Bottom up: d_(n-1) d_n = 0 is checked before the coboundary to n is
-    reduced, and that one is reduced before the next is asked for; by then
-    the routine has let go of every coboundary but the one below, so at
-    most two are held."""
+    """Bottom up: d_(n-1) d_n = 0 is checked, against the pivots of the
+    coboundary to n - 1, before the coboundary to n is reduced, and that
+    one is reduced before the next is asked for; by then the routine has
+    let go of every raw coboundary, and of the one below it keeps only the
+    pivots."""
     import weakref
 
     import loopbetti.homology as homology
@@ -240,21 +243,27 @@ def test_boundary_ranks_checks_each_pair_before_reducing_and_streams(monkeypatch
     cc = ChainComplexGF2(smash_power(circle(), 3, truncation=4), 3)
     events = []
     alive: dict[int, weakref.ref] = {}
+    pivots_of: dict[int, dict] = {}
     check, reduce = homology.check_squares_to_zero, homology.reduce_columns
 
     def checked(upper, lower, n):
         events.append(("check", n))
-        assert (upper.degree, lower.degree) == (n, n - 1)
+        assert upper.degree == n
+        assert list(lower) == list(pivots_of[n - 1].values())
         return check(upper, lower, n)
 
     def reduced(cols, skip=()):
-        events.append(("reduce", cols.degree))
-        return reduce(cols, skip)
+        cols = list(cols)
+        latest = alive[max(alive)]()
+        assert all(col is given for (_, col), given in zip(cols, latest))
+        events.append(("reduce", latest.degree))
+        pivots_of[latest.degree] = pivots = reduce(cols, skip)
+        return pivots
 
     def stream():
         for n in (1, 2, 3):
             held = [k for k, ref in alive.items() if ref() is not None]
-            assert held == ([n - 1] if n > 1 else []), (n, held)
+            assert held == [], (n, held)
             events.append(("yield", n))
             cob = Coboundary(transpose(cc.boundary(n).cols, cc.boundary(n).nrows))
             cob.degree = n
@@ -272,6 +281,78 @@ def test_boundary_ranks_checks_each_pair_before_reducing_and_streams(monkeypatch
     ]
 
 
+def test_square_check_against_the_pivots_below_is_exact():
+    """d^2 is checked against the pivots of the coboundary below, not its
+    raw columns.  One seeded entry of one coboundary of each complex is
+    flipped: ``boundary_ranks`` raises at the degree where a check of every
+    raw column first fails, and ranks like the plain elimination where that
+    passes.  Some flips break d^2 only in columns that the check never
+    reads as given: columns that clearing skips, that are eliminated to
+    zero, or that are kept only once reduced.  A kept column always fails
+    as well, since the kept columns span the others once the pair below
+    has passed."""
+    only_unread = 0
+    for k, (space, top) in enumerate(clearing_spaces()):
+        cc = ChainComplexGF2(space, top)
+        cob = {n: transpose(cc.boundary(n).cols, cc.boundary(n).nrows) for n in range(1, top + 1)}
+        assert first_nonzero_square(cob) is None
+        assert boundary_ranks(cob) == {m: rank_of_columns(c) for m, c in cob.items()}, space
+        flippable = [n for n in cob if cob[n] and cc.basis(n)]
+        if not flippable:
+            continue
+        rng = random.Random(k)
+        n = rng.choice(flippable)
+        j, i = rng.randrange(len(cob[n])), rng.randrange(len(cc.basis(n)))
+        cob[n][j] = tuple(sorted(set(cob[n][j]) ^ {i}))
+        failure = first_nonzero_square(cob)
+        if failure is None:
+            assert boundary_ranks(cob) == {m: rank_of_columns(c) for m, c in cob.items()}, space
+            continue
+        degree, failing = failure
+        with pytest.raises(ValueError, match=f"at dimension {degree}$"):
+            boundary_ranks(cob)
+        # the columns of the coboundary to degree - 1 that its reduction
+        # keeps, cleared by the pivot rows of the one below it
+        skip: object = ()
+        for m in range(1, degree - 1):
+            skip = reduce_columns(enumerate(cob[m]), skip)
+        kept = pivot_columns(enumerate(cob[degree - 1]), skip)
+        assert set(failing) & set(kept), space
+        only_unread += not any(kept.get(c) for c in failing)
+    assert only_unread
+
+
+def test_code_keyed_columns_rank_like_positional_ones():
+    """``reduce_columns`` and ``boundary_ranks`` read a coboundary keyed by
+    cell codes as one indexed by position: the same ranks, with ``skip``
+    matched by key.  The codes are spread out, and in the second labelling
+    out of order, so no key equals its position by accident."""
+    rng = random.Random(5)
+    labellings = [
+        lambda size: [5 + 3 * i for i in range(size)],
+        lambda size: rng.sample(range(10 * size + 1), size),
+    ]
+    for space, top in clearing_spaces():
+        cc = ChainComplexGF2(space, top)
+        positional = {
+            n: transpose(cc.boundary(n).cols, cc.boundary(n).nrows) for n in range(1, top + 1)
+        }
+        for monotone, label in zip((True, False), labellings):
+            codes = [label(len(cc.basis(n))) for n in range(top + 1)]
+            keyed = {
+                n: {codes[n - 1][j]: tuple(codes[n][i] for i in col) for j, col in enumerate(cols)}
+                for n, cols in positional.items()
+            }
+            assert boundary_ranks(keyed) == boundary_ranks(positional), space
+            for n, cols in positional.items():
+                skip = set(rng.sample(range(len(cols)), len(cols) // 3))
+                by_key = reduce_columns(keyed[n].items(), {codes[n - 1][j] for j in skip})
+                by_index = reduce_columns(enumerate(cols), skip)
+                assert len(by_key) == len(by_index), (space, n)
+                if monotone:
+                    assert set(by_key) == {codes[n][p] for p in by_index}, (space, n)
+
+
 def test_reduce_columns_leaves_its_input_columns_unmutated():
     """A column that needs no elimination becomes a pivot as it is, so the
     pivots alias the caller's columns, which the next d^2 check reads
@@ -282,7 +363,7 @@ def test_reduce_columns_leaves_its_input_columns_unmutated():
         for n in (1, 2, 3, 4):
             cols = list(map(kind, transpose(cc.boundary(n).cols, cc.boundary(n).nrows)))
             before = [sorted(col) for col in cols]
-            pivots = reduce_columns(cols)
+            pivots = reduce_columns(enumerate(cols))
             assert [sorted(col) for col in cols] == before, (kind, n)
             assert len(pivots) == cc.ranks().get(n, 0), (kind, n)
             given = {id(col) for col in cols}

@@ -1,6 +1,7 @@
 """Pinched subsets, blockwise pieces, intersections, and the cover sum."""
 
 from itertools import combinations
+from operator import is_
 from pathlib import Path
 
 import pytest
@@ -287,15 +288,28 @@ def test_brute_kernel_equals_generic_route_at_five(glued_spheres, glued_pinched)
 def test_brute_kernel_refuses_cells_missing_a_face(glued_spheres):
     orbit, fixed = glued_spheres["orbit"], glued_spheres["fixed"]
     tables = _FactorTables(orbit, fixed, 3)
-    lower = {cell: j for j, cell in enumerate(_pinched_cells(tables, 3, 2))}
+    below = _pinched_cells(tables, 3, 2)
     cells = _pinched_cells(tables, 3, 3)
     # the complete cells pass, though some faces are degenerate or the basepoint
-    columns = _coboundary_columns(tables, 3, cells, lower, 3)
-    assert sum(map(len, columns)) < 4 * len(cells)
-    hit = next(cell for cell, j in lower.items() if columns[j])
-    del lower[hit]
+    columns = _coboundary_columns(tables, 3, cells, below, 3)
+    assert sum(map(len, columns.values())) < 4 * len(cells)
+    below.remove(next(code for code in below if columns[code]))
     with pytest.raises(ValidationError):
-        _coboundary_columns(tables, 3, cells, lower, 3)
+        _coboundary_columns(tables, 3, cells, below, 3)
+
+
+def test_brute_tables_below_degree_zero_are_empty(glued_spheres):
+    """Any negative t_max (or n_max) gives the empty table certified
+    through it, with the vanishing that t_max = -1 certifies, in both
+    brute kernels."""
+    orbit, fixed = glued_spheres["orbit"], glued_spheres["fixed"]
+    pinched_zero = pinched_top_bound(orbit, fixed, 3) + 1
+    quotient_zero = orbit.top_dim() * 3 + 1
+    for t_max in (-1, -2, -3, -10):
+        table = pinched_betti_brute(orbit, fixed, 3, t_max)
+        assert table == BettiTable({}, certified=t_max, zero_from=pinched_zero), t_max
+        table = quotient_betti_brute(orbit, fixed, 3, t_max)
+        assert table == BettiTable({}, certified=t_max, zero_from=quotient_zero), t_max
 
 
 def test_cut_table_eliminates_at_most_a_betti_number_of_columns(glued_spheres, monkeypatch):
@@ -312,8 +326,9 @@ def test_cut_table_eliminates_at_most_a_betti_number_of_columns(glued_spheres, m
     zeros, ranks = [], []
 
     def counted(cols, skip=()):
+        cols = list(cols)
         pivots = reduce(cols, skip)
-        kept = sum(1 for j in range(len(cols)) if j not in skip)
+        kept = sum(1 for key, _ in cols if key not in skip)
         zeros.append(kept - len(pivots))
         ranks.append(len(pivots))
         return pivots
@@ -342,7 +357,9 @@ def test_packed_kernel_equals_tuple_reference(name):
     miss check, streaming) gives the cells, the transposes of the per-cell
     column row sets and the Betti tables of the tuple kernel, for the
     pinched chains and the chains relative to them, for s <= 4 and n <= 6
-    (Betti numbers through 4)."""
+    (Betti numbers through 4).  Each cell is its own id: the coboundary is
+    keyed by exactly the codes below, and its entries are the int objects
+    of ``cells``, so no int is made to number a cell."""
     built = {"dunce_cap": dunce_cap, "doubled_face": doubled_face}
     orbit, _, fixed = orbit_space(*(built[name]() if name in built else SHIPPED_ACTIONS[name]))
     tables = _FactorTables(orbit, fixed, 6)
@@ -353,17 +370,23 @@ def test_packed_kernel_equals_tuple_reference(name):
     for s in range(2, 5):
         for packed_at, tuple_at, relative in kernels:
             top = min(6, orbit.top_dim() * s)
-            lower, tuple_lower = {}, {}
+            below, tuple_lower = [], {}
             for n in range(top + 1):
                 codes, cells = packed_at(tables, s, n), tuple_at(tables, s, n)
                 radix = len(tables.masks[n])
                 assert list(zip(*_digits(codes, radix, s))) == cells, (s, n)
                 if n:
-                    packed = _coboundary_columns(tables, s, codes, lower, n, relative)
+                    packed = _coboundary_columns(tables, s, codes, below, n, relative)
+                    assert list(packed) == below, (s, n)
+                    assert all(map(is_, packed, below)), (s, n)
+                    ids = set(map(id, codes))
+                    assert all(id(c) in ids for col in packed.values() for c in col), (s, n)
                     reference = tuple_boundary_columns(tables, cells, tuple_lower, n, relative)
                     reference = transpose(reference, len(tuple_lower))
-                    assert list(map(sorted, packed)) == list(map(list, reference)), (s, n)
-                lower = {code: j for j, code in enumerate(codes)}
+                    assert [sorted(packed[code]) for code in below] == [
+                        sorted(map(codes.__getitem__, col)) for col in reference
+                    ], (s, n)
+                below = codes
                 tuple_lower = {cell: j for j, cell in enumerate(cells)}
             # through n = 4: the ranks of the relative boundaries from n = 5
             # and 6 at s = 4 (125,640 and 191,520 columns on the glued
@@ -410,22 +433,21 @@ def test_integer_quotient_refuses_cells_missing_a_face(glued_spheres):
     component outside the fixed set, which does not make it pinched."""
     orbit, fixed = glued_spheres["orbit"], glued_spheres["fixed"]
     tables = _FactorTables(orbit, fixed, 3)
-    lower = {cell: j for j, cell in enumerate(_quotient_cells(tables, 3, 2))}
+    below = _quotient_cells(tables, 3, 2)
     cells = _quotient_cells(tables, 3, 3)
-    columns = _coboundary_columns(tables, 3, cells, lower, 3, relative=True)
+    columns = _coboundary_columns(tables, 3, cells, below, 3, relative=True)
     with pytest.raises(ValidationError):
-        _coboundary_columns(tables, 3, cells, lower, 3)
+        _coboundary_columns(tables, 3, cells, below, 3)
     in_fixed, radix = tables.fixed[2], len(tables.masks[2])
-    cell_of = dict(zip(lower, zip(*_digits(list(lower), radix, 3))))
-    hit = next(
+    cell_of = dict(zip(below, zip(*_digits(below, radix, 3))))
+    below.remove(next(
         code
-        for code, j in lower.items()
-        if columns[j]
+        for code in below
+        if columns[code]
         and any(a == b and not in_fixed[a] for a, b in zip(cell_of[code], cell_of[code][1:]))
-    )
-    del lower[hit]
+    ))
     with pytest.raises(ValidationError):
-        _coboundary_columns(tables, 3, cells, lower, 3, relative=True)
+        _coboundary_columns(tables, 3, cells, below, 3, relative=True)
 
 
 def test_quotient_cells_are_the_complement_of_the_pinched_cells(glued_spheres):
