@@ -17,11 +17,9 @@ from .simplicial import (
 from .constructions import (
     decide_section,
     find_section,
-    image_subset,
     orbit_space,
     product,
     quotient,
-    reduced_diagonal,
     smash,
     smash_power,
 )
@@ -29,8 +27,6 @@ from .homology import (
     BettiTable,
     GF2SparseMatrix,
     ChainComplexGF2,
-    induced_ranks,
-    is_homologous_zero,
     kunneth,
     kunneth_power,
     reduced_betti,
@@ -60,18 +56,14 @@ __all__ = [
     "ValidationError",
     "decide_section",
     "find_section",
-    "image_subset",
     "orbit_space",
     "product",
     "quotient",
-    "reduced_diagonal",
     "smash",
     "smash_power",
     "BettiTable",
     "GF2SparseMatrix",
     "ChainComplexGF2",
-    "induced_ranks",
-    "is_homologous_zero",
     "kunneth",
     "kunneth_power",
     "reduced_betti",

@@ -1,6 +1,11 @@
 """Constructions on pointed simplicial sets: products, smashes, quotients,
 orbit spaces of involutions, and sections of the orbit projection.
 
+Of these, ``verify`` runs only the orbit space and the section search: it
+counts, enumerates and ranks smash powers on the integer tables of
+``pinched``.  The tuple spaces and quotients here serve library callers and
+the reference computations of the test suite.
+
 Products and smash powers only ever materialize nondegenerate simplices.  A
 nondegenerate n-simplex of a product is a tuple of component simplices at
 ambient dimension n whose degeneracy words have empty common intersection
@@ -13,7 +18,6 @@ enumeration at all.
 
 from __future__ import annotations
 
-from math import comb
 from operator import getitem
 from typing import Any, Optional, Sequence
 
@@ -146,36 +150,6 @@ class TupleSpace(SimplicialSet):
             SimplexRef(c.base_dim, c.base, strip_word(c.word, sh)) for c in comps
         )
         return SimplexRef(n - len(sh), stripped, sh)
-
-    def count_nondeg(self, n: int) -> int:
-        """Number of nondegenerate n-simplices, counted without enumeration.
-
-        Inclusion-exclusion over the degeneracy indices shared by every
-        component: tuples whose words all contain a given k-set correspond
-        to tuples at dimension n - k, and a factor has sum_d N_d C(m, d)
-        simplices at ambient dimension m, where N_d counts its nondegenerate
-        d-simplices (the basepoint left out for a smash, which adds its own
-        basepoint back at n = 0).
-        """
-        if n > self.truncation:
-            raise TruncationError(f"dimension {n} beyond truncation {self.truncation}")
-        # per distinct factor: its simplex count at each ambient dimension
-        simplices: dict[int, list[int]] = {}
-        for f in self.factors:
-            if id(f) not in simplices:
-                counts = [len(f.nondeg(d)) for d in range(min(n, f.top_dim()) + 1)]
-                if self.smash:
-                    counts[0] -= 1
-                simplices[id(f)] = [
-                    sum(c * comb(m, d) for d, c in enumerate(counts)) for m in range(n + 1)
-                ]
-        total = 0
-        for k in range(n + 1):
-            tuples = 1
-            for f in self.factors:
-                tuples *= simplices[id(f)][n - k]
-            total += (-1) ** k * comb(n, k) * tuples
-        return total + (1 if self.smash and n == 0 else 0)
 
     def _enumerate(self, n: int):
         pools = []
@@ -458,41 +432,3 @@ def _path_within(graph: list[list[int]], comp: list[int], start: int, goal: int)
     while path[-1] != start:
         path.append(parent[path[-1]])
     return path[::-1]
-
-
-# ---------------------------------------------------------------------------
-# Images and diagonals.
-# ---------------------------------------------------------------------------
-
-def image_subset(f: SimplicialMap) -> PointedSubset:
-    """Smallest pointed subset of the target containing the image of f."""
-    target = f.target
-    members: dict[int, set[Any]] = {0: {target.basepoint}}
-    stack: list[SimplexRef] = []
-    for n in range(min(f.source.top_dim(), f.source.truncation) + 1):
-        for key in f.source.nondeg(n):
-            stack.append(f.apply_key(n, key))
-    while stack:
-        ref = stack.pop()
-        level = members.setdefault(ref.base_dim, set())
-        if ref.base in level:
-            continue
-        level.add(ref.base)
-        if ref.base_dim >= 1:
-            base_ref = SimplexRef(ref.base_dim, ref.base, ())
-            for i in range(ref.base_dim + 1):
-                stack.append(target.face_of(base_ref, i))
-    return PointedSubset(target, members, check=False)
-
-
-def reduced_diagonal(space: SimplicialSet, truncation: Optional[int] = None) -> SimplicialMap:
-    """The map x -> x ^ x into the 2-fold smash power."""
-    target = smash_power(space, 2, truncation)
-    mapping: dict[int, dict[Any, SimplexRef]] = {}
-    for n in range(min(space.top_dim(), target.truncation) + 1):
-        level = {}
-        for key in space.nondeg(n):
-            ref = SimplexRef(n, key, ())
-            level[key] = target.canonical_ref((ref, ref))
-        mapping[n] = level
-    return SimplicialMap(space, target, mapping, check=False)

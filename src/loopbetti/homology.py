@@ -6,16 +6,14 @@ face sum, where signs vanish mod 2 and faces whose canonical form is
 degenerate or the basepoint contribute nothing.  Everything downstream is
 sparse linear algebra over the two-element field: columns are sets of rows
 (indices or cell codes) and row operations are symmetric differences, so
-results are exact, with no tolerances.  A map is read only through the rank
-it induces per degree, all that "is f_* zero" and exact-sequence
-bookkeeping ask of it.
+results are exact, with no tolerances.
 """
 
 from __future__ import annotations
 
 from typing import Any, Collection, Container, Hashable, Iterable, Mapping, Optional, Sequence
 
-from .simplicial import SimplexRef, SimplicialMap, SimplicialSet, TruncationError
+from .simplicial import SimplexRef, SimplicialSet, TruncationError
 
 
 class UncertifiedRangeError(ValueError):
@@ -384,48 +382,3 @@ def reduced_betti(space: SimplicialSet, t_max: int) -> BettiTable:
     cc = ChainComplexGF2(space, t_max + 1)
     entries = {n: cc.betti(n) for n in range(t_max + 1)}
     return BettiTable(entries, certified=t_max, zero_from=space.top_dim() + 1)
-
-
-# ---------------------------------------------------------------------------
-# Induced maps.
-# ---------------------------------------------------------------------------
-
-def induced_ranks(f: SimplicialMap, t_max: int) -> dict[int, int]:
-    """Rank of the map f induces on reduced mod-2 homology, per degree
-    n <= t_max.
-
-    The chain map f_n sends a basis simplex to its image when that image is
-    nondegenerate and not the basepoint, and to zero otherwise.  Its mapping
-    cone has the boundary [d_(n+1) of the target | f_n over d_n of the
-    source] from degree n + 1, with the rows of C_n(target) first.
-    Eliminating the source columns that d_n does not kill leaves rank d_n
-    plus the rank of B_n(target) together with f(Z_n), and f_*(H_n) is that
-    span modulo B_n(target).  So the rank is rank(cone) - rank d_n(source)
-    - rank d_(n+1)(target); the cone's boundary squares to zero exactly
-    when f commutes with the boundaries, which ``boundary_ranks`` checks.
-    """
-    src = ChainComplexGF2(f.source, t_max)
-    tgt = ChainComplexGF2(f.target, t_max + 1)
-
-    def cone() -> Iterable[tuple[int, list[tuple[int, ...]]]]:
-        for n in range(t_max + 1):
-            index = tgt.basis_index(n)
-            columns = list(tgt.boundary(n + 1).cols)
-            for key, col in zip(src.basis(n), src.boundary(n).cols):
-                image = f.apply_key(n, key)
-                zero = image.word or f.target.is_basepoint_ref(image)
-                head = () if zero else (index[image.base],)
-                columns.append(head + tuple(len(index) + j for j in col))
-            yield n + 1, transpose(columns, len(index) + len(src.basis(n - 1)))
-
-    cone_ranks = boundary_ranks(cone())
-    src_ranks, tgt_ranks = src.ranks(), tgt.ranks()
-    return {
-        n: cone_ranks[n + 1] - src_ranks.get(n, 0) - tgt_ranks.get(n + 1, 0)
-        for n in range(t_max + 1)
-    }
-
-
-def is_homologous_zero(f: SimplicialMap, t_max: int) -> bool:
-    """Whether a map induces zero on reduced mod-2 homology through t_max."""
-    return not any(induced_ranks(f, t_max).values())

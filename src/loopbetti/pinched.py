@@ -23,14 +23,8 @@ from itertools import compress, repeat
 from operator import add, and_, eq, floordiv, mod, or_
 from typing import Any, Callable, Iterable, Optional
 
-from .constructions import TupleSpace, reduced_diagonal, smash_power
-from .homology import (
-    BettiTable,
-    UncertifiedRangeError,
-    boundary_ranks,
-    is_homologous_zero,
-    reduced_betti,
-)
+from .constructions import TupleSpace, smash_power
+from .homology import BettiTable, UncertifiedRangeError, boundary_ranks, kunneth, reduced_betti
 from .simplicial import (
     PointedSubset,
     SimplexRef,
@@ -407,16 +401,23 @@ _DIAGONAL_NULL: "weakref.WeakKeyDictionary[PointedSubset, bool]" = weakref.WeakK
 
 
 def check_diagonal_null(fixed: PointedSubset) -> bool:
-    """Whether the reduced diagonal of the fixed set is homologous to zero.
+    """Whether the reduced diagonal of the fixed set A is homologous to zero.
 
-    Checked through the top dimension of the fixed set, which certifies
-    every degree since the source homology vanishes above it.  The chains
-    of the smash square that this reads stop at min(top + 1, 2 top), so
-    that is the truncation requested.
+    At s = 2 with every simplex of A fixed, the pinched subset of the smash
+    square is the diagonal, a copy of A.  So the exact sequence of that pair
+    gives b_n(quotient) = b_n(A ^ A) + b_(n-1)(A) - r_n - r_(n-1), with r_n
+    the rank the diagonal induces in degree n, and every r_n through top(A)
+    is zero exactly when the quotient table is the Kunneth square plus the
+    shifted table of A through top(A).  That certifies every degree, since
+    the homology of A vanishes above its top dimension.  The quotient reads
+    the chains of the smash square through min(top + 1, 2 top).
     """
     top = fixed.top_dim()
-    diag = reduced_diagonal(fixed, truncation=min(top + 1, 2 * top))
-    null = is_homologous_zero(diag, top)
+    whole = PointedSubset(fixed, {n: fixed.nondeg(n) for n in range(top + 1)}, check=False)
+    quot = quotient_betti_brute(fixed, whole, 2, top)
+    betti_a = reduced_betti(fixed, top)
+    square = kunneth(betti_a, betti_a)
+    null = all(quot[n] == square[n] + betti_a[n - 1] for n in range(top + 1))
     _DIAGONAL_NULL[fixed] = null
     return null
 

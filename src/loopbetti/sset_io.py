@@ -54,15 +54,20 @@ def parse(text: str) -> tuple[FiniteSimplicialSet, Optional[Involution]]:
         fields = line.split()
         kind, args = fields[0], fields[1:]
         if kind == "truncation":
-            if len(args) != 1 or not args[0].isdigit():
+            # isdecimal, not isdigit: int() rejects superscript digits
+            if len(args) != 1 or not args[0].isdecimal():
                 raise ParseError("truncation needs one nonnegative integer", lineno)
+            if truncation is not None:
+                raise ParseError("duplicate truncation record", lineno)
             truncation = int(args[0])
         elif kind == "basepoint":
             if len(args) != 1:
                 raise ParseError("basepoint needs one label", lineno)
+            if basepoint is not None:
+                raise ParseError("duplicate basepoint record", lineno)
             basepoint, basepoint_line = args[0], lineno
         elif kind == "simplices":
-            if len(args) < 2 or not args[0].isdigit():
+            if len(args) < 2 or not args[0].isdecimal():
                 raise ParseError("simplices needs a dimension and labels", lineno)
             dim = int(args[0])
             for label in args[1:]:

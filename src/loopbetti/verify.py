@@ -24,11 +24,12 @@ from __future__ import annotations
 
 import json
 import time
+from math import comb
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from .closed_form import BettiInput, betti_pinched_formula_table, loop_betti
-from .constructions import decide_section, orbit_space, smash_power
+from .constructions import decide_section, orbit_space
 from .homology import (
     BettiTable,
     UncertifiedRangeError,
@@ -178,16 +179,23 @@ class RunReport:
 # Quotient-table strategies.
 # ---------------------------------------------------------------------------
 
-def try_materialize_count(space, top: int, budget: int) -> Optional[int]:
-    """Total nondegenerate simplices of a tuple space through ``top``, or
-    None over budget.
+def try_materialize_count(q, s: int, top: int, budget: int) -> Optional[int]:
+    """Total nondegenerate simplices of the s-fold smash power of q through
+    ``top``, basepoint included, or None over budget.
 
-    The count is closed-form (``TupleSpace.count_nondeg``), so asking about
-    an explosively large smash power stays cheap and an ambient within
+    Counted without enumeration, by inclusion-exclusion over the degeneracy
+    indices shared by every component: the s-tuples whose words all contain
+    a given k-set correspond to the s-tuples at dimension n - k, and q has
+    sum_d N_d C(m, d) non-basepoint simplices at ambient dimension m, N_d
+    counting its non-basepoint nondegenerate d-simplices.  So asking about
+    an explosively large smash power stays cheap, and an ambient within
     budget is enumerated only once, by the quotient."""
-    total = 0
-    for n in range(min(top, space.top_dim(), space.truncation) + 1):
-        total += space.count_nondeg(n)
+    top = min(top, s * q.top_dim())
+    counts = [len(q.nondeg(d)) - (d == 0) for d in range(min(top, q.top_dim()) + 1)]
+    tuples = [sum(c * comb(m, d) for d, c in enumerate(counts)) ** s for m in range(top + 1)]
+    total = 1  # the basepoint
+    for n in range(top + 1):
+        total += sum((-1) ** k * comb(n, k) * tuples[n - k] for k in range(n + 1))
         if total > budget:
             return None
     return total
@@ -214,7 +222,7 @@ def direct_quotient_betti(
     trunc = min(n_max + 1, q.top_dim() * s)
     if trunc > q.truncation:
         return None
-    count = try_materialize_count(smash_power(q, s, trunc), n_max + 1, direct_budget)
+    count = try_materialize_count(q, s, trunc, direct_budget)
     if count is None:
         return None
     return quotient_betti_brute(q, fixed, s, n_max), f"direct quotient homology ({count} cells)"

@@ -4,14 +4,16 @@ routines, and the constructions of the paper that no run executes.
 The runtime modules carry one implementation per job.  What only the tests
 call lives here: the blockwise pieces of the pinched subset indexed by
 compositions, their intersections, the union and inductive constructions
-and the membership predicates behind them; induced ranks from a cycle
-basis and the exact-sequence bookkeeping on induced ranks; dense views and
-products of sparse GF(2) matrices, the d^2 check over every raw column and
-the columns an elimination keeps; the identity, constant and inclusion
-maps and composites; the backtracking section search; and the brute kernel
-on tuples of component indices, the reference for the packed one.  Helpers that only tests call, such as the
-member dimensions of a subset or the recurrence check of a series, live
-here as functions as well.
+and the membership predicates behind them; the reduced diagonal into the
+smash square and the ranks a map induces, from a cycle basis, which are
+the reference for ``check_diagonal_null``, and the exact-sequence
+bookkeeping on those ranks; dense views and products of sparse GF(2)
+matrices, the d^2 check over every raw column and the columns an
+elimination keeps; the identity, constant and inclusion maps and
+composites; the backtracking section search; and the brute kernel on
+tuples of component indices, the reference for the packed one.  Helpers
+that only tests call, such as the member dimensions of a subset or the
+recurrence check of a series, live here as functions as well.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from loopbetti.homology import (
     ChainComplexGF2,
     GF2SparseMatrix,
     boundary_ranks,
-    induced_ranks,
     kunneth,
     reduce_columns,
     reduced_betti,
@@ -688,8 +689,7 @@ def induced_ranks_via_cycles(f: SimplicialMap, t_max: int) -> dict[int, int]:
     """Rank of the map f induces on reduced mod-2 homology, per degree
     n <= t_max, from an explicit cycle basis: the image of the cycles
     Z_n(source) spans f_*(H_n) modulo the boundaries B_n(target), so the
-    rank is rank[B_n | f(Z_n)] - rank[B_n].  The reference for the mapping
-    cone of ``induced_ranks``."""
+    rank is rank[B_n | f(Z_n)] - rank[B_n]."""
     src = ChainComplexGF2(f.source, t_max)
     tgt = ChainComplexGF2(f.target, t_max + 1)
     boundary_rank = tgt.ranks()
@@ -714,6 +714,27 @@ def induced_ranks_via_cycles(f: SimplicialMap, t_max: int) -> dict[int, int]:
     return out
 
 
+def reduced_diagonal(space: SimplicialSet, truncation: Optional[int] = None) -> SimplicialMap:
+    """The map x -> x ^ x into the 2-fold smash power."""
+    target = smash_power(space, 2, truncation)
+    mapping: dict[int, dict[Any, SimplexRef]] = {}
+    for n in range(min(space.top_dim(), target.truncation) + 1):
+        level = {}
+        for key in space.nondeg(n):
+            ref = SimplexRef(n, key, ())
+            level[key] = target.canonical_ref((ref, ref))
+        mapping[n] = level
+    return SimplicialMap(space, target, mapping, check=False)
+
+
+def diagonal_null_via_cycles(fixed: SimplicialSet) -> bool:
+    """Whether the reduced diagonal induces zero through the top dimension,
+    read off a cycle basis; the reference for ``check_diagonal_null``."""
+    top = fixed.top_dim()
+    diag = reduced_diagonal(fixed, truncation=min(top + 1, 2 * top))
+    return not any(induced_ranks_via_cycles(diag, top).values())
+
+
 def quotient_betti_via_les(
     space: SimplicialSet, subset: PointedSubset, t_max: int
 ) -> BettiTable:
@@ -723,7 +744,7 @@ def quotient_betti_via_les(
     ``b_n(Q/S) = (b_n(Q) - rank i_n) + (b_{n-1}(S) - rank i_{n-1})`` with
     ``i`` the inclusion-induced map on homology.
     """
-    ranks = induced_ranks(inclusion_map(subset), t_max)
+    ranks = induced_ranks_via_cycles(inclusion_map(subset), t_max)
     b_space = reduced_betti(space, t_max)
     b_sub = reduced_betti(subset, t_max)
     entries = {}

@@ -11,6 +11,9 @@
   free pair, glued at random; the verdict is left to the searches.
 * ``random_verify_case``: a small ``random_space`` with random ``verify``
   bounds, for the three-path agreement checks.
+* ``trivial_surface``: the trivial involution on a one-vertex 2-sphere,
+  real projective plane or torus, so the fixed set is the whole surface, a
+  fixed set with homology in degree 2.
 """
 
 from __future__ import annotations
@@ -131,3 +134,19 @@ def random_verify_case(rng: random.Random):
         "brute_loop_max": min(loop_max, 4),
     }
     return space, invol, flags
+
+
+# the simplices above the basepoint and their faces, per surface
+SURFACES = {
+    "sphere": ({2: ["S"]}, {"S": ["s0@*", "s0@*", "s0@*"]}),
+    "projective_plane": ({1: ["a"], 2: ["P"]}, {"a": ["*", "*"], "P": ["a", "s0@*", "a"]}),
+    "torus": (
+        {1: ["a", "b", "c"], 2: ["U", "L"]},
+        {"a": ["*", "*"], "b": ["*", "*"], "c": ["*", "*"], "U": ["b", "c", "a"], "L": ["a", "c", "b"]},
+    ),
+}
+
+
+def trivial_surface(name: str):
+    simplices, faces = SURFACES[name]
+    return build({0: ["*"], **simplices}, faces, {})

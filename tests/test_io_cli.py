@@ -159,6 +159,22 @@ REJECTIONS = {
         HEAD + "simplices 0 * u\ninvolution u u\ninvolution * ghost\n",
         "line 5: involution names unknown simplex '*' -> 'ghost'",
     ),
+    "superscript_truncation": (
+        "truncation \u00b2\nsimplices 0 *\n",
+        "line 1: truncation needs one nonnegative integer",
+    ),
+    "superscript_dimension": (
+        HEAD + "simplices \u00b9 *\n",
+        "line 3: simplices needs a dimension and labels",
+    ),
+    "repeated_truncation": (
+        "truncation 1\nsimplices 0 *\ntruncation 5\n",
+        "line 3: duplicate truncation record",
+    ),
+    "repeated_basepoint": (
+        HEAD + "simplices 0 * v\nbasepoint v\n",
+        "line 4: duplicate basepoint record",
+    ),
 }
 
 
@@ -378,9 +394,9 @@ def test_verify_chooses_quotient_route_once_per_smash_power(monkeypatch):
     real_count, real_quotient = verify.try_materialize_count, verify.quotient_betti_brute
     real_tables = verify.loop_quotient_tables
 
-    def count(space, *args):
-        counted[len(space.factors)] += 1
-        return real_count(space, *args)
+    def count(q, s, *args):
+        counted[s] += 1
+        return real_count(q, s, *args)
 
     def quotient(q, fixed, s, n_max):
         built[s] += 1
@@ -445,6 +461,38 @@ def test_verify_checks_the_diagonal_once_per_run(monkeypatch):
     report = verify.run_verify(space, invol, s_max=3, t_max=3, loop_max=6, brute_loop_max=3)
     assert report.agreement and report.diagonal_null
     assert len(calls) == 1
+
+
+def bench_flags(s_max, t_max, loop_max, brute_loop_max):
+    return ("--s-max", str(s_max), "--t-max", str(t_max), "--loop-max", str(loop_max),
+            "--brute-loop-max", str(brute_loop_max))
+
+
+# every shipped fixture with an involution at default flags, then the verify
+# calls of the benchmark workloads brute_pinched and formula_loop
+NO_TUPLE_SPACE_RUNS = [
+    ("sphere_pair_swap",),
+    ("free_double_cover",),
+    ("trivial_circle",),
+    ("sphere_pair_swap", *bench_flags(5, 6, 6, 5)),
+    ("sphere_pair_swap", *bench_flags(2, 2, 9, 4)),
+    ("trivial_circle", *bench_flags(2, 2, 9, 4)),
+]
+
+
+@pytest.mark.parametrize("run", NO_TUPLE_SPACE_RUNS, ids=" ".join)
+def test_verify_builds_no_tuple_space(run, monkeypatch, capsys):
+    """The diagonal hypothesis and the direct budget are decided on the
+    integer tables, so no verify run builds a tuple space."""
+    from loopbetti.constructions import TupleSpace
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("verify built a tuple space")
+
+    monkeypatch.setattr(TupleSpace, "__init__", refuse)
+    name, *flags = run
+    assert main(["verify", str(FIXTURE_DIR / f"{name}.sset"), *flags, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["agreement"] is True
 
 
 def test_verify_disables_columns_when_diagonal_is_not_null():
@@ -532,8 +580,11 @@ def test_verify_on_a_file_truncated_at_its_top_dimension(tmp_path, capsys):
 def test_truncation_error_names_both_truncations():
     """A factor truncated below its top dimension refuses a higher
     truncation; a finite set truncated at its top dimension accepts any."""
+    from oracles import count_by_enumeration
+
     from loopbetti.constructions import smash_power
     from loopbetti.simplicial import TruncationError
+    from loopbetti.verify import try_materialize_count
 
     torus_part = smash_power(circle(), 2, 1)  # top dimension 2
     with pytest.raises(TruncationError, match="factor truncation 1 .* truncation 3"):
@@ -541,4 +592,5 @@ def test_truncation_error_names_both_truncations():
     square, shipped = smash_power(circle(truncation=1), 2, 3), smash_power(circle(), 2, 3)
     for n in range(4):
         assert square.nondeg(n) == shipped.nondeg(n)
-        assert square.count_nondeg(n) == len(square.nondeg(n))
+        total = count_by_enumeration(square, n)
+        assert try_materialize_count(circle(truncation=1), 2, n, total) == total

@@ -1,5 +1,6 @@
 """Pinched subsets, blockwise pieces, intersections, and the cover sum."""
 
+import random
 from itertools import combinations
 from operator import is_
 from pathlib import Path
@@ -15,6 +16,7 @@ from oracles import (
     cover_sum_by_intersections,
     delta_alpha,
     delta_intersection,
+    diagonal_null_via_cycles,
     inductive_predicate,
     intersection_to_composition,
     member_dims,
@@ -27,6 +29,7 @@ from oracles import (
     union_predicate,
     whole_subset,
 )
+from section_spaces import SURFACES, random_verify_case, trivial_surface
 
 from loopbetti.closed_form import BettiInput, betti_pinched_formula, betti_pinched_formula_table
 from loopbetti.constructions import orbit_space, quotient, smash_power
@@ -63,6 +66,7 @@ from loopbetti.pinched import (
 )
 from loopbetti.simplicial import FiniteSimplicialSet, Involution, ValidationError
 from loopbetti.sset_io import parse_file
+from loopbetti.verify import try_materialize_count
 
 
 # ---------------------------------------------------------------------------
@@ -454,11 +458,12 @@ def test_quotient_cells_are_the_complement_of_the_pinched_cells(glued_spheres):
     orbit, fixed = glued_spheres["orbit"], glued_spheres["fixed"]
     tables = _FactorTables(orbit, fixed, 5)
     for s in (2, 3):
-        ambient = smash_power(orbit, s, 5)
+        total = 0
         for n in range(6):
             pinched, rest = _pinched_cells(tables, s, n), _quotient_cells(tables, s, n)
             assert not set(pinched) & set(rest)
-            assert len(pinched) + len(rest) + (n == 0) == ambient.count_nondeg(n), (s, n)
+            total += len(pinched) + len(rest) + (n == 0)
+            assert try_materialize_count(orbit, s, n, total) == total, (s, n)
 
 
 # ---------------------------------------------------------------------------
@@ -524,6 +529,26 @@ def test_diagonal_hypothesis_check(glued_spheres):
     assert check_diagonal_null(glued_spheres["fixed"])
     space = interval()
     assert not check_diagonal_null(zero_sphere_subset(space))
+
+
+def test_diagonal_check_matches_the_cycle_basis_oracle():
+    """The quotient at s = 2 decides the hypothesis as the induced ranks of
+    the reduced diagonal do, at fixed sets of top dimension 0, 1 and 2."""
+    subsets = [zero_sphere_subset(interval())]
+    for builder in (sphere_pair_swap, free_double_cover, trivial_circle):
+        subsets.append(orbit_space(*builder())[2])
+    for name in SURFACES:
+        subsets.append(whole_subset(trivial_surface(name)[0]))
+    rng = random.Random(1)
+    for _ in range(300):
+        space, invol, _ = random_verify_case(rng)
+        subsets.append(orbit_space(space, invol)[2])
+    verdicts = set()
+    for fixed in subsets:
+        null = check_diagonal_null(fixed)
+        assert null == diagonal_null_via_cycles(fixed), fixed
+        verdicts.add((fixed.top_dim(), null))
+    assert verdicts == {(top, null) for top in (0, 1, 2) for null in (True, False)}
 
 
 def test_cover_sum_requires_the_hypothesis():

@@ -6,7 +6,7 @@ import random
 from pathlib import Path
 
 import pytest
-from section_spaces import random_verify_case
+from section_spaces import random_verify_case, trivial_surface
 
 import loopbetti.verify as verify
 from loopbetti.cli import main
@@ -46,6 +46,36 @@ def test_three_paths_agree_on_random_spaces(direct_budget):
             assert report.loop_row == []
         both_hypotheses += report.diagonal_null and report.section_found
     assert both_hypotheses >= 40
+
+
+# the loop row per path at s_max = t_max = 4, loop_max = 6, brute_loop_max = 4.
+# The 2-sphere's diagonal is null; the projective plane's and the torus's
+# are not, so only brute force fills their loop cells, through n = 3.
+SURFACE_LOOP_ROWS = {
+    "sphere": {
+        "brute": [0, 1, 1, 2, None, None],
+        "mv_e1": [0, 1, 1, 2, 3, 5],
+        "closed": [0, 1, 1, 2, 3, 5],
+    },
+    "projective_plane": {"brute": [1, 2, 4, None, None, None]},
+    "torus": {"brute": [2, 6, 17, None, None, None]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SURFACE_LOOP_ROWS))
+def test_surfaces_as_fixed_sets(name):
+    """Fixed sets with homology in degree 2: the trivial involution on the
+    one-vertex 2-sphere, projective plane and torus."""
+    space, invol = trivial_surface(name)
+    report = run_verify(space, invol, s_max=4, t_max=4, loop_max=6, brute_loop_max=4)
+    assert report.agreement and report.section_found
+    assert report.diagonal_null == (name == "sphere")
+    rows = SURFACE_LOOP_ROWS[name]
+    for path in verify.PATHS:
+        assert [getattr(c, path) for c in report.loop_row] == rows.get(path, [None] * 6)
+    if not report.diagonal_null:
+        for cell in report.cells + report.loop_row:
+            assert cell.notes["mv_e1"] == cell.notes["closed"] == HYPOTHESIS_NOT_SATISFIED
 
 
 # draw 278 of ``random_verify_case(random.Random(1))``: s_max 4, t_max 5,
