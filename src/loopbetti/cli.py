@@ -2,7 +2,8 @@
 
     loopbetti betti FILE [--max-dim T] [--json]
     loopbetti verify FILE [--s-max S] [--t-max T] [--loop-max N]
-                          [--brute-loop-max N] [--json | --csv]
+                          [--brute-loop-max N] [--direct-budget B]
+                          [--json | --csv]
     loopbetti conjecture [--n-max N] [--json]
 
 Exit status is 0 exactly when every asserted agreement holds; unreadable

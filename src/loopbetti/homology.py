@@ -11,6 +11,7 @@ results are exact, with no tolerances.
 
 from __future__ import annotations
 
+from itertools import chain, repeat
 from typing import Any, Collection, Container, Hashable, Iterable, Mapping, Optional, Sequence
 
 from .simplicial import SimplexRef, SimplicialSet, TruncationError
@@ -156,19 +157,21 @@ def boundary_ranks(
     return ranks
 
 
-def check_squares_to_zero(
-    upper: Coboundary, lower: Iterable[Iterable[Hashable]], n: int
-) -> None:
+def check_squares_to_zero(upper: Coboundary, lower: Iterable[Iterable[int]], n: int) -> None:
     """Raise unless the coboundary to n (``upper``) kills every column of
     ``lower``, the pivots of the coboundary to n - 1 (or its columns): that
-    is d_(n-1) d_n = 0.  One accumulator serves every column: it is empty
-    again after each column that passes."""
-    acc: set[int] = set()
-    update = acc.symmetric_difference_update
-    for col in lower:
-        for j in col:
-            update(upper[j])
-        if acc:
+    is d_(n-1) d_n = 0.
+
+    A column is killed when the rows of ``upper`` it names hold every cell
+    an even number of times.  Their concatenation, sorted, does exactly
+    when its even and odd positions agree: a run of equal cells of odd
+    length would pair its first or last cell with a different one, and an
+    odd total length makes the two halves differ in length.  So each column
+    costs one sort and one comparison, both in C.
+    """
+    rows = upper.__getitem__
+    for flat in map(sorted, map(chain.from_iterable, map(map, repeat(rows), lower))):
+        if flat[::2] != flat[1::2]:
             raise ValueError(f"boundary does not square to zero at dimension {n}")
 
 

@@ -19,7 +19,8 @@ are checked against this one in the test suite and run nowhere else.
 from __future__ import annotations
 
 import weakref
-from itertools import compress, repeat
+from functools import cache
+from itertools import combinations, compress, repeat
 from operator import add, and_, eq, floordiv, mod, or_
 from typing import Any, Callable, Iterable, Optional
 
@@ -135,45 +136,100 @@ def _pinched_cells(tables: _FactorTables, s: int, n: int) -> list[int]:
     Until a witness (an adjacent equal fixed pair) exists, one slot still
     to come must repeat its predecessor, so the slots left clear top(Q)
     fewer bits, and the slot before the last takes only fixed components.
+
+    What a node's subtree adds below its code depends only on the word, the
+    slots left, whether a witness exists and, without one, the last
+    component.  So each dimension lists once, per such state, the mask
+    groups that fit a node and the codes of the last two slots (the tails),
+    and a node two slots from the end emits its cells in one pass.
     """
     masks, fixed = tables.masks[n], tables.fixed[n]
     groups, fixed_groups = tables.groups[n], tables.fixed_groups[n]
     top_q, radix = tables.top_q, len(masks)
     out: list[int] = []
+    emit = out.extend
 
-    def extend(code: int, prev: int, rem: int, common: int, witness: bool) -> None:
-        # code: the prefix so far, ending in component prev; rem slots to come
-        base = code * radix
-        if rem == 1:
-            if witness:
-                for mask, members in groups:
-                    if not common & mask:
-                        out.extend(map(base.__add__, members))
-            elif not common:
-                out.append(base + prev)  # prev is fixed
-            return
+    @cache
+    def fitting(common: int, rem: int) -> list[tuple[int, list[int]]]:
+        # (word left, members) of the groups a witnessed node may take next
         cap = (rem - 1) * top_q  # the most the slots after this one clear
-        if witness:
-            for mask, members in groups:
-                inter = common & mask
-                if inter.bit_count() <= cap:
-                    for i in members:
-                        extend(base + i, i, rem - 1, inter, True)
+        return [
+            (inter, kept) for mask, kept in groups if (inter := common & mask).bit_count() <= cap
+        ]
+
+    @cache
+    def opening(common: int, rem: int) -> list[tuple[int, int, bool, list[int]]]:
+        # (mask, word left, open to every member, members) of the groups a
+        # node with no witness may take next; a group that is not open fits
+        # only a repeat of a fixed predecessor, which clears nothing
+        cap = (rem - 1) * top_q
+        return [
+            (mask, inter, bits <= cap - top_q, kept)
+            for mask, kept in (fixed_groups if rem == 2 else groups)
+            if (bits := (inter := common & mask).bit_count()) <= cap
+        ]
+
+    @cache
+    def tail(common: int, rem: int) -> list[int]:
+        # the codes of the last rem <= 2 slots of a witnessed node's cells
+        if rem == 1:
+            return [i for mask, kept in groups if not common & mask for i in kept]
+        return [
+            i * radix + j for inter, kept in fitting(common, 2) for i in kept for j in tail(inter, 1)
+        ]
+
+    @cache
+    def open_tail(common: int, prev: int) -> list[int]:
+        # the codes of the last two slots of the cells of a node with no
+        # witness that ends in component prev
+        codes: list[int] = []
+        pinch_mask = masks[prev] if fixed[prev] else None
+        for mask, inter, open_, kept in opening(common, 2):
+            if open_:  # then inter is 0, and the last slot repeats i
+                for i in kept:
+                    if i == prev and pinch_mask is not None:
+                        codes.extend(i * radix + j for j in tail(inter, 1))
+                    else:
+                        codes.append(i * radix + i)
+            elif mask == pinch_mask:
+                codes.extend(prev * radix + j for j in tail(inter, 1))
+        return codes
+
+    def witnessed(code: int, rem: int, common: int) -> None:
+        # code: a prefix with a witness; rem slots to come
+        if rem <= 2:
+            emit(map((code * radix**rem).__add__, tail(common, rem)))
             return
-        witness_mask = masks[prev] if fixed[prev] else None
-        for mask, members in fixed_groups if rem == 2 else groups:
-            inter = common & mask
-            bits = inter.bit_count()
-            if bits <= cap - top_q:
-                for i in members:
-                    extend(base + i, i, rem - 1, inter, i == prev and fixed[i])
-            elif bits <= cap and mask == witness_mask:
-                extend(base + prev, prev, rem - 1, inter, True)
+        base = code * radix
+        for inter, kept in fitting(common, rem):
+            for i in kept:
+                witnessed(base + i, rem - 1, inter)
+
+    def unwitnessed(code: int, prev: int, rem: int, common: int) -> None:
+        # code: a prefix with no witness, ending in component prev
+        if rem == 1:
+            if not common:
+                out.append(code * radix + prev)  # prev is fixed
+            return
+        if rem == 2:
+            emit(map((code * radix * radix).__add__, open_tail(common, prev)))
+            return
+        base = code * radix
+        pinch, pinch_mask = (prev, masks[prev]) if fixed[prev] else (-1, None)
+        for mask, inter, open_, kept in opening(common, rem):
+            if open_:
+                for i in kept:
+                    if i == pinch:
+                        witnessed(base + i, rem - 1, inter)
+                    else:
+                        unwitnessed(base + i, i, rem - 1, inter)
+            elif mask == pinch_mask:
+                witnessed(base + prev, rem - 1, inter)
 
     for mask, members in fixed_groups if s == 2 else groups:
         if mask.bit_count() <= (s - 2) * top_q:
             for i in members:
-                extend(i, i, s - 1, mask, False)
+                unwitnessed(i, i, s - 1, mask)
     return out
 
 
@@ -253,12 +309,54 @@ def _group(codes: Iterable[int], radix: int, s: int, e: int, w: int) -> Iterable
     return map(mod, part, repeat(radix**w)) if e + w < s else part
 
 
+def _face_passes(tables: _FactorTables, n: int) -> tuple[list[int], bool]:
+    """The faces k at dimension n that some nondegenerate cell can have
+    nonzero, and whether no nondegenerate cell meets one face twice among
+    them: both decided once per dimension on the factor tables.
+
+    A nondegenerate cell has, for each word bit b, a component whose word
+    lacks b.  So when every component lacking some b sends face k to the
+    basepoint marker, face k of every such cell is the basepoint, and the
+    pass is dead.  Likewise, when every component lacking some b has
+    distinct faces k and k' or face k the marker, faces k and k' of every
+    such cell differ or are zero, so no column holds a cell twice.
+    """
+    faces = tables.faces[n]
+    marker = len(tables.masks[n - 1]) - 1
+    lacking = [
+        [i for i, m in enumerate(tables.masks[n][:-1]) if not m >> b & 1] for b in range(n)
+    ]
+    live = [
+        k for k, face in enumerate(faces)
+        if not any(all(face[i] == marker for i in comps) for comps in lacking)
+    ]
+    distinct = all(
+        any(all(faces[k][i] != faces[j][i] or faces[k][i] == marker for i in comps)
+            for comps in lacking)
+        for k, j in combinations(live, 2)
+    )
+    return live, distinct
+
+
+def _nondegenerate(
+    tables: _FactorTables, n: int, groups: list[tuple[int, int]], codes: list[list[int]]
+) -> bool:
+    """Whether every cell at n with these group codes has an empty common
+    degeneracy word: one AND pass over per-group tables of own masks."""
+    masks = tables.masks[n]
+    pair_masks = [x & y for x in masks for y in masks] if any(w == 2 for _, w in groups) else []
+    common: Iterable[int] = repeat(-1)
+    for (_, w), group in zip(groups, codes):
+        common = map(and_, common, map((pair_masks if w == 2 else masks).__getitem__, group))
+    return not any(common)
+
+
 def _face_tables(
-    tables: _FactorTables, s: int, n: int, groups: list[tuple[int, int]]
+    tables: _FactorTables, s: int, n: int, groups: list[tuple[int, int]], passes: list[int]
 ) -> tuple[list[list[tuple[list[int], list[int]]]], int]:
-    """Per face k, per slot group: the map from a group code at n to its
-    share of the face code at n - 1, and to the AND of its faces' flagged
-    masks; and the flag.
+    """Per face k in ``passes``, per slot group: the map from a group code
+    at n to its share of the face code at n - 1, and to the AND of its
+    faces' flagged masks; and the flag.
 
     A component's flagged mask is FLAG | its word mask, FLAG being a bit
     above every word bit at n - 1, and the basepoint marker's is every word
@@ -271,8 +369,8 @@ def _face_tables(
     flagged = [flag | m for m in low_masks[:-1]] + [flag - 1]
     pairs = any(w == 2 for _, w in groups)
     out = []
-    for face_k in tables.faces[n]:
-        digits = face_k + [low - 1]  # pads the marker digit, which no cell holds
+    for k in passes:
+        digits = tables.faces[n][k] + [low - 1]  # pads the marker digit, which no cell holds
         digit_masks = list(map(flagged.__getitem__, digits))
         if pairs:
             pair_codes = [x * low + y for x in digits for y in digits]
@@ -315,28 +413,34 @@ def _coboundary_columns(
     relative: bool = False,
 ) -> dict[int, tuple[int, ...]]:
     """The coboundary to degree n, the transpose of the boundary from n: for
-    the code of each cell at n - 1 (``below``), the codes of the n-cells
-    (``cells``) that hold it as a face an odd number of times.
+    the code of each cell at n - 1 (``below``), the tuple of codes of the
+    n-cells (``cells``) that hold it as a face an odd number of times.
 
     Each cell is its own id: the dict is both the face lookup and the
-    column store.  Face k of every cell is computed at once: its code is
-    the sum over the slot groups of a tabulated share of each group code.
-    The cell is appended straight to the column of that face, so no column
-    of the boundary is built, and a cell whose face k is not below goes to
-    a sink list.  Such a face must be the basepoint or degenerate, which the
-    flagged mask tables tell, or, for the chains relative to the pinched
-    subset (``relative``), pinched; any other miss means the cells are not
-    closed under faces and raises ValidationError.  A cell that holds one
-    face twice lands twice in its column, so a column with a repeated cell
-    keeps the cells that occur an odd number of times.
+    column store.  A face pass that ``_face_passes`` proves dead is skipped
+    whole.  Face k of every cell in each other pass is computed at once:
+    its code is the sum over the slot groups of a tabulated share of each
+    group code.  The cell is appended straight to the column of that face,
+    so no column of the boundary is built, and a cell whose face k is not
+    below goes to a sink list.  Such a face must be the basepoint or
+    degenerate, which the flagged mask tables tell, or, for the chains
+    relative to the pinched subset (``relative``), pinched; any other miss
+    means the cells are not closed under faces and raises ValidationError.
+    When ``_face_passes`` cannot rule out a cell meeting one face twice, a
+    column keeps the cells it holds an odd number of times.  Its proofs
+    hold only for nondegenerate cells, so a degenerate cell raises
+    ValidationError first.
     """
     radix = len(tables.masks[n])
     groups = _slot_groups(s, radix, len(cells))
     codes = _group_codes(cells, radix, s, groups)
-    face_tables, flag = _face_tables(tables, s, n, groups)
+    if not _nondegenerate(tables, n, groups, codes):
+        raise ValidationError(f"a {n}-cell is degenerate: its components share a degeneracy")
+    live, distinct = _face_passes(tables, n)
+    face_tables, flag = _face_tables(tables, s, n, groups, live)
     columns: dict[int, Any] = {code: [] for code in below}  # lists, then tuples
     get = columns.get
-    for k, per_group in enumerate(face_tables):
+    for k, per_group in zip(live, face_tables):
         sink: list[int] = []
         # list.append returns None, so any() runs every append, in C
         any(map(list.append, map(get, _face_codes(per_group, codes), repeat(sink)), cells))
@@ -346,8 +450,8 @@ def _coboundary_columns(
                 ands = map(and_, ands, map(masks.__getitem__, _group(sink, radix, s, e, w)))
             if relative:
                 # the missed faces that are neither degenerate nor the basepoint
-                live = list(compress(sink, map(eq, ands, repeat(flag))))
-                faces = list(_face_codes(per_group, _group_codes(live, radix, s, groups)))
+                live_faces = list(compress(sink, map(eq, ands, repeat(flag))))
+                faces = list(_face_codes(per_group, _group_codes(live_faces, radix, s, groups)))
                 closed = all(_pinched(faces, len(tables.masks[n - 1]), s, tables.fixed[n - 1]))
             else:
                 closed = flag not in ands
@@ -356,6 +460,11 @@ def _coboundary_columns(
                     f"cells are not face-closed: face {k} of a {n}-cell is missing"
                 )
     del codes
+    if distinct:
+        # no column holds a cell twice: each list becomes its tuple in place,
+        # which changes no key, so the views stay valid
+        any(map(columns.__setitem__, columns, map(tuple, columns.values())))
+        return columns
     for code, col in columns.items():
         if len(set(col)) != len(col):
             col = [c for c in set(col) if col.count(c) % 2]

@@ -43,6 +43,7 @@ from loopbetti.homology import (
     GF2SparseMatrix,
     UncertifiedRangeError,
     boundary_ranks,
+    check_squares_to_zero,
     kunneth,
     rank_of_columns,
     reduce_columns,
@@ -318,6 +319,29 @@ def test_square_check_against_the_pivots_below_is_exact():
         assert set(failing) & set(kept), space
         only_unread += not any(kept.get(c) for c in failing)
     assert only_unread
+
+
+def test_square_check_is_exact_by_parity():
+    """A column passes exactly when the rows it names hold every cell an
+    even number of times: sorted, their concatenation must agree at even
+    and odd positions.  Cells held 2 or 4 times pass; a cell held once or
+    three times raises, also where the total length is even, and so does
+    an odd total length."""
+    upper = {1: (10, 20), 2: (10, 30), 3: (20, 30), 4: (10, 20), 5: (10,), 6: (20,), 7: (30,)}
+    passing = [(1, 2, 3), (1, 4), (1, 1, 4, 4), (5, 5), (1, 4, 5, 5, 6, 6)]
+    check_squares_to_zero(upper, passing, 4)
+    check_squares_to_zero([(3, 9), (9, 3), (3,)], [(0, 1), (2, 2)], 4)
+    failing = [
+        (5, 6),  # 10 and 20 once each
+        (1, 2),  # 10 twice, 20 and 30 once each
+        (1, 5),  # 10 twice, 20 once: odd length
+        (1, 4, 5, 6),  # 10 and 20 three times each: even length
+        (5, 5, 5),  # 10 three times: odd length
+        (7,),  # 30 once
+    ]
+    for col in failing:
+        with pytest.raises(ValueError, match="at dimension 4$"):
+            check_squares_to_zero(upper, passing + [col], 4)
 
 
 def test_code_keyed_columns_rank_like_positional_ones():

@@ -53,6 +53,7 @@ from loopbetti.pinched import (
     _FactorTables,
     _coboundary_columns,
     _digits,
+    _face_passes,
     _pinched_cells,
     _quotient_cells,
     _table_betti,
@@ -300,6 +301,82 @@ def test_brute_kernel_refuses_cells_missing_a_face(glued_spheres):
     below.remove(next(code for code in below if columns[code]))
     with pytest.raises(ValidationError):
         _coboundary_columns(tables, 3, cells, below, 3)
+
+
+def test_last_face_pass_is_proven_dead_on_the_glued_spheres(glued_spheres, monkeypatch):
+    """On the glued spheres the last face of every nondegenerate cell is
+    the basepoint, at every s and n.  The factor tables prove it once per
+    dimension, and the brute kernel builds face tables, so face codes, for
+    the live passes only."""
+    import loopbetti.pinched as pinched
+
+    orbit, fixed = glued_spheres["orbit"], glued_spheres["fixed"]
+    build_tables, build_codes = pinched._face_tables, pinched._face_codes
+    passes_at: dict[int, list[int]] = {}
+    coded = []
+
+    def tables_for(tables, s, n, groups, passes):
+        passes_at[n] = list(passes)
+        assert passes == _face_passes(tables, n)[0]
+        return build_tables(tables, s, n, groups, passes)
+
+    def codes_for(per_group, codes):
+        coded.append(per_group)
+        return build_codes(per_group, codes)
+
+    monkeypatch.setattr(pinched, "_face_tables", tables_for)
+    monkeypatch.setattr(pinched, "_face_codes", codes_for)
+    for s in range(2, 6):
+        bound = pinched_top_bound(orbit, fixed, s)
+        passes_at.clear()
+        coded.clear()
+        assert pinched_betti_brute(orbit, fixed, s, bound).nonzero()
+        assert sorted(passes_at) == list(range(1, bound + 1)), s
+        for n, live in passes_at.items():
+            assert n not in live, (s, n)
+        assert len(coded) == sum(map(len, passes_at.values())), s
+
+
+def test_brute_kernel_refuses_a_degenerate_cell(glued_spheres):
+    """The dead-pass and no-repeat proofs hold only for nondegenerate
+    cells, both of which are used here, so a degenerate cell raises, in
+    both kernels.  The one injected here, s_0 of a cell below, has faces 0
+    and 1 below and every other face degenerate, so the face-closure check
+    alone passes it; unnormalized, its column would hold it twice."""
+    orbit, fixed = glued_spheres["orbit"], glued_spheres["fixed"]
+    tables = _FactorTables(orbit, fixed, 3)
+    live, distinct = _face_passes(tables, 3)
+    assert len(live) < 4 and distinct
+    index = {ref: i for i, ref in enumerate(tables.refs[3])}
+    radix, low = len(tables.masks[3]), tables.refs[2]
+    for cells_at, relative in ((_pinched_cells, False), (_quotient_cells, True)):
+        below, cells = cells_at(tables, 3, 2), cells_at(tables, 3, 3)
+        _coboundary_columns(tables, 3, cells, below, 3, relative)
+        first = [slot[0] for slot in _digits(below, len(tables.masks[2]), 3)]
+        degenerate = [index[orbit.degenerate_of(low[i], 0)] for i in first]
+        code = (degenerate[0] * radix + degenerate[1]) * radix + degenerate[2]
+        assert code not in cells
+        with pytest.raises(ValidationError, match="3-cell is degenerate"):
+            _coboundary_columns(tables, 3, cells + [code], below, 3, relative)
+
+
+def test_no_repeat_proof_holds_on_every_shipped_fixture():
+    """No nondegenerate cell meets one face twice on any shipped fixture,
+    under its own involution or the trivial one where none ships, and the
+    factor tables prove it at every n <= 6, so the columns are not
+    normalized.  The dunce cap and the doubled face have a triangle that
+    meets one edge twice, so there the proof fails from n = 2 on and the
+    columns keep the cells they hold an odd number of times."""
+    for path in sorted(FIXTURE_DIR.glob("*.sset")):
+        space, invol = parse_file(path)
+        orbit, _, fixed = orbit_space(space, invol or Involution(space, {}))
+        tables = _FactorTables(orbit, fixed, 6)
+        assert all(_face_passes(tables, n)[1] for n in range(1, 7)), path.stem
+    for make_space in (dunce_cap, doubled_face):
+        orbit, _, fixed = orbit_space(*make_space())
+        tables = _FactorTables(orbit, fixed, 6)
+        failing = [n for n in range(1, 7) if not _face_passes(tables, n)[1]]
+        assert failing == [2, 3, 4, 5, 6], make_space.__name__
 
 
 def test_brute_tables_below_degree_zero_are_empty(glued_spheres):
