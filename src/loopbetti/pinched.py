@@ -2,13 +2,14 @@
 
 Inside the s-fold smash power of the orbit space Q sits the pinched subset:
 tuples with some adjacent pair of components equal and lying in the fixed
-subset A.  This module enumerates that subset on integer tables, one depth
-first pass per dimension, and computes its homology by brute force on the
-same tables; the complement of that search gives the cells of the quotient
-of the smash power by the subset, whose homology one shared kernel computes
-on the same tables.  The kernel codes each cell as one int, which is also
-its id in the cochains, finds faces through tables over groups of slots,
-and builds and reduces the cochains from degree 0 up.  The module also
+subset A.  This module enumerates that subset on integer tables, per
+dimension by one walk over the slots whose states record what a prefix
+still allows; the same walk, accepting the runs with no such pair, gives
+the cells of the quotient of the smash power by the subset.  One shared
+kernel computes the homology of both by brute force on the same tables.
+It codes each cell as one int, which is also its id in the cochains, finds
+faces through tables over groups of slots, and builds and reduces the
+cochains from degree 0 up.  The module also
 evaluates the cover-intersection Betti sum, which gives the pinched
 homology when the reduced diagonal of A is homologous to zero.  The paper's
 other constructions of the subset (blockwise pieces indexed by
@@ -19,10 +20,9 @@ are checked against this one in the test suite and run nowhere else.
 from __future__ import annotations
 
 import weakref
-from functools import cache
 from itertools import combinations, compress, repeat
 from operator import add, and_, eq, floordiv, mod, or_
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Iterable, Optional, Sequence
 
 from .constructions import TupleSpace, smash_power
 from .homology import BettiTable, UncertifiedRangeError, boundary_ranks, kunneth, reduced_betti
@@ -86,8 +86,7 @@ class _FactorTables:
     ``faces[n][k][i]`` is the index at n - 1 of face k of component i, or
     the basepoint marker ``len(refs[n - 1])``, whose mask ``masks[n - 1][-1]``
     is -1 (every bit), so that it never makes a face look nondegenerate.
-    ``groups[n]`` and ``fixed_groups[n]`` bucket the components, all or
-    only the fixed ones, by mask.
+    ``groups[n]`` buckets the components by mask.
     """
 
     def __init__(self, q: SimplicialSet, fixed: PointedSubset, top: int):
@@ -97,7 +96,6 @@ class _FactorTables:
         self.fixed: list[list[bool]] = []
         self.faces: list[list[list[int]]] = []
         self.groups: list[list[tuple[int, list[int]]]] = []
-        self.fixed_groups: list[list[tuple[int, list[int]]]] = []
         index: dict[SimplexRef, int] = {}
         for n in range(top + 1):
             refs = q.refs_at(n, include_basepoint=False)
@@ -119,155 +117,78 @@ class _FactorTables:
             self.masks.append(masks + [-1])
             self.fixed.append(flags)
             self.groups.append(list(by_mask.items()))
-            self.fixed_groups.append([
-                (mask, kept)
-                for mask, members in by_mask.items()
-                if (kept := [i for i in members if flags[i]])
-            ])
 
 
-def _pinched_cells(tables: _FactorTables, s: int, n: int) -> list[int]:
-    """The nondegenerate pinched s-tuples at ambient dimension n (s >= 2),
-    as cell codes (see ``_slot_groups``).
+_State = tuple[int, int, bool]
 
-    Depth first over the slots, keeping the common degeneracy word, which
-    must end empty.  A component with base dimension p clears at most
-    p <= top(Q) bits of it, and none when it repeats the slot before.
-    Until a witness (an adjacent equal fixed pair) exists, one slot still
-    to come must repeat its predecessor, so the slots left clear top(Q)
-    fewer bits, and the slot before the last takes only fixed components.
 
-    What a node's subtree adds below its code depends only on the word, the
-    slots left, whether a witness exists and, without one, the last
-    component.  So each dimension lists once, per such state, the mask
-    groups that fit a node and the codes of the last two slots (the tails),
-    and a node two slots from the end emits its cells in one pass.
+def _cells(tables: _FactorTables, s: int, n: int, pinched: bool) -> list[int]:
+    """The nondegenerate s-tuples at ambient dimension n (s >= 2), as cell
+    codes (see ``_slot_groups``): for ``pinched`` those with an adjacent
+    equal pair of fixed components (a witness), else those without one:
+    the cells but the basepoint of the smash power modulo the subset.
+
+    Both are the accepted runs of one walk over the slots, whose state
+    after a prefix, (common degeneracy word, last component while a repeat
+    of it could still make a witness else -1, whether a witness exists),
+    fixes what can follow.  The word must end empty, and a component of
+    base dimension p clears at most p <= top(Q) bits of it, none when it
+    repeats its predecessor; so until a witness exists, the slots left
+    clear top(Q) fewer bits.  The pinched walk accepts the runs that end
+    witnessed; the other drops every move that would witness.  A forward
+    pass lists the states reachable after each slot; a backward pass then
+    builds the codes of the slots left after each, once per state, from
+    the last slot to the first, holding two levels.  Groups and members go
+    in table order, so the codes come out depth first in that order.
     """
-    masks, fixed = tables.masks[n], tables.fixed[n]
-    groups, fixed_groups = tables.groups[n], tables.fixed_groups[n]
+    masks, fixed, groups = tables.masks[n], tables.fixed[n], tables.groups[n]
     top_q, radix = tables.top_q, len(masks)
-    out: list[int] = []
-    emit = out.extend
 
-    @cache
-    def fitting(common: int, rem: int) -> list[tuple[int, list[int]]]:
-        # (word left, members) of the groups a witnessed node may take next
-        cap = (rem - 1) * top_q  # the most the slots after this one clear
-        return [
-            (inter, kept) for mask, kept in groups if (inter := common & mask).bit_count() <= cap
-        ]
-
-    @cache
-    def opening(common: int, rem: int) -> list[tuple[int, int, bool, list[int]]]:
-        # (mask, word left, open to every member, members) of the groups a
-        # node with no witness may take next; a group that is not open fits
-        # only a repeat of a fixed predecessor, which clears nothing
-        cap = (rem - 1) * top_q
-        return [
-            (mask, inter, bits <= cap - top_q, kept)
-            for mask, kept in (fixed_groups if rem == 2 else groups)
-            if (bits := (inter := common & mask).bit_count()) <= cap
-        ]
-
-    @cache
-    def tail(common: int, rem: int) -> list[int]:
-        # the codes of the last rem <= 2 slots of a witnessed node's cells
-        if rem == 1:
-            return [i for mask, kept in groups if not common & mask for i in kept]
-        return [
-            i * radix + j for inter, kept in fitting(common, 2) for i in kept for j in tail(inter, 1)
-        ]
-
-    @cache
-    def open_tail(common: int, prev: int) -> list[int]:
-        # the codes of the last two slots of the cells of a node with no
-        # witness that ends in component prev
-        codes: list[int] = []
-        pinch_mask = masks[prev] if fixed[prev] else None
-        for mask, inter, open_, kept in opening(common, 2):
-            if open_:  # then inter is 0, and the last slot repeats i
-                for i in kept:
-                    if i == prev and pinch_mask is not None:
-                        codes.extend(i * radix + j for j in tail(inter, 1))
-                    else:
-                        codes.append(i * radix + i)
-            elif mask == pinch_mask:
-                codes.extend(prev * radix + j for j in tail(inter, 1))
-        return codes
-
-    def witnessed(code: int, rem: int, common: int) -> None:
-        # code: a prefix with a witness; rem slots to come
-        if rem <= 2:
-            emit(map((code * radix**rem).__add__, tail(common, rem)))
-            return
-        base = code * radix
-        for inter, kept in fitting(common, rem):
-            for i in kept:
-                witnessed(base + i, rem - 1, inter)
-
-    def unwitnessed(code: int, prev: int, rem: int, common: int) -> None:
-        # code: a prefix with no witness, ending in component prev
-        if rem == 1:
-            if not common:
-                out.append(code * radix + prev)  # prev is fixed
-            return
-        if rem == 2:
-            emit(map((code * radix * radix).__add__, open_tail(common, prev)))
-            return
-        base = code * radix
-        pinch, pinch_mask = (prev, masks[prev]) if fixed[prev] else (-1, None)
-        for mask, inter, open_, kept in opening(common, rem):
-            if open_:
-                for i in kept:
-                    if i == pinch:
-                        witnessed(base + i, rem - 1, inter)
-                    else:
-                        unwitnessed(base + i, i, rem - 1, inter)
-            elif mask == pinch_mask:
-                witnessed(base + prev, rem - 1, inter)
-
-    for mask, members in fixed_groups if s == 2 else groups:
-        if mask.bit_count() <= (s - 2) * top_q:
-            for i in members:
-                unwitnessed(i, i, s - 1, mask)
-    return out
-
-
-def _quotient_cells(tables: _FactorTables, s: int, n: int) -> list[int]:
-    """The cells of the smash power modulo the pinched subset at ambient
-    dimension n (s >= 2) other than the basepoint: the nondegenerate
-    s-tuples with no adjacent equal fixed pair, as cell codes (see
-    ``_slot_groups``).
-
-    The complement of the witness branch of ``_pinched_cells``: depth first
-    over the slots with the same cap on the common degeneracy word, and a
-    slot never repeats a fixed predecessor.
-    """
-    fixed, groups = tables.fixed[n], tables.groups[n]
-    top_q, radix = tables.top_q, len(tables.masks[n])
-    out: list[int] = []
-
-    def extend(code: int, prev: int, rem: int, common: int) -> None:
-        base = code * radix
-        skip = prev if fixed[prev] else -1
-        if rem == 1:
-            for mask, members in groups:
-                if not common & mask:
-                    out.extend([base + i for i in members if i != skip])
-            return
+    def moves(state: _State, rem: int) -> Iterable[tuple[Sequence[int], _State]]:
+        # runs of the components the next slot may take, each with the state
+        # after it, rem slots being left with this one
+        common, last, witnessed = state
         cap = (rem - 1) * top_q  # the most the slots after this one clear
         for mask, members in groups:
             inter = common & mask
-            if inter.bit_count() <= cap:
+            bits = inter.bit_count()
+            if bits > cap:
+                continue
+            if witnessed:
+                yield members, (inter, -1, True)
+            elif pinched and (rem == 1 or bits > cap - top_q):  # only the witness fits
+                if last >= 0 and mask == masks[last]:
+                    yield (last,), (inter, -1, True)
+            elif rem == 1:  # no slot follows: every member but last ends alike
+                yield [i for i in members if i != last], (inter, -1, False)
+            else:
                 for i in members:
-                    if i != skip:
-                        extend(base + i, i, rem - 1, inter)
+                    if i != last:
+                        yield (i,), (inter, i if fixed[i] else -1, False)
+                    elif pinched:
+                        yield (i,), (inter, -1, True)
 
-    for mask, members in groups:
-        if mask.bit_count() <= (s - 1) * top_q:
-            for i in members:
-                extend(i, i, s - 1, mask)
-    return out
+    root = (-1, -1, False)
+    levels = [{root}]
+    for rem in range(s, 1, -1):
+        levels.append({after for state in levels[-1] for _, after in moves(state, rem)})
+    suffixes = {  # the last slot's codes after each state
+        state: [i for run, after in moves(state, 1) if after[2] == pinched for i in run]
+        for state in levels.pop()
+    }
+    for rem, states in enumerate(reversed(levels), start=2):
+        scale = radix ** (rem - 1)
+        level: dict[_State, list[int]] = {}
+        for state in states:
+            codes: list[int] = []
+            for run, after in moves(state, rem):
+                if tail := suffixes.get(after):
+                    for i in run:
+                        codes.extend(map((i * scale).__add__, tail))
+            if codes:
+                level[state] = codes
+        suffixes = level
+    return suffixes.get(root, [])
 
 
 def _slot_groups(s: int, radix: int, cells: int) -> list[tuple[int, int]]:
@@ -493,7 +414,7 @@ def pinched_set(
     tables = _FactorTables(q, fixed, min(trunc, bound))
     members = {}
     for n, refs in enumerate(tables.refs):
-        digits = _digits(_pinched_cells(tables, s, n), len(refs) + 1, s)
+        digits = _digits(_cells(tables, s, n, True), len(refs) + 1, s)
         members[n] = list(zip(*(map(refs.__getitem__, slot) for slot in digits)))
     return PointedSubset(amb, members, truncation=trunc, top_bound=bound, check=False)
 
@@ -636,16 +557,12 @@ def mv_e1_betti(
 # ---------------------------------------------------------------------------
 
 def _table_betti(
-    tables: _FactorTables,
-    cells_at: Callable[[_FactorTables, int, int], list[int]],
-    s: int,
-    top: int,
-    t_max: int,
-    relative: bool = False,
+    tables: _FactorTables, s: int, top: int, t_max: int, relative: bool = False
 ) -> tuple[dict[int, int], dict[int, int]]:
-    """Betti numbers through min(t_max, top) of the chains whose n-cells are
-    ``cells_at(tables, s, n)`` for n <= top, and the cell count per
-    dimension.
+    """Betti numbers through min(t_max, top), and the cell count per
+    dimension, of the pinched chains, or for ``relative`` of the chains of
+    the smash power relative to them, whose n-cells are
+    ``_cells(tables, s, n, not relative)`` for n <= top.
 
     Streams the coboundaries into ``boundary_ranks`` from degree 0 up,
     enumerating each dimension once: the coboundary to n is built from the
@@ -659,10 +576,10 @@ def _table_betti(
     sizes: dict[int, int] = {}
 
     def coboundaries() -> Iterable[tuple[int, dict[int, tuple[int, ...]]]]:
-        below = cells_at(tables, s, 0)
+        below = _cells(tables, s, 0, not relative)
         sizes[0] = len(below)
         for n in range(1, top + 1):
-            cells = cells_at(tables, s, n)
+            cells = _cells(tables, s, n, not relative)
             sizes[n] = len(cells)
             yield n, _coboundary_columns(tables, s, cells, below, n, relative)
             below = cells
@@ -693,7 +610,7 @@ def pinched_betti_brute(
     bound = pinched_top_bound(q, fixed, s)
     trunc = max(min(t_max + 1, bound), 0)
     tables = _FactorTables(q, fixed, trunc)
-    entries, _ = _table_betti(tables, _pinched_cells, s, trunc, t_max)
+    entries, _ = _table_betti(tables, s, trunc, t_max)
     return BettiTable(entries, certified=t_max, zero_from=bound + 1)
 
 
@@ -720,7 +637,7 @@ def quotient_betti_brute(
     top = q.top_dim() * s
     trunc = max(min(n_max + 1, top), 0)
     tables = _FactorTables(q, fixed, trunc)
-    entries, sizes = _table_betti(tables, _quotient_cells, s, trunc, n_max, relative=True)
+    entries, sizes = _table_betti(tables, s, trunc, n_max, relative=True)
     if trunc < top:
         zero_from = top + 1
     else:

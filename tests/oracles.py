@@ -804,8 +804,10 @@ def tuple_pinched_cells(tables: _FactorTables, s: int, n: int) -> list[tuple[int
     fewer bits, and the slot before the last takes only fixed components.
     """
     masks, fixed = tables.masks[n], tables.fixed[n]
-    groups, fixed_groups = tables.groups[n], tables.fixed_groups[n]
-    top_q = tables.top_q
+    groups, top_q = tables.groups[n], tables.top_q
+    fixed_groups = [
+        (mask, kept) for mask, members in groups if (kept := [i for i in members if fixed[i]])
+    ]
     out: list[tuple[int, ...]] = []
 
     def extend(prefix: tuple[int, ...], common: int, witness: bool) -> None:

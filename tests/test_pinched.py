@@ -29,7 +29,7 @@ from oracles import (
     union_predicate,
     whole_subset,
 )
-from section_spaces import SURFACES, random_verify_case, trivial_surface
+from section_spaces import SURFACES, planted, random_verify_case, trivial_surface
 
 from loopbetti.closed_form import BettiInput, betti_pinched_formula, betti_pinched_formula_table
 from loopbetti.constructions import orbit_space, quotient, smash_power
@@ -51,11 +51,10 @@ from loopbetti.homology import (
 from loopbetti.pinched import (
     HypothesisError,
     _FactorTables,
+    _cells,
     _coboundary_columns,
     _digits,
     _face_passes,
-    _pinched_cells,
-    _quotient_cells,
     _table_betti,
     check_diagonal_null,
     mv_e1_betti,
@@ -293,8 +292,8 @@ def test_brute_kernel_equals_generic_route_at_five(glued_spheres, glued_pinched)
 def test_brute_kernel_refuses_cells_missing_a_face(glued_spheres):
     orbit, fixed = glued_spheres["orbit"], glued_spheres["fixed"]
     tables = _FactorTables(orbit, fixed, 3)
-    below = _pinched_cells(tables, 3, 2)
-    cells = _pinched_cells(tables, 3, 3)
+    below = _cells(tables, 3, 2, True)
+    cells = _cells(tables, 3, 3, True)
     # the complete cells pass, though some faces are degenerate or the basepoint
     columns = _coboundary_columns(tables, 3, cells, below, 3)
     assert sum(map(len, columns.values())) < 4 * len(cells)
@@ -349,8 +348,8 @@ def test_brute_kernel_refuses_a_degenerate_cell(glued_spheres):
     assert len(live) < 4 and distinct
     index = {ref: i for i, ref in enumerate(tables.refs[3])}
     radix, low = len(tables.masks[3]), tables.refs[2]
-    for cells_at, relative in ((_pinched_cells, False), (_quotient_cells, True)):
-        below, cells = cells_at(tables, 3, 2), cells_at(tables, 3, 3)
+    for relative in (False, True):
+        below, cells = _cells(tables, 3, 2, not relative), _cells(tables, 3, 3, not relative)
         _coboundary_columns(tables, 3, cells, below, 3, relative)
         first = [slot[0] for slot in _digits(below, len(tables.masks[2]), 3)]
         degenerate = [index[orbit.degenerate_of(low[i], 0)] for i in first]
@@ -421,7 +420,7 @@ def test_cut_table_eliminates_at_most_a_betti_number_of_columns(glued_spheres, m
         assert eliminated <= table[n - 1], (n, eliminated)
     tables = _FactorTables(orbit, fixed, 3)
     # 438 cells at n = 3 and rank 75: 363 columns top down
-    assert len(_pinched_cells(tables, 4, 3)) - ranks[2] > 300
+    assert len(_cells(tables, 4, 3, True)) - ranks[2] > 300
 
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
@@ -444,16 +443,13 @@ def test_packed_kernel_equals_tuple_reference(name):
     built = {"dunce_cap": dunce_cap, "doubled_face": doubled_face}
     orbit, _, fixed = orbit_space(*(built[name]() if name in built else SHIPPED_ACTIONS[name]))
     tables = _FactorTables(orbit, fixed, 6)
-    kernels = [
-        (_pinched_cells, tuple_pinched_cells, False),
-        (_quotient_cells, tuple_quotient_cells, True),
-    ]
+    kernels = [(tuple_pinched_cells, False), (tuple_quotient_cells, True)]
     for s in range(2, 5):
-        for packed_at, tuple_at, relative in kernels:
+        for tuple_at, relative in kernels:
             top = min(6, orbit.top_dim() * s)
             below, tuple_lower = [], {}
             for n in range(top + 1):
-                codes, cells = packed_at(tables, s, n), tuple_at(tables, s, n)
+                codes, cells = _cells(tables, s, n, not relative), tuple_at(tables, s, n)
                 radix = len(tables.masks[n])
                 assert list(zip(*_digits(codes, radix, s))) == cells, (s, n)
                 if n:
@@ -473,7 +469,7 @@ def test_packed_kernel_equals_tuple_reference(name):
             # and 6 at s = 4 (125,640 and 191,520 columns on the glued
             # spheres) take seconds per kernel
             top = min(4, top)
-            entries, _ = _table_betti(tables, packed_at, s, top, top, relative)
+            entries, _ = _table_betti(tables, s, top, top, relative)
             assert entries == tuple_table_betti(tables, tuple_at, s, top, top, relative), s
 
 
@@ -514,8 +510,8 @@ def test_integer_quotient_refuses_cells_missing_a_face(glued_spheres):
     component outside the fixed set, which does not make it pinched."""
     orbit, fixed = glued_spheres["orbit"], glued_spheres["fixed"]
     tables = _FactorTables(orbit, fixed, 3)
-    below = _quotient_cells(tables, 3, 2)
-    cells = _quotient_cells(tables, 3, 3)
+    below = _cells(tables, 3, 2, False)
+    cells = _cells(tables, 3, 3, False)
     columns = _coboundary_columns(tables, 3, cells, below, 3, relative=True)
     with pytest.raises(ValidationError):
         _coboundary_columns(tables, 3, cells, below, 3)
@@ -532,15 +528,59 @@ def test_integer_quotient_refuses_cells_missing_a_face(glued_spheres):
 
 
 def test_quotient_cells_are_the_complement_of_the_pinched_cells(glued_spheres):
-    orbit, fixed = glued_spheres["orbit"], glued_spheres["fixed"]
-    tables = _FactorTables(orbit, fixed, 5)
-    for s in (2, 3):
-        total = 0
+    """The two walks split the nondegenerate tuples of the smash power at
+    s = 2 and 3: on the glued spheres through n = 5, and through n = 4 on
+    the three trivial surfaces, a planted space and 30 random cases."""
+    rng = random.Random(1)
+    spaces = [
+        *map(trivial_surface, SURFACES),
+        planted(random.Random(1), 20, 20),
+        *(random_verify_case(rng)[:2] for _ in range(30)),
+    ]
+    cases = [(glued_spheres["orbit"], glued_spheres["fixed"], 5)]
+    cases += [(orbit, fixed, 4) for orbit, _, fixed in (orbit_space(*pair) for pair in spaces)]
+    for orbit, fixed, top in cases:
+        tables = _FactorTables(orbit, fixed, top)
+        for s in (2, 3):
+            total = 0
+            for n in range(top + 1):
+                pinched, rest = _cells(tables, s, n, True), _cells(tables, s, n, False)
+                assert not set(pinched) & set(rest)
+                total += len(pinched) + len(rest) + (n == 0)
+                assert try_materialize_count(orbit, s, n, total) == total, (s, n)
+
+
+def test_cell_walk_work_does_not_grow_with_free_orbits():
+    """On a planted space the fixed set is the basepoint, so no cell is
+    pinched, and the states of the walk (common word, no fixed last
+    component, no witness) do not depend on the number of free orbits.  So
+    at s = 4, n <= 5 the walk scans the group member lists as often with
+    20 orbit pairs as with 60."""
+    scans = []
+    for k in (20, 60):
+        orbit, _, fixed = orbit_space(*planted(random.Random(1), k, k))
+        tables = _FactorTables(orbit, fixed, 5)
+        count = [0]
+
+        class Scanned(list):
+            def __iter__(self):
+                count[0] += 1
+                return super().__iter__()
+
+        tables.groups = [[(mask, Scanned(members)) for mask, members in at] for at in tables.groups]
         for n in range(6):
-            pinched, rest = _pinched_cells(tables, s, n), _quotient_cells(tables, s, n)
-            assert not set(pinched) & set(rest)
-            total += len(pinched) + len(rest) + (n == 0)
-            assert try_materialize_count(orbit, s, n, total) == total, (s, n)
+            assert _cells(tables, 4, n, True) == [], (k, n)
+        scans.append(count[0])
+    assert scans[0] == scans[1], scans
+
+
+def test_cell_walk_is_not_recursive_in_s(glued_spheres):
+    """The walk holds one level of states per slot, not one stack frame,
+    so a smash power of 1,100 factors gets its table through degree 0."""
+    orbit, fixed = glued_spheres["orbit"], glued_spheres["fixed"]
+    table = pinched_betti_brute(orbit, fixed, 1100, 0)
+    bound = pinched_top_bound(orbit, fixed, 1100)
+    assert table == BettiTable({}, certified=0, zero_from=bound + 1)
 
 
 # ---------------------------------------------------------------------------
