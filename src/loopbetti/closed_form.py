@@ -12,9 +12,8 @@ C(0, 0) = 1; no generalized binomials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .homology import BettiTable, UncertifiedRangeError
 
@@ -37,8 +36,7 @@ def c_coeff(dim_lambda: int, dim_mu: int, s: int) -> int:
     return binom(i + j, j) * binom(s - i - j - 1, j - 1)
 
 
-@dataclass(frozen=True)
-class BettiInput:
+class BettiInput(NamedTuple):
     """Betti tables of the orbit space and of the fixed set."""
 
     betti_orbit: BettiTable
@@ -192,7 +190,6 @@ def loop_betti_example(n: int) -> int:
 EXAMPLE_LOOP_BETTI_1_TO_12 = (0, 2, 1, 5, 5, 14, 19, 42, 66, 131, 221, 417)
 
 
-@dataclass(frozen=True)
 class RecurrenceSeries:
     """Power-series coefficients of a rational function numerator/denominator.
 
@@ -200,9 +197,14 @@ class RecurrenceSeries:
     satisfy the linear recurrence it induces.
     """
 
-    numerator: tuple[int, ...]
-    denominator: tuple[int, ...]
-    coeffs: tuple[int, ...]
+    __slots__ = ("numerator", "denominator", "coeffs")
+
+    def __init__(
+        self, numerator: tuple[int, ...], denominator: tuple[int, ...], coeffs: tuple[int, ...]
+    ):
+        self.numerator = numerator
+        self.denominator = denominator
+        self.coeffs = coeffs
 
     @classmethod
     def expand(

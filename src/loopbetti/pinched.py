@@ -2,14 +2,16 @@
 
 Inside the s-fold smash power of the orbit space Q sits the pinched subset:
 tuples with some adjacent pair of components equal and lying in the fixed
-subset A.  This module enumerates that subset on integer tables, per
-dimension by one walk over the slots whose states record what a prefix
-still allows; the same walk, accepting the runs with no such pair, gives
-the cells of the quotient of the smash power by the subset.  One shared
-kernel computes the homology of both by brute force on the same tables.
-It codes each cell as one int, which is also its id in the cochains, finds
-faces through tables over groups of slots, and builds and reduces the
-cochains from degree 0 up.  The module also
+subset A.  This module enumerates that subset on integer tables of the
+factor, built one dimension at a time from the one below through the
+simplicial identities, so that only nondegenerate simplices read their
+stored faces; per dimension it walks once over the slots, whose states
+record what a prefix still allows.  The same walk, accepting the runs
+with no such pair, gives the cells of the quotient of the smash power by
+the subset.  One shared kernel computes the homology of both by brute
+force on the same tables.  It codes each cell as one int, which is also
+its id in the cochains, finds faces through tables over groups of slots,
+and builds and reduces the cochains from degree 0 up.  The module also
 evaluates the cover-intersection Betti sum, which gives the pinched
 homology when the reduced diagonal of A is homologous to zero.  The paper's
 other constructions of the subset (blockwise pieces indexed by
@@ -87,6 +89,20 @@ class _FactorTables:
     the basepoint marker ``len(refs[n - 1])``, whose mask ``masks[n - 1][-1]``
     is -1 (every bit), so that it never makes a face look nondegenerate.
     ``groups[n]`` buckets the components by mask.
+
+    The tables are built one dimension at a time from the ones below.  The
+    components at n come in blocks, one per base dimension p, holding the
+    bases of dimension p in order, each with the same C(n, n - p) words in
+    ``combinations`` order.  So a column of one word across a block is an
+    extended slice, and a degenerate component at n + 1 whose word has
+    largest index m is s_m y, its y at n sharing its block and base.  The
+    simplicial identities (Goerss and Jardine, Simplicial Homotopy Theory,
+    I.1) then give its faces from those of y: d_k s_m y is y for
+    k in {m, m + 1}, s_(m-1) d_k y for k < m and s_m d_(k-1) y for
+    k > m + 1, so each costs one lookup in ``faces[n]`` and one in a
+    degeneracy table, whole word columns at once.  Only nondegenerate
+    components read the stored face lists.  The basepoint marker's
+    degeneracies are the marker.
     """
 
     def __init__(self, q: SimplicialSet, fixed: PointedSubset, top: int):
@@ -96,27 +112,110 @@ class _FactorTables:
         self.fixed: list[list[bool]] = []
         self.faces: list[list[list[int]]] = []
         self.groups: list[list[tuple[int, list[int]]]] = []
-        index: dict[SimplexRef, int] = {}
+        bases: list[dict[Any, int]] = []  # per dimension: each base's place among them
+        blocks: dict[int, _Block] = {}
+        lifts: list[list[int]] = []
         for n in range(top + 1):
             refs = q.refs_at(n, include_basepoint=False)
-            marker = len(index)
-            self.faces.append([
-                [
-                    marker if q.is_basepoint_ref(face) else index[face]
-                    for face in (q.face_of(r, k) for r in refs)
-                ]
-                for k in range(n + 1 if n else 0)
-            ])
-            index = {r: i for i, r in enumerate(refs)}
-            masks = [sum(1 << w for w in r.word) for r in refs]
-            flags = [fixed.contains_ref(r) for r in refs]
-            by_mask: dict[int, list[int]] = {}
-            for i, mask in enumerate(masks):
-                by_mask.setdefault(mask, []).append(i)
+            if n <= self.top_q:
+                keys = [k for k in q.nondeg(n) if n or k != q.basepoint]
+                bases.append({key: j for j, key in enumerate(keys)})
+            below, blocks, size = blocks, {}, 0
+            for p in range(min(n, self.top_q) + 1):
+                if bases[p]:
+                    words = [sum(1 << w for w in word) for word in combinations(range(n), n - p)]
+                    rank = {m: r for r, m in enumerate(words)}
+                    blocks[p] = (size, len(bases[p]), words, rank)
+                    size += len(bases[p]) * len(words)
+            if n:
+                low = len(self.refs[-1])  # the components at n - 1, and their marker
+                faces = _faces(q, n, bases, below, blocks, self.faces[-1], lifts, low, size)
+                self.faces.append(faces)
+                lifts = _lifts(n, below, blocks, low, size)
+            else:
+                self.faces.append([])
+            masks: list[int] = []
+            flags: list[bool] = []
+            groups: list[tuple[int, list[int]]] = []
+            for p, (start, count, words, _) in blocks.items():
+                masks += words * count
+                for key in bases[p]:
+                    flags += [fixed.contains_key(p, key)] * len(words)
+                stop, width = start + count * len(words), len(words)
+                groups += [(m, list(range(start + r, stop, width))) for r, m in enumerate(words)]
             self.refs.append(refs)
             self.masks.append(masks + [-1])
             self.fixed.append(flags)
-            self.groups.append(list(by_mask.items()))
+            self.groups.append(groups)
+
+
+# the components at one n of the bases of one dimension:
+# (first index, number of bases, the words' masks in ``combinations``
+# order, each mask's place among them)
+_Block = tuple[int, int, list[int], dict[int, int]]
+
+
+def _faces(
+    q: SimplicialSet,
+    n: int,
+    bases: list[dict[Any, int]],
+    below: dict[int, _Block],
+    blocks: dict[int, _Block],
+    low_faces: list[list[int]],
+    lifts: list[list[int]],
+    marker: int,
+    size: int,
+) -> list[list[int]]:
+    """``faces[n]`` of the ``size`` components in ``blocks``, from the
+    blocks, ``faces[n - 1]`` and the ``_lifts`` into n - 1 below;
+    ``marker`` is the basepoint marker at n - 1."""
+    faces = [[marker] * size for _ in range(n + 1)]
+    for p, (start, count, words, _) in blocks.items():
+        stop, width = start + count * len(words), len(words)
+        if p == n:  # nondegenerate: the stored face lists
+            for k, face in enumerate(faces):
+                for key, j in bases[n].items():
+                    ref = q.face_of(SimplexRef(n, key, ()), k)
+                    if not q.is_basepoint_ref(ref):
+                        low_start, _, low_words, low_rank = below[ref.base_dim]
+                        place = bases[ref.base_dim][ref.base] * len(low_words)
+                        word = sum(1 << w for w in ref.word)
+                        face[start + j] = low_start + place + low_rank[word]
+            continue
+        low_start, _, low_words, low_rank = below[p]
+        low_stop = low_start + count * len(low_words)
+        for r, word in enumerate(words):
+            m = word.bit_length() - 1  # the component is s_m y, y in the same block
+            ys = slice(low_start + low_rank[word ^ 1 << m], low_stop, len(low_words))
+            for k, face in enumerate(faces):
+                if k < m:
+                    column = map(lifts[m - 1].__getitem__, low_faces[k][ys])
+                elif k <= m + 1:
+                    column = range(ys.start, ys.stop, ys.step)
+                else:
+                    column = map(lifts[m].__getitem__, low_faces[k - 1][ys])
+                face[start + r:stop:width] = column
+    return faces
+
+
+def _lifts(
+    n: int, below: dict[int, _Block], blocks: dict[int, _Block], low: int, marker: int
+) -> list[list[int]]:
+    """For j = 0..n - 1, the index at n of s_j of each of the ``low``
+    components at n - 1 (``below``), then ``marker``, the basepoint marker
+    at n, for the one at n - 1."""
+    out = []
+    for j in range(n):
+        lift = [marker] * (low + 1)
+        for p, (start, count, words, _) in below.items():
+            high_start, _, high_words, high_rank = blocks[p]
+            high_stop, high_width = high_start + count * len(high_words), len(high_words)
+            for r, word in enumerate(words):
+                lifted = word & ((1 << j) - 1) | 1 << j | word >> j << (j + 1)
+                high = range(high_start + high_rank[lifted], high_stop, high_width)
+                lift[start + r:start + count * len(words):len(words)] = high
+        out.append(lift)
+    return out
 
 
 _State = tuple[int, int, bool]
@@ -138,8 +237,10 @@ def _cells(tables: _FactorTables, s: int, n: int, pinched: bool) -> list[int]:
     witnessed; the other drops every move that would witness.  A forward
     pass lists the states reachable after each slot; a backward pass then
     builds the codes of the slots left after each, once per state, from
-    the last slot to the first, holding two levels.  Groups and members go
-    in table order, so the codes come out depth first in that order.
+    the last slot to the first, holding two levels; the root frees each
+    list of the level below it after its last move that reads it.  Groups
+    and members go in table order, so the codes come out depth first in
+    that order.
     """
     masks, fixed, groups = tables.masks[n], tables.fixed[n], tables.groups[n]
     top_q, radix = tables.top_q, len(masks)
@@ -176,7 +277,7 @@ def _cells(tables: _FactorTables, s: int, n: int, pinched: bool) -> list[int]:
         state: [i for run, after in moves(state, 1) if after[2] == pinched for i in run]
         for state in levels.pop()
     }
-    for rem, states in enumerate(reversed(levels), start=2):
+    for rem, states in enumerate(reversed(levels[1:]), start=2):
         scale = radix ** (rem - 1)
         level: dict[_State, list[int]] = {}
         for state in states:
@@ -188,7 +289,17 @@ def _cells(tables: _FactorTables, s: int, n: int, pinched: bool) -> list[int]:
             if codes:
                 level[state] = codes
         suffixes = level
-    return suffixes.get(root, [])
+    # the root's codes come to about the size of the level below it, so each
+    # list of that level is freed at the root's last move that reads it
+    runs = [(run, after) for run, after in moves(root, s) if suffixes.get(after)]
+    last = {after: j for j, (_, after) in enumerate(runs)}
+    scale = radix ** (s - 1)
+    codes: list[int] = []
+    for j, (run, after) in enumerate(runs):
+        tail = suffixes.pop(after) if last[after] == j else suffixes[after]
+        for i in run:
+            codes.extend(map((i * scale).__add__, tail))
+    return codes
 
 
 def _slot_groups(s: int, radix: int, cells: int) -> list[tuple[int, int]]:

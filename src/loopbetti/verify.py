@@ -25,7 +25,6 @@ from __future__ import annotations
 import json
 import time
 from math import comb
-from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from .closed_form import BettiInput, betti_pinched_formula_table, loop_betti
@@ -51,17 +50,25 @@ HYPOTHESIS_NOT_SATISFIED = "hypothesis not satisfied"
 PATHS = ("brute", "mv_e1", "closed")
 
 
-@dataclass
 class Cell:
     """One entry compared across the three paths: a pinched-grid cell at
     (s, t), or a loop-row cell at degree n (``s_or_n = n``, ``t = None``)."""
 
-    s_or_n: int
-    t: Optional[int]
-    brute: Optional[int]
-    mv_e1: Optional[int]
-    closed: Optional[int]
-    notes: dict[str, str] = field(default_factory=dict)
+    def __init__(
+        self,
+        s_or_n: int,
+        t: Optional[int],
+        brute: Optional[int],
+        mv_e1: Optional[int],
+        closed: Optional[int],
+        notes: Optional[dict[str, str]] = None,
+    ):
+        self.s_or_n = s_or_n
+        self.t = t
+        self.brute = brute
+        self.mv_e1 = mv_e1
+        self.closed = closed
+        self.notes: dict[str, str] = {} if notes is None else notes
 
     @property
     def agree(self) -> bool:
@@ -80,20 +87,28 @@ class Cell:
         }
 
 
-@dataclass
 class RunReport:
     """Result grid of a verification run, with hypothesis flags and timings."""
 
-    fixture: str
-    truncation: int
-    s_max: int
-    t_max: int
-    section_found: bool
-    diagonal_null: bool
-    cells: list[Cell] = field(default_factory=list)
-    loop_row: list[Cell] = field(default_factory=list)
-    messages: list[str] = field(default_factory=list)
-    timings: dict[str, float] = field(default_factory=dict)
+    def __init__(
+        self,
+        fixture: str,
+        truncation: int,
+        s_max: int,
+        t_max: int,
+        section_found: bool,
+        diagonal_null: bool,
+    ):
+        self.fixture = fixture
+        self.truncation = truncation
+        self.s_max = s_max
+        self.t_max = t_max
+        self.section_found = section_found
+        self.diagonal_null = diagonal_null
+        self.cells: list[Cell] = []
+        self.loop_row: list[Cell] = []
+        self.messages: list[str] = []
+        self.timings: dict[str, float] = {}
 
     @property
     def agreement(self) -> bool:

@@ -10,8 +10,10 @@ the reference for ``check_diagonal_null``, and the exact-sequence
 bookkeeping on those ranks; dense views and products of sparse GF(2)
 matrices, the d^2 check over every raw column and the columns an
 elimination keeps; the identity, constant and inclusion maps and
-composites; the backtracking section search; and the brute kernel on
-tuples of component indices, the reference for the packed one.  Helpers
+composites; the backtracking section search; the factor tables through
+the word calculus, the reference for the ones built from the dimension
+below; and the brute kernel on tuples of component indices, the
+reference for the packed one.  Helpers
 that only tests call, such as the member dimensions of a subset or the
 recurrence check of a series, live here as functions as well.
 """
@@ -785,6 +787,48 @@ def check_recurrence(series: RecurrenceSeries) -> bool:
         if acc != expected:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# The factor tables through the word calculus: the reference for
+# loopbetti.pinched._FactorTables, which derives degenerate faces from the
+# dimension below.
+# ---------------------------------------------------------------------------
+
+class WordCalculusTables:
+    """The fields of ``_FactorTables`` built through the word calculus: every
+    face of every component, degenerate or not, by ``face_of`` on its ref,
+    looked up in a dict of the refs one dimension down.  The reference the
+    factor tables are compared against, field by field."""
+
+    def __init__(self, q: SimplicialSet, fixed: PointedSubset, top: int):
+        self.top_q = q.top_dim()
+        self.refs: list[list[SimplexRef]] = []
+        self.masks: list[list[int]] = []
+        self.fixed: list[list[bool]] = []
+        self.faces: list[list[list[int]]] = []
+        self.groups: list[list[tuple[int, list[int]]]] = []
+        index: dict[SimplexRef, int] = {}
+        for n in range(top + 1):
+            refs = q.refs_at(n, include_basepoint=False)
+            marker = len(index)
+            self.faces.append([
+                [
+                    marker if q.is_basepoint_ref(face) else index[face]
+                    for face in (q.face_of(r, k) for r in refs)
+                ]
+                for k in range(n + 1 if n else 0)
+            ])
+            index = {r: i for i, r in enumerate(refs)}
+            masks = [sum(1 << w for w in r.word) for r in refs]
+            flags = [fixed.contains_ref(r) for r in refs]
+            by_mask: dict[int, list[int]] = {}
+            for i, mask in enumerate(masks):
+                by_mask.setdefault(mask, []).append(i)
+            self.refs.append(refs)
+            self.masks.append(masks + [-1])
+            self.fixed.append(flags)
+            self.groups.append(list(by_mask.items()))
 
 
 # ---------------------------------------------------------------------------

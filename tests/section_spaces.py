@@ -4,6 +4,7 @@
   orbits {D, tD} whose zeroth face is one of those edges (tx for tD), the
   other faces degenerate at the basepoint.  Every choice of edges extends
   to the discs, so a section exists, with one simplex per free orbit.
+  ``planted_fixed_loop`` adds one fixed loop edge at the basepoint.
 * ``rotated``: a free 2m-cycle v0 -> v1 -> ... -> v(2m-1) -> v0 rotated by
   m steps, beside a fixed basepoint.  The orbit projection is a connected
   double cover of an m-cycle, so there is no section.
@@ -32,6 +33,20 @@ def build(
 
 
 def planted(rng: random.Random, edge_orbits: int, disc_orbits: int):
+    return build(*_planted_tables(rng, edge_orbits, disc_orbits))
+
+
+def planted_fixed_loop(rng: random.Random, edge_orbits: int, disc_orbits: int):
+    """``planted`` with the same draws plus one fixed loop edge ``f`` at the
+    basepoint, so the fixed set is a circle rather than a point."""
+    simplices, faces, tau = _planted_tables(rng, edge_orbits, disc_orbits)
+    simplices[1].append("f")
+    faces["f"] = ["*", "*"]
+    tau["f"] = "f"
+    return build(simplices, faces, tau)
+
+
+def _planted_tables(rng: random.Random, edge_orbits: int, disc_orbits: int):
     edges = [(f"a{k}", f"b{k}") for k in range(edge_orbits)]
     tau = {"*": "*"}
     faces = {}
@@ -49,7 +64,7 @@ def planted(rng: random.Random, edge_orbits: int, disc_orbits: int):
         1: [x for pair in edges for x in pair],
         2: [x for pair in discs for x in pair],
     }
-    return build(simplices, faces, tau)
+    return simplices, faces, tau
 
 
 def rotated(m: int):

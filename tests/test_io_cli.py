@@ -1,6 +1,9 @@
 """File format round trips and the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -594,3 +597,25 @@ def test_truncation_error_names_both_truncations():
         assert square.nondeg(n) == shipped.nondeg(n)
         total = count_by_enumeration(square, n)
         assert try_materialize_count(circle(truncation=1), 2, n, total) == total
+
+
+# ---------------------------------------------------------------------------
+# Start-up.
+# ---------------------------------------------------------------------------
+
+def test_cli_import_loads_no_introspection_modules():
+    """Every CLI process pays the package's imports.  Importing
+    ``loopbetti.cli`` in a fresh interpreter without ``site`` loads none of
+    ``dataclasses`` and the modules it pulls in (``inspect``, ``ast``,
+    ``dis``, ``tokenize``)."""
+    heavy = ["dataclasses", "inspect", "ast", "dis", "tokenize"]
+    code = (
+        "import sys; before = set(sys.modules); import loopbetti.cli; "
+        f"print(sorted(set(sys.modules) - before & {set(heavy)!r}))"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]", done.stdout

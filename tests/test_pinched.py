@@ -9,6 +9,7 @@ import pytest
 
 from oracles import (
     Composition,
+    WordCalculusTables,
     adjacent_pair_predicate,
     alpha_top_bound,
     composition_betti,
@@ -64,7 +65,14 @@ from loopbetti.pinched import (
     pinched_top_bound,
     quotient_betti_brute,
 )
-from loopbetti.simplicial import FiniteSimplicialSet, Involution, ValidationError
+from loopbetti.simplicial import (
+    FiniteSimplicialSet,
+    Involution,
+    PointedSubset,
+    TruncationError,
+    ValidationError,
+    basepoint_subset,
+)
 from loopbetti.sset_io import parse_file
 from loopbetti.verify import try_materialize_count
 
@@ -376,6 +384,38 @@ def test_no_repeat_proof_holds_on_every_shipped_fixture():
         tables = _FactorTables(orbit, fixed, 6)
         failing = [n for n in range(1, 7) if not _face_passes(tables, n)[1]]
         assert failing == [2, 3, 4, 5, 6], make_space.__name__
+
+
+def test_factor_tables_equal_word_calculus_reference(glued_spheres):
+    """The factor tables, whose degenerate faces come from the dimension
+    below, equal field by field the tables built by ``face_of`` on every
+    component, at every top through 6 (the truncation where that is lower):
+    on the shipped fixtures under their own involution or the trivial one,
+    the trivial surfaces, a planted space and 30 random cases; on a smash
+    square truncated below its top dimension, where both refuse the
+    dimension past the truncation; and on a fixed set as its own factor,
+    as ``check_diagonal_null`` builds it."""
+    rng = random.Random(1)
+    actions = [parse_file(path) for path in sorted(FIXTURE_DIR.glob("*.sset"))]
+    actions = [(space, invol or Involution(space, {})) for space, invol in actions]
+    actions += [*map(trivial_surface, SURFACES), planted(random.Random(1), 20, 20)]
+    actions += [random_verify_case(rng)[:2] for _ in range(30)]
+    factors = [(orbit, fixed) for orbit, _, fixed in (orbit_space(*pair) for pair in actions)]
+    truncated = smash_power(glued_spheres["orbit"], 2, 3)
+    assert truncated.truncation < truncated.top_dim()
+    factors.append((truncated, basepoint_subset(truncated)))
+    for _, fixed in factors[:8]:  # the fixtures' fixed sets and the surfaces
+        whole = {n: fixed.nondeg(n) for n in range(fixed.top_dim() + 1)}
+        factors.append((fixed, PointedSubset(fixed, whole, check=False)))
+    fields = ("top_q", "refs", "masks", "fixed", "faces", "groups")
+    for q, fixed in factors:
+        for top in range(min(6, q.truncation) + 1):
+            tables, reference = _FactorTables(q, fixed, top), WordCalculusTables(q, fixed, top)
+            for name in fields:
+                assert getattr(tables, name) == getattr(reference, name), (q, top, name)
+    for build in (_FactorTables, WordCalculusTables):
+        with pytest.raises(TruncationError):
+            build(truncated, basepoint_subset(truncated), truncated.truncation + 1)
 
 
 def test_brute_tables_below_degree_zero_are_empty(glued_spheres):
