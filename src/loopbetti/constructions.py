@@ -311,16 +311,20 @@ def decide_section(
     That is 2-SAT (Aspvall, Plass and Tarjan 1979): literal 2k means the
     k-th orbit's first simplex x is chosen, 2k + 1 that tx is, and each
     free face base b of a free simplex x gives the clause x => b with its
-    contrapositive tb => tx; fixed faces are always present.  The clauses
-    are satisfiable iff no literal shares a strongly connected component of
-    the implication graph with its negation, and then choosing in every
-    orbit the literal whose component comes later in topological order
+    contrapositive tb => tx; fixed faces are always present.  As the
+    involution commutes with faces (``Involution`` checks it), tx => tb is
+    a clause too, so every implication holds both ways and the strongly
+    connected components are the connected components.  The clauses are
+    satisfiable iff no x shares a component with tx, and then choosing in
+    every orbit the literal whose component has the smaller least literal
     satisfies them all.  Linear time, no recursion.
 
     Returns ``(witness, ())`` when a section exists, else ``(None, cycle)``
     with ``cycle`` the simplices x, ..., tx, ..., x of one orbit: choosing
     each forces choosing the next, so neither x nor tx can be chosen.
     """
+    if invol.space is not space:
+        raise ValidationError("involution acts on a different space")
     top = space.top_dim()
     literal: dict[Any, int] = {}
     keys: list[Any] = []
@@ -342,17 +346,12 @@ def decide_section(
                 if b is not None:
                     implies[x].append(b)
                     implies[b ^ 1].append(x ^ 1)
-    comp = _strong_components(implies)
+    comp = _components(implies)
     for x in range(0, len(keys), 2):
         if comp[x] == comp[x + 1]:
-            there = _path_within(implies, comp, x, x + 1)
-            back = _path_within(implies, comp, x + 1, x)
+            there = _path_within(implies, x, x + 1)
+            back = _path_within(implies, x + 1, x)
             return None, tuple(keys[v] for v in there + back[1:])
-    # the fixed simplices, and in each free orbit the literal whose component
-    # comes later in topological order: components are numbered sinks first.
-    # (As the involution commutes with faces, tx => tb is a clause too, so
-    # every clause also holds backwards and either order would do here; the
-    # rule is general 2-SAT's.)
     members = {
         n: [
             key
@@ -371,60 +370,32 @@ def find_section(space: FiniteSimplicialSet, invol: Involution) -> Optional[Poin
     return decide_section(space, invol)[0]
 
 
-def _strong_components(graph: list[list[int]]) -> list[int]:
-    """Component number of every vertex, by Tarjan's algorithm on an
-    explicit stack.  Components are numbered as they complete, which is a
-    reverse topological order: no edge leads to a higher number."""
-    order = [0] * len(graph)  # visit order from 1; 0 means unvisited
-    low = [0] * len(graph)
-    comp = [-1] * len(graph)  # -1 while unvisited or on the stack
-    stack: list[int] = []
-    visited = done = 0
+def _components(graph: list[list[int]]) -> list[int]:
+    """For a graph holding every edge both ways, the smallest vertex of each
+    vertex's connected component, by one walk on an explicit stack from
+    each vertex not yet labelled, in index order."""
+    comp = [-1] * len(graph)
     for root in range(len(graph)):
-        if order[root]:
-            continue
-        visited += 1
-        order[root] = low[root] = visited
-        stack.append(root)
-        work = [(root, iter(graph[root]))]
-        while work:
-            v, edges = work[-1]
-            for w in edges:
-                if not order[w]:
-                    visited += 1
-                    order[w] = low[w] = visited
-                    stack.append(w)
-                    work.append((w, iter(graph[w])))
-                    break
-                if comp[w] < 0 and order[w] < low[v]:
-                    low[v] = order[w]
-            else:
-                work.pop()
-                if low[v] == order[v]:
-                    while True:
-                        w = stack.pop()
-                        comp[w] = done
-                        if w == v:
-                            break
-                    done += 1
-                else:
-                    # a search root always closes its component, so v has
-                    # a parent here
-                    parent = work[-1][0]
-                    if low[v] < low[parent]:
-                        low[parent] = low[v]
+        if comp[root] < 0:
+            comp[root] = root
+            stack = [root]
+            while stack:
+                for w in graph[stack.pop()]:
+                    if comp[w] < 0:
+                        comp[w] = root
+                        stack.append(w)
     return comp
 
 
-def _path_within(graph: list[list[int]], comp: list[int], start: int, goal: int) -> list[int]:
-    """A shortest path from start to goal through the component they share."""
+def _path_within(graph: list[list[int]], start: int, goal: int) -> list[int]:
+    """A shortest path from start to goal, which share a component."""
     parent = {start: start}
     frontier = [start]
     while goal not in parent:
         nxt = []
         for v in frontier:
             for w in graph[v]:
-                if w not in parent and comp[w] == comp[start]:
+                if w not in parent:
                     parent[w] = v
                     nxt.append(w)
         frontier = nxt

@@ -81,13 +81,14 @@ class _FactorTables:
     """The factor of a smash power encoded as integers, per ambient
     dimension n = 0..top.
 
-    Component i at dimension n stands for ``refs[n][i]``, a simplex of the
-    factor (degenerate ones included; basepoint-based ones left out, since
-    they collapse the smash).  ``masks[n][i]`` is its degeneracy word as a
-    bitmask and ``fixed[n][i]`` whether it lies in the fixed set.
-    ``faces[n][k][i]`` is the index at n - 1 of face k of component i, or
-    the basepoint marker ``len(refs[n - 1])``, whose mask ``masks[n - 1][-1]``
-    is -1 (every bit), so that it never makes a face look nondegenerate.
+    Component i at dimension n stands for the i-th simplex of the factor in
+    ``q.refs_at(n, include_basepoint=False)`` (degenerate ones included;
+    basepoint-based ones left out, since they collapse the smash).
+    ``masks[n][i]`` is its degeneracy word as a bitmask and ``fixed[n][i]``
+    whether it lies in the fixed set.  ``faces[n][k][i]`` is the index at
+    n - 1 of face k of component i, or the basepoint marker, the last index
+    of ``masks[n - 1]``, whose mask is -1 (every bit), so that it never
+    makes a face look nondegenerate.
     ``groups[n]`` buckets the components by mask.
 
     The tables are built one dimension at a time from the ones below.  The
@@ -107,7 +108,6 @@ class _FactorTables:
 
     def __init__(self, q: SimplicialSet, fixed: PointedSubset, top: int):
         self.top_q = q.top_dim()
-        self.refs: list[list[SimplexRef]] = []
         self.masks: list[list[int]] = []
         self.fixed: list[list[bool]] = []
         self.faces: list[list[list[int]]] = []
@@ -116,7 +116,6 @@ class _FactorTables:
         blocks: dict[int, _Block] = {}
         lifts: list[list[int]] = []
         for n in range(top + 1):
-            refs = q.refs_at(n, include_basepoint=False)
             if n <= self.top_q:
                 keys = [k for k in q.nondeg(n) if n or k != q.basepoint]
                 bases.append({key: j for j, key in enumerate(keys)})
@@ -128,7 +127,7 @@ class _FactorTables:
                     blocks[p] = (size, len(bases[p]), words, rank)
                     size += len(bases[p]) * len(words)
             if n:
-                low = len(self.refs[-1])  # the components at n - 1, and their marker
+                low = len(self.masks[-1]) - 1  # the components at n - 1, and their marker
                 faces = _faces(q, n, bases, below, blocks, self.faces[-1], lifts, low, size)
                 self.faces.append(faces)
                 lifts = _lifts(n, below, blocks, low, size)
@@ -143,7 +142,6 @@ class _FactorTables:
                     flags += [fixed.contains_key(p, key)] * len(words)
                 stop, width = start + count * len(words), len(words)
                 groups += [(m, list(range(start + r, stop, width))) for r, m in enumerate(words)]
-            self.refs.append(refs)
             self.masks.append(masks + [-1])
             self.fixed.append(flags)
             self.groups.append(groups)
@@ -524,7 +522,8 @@ def pinched_set(
     trunc = amb.truncation if truncation is None else min(truncation, amb.truncation)
     tables = _FactorTables(q, fixed, min(trunc, bound))
     members = {}
-    for n, refs in enumerate(tables.refs):
+    for n in range(len(tables.masks)):
+        refs = q.refs_at(n, include_basepoint=False)
         digits = _digits(_cells(tables, s, n, True), len(refs) + 1, s)
         members[n] = list(zip(*(map(refs.__getitem__, slot) for slot in digits)))
     return PointedSubset(amb, members, truncation=trunc, top_bound=bound, check=False)

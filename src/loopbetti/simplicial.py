@@ -257,7 +257,6 @@ class FiniteSimplicialSet(SimplicialSet):
         simplices: Mapping[int, Sequence[Any]],
         faces: Mapping[Any, Sequence[Any]],
         basepoint: Any = None,
-        check: bool = True,
     ):
         if truncation < 0:
             raise ValidationError("truncation must be nonnegative")
@@ -311,8 +310,7 @@ class FiniteSimplicialSet(SimplicialSet):
                     raise ValidationError(f"missing face list for simplex {key!r}", key)
         self._top_bound: Optional[int] = None
         self._index: dict[int, dict[Any, int]] = {}
-        if check:
-            self.check_face_identities()
+        self.check_face_identities()
 
     @classmethod
     def from_tables(
@@ -432,10 +430,11 @@ class Involution:
     """An order-<=2 simplicial automorphism fixing the basepoint.
 
     Given as a mapping on nondegenerate simplices (absent keys are fixed).
-    It must square to the identity and commute with every face map.
+    It must square to the identity and commute with every face map, and
+    construction checks both.
     """
 
-    def __init__(self, space: FiniteSimplicialSet, mapping: Mapping[Any, Any] = (), check: bool = True):
+    def __init__(self, space: FiniteSimplicialSet, mapping: Mapping[Any, Any] = ()):
         self.space = space
         self._map: dict[Any, Any] = dict(mapping) if mapping else {}
         dim_of = space._dim_of
@@ -446,8 +445,7 @@ class Involution:
                 )
             if dim_of[src] != dim_of[dst]:
                 raise ValidationError(f"involution {src!r} -> {dst!r} changes dimension", src)
-        if check:
-            self.check()
+        self.check()
 
     def __call__(self, key: Any) -> Any:
         return self._map.get(key, key)

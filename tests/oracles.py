@@ -803,7 +803,6 @@ class WordCalculusTables:
 
     def __init__(self, q: SimplicialSet, fixed: PointedSubset, top: int):
         self.top_q = q.top_dim()
-        self.refs: list[list[SimplexRef]] = []
         self.masks: list[list[int]] = []
         self.fixed: list[list[bool]] = []
         self.faces: list[list[list[int]]] = []
@@ -825,7 +824,6 @@ class WordCalculusTables:
             by_mask: dict[int, list[int]] = {}
             for i, mask in enumerate(masks):
                 by_mask.setdefault(mask, []).append(i)
-            self.refs.append(refs)
             self.masks.append(masks + [-1])
             self.fixed.append(flags)
             self.groups.append(list(by_mask.items()))

@@ -354,8 +354,8 @@ def test_brute_kernel_refuses_a_degenerate_cell(glued_spheres):
     tables = _FactorTables(orbit, fixed, 3)
     live, distinct = _face_passes(tables, 3)
     assert len(live) < 4 and distinct
-    index = {ref: i for i, ref in enumerate(tables.refs[3])}
-    radix, low = len(tables.masks[3]), tables.refs[2]
+    index = {ref: i for i, ref in enumerate(orbit.refs_at(3, include_basepoint=False))}
+    radix, low = len(tables.masks[3]), orbit.refs_at(2, include_basepoint=False)
     for relative in (False, True):
         below, cells = _cells(tables, 3, 2, not relative), _cells(tables, 3, 3, not relative)
         _coboundary_columns(tables, 3, cells, below, 3, relative)
@@ -407,7 +407,7 @@ def test_factor_tables_equal_word_calculus_reference(glued_spheres):
     for _, fixed in factors[:8]:  # the fixtures' fixed sets and the surfaces
         whole = {n: fixed.nondeg(n) for n in range(fixed.top_dim() + 1)}
         factors.append((fixed, PointedSubset(fixed, whole, check=False)))
-    fields = ("top_q", "refs", "masks", "fixed", "faces", "groups")
+    fields = ("top_q", "masks", "fixed", "faces", "groups")
     for q, fixed in factors:
         for top in range(min(6, q.truncation) + 1):
             tables, reference = _FactorTables(q, fixed, top), WordCalculusTables(q, fixed, top)

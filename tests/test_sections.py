@@ -2,11 +2,13 @@
 
 import random
 
+import pytest
 from oracles import find_section_backtracking
 from section_spaces import build, planted, random_space, rotated
 
-from loopbetti.constructions import _strong_components, decide_section, find_section
+from loopbetti.constructions import _components, decide_section, find_section, orbit_space
 from loopbetti.fixtures import free_double_cover, sphere_pair_swap
+from loopbetti.simplicial import ValidationError
 
 
 def assert_section(space, invol, witness):
@@ -70,13 +72,16 @@ def test_agrees_with_backtracking_on_both_families():
         assert check_against_oracle(*rotated(m)) is None
 
 
-def test_strong_components_on_random_digraphs():
-    # the implication graphs of sections have every edge both ways, so the
-    # component pass is also checked on general directed graphs here
+def test_components_on_random_symmetric_graphs():
+    # the implication graphs of sections have every edge both ways
     rng = random.Random(5)
     for _ in range(200):
         n = rng.randint(1, 12)
-        graph = [[rng.randrange(n) for _ in range(rng.randint(0, 3))] for _ in range(n)]
+        graph = [[] for _ in range(n)]
+        for _ in range(rng.randint(0, 2 * n)):
+            u, v = rng.randrange(n), rng.randrange(n)
+            graph[u].append(v)
+            graph[v].append(u)
         reach = []
         for start in range(n):
             seen, stack = {start}, [start]
@@ -86,11 +91,21 @@ def test_strong_components_on_random_digraphs():
                         seen.add(w)
                         stack.append(w)
             reach.append(seen)
-        comp = _strong_components(graph)
+        comp = _components(graph)
         for u in range(n):
             for v in range(n):
                 assert (comp[u] == comp[v]) == (v in reach[u] and u in reach[v])
-            assert all(comp[w] <= comp[u] for w in graph[u])
+            assert comp[u] == min(reach[u])
+
+
+def test_involution_of_another_space_is_refused():
+    # read on the free double cover, the glued spheres' involution fixes
+    # every simplex, so the whole space would pass for a section
+    space, _ = free_double_cover()
+    _, invol = sphere_pair_swap()
+    for search in (orbit_space, decide_section, find_section):
+        with pytest.raises(ValidationError, match="different space"):
+            search(space, invol)
 
 
 def test_faces_on_both_sides_of_an_orbit():
