@@ -10,7 +10,6 @@ from .simplicial import (
     Involution,
     PointedSubset,
     SimplexRef,
-    SimplicialMap,
     TruncationError,
     ValidationError,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "Involution",
     "PointedSubset",
     "SimplexRef",
-    "SimplicialMap",
     "TruncationError",
     "ValidationError",
     "decide_section",

@@ -18,7 +18,6 @@ enumeration at all.
 
 from __future__ import annotations
 
-from operator import getitem
 from typing import Any, Optional, Sequence
 
 from .simplicial import (
@@ -26,24 +25,11 @@ from .simplicial import (
     Involution,
     PointedSubset,
     SimplexRef,
-    SimplicialMap,
     SimplicialSet,
     TruncationError,
     ValidationError,
     strip_word,
 )
-
-
-class _SortValues(dict):
-    """Component ref -> its sort value in one factor, filled on first use."""
-
-    def __init__(self, factor: SimplicialSet):
-        super().__init__()
-        self.factor = factor
-
-    def __missing__(self, ref: SimplexRef):
-        value = self[ref] = self.factor.ref_sort_value(ref)
-        return value
 
 
 class TupleSpace(SimplicialSet):
@@ -76,12 +62,6 @@ class TupleSpace(SimplicialSet):
         self._comp_face_caches = tuple(
             caches.setdefault(id(f), {}) for f in self.factors
         )
-        # and so do component sort values, which sorting a subset asks for
-        # once per component per member
-        sort_values: dict[int, _SortValues] = {}
-        self._sort_values = tuple(
-            sort_values.setdefault(id(f), _SortValues(f)) for f in self.factors
-        )
 
     # -- protocol ------------------------------------------------------------
     @property
@@ -96,21 +76,11 @@ class TupleSpace(SimplicialSet):
     def nondeg(self, n: int) -> tuple[Any, ...]:
         if n > self.truncation:
             raise TruncationError(f"dimension {n} beyond truncation {self.truncation}")
-        if n not in self._nondeg_cache:
-            self._nondeg_cache[n] = tuple(self.iter_nondeg(n))
-        return self._nondeg_cache[n]
-
-    def iter_nondeg(self, n: int):
-        """Yield the nondegenerate n-simplices without materializing them."""
-        if n > self.truncation:
-            raise TruncationError(f"dimension {n} beyond truncation {self.truncation}")
         cached = self._nondeg_cache.get(n)
-        if cached is not None:
-            yield from cached
-            return
-        if self.smash and n == 0:
-            yield self._bp
-        yield from self._enumerate(n)
+        if cached is None:
+            head = (self._bp,) if self.smash and n == 0 else ()
+            cached = self._nondeg_cache[n] = head + tuple(self._enumerate(n))
+        return cached
 
     def _base_face(self, key: Any, dim: int, i: int) -> SimplexRef:
         comps = []
@@ -121,9 +91,6 @@ class TupleSpace(SimplicialSet):
                 memo[(comp, i)] = face
             comps.append(face)
         return self.canonical_ref(comps)
-
-    def key_sort_value(self, n: int, key: Any):
-        return tuple(map(getitem, self._sort_values, key))
 
     # -- tuple calculus --------------------------------------------------------
     def canonical_ref(self, comps: Sequence[SimplexRef]) -> SimplexRef:
@@ -209,13 +176,16 @@ def smash_power(q: SimplicialSet, s: int, truncation: Optional[int] = None) -> T
 # Quotients.
 # ---------------------------------------------------------------------------
 
-def quotient(space: SimplicialSet, subset: PointedSubset) -> tuple[FiniteSimplicialSet, SimplicialMap]:
+def quotient(
+    space: SimplicialSet, subset: PointedSubset
+) -> tuple[FiniteSimplicialSet, dict[int, dict[Any, SimplexRef]]]:
     """Collapse a pointed subset to the basepoint.
 
     The quotient keeps the nondegenerate simplices outside the subset plus
     the basepoint; any face landing in the subset is redirected to the
     matching basepoint degeneracy, which keeps the face table total.
-    Returns the quotient and the projection map.
+    Returns the quotient and the projection's table of image refs,
+    ``projection[n][key]`` for each nondegenerate n-simplex.
     """
     if subset.ambient is not space:
         raise ValidationError("subset does not live in the space being collapsed")
@@ -247,11 +217,10 @@ def quotient(space: SimplicialSet, subset: PointedSubset) -> tuple[FiniteSimplic
         space.basepoint,
         top_bound=space.top_dim() if space.top_dim() > space.truncation else None,
     )
-    mapping = {
+    projection = {
         n: {key: project(SimplexRef(n, key, ())) for key in space.nondeg(n)}
         for n in range(top + 1)
     }
-    projection = SimplicialMap(space, quot, mapping, check=False)
     return quot, projection
 
 
@@ -261,12 +230,13 @@ def quotient(space: SimplicialSet, subset: PointedSubset) -> tuple[FiniteSimplic
 
 def orbit_space(
     space: FiniteSimplicialSet, invol: Involution
-) -> tuple[FiniteSimplicialSet, SimplicialMap, PointedSubset]:
+) -> tuple[FiniteSimplicialSet, dict[int, dict[Any, SimplexRef]], PointedSubset]:
     """Orbit space of an involution, with projection and fixed subset.
 
     The orbit space has one nondegenerate simplex per orbit (represented by
     the earlier element in the stored order); fixed simplices have singleton
     orbits, so the fixed set embeds as a pointed subset of the quotient.
+    The projection comes as its table of image refs, ``projection[n][key]``.
     """
     if invol.space is not space:
         raise ValidationError("involution acts on a different space")
@@ -274,11 +244,8 @@ def orbit_space(
     top = space.top_dim()
     for n in range(top + 1):
         for key in space.nondeg(n):
-            other = invol(key)
-            if space.key_sort_value(n, other) < space.key_sort_value(n, key):
-                rep[key] = other
-            else:
-                rep[key] = key
+            # the partner's entry exists iff it is stored earlier
+            rep[key] = rep.get(invol(key), key)
     simplices = {
         n: tuple(k for k in space.nondeg(n) if rep[k] == k) for n in range(top + 1)
     }
@@ -291,11 +258,10 @@ def orbit_space(
                 entries.append(SimplexRef(f.base_dim, rep[f.base], f.word))
             faces[key] = tuple(entries)
     orbit = FiniteSimplicialSet.from_tables(space.truncation, simplices, faces, space.basepoint)
-    mapping = {
+    projection = {
         n: {key: SimplexRef(n, rep[key], ()) for key in space.nondeg(n)}
         for n in range(top + 1)
     }
-    projection = SimplicialMap(space, orbit, mapping, check=False)
     fixed_members = {n: invol.fixed(n) for n in range(top + 1)}
     fixed = PointedSubset(orbit, fixed_members, check=False)
     return orbit, projection, fixed

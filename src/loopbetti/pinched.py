@@ -524,7 +524,8 @@ def pinched_set(
     members = {}
     for n in range(len(tables.masks)):
         refs = q.refs_at(n, include_basepoint=False)
-        digits = _digits(_cells(tables, s, n, True), len(refs) + 1, s)
+        # ascending codes list the tuples in the ambient's order
+        digits = _digits(sorted(_cells(tables, s, n, True)), len(refs) + 1, s)
         members[n] = list(zip(*(map(refs.__getitem__, slot) for slot in digits)))
     return PointedSubset(amb, members, truncation=trunc, top_bound=bound, check=False)
 

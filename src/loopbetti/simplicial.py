@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from itertools import combinations
-from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Any, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 
 class TruncationError(ValueError):
@@ -98,11 +98,6 @@ def strip_word(word: tuple[int, ...], shared: Sequence[int]) -> tuple[int, ...]:
     return tuple(w - bisect_right(sh, w) for w in word if w not in shared_set)
 
 
-def vertex_word(n: int) -> tuple[int, ...]:
-    """The unique degeneracy word taking a vertex to ambient dimension n."""
-    return tuple(range(n))
-
-
 # ---------------------------------------------------------------------------
 # Simplicial sets.
 # ---------------------------------------------------------------------------
@@ -110,10 +105,10 @@ def vertex_word(n: int) -> tuple[int, ...]:
 class SimplicialSet:
     """Base for pointed simplicial sets; subclasses supply nondegenerate data.
 
-    Subclasses implement ``nondeg``, ``_base_face``, ``top_dim``,
-    ``basepoint`` and ``key_sort_value``; the word calculus (``face_of``,
-    ``degenerate_of``) is shared.  All instances are immutable after
-    construction, so any operation may run concurrently on shared inputs.
+    Subclasses implement ``nondeg``, ``_base_face``, ``top_dim`` and
+    ``basepoint``; the word calculus (``face_of``, ``degenerate_of``) is
+    shared.  All instances are immutable after construction, so any
+    operation may run concurrently on shared inputs.
     """
 
     truncation: int
@@ -133,14 +128,7 @@ class SimplicialSet:
     def basepoint(self) -> Any:
         raise NotImplementedError
 
-    def key_sort_value(self, n: int, key: Any):
-        """A deterministic sort value for nondegenerate keys at dimension n."""
-        raise NotImplementedError
-
     # -- shared operator algebra -------------------------------------------
-    def iter_nondeg(self, n: int) -> Iterator[Any]:
-        return iter(self.nondeg(n))
-
     def face_of(self, ref: SimplexRef, i: int) -> SimplexRef:
         """Canonical form of ``d_i`` applied to an arbitrary simplex."""
         n = ref.dim
@@ -169,12 +157,6 @@ class SimplicialSet:
             )
         return SimplexRef(ref.base_dim, ref.base, insert_degeneracy(ref.word, j))
 
-    def apply_word(self, ref: SimplexRef, word: Iterable[int]) -> SimplexRef:
-        """Apply a canonical word (ascending = order of application)."""
-        for j in word:
-            ref = self.degenerate_of(ref, j)
-        return ref
-
     def reaches(self, n: int) -> bool:
         """Whether the simplices at ambient dimension n are known: n is
         within the truncation, or the truncation is at least the top
@@ -183,7 +165,7 @@ class SimplicialSet:
         return n <= self.truncation or self.truncation >= self.top_dim()
 
     def basepoint_ref(self, n: int) -> SimplexRef:
-        return SimplexRef(0, self.basepoint, vertex_word(n))
+        return SimplexRef(0, self.basepoint, tuple(range(n)))
 
     def is_basepoint_ref(self, ref: SimplexRef) -> bool:
         return ref.base_dim == 0 and ref.base == self.basepoint
@@ -205,9 +187,6 @@ class SimplicialSet:
                 for word in combinations(range(n), n - p):
                     out.append(SimplexRef(p, key, word))
         return out
-
-    def ref_sort_value(self, ref: SimplexRef):
-        return (ref.base_dim, self.key_sort_value(ref.base_dim, ref.base), ref.word)
 
     # -- validation ----------------------------------------------------------
     def check_face_identities(self, max_dim: Optional[int] = None) -> None:
@@ -309,7 +288,6 @@ class FiniteSimplicialSet(SimplicialSet):
                 if key not in self._faces:
                     raise ValidationError(f"missing face list for simplex {key!r}", key)
         self._top_bound: Optional[int] = None
-        self._index: dict[int, dict[Any, int]] = {}
         self.check_face_identities()
 
     @classmethod
@@ -334,7 +312,6 @@ class FiniteSimplicialSet(SimplicialSet):
         space._basepoint = basepoint
         space._faces = faces
         space._top_bound = top_bound
-        space._index = {}
         return space
 
     def _coerce_ref(self, entry: Any, ambient: int) -> SimplexRef:
@@ -368,12 +345,6 @@ class FiniteSimplicialSet(SimplicialSet):
     @property
     def basepoint(self) -> Any:
         return self._basepoint
-
-    def key_sort_value(self, n: int, key: Any) -> int:
-        """Position of the key in the stored order at dimension n."""
-        if n not in self._index:
-            self._index[n] = {k: i for i, k in enumerate(self.nondeg(n))}
-        return self._index[n][key]
 
     def dim_of(self, key: Any) -> int:
         return self._dim_of[key]
@@ -492,6 +463,12 @@ class PointedSubset(SimplicialSet):
     computed on it directly.  ``top_bound`` may be supplied when the
     construction guarantees there are no members above some dimension even
     though enumeration stopped at ``truncation``.
+
+    Members keep the order the caller lists them in, with repeats dropped
+    and dimensions ascending; the basepoint, when the caller leaves it out,
+    comes first.  ``check`` verifies that every member is a nondegenerate
+    simplex of the ambient at its dimension and that the members are closed
+    under faces.
     """
 
     def __init__(
@@ -506,16 +483,15 @@ class PointedSubset(SimplicialSet):
         self.truncation = ambient.truncation if truncation is None else truncation
         if self.truncation > ambient.truncation:
             raise TruncationError("subset truncation exceeds the ambient truncation")
-        member_sets: dict[int, set[Any]] = {n: set(keys) for n, keys in members.items() if keys}
-        member_sets.setdefault(0, set()).add(ambient.basepoint)
-        self._member_sets = member_sets
-        self._members: dict[int, tuple[Any, ...]] = {
-            n: tuple(sorted(keys, key=lambda k: ambient.key_sort_value(n, k)))
-            for n, keys in member_sets.items()
-        }
+        # dict keys keep the order, drop repeats and answer membership
+        keys = {n: dict.fromkeys(ks) for n, ks in members.items()}
+        if ambient.basepoint not in keys.setdefault(0, {}):
+            keys[0] = {ambient.basepoint: None, **keys[0]}
+        self._member_sets = {n: ks for n, ks in sorted(keys.items()) if ks}
+        self._members = {n: tuple(ks) for n, ks in self._member_sets.items()}
         if top_bound is None:
             if self.truncation >= ambient.top_dim():
-                top_bound = max((n for n, ks in self._members.items() if ks), default=0)
+                top_bound = max(self._members)
             else:
                 top_bound = ambient.top_dim()
         self._top_bound = min(top_bound, ambient.top_dim())
@@ -538,9 +514,6 @@ class PointedSubset(SimplicialSet):
     def basepoint(self) -> Any:
         return self.ambient.basepoint
 
-    def key_sort_value(self, n: int, key: Any):
-        return self.ambient.key_sort_value(n, key)
-
     # -- set behaviour ---------------------------------------------------------
     def contains_key(self, n: int, key: Any) -> bool:
         return key in self._member_sets.get(n, ())
@@ -550,22 +523,22 @@ class PointedSubset(SimplicialSet):
         return self.contains_key(ref.base_dim, ref.base)
 
     def counts(self) -> dict[int, int]:
-        return {n: len(ks) for n, ks in self._members.items() if ks}
+        return {n: len(ks) for n, ks in self._members.items()}
 
     def same_members(self, other: "PointedSubset") -> bool:
-        dims = set(self._member_sets) | set(other._member_sets)
-        return all(
-            self._member_sets.get(n, set()) == other._member_sets.get(n, set())
-            for n in dims
-        )
+        # dicts compare as sets of keys here: every value is None
+        return self._member_sets == other._member_sets
 
     def check_closure(self) -> None:
-        for n in sorted(self._member_sets):
-            if n == 0:
-                continue
-            for key in self._member_sets[n]:
+        """Every member is a nondegenerate simplex of the ambient at its
+        dimension, and every face of a member lies in the subset."""
+        for n, keys in self._member_sets.items():
+            stored = set(self.ambient.nondeg(n))
+            for key in keys:
+                if key not in stored:
+                    raise ValidationError(f"{key!r} is not a nondegenerate {n}-simplex", key)
                 # members are nondegenerate, so their faces are stored ones
-                for i in range(n + 1):
+                for i in range(n + 1 if n else 0):
                     if not self.contains_ref(self.ambient._base_face(key, n, i)):
                         raise ValidationError(
                             f"subset is not face-closed: face {i} of {key!r} escapes"
@@ -577,61 +550,3 @@ class PointedSubset(SimplicialSet):
 
 def basepoint_subset(space: SimplicialSet) -> PointedSubset:
     return PointedSubset(space, {0: [space.basepoint]}, top_bound=0, check=False)
-
-
-# ---------------------------------------------------------------------------
-# Simplicial maps.
-# ---------------------------------------------------------------------------
-
-class SimplicialMap:
-    """A pointed simplicial map, stored on nondegenerate source simplices.
-
-    ``mapping[n][key]`` is the canonical image ref in the target.  The map is
-    extended to degenerate simplices by ``f(s_W x) = s_W f(x)``; validation
-    checks that it commutes with every face operator.
-    """
-
-    def __init__(
-        self,
-        source: SimplicialSet,
-        target: SimplicialSet,
-        mapping: Mapping[int, Mapping[Any, SimplexRef]],
-        check: bool = True,
-    ):
-        self.source = source
-        self.target = target
-        self._mapping = {n: dict(m) for n, m in mapping.items()}
-        if check:
-            self.check()
-
-    def apply(self, ref: SimplexRef) -> SimplexRef:
-        image = self._mapping[ref.base_dim][ref.base]
-        return self.target.apply_word(image, ref.word)
-
-    def apply_key(self, n: int, key: Any) -> SimplexRef:
-        return self._mapping[n][key]
-
-    def check(self) -> None:
-        src, tgt = self.source, self.target
-        top = min(src.top_dim(), src.truncation)
-        for n in range(top + 1):
-            for key in src.nondeg(n):
-                if key not in self._mapping.get(n, {}):
-                    raise ValidationError(f"map misses simplex {key!r}")
-                image = self._mapping[n][key]
-                if image.dim != n:
-                    raise ValidationError(f"map changes dimension at {key!r}")
-        bp_image = self._mapping[0][src.basepoint]
-        if not tgt.is_basepoint_ref(bp_image):
-            raise ValidationError("map does not preserve the basepoint")
-        for n in range(1, top + 1):
-            for key in src.nondeg(n):
-                ref = SimplexRef(n, key, ())
-                image = self._mapping[n][key]
-                for i in range(n + 1):
-                    lhs = self.apply(src.face_of(ref, i))
-                    rhs = tgt.face_of(image, i)
-                    if lhs != rhs:
-                        raise ValidationError(
-                            f"map fails to commute with d_{i} at {key!r}"
-                        )

@@ -40,6 +40,7 @@ def parse(text: str) -> tuple[FiniteSimplicialSet, Optional[Involution]]:
     basepoint: Optional[str] = None
     basepoint_line: Optional[int] = None
     simplices: dict[int, list[str]] = {}
+    simplex_lines: dict[int, int] = {}  # the first simplices record per dimension
     declared: set[str] = set()
     faces: dict[str, list[str]] = {}
     face_lines: dict[str, int] = {}
@@ -70,6 +71,7 @@ def parse(text: str) -> tuple[FiniteSimplicialSet, Optional[Involution]]:
             if len(args) < 2 or not args[0].isdecimal():
                 raise ParseError("simplices needs a dimension and labels", lineno)
             dim = int(args[0])
+            simplex_lines.setdefault(dim, lineno)
             for label in args[1:]:
                 if "@" in label or "#" in label:
                     raise ParseError(f"label {label!r} contains a reserved character", lineno)
@@ -97,6 +99,10 @@ def parse(text: str) -> tuple[FiniteSimplicialSet, Optional[Involution]]:
 
     if truncation is None:
         raise ParseError("missing truncation record")
+    # checked here, not per record: the truncation record may come later
+    for dim, lineno in sorted(simplex_lines.items()):
+        if dim > truncation:
+            raise ParseError(f"simplex dimension {dim} outside 0..{truncation}", lineno)
     if not simplices.get(0):
         raise ParseError("no vertices declared")
     if basepoint is not None and basepoint not in simplices[0]:

@@ -9,11 +9,11 @@ smash square and the ranks a map induces, from a cycle basis, which are
 the reference for ``check_diagonal_null``, and the exact-sequence
 bookkeeping on those ranks; dense views and products of sparse GF(2)
 matrices, the d^2 check over every raw column and the columns an
-elimination keeps; the identity, constant and inclusion maps and
-composites; the backtracking section search; the factor tables through
-the word calculus, the reference for the ones built from the dimension
-below; and the brute kernel on tuples of component indices, the
-reference for the packed one.  Helpers
+elimination keeps; simplicial maps with their face check, the identity,
+constant and inclusion maps and composites; the backtracking section
+search; the factor tables through the word calculus, the reference for
+the ones built from the dimension below; and the brute kernel on tuples
+of component indices, the reference for the packed one.  Helpers
 that only tests call, such as the member dimensions of a subset or the
 recurrence check of a series, live here as functions as well.
 """
@@ -54,7 +54,6 @@ from loopbetti.simplicial import (
     Involution,
     PointedSubset,
     SimplexRef,
-    SimplicialMap,
     SimplicialSet,
     ValidationError,
 )
@@ -190,9 +189,9 @@ def kunneth_certified_by_scan(a: BettiTable, b: BettiTable) -> int:
 
 
 def count_by_enumeration(space, top: int) -> int:
-    """Nondegenerate simplices of a space through ``top``, one by one."""
+    """Nondegenerate simplices of a space through ``top``, enumerated."""
     top = min(top, space.top_dim(), space.truncation)
-    return sum(1 for n in range(top + 1) for _ in space.iter_nondeg(n))
+    return sum(len(space.nondeg(n)) for n in range(top + 1))
 
 
 def find_section_backtracking(
@@ -583,6 +582,68 @@ def pinched_inductive(
 # ---------------------------------------------------------------------------
 # Maps, matrices and exact-sequence bookkeeping.
 # ---------------------------------------------------------------------------
+
+def apply_word(space: SimplicialSet, ref: SimplexRef, word: Iterable[int]) -> SimplexRef:
+    """Apply a canonical word (ascending = order of application)."""
+    for j in word:
+        ref = space.degenerate_of(ref, j)
+    return ref
+
+
+class SimplicialMap:
+    """A pointed simplicial map, stored on nondegenerate source simplices.
+
+    ``mapping[n][key]`` is the canonical image ref in the target, the image
+    table that ``orbit_space`` and ``quotient`` return.  The map is
+    extended to degenerate simplices by ``f(s_W x) = s_W f(x)``; validation
+    checks that it commutes with every face operator.
+    """
+
+    def __init__(
+        self,
+        source: SimplicialSet,
+        target: SimplicialSet,
+        mapping: dict[int, dict[Any, SimplexRef]],
+        check: bool = True,
+    ):
+        self.source = source
+        self.target = target
+        self._mapping = {n: dict(m) for n, m in mapping.items()}
+        if check:
+            self.check()
+
+    def apply(self, ref: SimplexRef) -> SimplexRef:
+        image = self._mapping[ref.base_dim][ref.base]
+        return apply_word(self.target, image, ref.word)
+
+    def apply_key(self, n: int, key: Any) -> SimplexRef:
+        return self._mapping[n][key]
+
+    def check(self) -> None:
+        src, tgt = self.source, self.target
+        top = min(src.top_dim(), src.truncation)
+        for n in range(top + 1):
+            for key in src.nondeg(n):
+                if key not in self._mapping.get(n, {}):
+                    raise ValidationError(f"map misses simplex {key!r}")
+                image = self._mapping[n][key]
+                if image.dim != n:
+                    raise ValidationError(f"map changes dimension at {key!r}")
+        bp_image = self._mapping[0][src.basepoint]
+        if not tgt.is_basepoint_ref(bp_image):
+            raise ValidationError("map does not preserve the basepoint")
+        for n in range(1, top + 1):
+            for key in src.nondeg(n):
+                ref = SimplexRef(n, key, ())
+                image = self._mapping[n][key]
+                for i in range(n + 1):
+                    lhs = self.apply(src.face_of(ref, i))
+                    rhs = tgt.face_of(image, i)
+                    if lhs != rhs:
+                        raise ValidationError(
+                            f"map fails to commute with d_{i} at {key!r}"
+                        )
+
 
 def _map_on_nondeg(
     source: SimplicialSet, target: SimplicialSet, image: Callable[[int, Any], SimplexRef]

@@ -154,6 +154,14 @@ REJECTIONS = {
         HEAD + "simplices 0 * a\nsimplices 1 e a\nfaces a * *\n",
         "line 4: duplicate simplex identifier 'a'",
     ),
+    "simplices_above_truncation": (
+        "truncation 1\nsimplices 0 *\nsimplices 2 x\n",
+        "line 3: simplex dimension 2 outside 0..1",
+    ),
+    "simplices_above_a_later_truncation": (
+        "simplices 0 *\nsimplices 3 x\nsimplices 2 y\ntruncation 1\n",
+        "line 3: simplex dimension 2 outside 0..1",
+    ),
     "basepoint_not_a_vertex": (
         "truncation 4\nbasepoint e\nsimplices 0 *\nsimplices 1 e\nfaces e * *\n",
         "line 2: basepoint 'e' is not a vertex",

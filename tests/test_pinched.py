@@ -129,8 +129,9 @@ def test_pinched_trivial_levels(glued_spheres):
 
 
 def test_subset_members_keep_the_component_sort_order(glued_spheres):
-    """The memoized component sort values of a smash power order a
-    subset's members exactly as the factors' ``ref_sort_value`` does."""
+    """A pinched subset lists its members in the smash power's order:
+    componentwise by base dimension, stored position of the base, then
+    degeneracy word, the order of ``refs_at``."""
     orbit, fixed = glued_spheres["orbit"], glued_spheres["fixed"]
     ambient = smash_power(orbit, 3, 4)
     for subset in (
@@ -142,9 +143,17 @@ def test_subset_members_keep_the_component_sort_order(glued_spheres):
             assert members == sorted(
                 members,
                 key=lambda key: tuple(
-                    f.ref_sort_value(comp) for f, comp in zip(ambient.factors, key)
+                    (c.base_dim, orbit.nondeg(c.base_dim).index(c.base), c.word)
+                    for c in key
                 ),
             ), n
+
+
+def test_pinched_set_lists_the_basepoint_first_and_dimensions_ascending(glued_spheres):
+    orbit, fixed = glued_spheres["orbit"], glued_spheres["fixed"]
+    subset = pinched_set(orbit, fixed, 3, truncation=100)
+    assert list(subset.counts().items()) == [(0, 1), (1, 1), (2, 12), (3, 12)]
+    assert subset.nondeg(0) == (smash_power(orbit, 3, 3).basepoint,)
 
 
 def test_pinched_two_is_the_fixed_circle(glued_pinched):

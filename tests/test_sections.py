@@ -160,6 +160,15 @@ def test_witness_on_the_glued_spheres():
     assert_section(space, invol, witness)
 
 
+def test_witness_lists_each_dimension_in_stored_order():
+    space, invol = planted(random.Random(1), 200, 500)
+    witness, _ = decide_section(space, invol)
+    for n in range(space.top_dim() + 1):
+        stored = space.nondeg(n)
+        assert witness.nondeg(n) == tuple(k for k in stored if witness.contains_key(n, k))
+    assert_section(space, invol, witness)
+
+
 def test_planted_past_the_recursion_limit():
     # one recursion frame per orbit overflowed the stack at about 1000
     space, invol = planted(random.Random(3), 400, 800)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 from oracles import (
+    SimplicialMap,
     compose,
     count_by_enumeration,
     section_map,
@@ -22,6 +23,7 @@ from loopbetti.constructions import (
 )
 from loopbetti.fixtures import (
     circle,
+    circle_subset,
     free_double_cover,
     interval,
     point,
@@ -289,6 +291,16 @@ def test_quotient_by_basepoint_is_identity():
         [len(sp.nondeg(n)) for n in range(3)]
 
 
+def test_quotient_projection_is_a_simplicial_map():
+    sp = two_disc_sphere()
+    for subset, edge_image in ((basepoint_subset(sp), sp.simplex("e")),
+                               (circle_subset(sp), SimplexRef(0, "*", (0,)))):
+        quot, projection = quotient(sp, subset)
+        SimplicialMap(sp, quot, projection)  # checks faces and the basepoint
+        assert projection[1] == {"e": edge_image}
+        assert projection[2] == {"g1": sp.simplex("g1"), "g2": sp.simplex("g2")}
+
+
 def test_quotient_by_everything_is_point():
     sp = two_disc_sphere()
     quot, _ = quotient(sp, whole_subset(sp))
@@ -299,6 +311,27 @@ def test_subset_closure_validated():
     sp = two_disc_sphere()
     with pytest.raises(ValidationError):
         PointedSubset(sp, {2: ["g1"]})  # missing the edge below the disc
+
+
+@pytest.mark.parametrize("members, key", [({0: ["ghost"]}, "ghost"), ({1: ["*"]}, "*")])
+def test_subset_member_must_be_a_simplex_of_the_ambient(members, key):
+    with pytest.raises(ValidationError, match="is not a nondegenerate") as caught:
+        PointedSubset(circle(), members)
+    assert caught.value.simplex == key
+
+
+def test_subset_keeps_the_callers_order():
+    sp = FiniteSimplicialSet(
+        4,
+        {0: ["*", "p", "q"], 1: ["u", "w"]},
+        {"u": ["p", "q"], "w": ["q", "p"]},
+    )
+    subset = PointedSubset(sp, {1: ["w", "u", "w"], 0: ["q", "p", "q"]})
+    # the basepoint, left out, comes first; repeats go; dimensions ascend
+    assert [subset.nondeg(n) for n in range(2)] == [("*", "q", "p"), ("w", "u")]
+    assert list(subset.counts()) == [0, 1]
+    listed = PointedSubset(sp, {0: ["q", "*", "p"]})
+    assert listed.nondeg(0) == ("q", "*", "p")  # a listed basepoint stays put
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +377,20 @@ def test_orbit_space_of_glued_spheres(glued_spheres):
     assert reduced_betti(fixed, 2).nonzero() == {1: 1}
 
 
+def test_orbit_space_picks_the_first_stored_simplex_of_each_orbit():
+    for space, invol in (sphere_pair_swap(), free_double_cover(), planted(random.Random(3), 6, 9)):
+        orbit, projection, fixed = orbit_space(space, invol)
+        SimplicialMap(space, orbit, projection)
+        for n in range(space.top_dim() + 1):
+            stored = space.nondeg(n)
+            reps = tuple(k for k in stored if stored.index(k) <= stored.index(invol(k)))
+            assert orbit.nondeg(n) == reps
+            assert fixed.nondeg(n) == tuple(k for k in stored if invol(k) == k)
+            for key in stored:
+                image = min(key, invol(key), key=stored.index)
+                assert projection[n][key] == SimplexRef(n, image, ())
+
+
 def test_orbit_space_of_free_cover():
     space, invol = free_double_cover()
     orbit, _, fixed = orbit_space(space, invol)
@@ -355,7 +402,7 @@ def test_section_exists_for_glued_spheres(glued_spheres):
     space = glued_spheres["space"]
     invol = glued_spheres["invol"]
     orbit = glued_spheres["orbit"]
-    projection = glued_spheres["projection"]
+    projection = SimplicialMap(space, orbit, glued_spheres["projection"])
     section = find_section(space, invol)
     assert section is not None
     assert section.counts() == {0: 1, 1: 1, 2: 2}
