@@ -42,6 +42,12 @@ class BettiInput(NamedTuple):
     betti_orbit: BettiTable
     betti_fixed: BettiTable
 
+    def require(self, t_max: int) -> None:
+        """Raise UncertifiedRangeError unless both tables cover 0..t_max."""
+        for table in self:
+            if not all(table.covers(p) for p in range(t_max + 1)):
+                raise UncertifiedRangeError(f"input table not certified through dimension {t_max}")
+
 
 def _weighted_products(table: BettiTable, max_parts: int, max_total: int) -> list[dict[int, int]]:
     """w[d][l] = sum over d-tuples of dimensions totalling l of the product
@@ -80,14 +86,7 @@ def betti_pinched_formula_table(inp: BettiInput, s: int, t_max: int) -> list[int
     """
     if s < 2:
         raise ValueError("the pinched formula needs s >= 2")
-    if t_max < 0:
-        return []
-    for table in (inp.betti_orbit, inp.betti_fixed):
-        for p in range(t_max + 1):
-            if not table.covers(p):
-                raise UncertifiedRangeError(
-                    f"input table not certified through dimension {t_max}"
-                )
+    inp.require(t_max)
     w_orbit = _weighted_products(inp.betti_orbit, s, t_max)
     w_fixed = _weighted_products(inp.betti_fixed, s, t_max)
     out = [0] * (t_max + 1)

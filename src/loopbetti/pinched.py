@@ -12,8 +12,10 @@ the subset.  One shared kernel computes the homology of both by brute
 force on the same tables.  It codes each cell as one int, which is also
 its id in the cochains, finds faces through tables over groups of slots,
 and builds and reduces the cochains from degree 0 up.  The module also
-evaluates the cover-intersection Betti sum, which gives the pinched
-homology when the reduced diagonal of A is homologous to zero.  The paper's
+evaluates the cover-intersection Betti sum, a function of the Betti tables
+of Q and A alone, which gives the pinched homology when the reduced
+diagonal of A is homologous to zero; ``check_diagonal_null`` decides that
+hypothesis, and ``mv_e1_betti`` checks it on every call.  The paper's
 other constructions of the subset (blockwise pieces indexed by
 compositions, their intersections, their union and the two-term recursion)
 are checked against this one in the test suite and run nowhere else.
@@ -21,13 +23,13 @@ are checked against this one in the test suite and run nowhere else.
 
 from __future__ import annotations
 
-import weakref
 from itertools import combinations, compress, repeat
 from operator import add, and_, eq, floordiv, mod, or_
 from typing import Any, Iterable, Optional, Sequence
 
+from .closed_form import BettiInput
 from .constructions import TupleSpace, smash_power
-from .homology import BettiTable, UncertifiedRangeError, boundary_ranks, kunneth, reduced_betti
+from .homology import BettiTable, boundary_ranks, kunneth, reduced_betti
 from .simplicial import (
     PointedSubset,
     SimplexRef,
@@ -534,13 +536,6 @@ def pinched_set(
 # The cover-intersection Betti sum.
 # ---------------------------------------------------------------------------
 
-# answers of check_diagonal_null, so that a run checks the hypothesis once
-# and every later cover sum over the same fixed subset reuses the answer.
-# The answer is a function of the subset alone, which is immutable, and the
-# weak keys drop it with the subset, so no caller can see another's state.
-_DIAGONAL_NULL: "weakref.WeakKeyDictionary[PointedSubset, bool]" = weakref.WeakKeyDictionary()
-
-
 def check_diagonal_null(fixed: PointedSubset) -> bool:
     """Whether the reduced diagonal of the fixed set A is homologous to zero.
 
@@ -558,14 +553,7 @@ def check_diagonal_null(fixed: PointedSubset) -> bool:
     quot = quotient_betti_brute(fixed, whole, 2, top)
     betti_a = reduced_betti(fixed, top)
     square = kunneth(betti_a, betti_a)
-    null = all(quot[n] == square[n] + betti_a[n - 1] for n in range(top + 1))
-    _DIAGONAL_NULL[fixed] = null
-    return null
-
-
-def _diagonal_null(fixed: PointedSubset) -> bool:
-    known = _DIAGONAL_NULL.get(fixed)
-    return check_diagonal_null(fixed) if known is None else known
+    return all(quot[n] == square[n] + betti_a[n - 1] for n in range(top + 1))
 
 
 def _times(poly: list[int], factor: list[tuple[int, int]]) -> list[int]:
@@ -582,21 +570,16 @@ def _times(poly: list[int], factor: list[tuple[int, int]]) -> list[int]:
     return out
 
 
-def mv_e1_table(
-    q: SimplicialSet,
-    fixed: PointedSubset,
-    s: int,
-    t_max: int,
-    betti_q: Optional[BettiTable] = None,
-    betti_a: Optional[BettiTable] = None,
-) -> list[int]:
+def mv_e1_table(inp: BettiInput, s: int, t_max: int) -> list[int]:
     """Pinched Betti numbers for t = 0..t_max as sums over nonempty cover
-    intersections.
+    intersections, from the Betti tables of the orbit space and the fixed
+    set.
 
-    Requires the reduced diagonal of the fixed set to be homologous to zero
-    (always checked): then the double complex of the blockwise cover
-    degenerates and the t-th Betti number of the pinched subset is the sum
-    of b_q over intersections of p cover pieces with p + q - 1 = t.
+    Valid when the reduced diagonal of the fixed set is homologous to zero,
+    which the caller has decided (``mv_e1_betti`` checks it): then the
+    double complex of the blockwise cover degenerates and the t-th Betti
+    number of the pinched subset is the sum of b_q over intersections of p
+    cover pieces with p + q - 1 = t.
 
     An intersection of p pieces merges p of the s - 1 gaps between
     positions; its Betti polynomial is the product of Q(x) per singleton
@@ -609,25 +592,13 @@ def mv_e1_table(
     Truncating a product never changes its lower coefficients, so one pass
     gives every t.
     """
-    _check_fixed_subset(q, fixed)
     if s < 2:
         raise ValidationError("the cover sum needs s >= 2")
-    if not _diagonal_null(fixed):
-        raise HypothesisError(
-            "the reduced diagonal of the fixed set is not homologous to zero, "
-            "so the cover-intersection sum does not compute the pinched homology"
-        )
-    if betti_q is None:
-        betti_q = reduced_betti(q, max(t_max, q.top_dim()))
-    if betti_a is None:
-        betti_a = reduced_betti(fixed, max(t_max, fixed.top_dim()))
+    inp.require(t_max)
     if t_max < 0:
         return []
-    for table in (betti_q, betti_a):
-        if not all(table.covers(n) for n in range(t_max + 1)):
-            raise UncertifiedRangeError(f"input table not certified through dimension {t_max}")
-    poly_q = list(betti_q.nonzero().items())
-    poly_a = list(betti_a.nonzero().items())
+    poly_q = list(inp.betti_orbit.nonzero().items())
+    poly_a = list(inp.betti_fixed.nonzero().items())
     # state (open block is a singleton, some gap merged) -> the polynomial
     # of the closed blocks times x^(merges so far), truncated at x^(t_max+1)
     start = [0] * (t_max + 2)
@@ -649,17 +620,20 @@ def mv_e1_table(
     return total[1:]
 
 
-def mv_e1_betti(
-    q: SimplicialSet,
-    fixed: PointedSubset,
-    s: int,
-    t: int,
-    betti_q: Optional[BettiTable] = None,
-    betti_a: Optional[BettiTable] = None,
-) -> int:
+def mv_e1_betti(q: SimplicialSet, fixed: PointedSubset, s: int, t: int) -> int:
     """The t-th pinched Betti number as a sum over nonempty cover
-    intersections; see ``mv_e1_table``, whose checks it runs."""
-    table = mv_e1_table(q, fixed, s, t, betti_q, betti_a)
+    intersections (see ``mv_e1_table``), after checking on every call that
+    the reduced diagonal of the fixed set is homologous to zero."""
+    _check_fixed_subset(q, fixed)
+    if not check_diagonal_null(fixed):
+        raise HypothesisError(
+            "the reduced diagonal of the fixed set is not homologous to zero, "
+            "so the cover-intersection sum does not compute the pinched homology"
+        )
+    inp = BettiInput(
+        reduced_betti(q, max(t, q.top_dim())), reduced_betti(fixed, max(t, fixed.top_dim()))
+    )
+    table = mv_e1_table(inp, s, t)
     return table[t] if t >= 0 else 0
 
 

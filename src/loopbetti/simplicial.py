@@ -189,12 +189,12 @@ class SimplicialSet:
         return out
 
     # -- validation ----------------------------------------------------------
-    def check_face_identities(self, max_dim: Optional[int] = None) -> None:
+    def check_face_identities(self) -> None:
         """Check d_i d_j = d_{j-1} d_i (i < j) on every stored simplex.
 
         The faces of each distinct face are computed once per call.
         """
-        top = min(self.top_dim(), self.truncation if max_dim is None else max_dim)
+        top = min(self.top_dim(), self.truncation)
         faces_of: dict[SimplexRef, list[SimplexRef]] = {}
         for n in range(2, top + 1):
             for key in self.nondeg(n):

@@ -10,6 +10,11 @@ serves both parts: the grid reads the tables through t_max and the loop
 row asks for them through its last degree, so no loop cell depends on
 t_max.  A path disabled by a failed hypothesis, or brute force past
 --brute-loop-max, leaves cells empty with one reason, the same in both.
+The diagonal hypothesis is decided once per run; the cover sum and the
+closed formula then read only the Betti tables of the orbit space and the
+fixed set.  Loop degree n sums the quotient tables of s = 1..n, so a path
+stops building them at its first s without one, and an empty loop cell
+names that s.
 
 Quotient tables are brute-forced directly when the ambient smash power is
 small enough to materialize; otherwise they follow from exact-sequence
@@ -29,12 +34,7 @@ from typing import Any, Callable, Optional
 
 from .closed_form import BettiInput, betti_pinched_formula_table, loop_betti
 from .constructions import decide_section, orbit_space
-from .homology import (
-    BettiTable,
-    UncertifiedRangeError,
-    kunneth_power,
-    reduced_betti,
-)
+from .homology import BettiTable, kunneth_power, reduced_betti
 from .pinched import (
     check_diagonal_null,
     mv_e1_table,
@@ -306,21 +306,22 @@ def loop_quotient_tables(
 
     ``limits`` maps each path to the largest s it has a pinched table for
     (0 for none), and ``pinched(path, s, top)`` gives that table through
-    degree ``top``.  The route is chosen once per s and the direct result
-    is shared by every path with a table at s.  The bookkeeping asks for a
-    path's pinched table through n_max, the last degree its inclusion-rank
-    check reads.  Below the lowest degree d where the ambient is nonzero no
-    check can fail on a pinched value, so the bookkeeping first runs through
-    d on a table through d: a refusal there is the full run's refusal, and
-    the deeper table is never built.  An s that no path has a table for is
-    skipped.
+    degree ``top``.  A path takes part at s only when it has a quotient
+    table for every smaller s: past its first gap no loop degree can use
+    one.  The route is chosen once per s and the direct result is shared by
+    every path taking part.  The bookkeeping asks for a path's pinched table
+    through n_max, the last degree its inclusion-rank check reads.  Below
+    the lowest degree d where the ambient is nonzero no check can fail on a
+    pinched value, so the bookkeeping first runs through d on a table
+    through d: a refusal there is the full run's refusal, and the deeper
+    table is never built.
     """
     tables: dict[str, dict[int, BettiTable]] = {name: {} for name in limits}
     notes: dict[str, dict[int, str]] = {name: {} for name in limits}
     for s in range(1, n_max + 1):
-        names = [name for name, top in limits.items() if s <= top]
+        names = [name for name, top in limits.items() if s <= top and len(tables[name]) == s - 1]
         if not names:
-            continue
+            break
         direct = direct_quotient_betti(q, fixed, s, n_max, betti_q, direct_budget)
         if direct is None:
             first = min(kunneth_power(betti_q, s).support()[:1] + [n_max])
@@ -385,8 +386,7 @@ def run_verify(
 
     top_needed = max(t_max, loop_max)
     betti_q = reduced_betti(orbit, max(top_needed, orbit.top_dim()))
-    betti_a = reduced_betti(fixed, max(top_needed, fixed.top_dim()))
-    inp = BettiInput(betti_q, betti_a)
+    inp = BettiInput(betti_q, reduced_betti(fixed, max(top_needed, fixed.top_dim())))
 
     def bound(s: int) -> int:
         return pinched_top_bound(orbit, fixed, s)
@@ -401,7 +401,7 @@ def run_verify(
         "brute": lambda s, top: pinched_betti_brute(
             orbit, fixed, s, top + 1 if top + 1 == bound(s) else top
         ),
-        "mv_e1": lambda s, top: formula(top, mv_e1_table(orbit, fixed, s, top, betti_q, betti_a)),
+        "mv_e1": lambda s, top: formula(top, mv_e1_table(inp, s, top)),
         "closed": lambda s, top: formula(top, betti_pinched_formula_table(inp, s, top)),
     }
     # why a path leaves a cell empty, the same in the grid and the loop row
@@ -438,15 +438,11 @@ def run_verify(
         for n in range(1, loop_max + 1):
             values, notes = {}, dict(disabled)
             for name in builders:
-                try:
+                gap = len(tables[name]) + 1  # the path's first s without a table
+                if n < gap:
                     values[name] = loop_betti(tables[name], n)
-                except UncertifiedRangeError:
-                    # an s past the path's limit has no route note
-                    notes[name] = "; ".join(
-                        f"s={s}: {route_notes[name].get(s) or reasons[name]}"
-                        for s in range(1, n + 1)
-                        if s not in tables[name]
-                    )
+                else:  # an s past the path's limit has no route note
+                    notes[name] = f"s={gap}: {route_notes[name].get(gap) or reasons[name]}"
             report.loop_row.append(Cell(n, None, *map(values.get, PATHS), notes))
     report.timings["loop_row"] = time.perf_counter() - t0
     report.timings["total"] = time.perf_counter() - t_start

@@ -8,6 +8,7 @@ moving or renaming one fails here rather than only in the benchmark.
 import ast
 import importlib
 import importlib.util
+import inspect
 from functools import reduce
 from pathlib import Path
 
@@ -21,13 +22,18 @@ def test_every_export_resolves():
     assert not missing
 
 
-def test_traced_functions_resolve():
-    # loaded by path and only read: nothing is wrapped
+def traced_functions():
+    """The tracer's table, loaded by path and only read: nothing is wrapped."""
     spec = importlib.util.spec_from_file_location("traced_names", PERFBENCH / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    assert tracing.FUNCTIONS
-    for module, attr_path, *_ in tracing.FUNCTIONS:
+    return tracing.FUNCTIONS
+
+
+def test_traced_functions_resolve():
+    functions = traced_functions()
+    assert functions
+    for module, attr_path, *_ in functions:
         reduce(getattr, attr_path.split("."), importlib.import_module(module))
     # the rank wrapper and the counters read these
     from loopbetti.fixtures import circle
@@ -38,6 +44,19 @@ def test_traced_functions_resolve():
     cc = ChainComplexGF2(circle(), 2)
     assert cc.top == 2 and cc.basis(1) and cc.boundary(1).nnz() == 0
     assert basepoint_subset(circle()).counts() == {0: 1}
+
+
+def test_traced_smash_powers_are_the_parameter_s():
+    """The tracer splits a span's metrics by smash power (``.s<k>``), read
+    at the (index, keyword) its table gives, so that must name the wrapped
+    function's parameter ``s`` at that position."""
+    split = [(module, attr_path, s_arg) for module, attr_path, _, s_arg, _ in traced_functions()
+             if s_arg is not None]
+    assert split
+    for module, attr_path, (index, keyword) in split:
+        fn = reduce(getattr, attr_path.split("."), importlib.import_module(module))
+        params = list(inspect.signature(fn).parameters)
+        assert keyword == "s" and params[index] == "s", (attr_path, params)
 
 
 def test_names_the_benchmark_child_uses_resolve():

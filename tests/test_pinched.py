@@ -717,15 +717,19 @@ def test_diagonal_check_matches_the_cycle_basis_oracle():
     assert verdicts == {(top, null) for top in (0, 1, 2) for null in (True, False)}
 
 
-def test_cover_sum_requires_the_hypothesis():
+def test_cover_sum_requires_the_hypothesis(monkeypatch):
+    import loopbetti.pinched as pinched
+
     space = interval()
     subset = zero_sphere_subset(space)
-    with pytest.raises(HypothesisError):
-        mv_e1_betti(space, subset, 2, 1)
-    # a remembered answer refuses just the same
     assert not check_diagonal_null(subset)
-    with pytest.raises(HypothesisError):
-        mv_e1_betti(space, subset, 2, 1)
+    # no answer is remembered: every call checks and refuses
+    checked = []
+    monkeypatch.setattr(pinched, "check_diagonal_null", lambda a: checked.append(a) or False)
+    for _ in range(2):
+        with pytest.raises(HypothesisError):
+            mv_e1_betti(space, subset, 2, 1)
+    assert checked == [subset, subset]
 
 
 def test_cover_sum_examples(glued_spheres):
@@ -766,7 +770,7 @@ def test_transfer_matrix_equals_intersection_sum(builder):
     orbit, fixed, betti_q, betti_a = orbit_tables(builder, 12)
     for s in range(2, 9):
         expected = cover_sum_by_intersections(betti_q, betti_a, s, 12)
-        got = [mv_e1_betti(orbit, fixed, s, t, betti_q, betti_a) for t in range(13)]
+        got = mv_e1_table(BettiInput(betti_q, betti_a), s, 12)
         assert got == expected, s
 
 
@@ -775,9 +779,10 @@ def test_transfer_matrix_equals_closed_formula(builder):
     orbit, fixed, betti_q, betti_a = orbit_tables(builder, 30)
     inp = BettiInput(betti_q, betti_a)
     for s in range(2, 31):
+        cover = mv_e1_table(inp, s, 30)
         for t in range(31):
             expected = betti_pinched_formula(inp, s, t)
-            assert mv_e1_betti(orbit, fixed, s, t, betti_q, betti_a) == expected, (s, t)
+            assert cover[t] == expected, (s, t)
 
 
 @pytest.mark.parametrize("make_space", [sphere_pair_swap, trivial_circle])
@@ -785,21 +790,26 @@ def test_formula_tables_equal_the_per_degree_calls(make_space):
     orbit, fixed, betti_q, betti_a = orbit_tables(make_space, 30)
     inp = BettiInput(betti_q, betti_a)
     for s in range(2, 11):
-        cover = mv_e1_table(orbit, fixed, s, 30, betti_q, betti_a)
+        cover = mv_e1_table(inp, s, 30)
         closed = betti_pinched_formula_table(inp, s, 30)
-        assert cover == [mv_e1_betti(orbit, fixed, s, t, betti_q, betti_a) for t in range(31)]
+        assert cover == [mv_e1_betti(orbit, fixed, s, t) for t in range(31)]
         assert closed == [betti_pinched_formula(inp, s, t) for t in range(31)]
-        assert mv_e1_table(orbit, fixed, s, -1, betti_q, betti_a) == []
-        assert betti_pinched_formula_table(inp, s, -1) == []
+        for t_max in (-1, -2):
+            assert mv_e1_table(inp, s, t_max) == []
+            assert betti_pinched_formula_table(inp, s, t_max) == []
 
 
 def test_cover_sum_refuses_uncertified_tables(glued_spheres):
-    orbit, fixed = glued_spheres["orbit"], glued_spheres["fixed"]
-    betti_a = reduced_betti(fixed, fixed.top_dim())
-    short = BettiTable({2: 1}, certified=3)
-    assert mv_e1_betti(orbit, fixed, 3, 3, short, betti_a) == 2
-    with pytest.raises(UncertifiedRangeError):
-        mv_e1_betti(orbit, fixed, 3, 4, short, betti_a)
+    """Both formula tables share one input check."""
+    fixed = glued_spheres["fixed"]
+    short = BettiInput(BettiTable({2: 1}, certified=3), reduced_betti(fixed, fixed.top_dim()))
+    messages = set()
+    for table in (mv_e1_table, betti_pinched_formula_table):
+        assert table(short, 3, 3)[3] == 2
+        with pytest.raises(UncertifiedRangeError) as exc:
+            table(short, 3, 4)
+        messages.add(str(exc.value))
+    assert messages == {"input table not certified through dimension 4"}
 
 
 def test_composition_betti_is_a_smash_table():

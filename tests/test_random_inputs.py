@@ -6,7 +6,7 @@ import random
 from pathlib import Path
 
 import pytest
-from section_spaces import random_verify_case, trivial_surface
+from section_spaces import planted_fixed_loop, random_verify_case, trivial_surface
 
 import loopbetti.verify as verify
 from loopbetti.cli import main
@@ -214,8 +214,9 @@ def test_bookkeeping_refuses_before_building_deep_tables(monkeypatch):
     """From s = 4 on the ambient is over the direct budget, so the brute
     loop column goes through the bookkeeping, which refuses at degree 0:
     the Kunneth ambient and the pinched homology are both nonzero there.
-    It learns so from tables through degree 0 and never builds the s >= 4
-    brute tables through the loop row's degree 6."""
+    It learns so from tables through degree 0, never builds the s = 4 brute
+    table through the loop row's degree 6, and builds none for s >= 5,
+    which no loop degree could use past the gap at s = 4."""
     built = []
     real = verify.pinched_betti_brute
 
@@ -227,7 +228,8 @@ def test_bookkeeping_refuses_before_building_deep_tables(monkeypatch):
     space, invol = parse(ISOLATED_FIXED_POINT)
     report = run_verify(space, invol, 2, 4, loop_max=6)
     assert report.section_found and not report.diagonal_null
-    assert all(t_max <= 1 for s, t_max in built if s >= 4), built
+    assert all(t_max <= 1 for s, t_max in built if s == 4), built
+    assert not [s for s, _ in built if s >= 5], built
     refused = (
         "cannot certify the inclusion rank at degree 0: "
         "ambient and pinched homology may both be nonzero"
@@ -238,10 +240,39 @@ def test_bookkeeping_refuses_before_building_deep_tables(monkeypatch):
             assert "brute" not in cell.notes
         else:
             assert cell.brute is None
-            assert cell.notes["brute"] == "; ".join(
-                f"s={s}: {refused}" for s in range(4, cell.s_or_n + 1)
-            )
+            assert cell.notes["brute"] == f"s=4: {refused}"
     assert [c.brute for c in report.loop_row[:3]] == [1, 7, 17]
+
+
+def test_loop_row_stops_at_the_first_refused_smash_power(monkeypatch):
+    """With a fixed loop the bookkeeping refuses s = 3 at degree 3 for every
+    path, so no loop degree from 3 on can be filled: no pinched table,
+    formula table or direct quotient is built for s >= 4, and the empty
+    cells name s = 3 alone."""
+    from collections import Counter
+
+    built = Counter()
+    for name in ("pinched_betti_brute", "mv_e1_table", "betti_pinched_formula_table",
+                 "quotient_betti_brute"):
+        real = getattr(verify, name)
+
+        def counted(*args, real=real, name=name):
+            built[name, args[2] if name.endswith("brute") else args[1]] += 1
+            return real(*args)
+
+        monkeypatch.setattr(verify, name, counted)
+    space, invol = planted_fixed_loop(random.Random(1), 50, 50)
+    report = run_verify(space, invol, s_max=3, t_max=3, loop_max=4, brute_loop_max=4)
+    assert report.agreement
+    rows = [[getattr(c, p) for p in verify.PATHS] for c in report.loop_row]
+    assert rows == [[16] * 3, [272] * 3, [None] * 3, [None] * 3]
+    refused = (
+        "s=3: cannot certify the inclusion rank at degree 3: "
+        "ambient and pinched homology may both be nonzero"
+    )
+    for cell in report.loop_row[2:]:
+        assert cell.notes == {p: refused for p in verify.PATHS}
+    assert {s for _, s in built} == {2, 3}, built
 
 
 # ---------------------------------------------------------------------------
