@@ -230,13 +230,14 @@ def quotient(
 
 def orbit_space(
     space: FiniteSimplicialSet, invol: Involution
-) -> tuple[FiniteSimplicialSet, dict[int, dict[Any, SimplexRef]], PointedSubset]:
-    """Orbit space of an involution, with projection and fixed subset.
+) -> tuple[FiniteSimplicialSet, dict[Any, Any], PointedSubset]:
+    """Orbit space of an involution, with representatives and fixed subset.
 
     The orbit space has one nondegenerate simplex per orbit (represented by
     the earlier element in the stored order); fixed simplices have singleton
     orbits, so the fixed set embeds as a pointed subset of the quotient.
-    The projection comes as its table of image refs, ``projection[n][key]``.
+    The projection comes as its representative map, ``rep[key]`` the key of
+    the orbit simplex that the nondegenerate simplex ``key`` lands on.
     """
     if invol.space is not space:
         raise ValidationError("involution acts on a different space")
@@ -258,13 +259,9 @@ def orbit_space(
                 entries.append(SimplexRef(f.base_dim, rep[f.base], f.word))
             faces[key] = tuple(entries)
     orbit = FiniteSimplicialSet.from_tables(space.truncation, simplices, faces, space.basepoint)
-    projection = {
-        n: {key: SimplexRef(n, rep[key], ()) for key in space.nondeg(n)}
-        for n in range(top + 1)
-    }
     fixed_members = {n: invol.fixed(n) for n in range(top + 1)}
     fixed = PointedSubset(orbit, fixed_members, check=False)
-    return orbit, projection, fixed
+    return orbit, rep, fixed
 
 
 def decide_section(

@@ -31,6 +31,7 @@ from .closed_form import BettiInput
 from .constructions import TupleSpace, smash_power
 from .homology import BettiTable, boundary_ranks, kunneth, reduced_betti
 from .simplicial import (
+    FiniteSimplicialSet,
     PointedSubset,
     SimplexRef,
     SimplicialSet,
@@ -514,11 +515,10 @@ def pinched_set(
     """The pinched subset of the s-fold smash power: tuples with an adjacent
     equal pair of fixed components.  For s <= 1 it is the basepoint."""
     _check_fixed_subset(q, fixed)
+    if s == 0:  # the empty smash power is a point
+        return basepoint_subset(FiniteSimplicialSet(32, {0: ["*"]}, {}))
     if s <= 1:
-        from .fixtures import point  # deferred: fixtures is a leaf module
-
-        space = point() if s == 0 else _ambient_for(q, 1, truncation, ambient)
-        return basepoint_subset(space)
+        return basepoint_subset(_ambient_for(q, 1, truncation, ambient))
     amb = _ambient_for(q, s, truncation, ambient)
     bound = pinched_top_bound(q, fixed, s)
     trunc = amb.truncation if truncation is None else min(truncation, amb.truncation)

@@ -376,7 +376,7 @@ def run_verify(
             f"through {x} must contain {partner} and one through {partner} must "
             f"contain {x} ({' => '.join(map(str, refutation))}, each step forced "
             "by a face relation); the loop-space decomposition does not apply, "
-            "so loop rows carry brute-force columns only where defined"
+            "so the loop row is left empty"
         )
     if not diagonal_null:
         report.messages.append(

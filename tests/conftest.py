@@ -1,13 +1,7 @@
 import pytest
+from shipped import circle, circle_subset, sphere_pair_swap, trivial_circle, two_disc_sphere
 
 from loopbetti.constructions import orbit_space, smash_power
-from loopbetti.fixtures import (
-    circle,
-    circle_subset,
-    sphere_pair_swap,
-    trivial_circle,
-    two_disc_sphere,
-)
 from loopbetti.homology import reduced_betti
 from loopbetti.pinched import pinched_set, pinched_top_bound
 
@@ -16,12 +10,12 @@ from loopbetti.pinched import pinched_set, pinched_top_bound
 def glued_spheres():
     """The main worked example: space, involution, orbit data."""
     space, invol = sphere_pair_swap()
-    orbit, projection, fixed = orbit_space(space, invol)
+    orbit, rep, fixed = orbit_space(space, invol)
     return {
         "space": space,
         "invol": invol,
         "orbit": orbit,
-        "projection": projection,
+        "rep": rep,
         "fixed": fixed,
     }
 
@@ -29,12 +23,12 @@ def glued_spheres():
 @pytest.fixture(scope="session")
 def trivial_circle_action():
     space, invol = trivial_circle()
-    orbit, projection, fixed = orbit_space(space, invol)
+    orbit, rep, fixed = orbit_space(space, invol)
     return {
         "space": space,
         "invol": invol,
         "orbit": orbit,
-        "projection": projection,
+        "rep": rep,
         "fixed": fixed,
     }
 

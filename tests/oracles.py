@@ -10,7 +10,7 @@ the reference for ``check_diagonal_null``, and the exact-sequence
 bookkeeping on those ranks; dense views and products of sparse GF(2)
 matrices, the d^2 check over every raw column and the columns an
 elimination keeps; simplicial maps with their face check, the identity,
-constant and inclusion maps and composites; the backtracking section
+constant, inclusion and orbit maps and composites; the backtracking section
 search; the factor tables through the word calculus, the reference for
 the ones built from the dimension below; and the brute kernel on tuples
 of component indices, the reference for the packed one.  Helpers
@@ -594,7 +594,7 @@ class SimplicialMap:
     """A pointed simplicial map, stored on nondegenerate source simplices.
 
     ``mapping[n][key]`` is the canonical image ref in the target, the image
-    table that ``orbit_space`` and ``quotient`` return.  The map is
+    table that ``quotient`` returns.  The map is
     extended to degenerate simplices by ``f(s_W x) = s_W f(x)``; validation
     checks that it commutes with every face operator.
     """
@@ -666,6 +666,13 @@ def constant_map(source: SimplicialSet, target: SimplicialSet) -> SimplicialMap:
 def inclusion_map(subset: PointedSubset) -> SimplicialMap:
     """The inclusion of a pointed subset into its ambient set."""
     return _map_on_nondeg(subset, subset.ambient, lambda n, key: SimplexRef(n, key, ()))
+
+
+def orbit_projection(space: SimplicialSet, orbit: SimplicialSet, rep: dict) -> SimplicialMap:
+    """The orbit projection from ``orbit_space``'s representative map, checked."""
+    projection = _map_on_nondeg(space, orbit, lambda n, key: SimplexRef(n, rep[key], ()))
+    projection.check()
+    return projection
 
 
 def compose(f: SimplicialMap, g: SimplicialMap) -> SimplicialMap:

@@ -16,6 +16,13 @@ from oracles import (
     intersection_to_composition,
     quotient_betti_via_les,
 )
+from shipped import (
+    circle,
+    free_double_cover,
+    sphere_pair_swap,
+    trivial_circle,
+    two_disc_sphere,
+)
 
 from loopbetti.closed_form import (
     EXAMPLE_LOOP_BETTI_1_TO_12,
@@ -33,13 +40,6 @@ from loopbetti.constructions import (
     quotient,
     smash,
     smash_power,
-)
-from loopbetti.fixtures import (
-    circle,
-    free_double_cover,
-    sphere_pair_swap,
-    trivial_circle,
-    two_disc_sphere,
 )
 from loopbetti.homology import ChainComplexGF2, kunneth, reduced_betti
 from loopbetti.pinched import mv_e1_betti

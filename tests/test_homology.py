@@ -18,15 +18,7 @@ from oracles import (
     quotient_betti_via_les,
     reduced_diagonal,
 )
-
-from loopbetti.constructions import (
-    orbit_space,
-    product,
-    quotient,
-    smash,
-    smash_power,
-)
-from loopbetti.fixtures import (
+from shipped import (
     circle,
     circle_subset,
     free_double_cover,
@@ -36,6 +28,14 @@ from loopbetti.fixtures import (
     trivial_circle,
     two_disc_sphere,
     zero_sphere_subset,
+)
+
+from loopbetti.constructions import (
+    orbit_space,
+    product,
+    quotient,
+    smash,
+    smash_power,
 )
 from loopbetti.homology import (
     BettiTable,
@@ -532,8 +532,6 @@ def test_identity_on_circle_not_homologous_zero():
 
 def test_les_matches_direct_quotient_on_named_pairs(glued_spheres):
     sp = two_disc_sphere()
-    from loopbetti.fixtures import circle_subset
-
     sub = circle_subset(sp)
     direct = reduced_betti(quotient(sp, sub)[0], 3)
     via_les = quotient_betti_via_les(sp, sub, 3)

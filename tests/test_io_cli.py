@@ -7,42 +7,19 @@ import sys
 from pathlib import Path
 
 import pytest
+from shipped import FIXTURE_DIR, circle, sphere_pair_swap
 
 from loopbetti.cli import main
-from loopbetti.fixtures import (
-    circle,
-    free_double_cover,
-    sphere_pair_swap,
-    trivial_circle,
-    two_disc_sphere,
-)
 from loopbetti.simplicial import FiniteSimplicialSet, ValidationError
 from loopbetti.sset_io import ParseError, parse, serialize
 from loopbetti.verify import DEFAULT_DIRECT_BUDGET
-
-FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
-
-BUILDERS = {
-    "circle": lambda: (circle(), None),
-    "two_disc_sphere": lambda: (two_disc_sphere(), None),
-    "sphere_pair_swap": sphere_pair_swap,
-    "free_double_cover": free_double_cover,
-    "trivial_circle": trivial_circle,
-}
 
 
 # ---------------------------------------------------------------------------
 # Round trips.
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("name", sorted(BUILDERS))
-def test_shipped_files_match_builders(name):
-    text = (FIXTURE_DIR / f"{name}.sset").read_text()
-    space, invol = BUILDERS[name]()
-    assert serialize(space, invol) == text
-
-
-@pytest.mark.parametrize("name", sorted(BUILDERS))
+@pytest.mark.parametrize("name", sorted(p.stem for p in FIXTURE_DIR.glob("*.sset")))
 def test_parse_serialize_parse_is_identity(name):
     text = (FIXTURE_DIR / f"{name}.sset").read_text()
     space, invol = parse(text)
@@ -283,6 +260,17 @@ def test_cli_verify_no_section(capsys):
     cycle = message.split("(", 1)[1].split(",", 1)[0].split(" => ")
     assert cycle[0] == cycle[-1] == "v0" and "v2" in cycle
     assert set(cycle) <= {"v0", "v1", "v2", "v3", "e0", "e1", "e2", "e3"}
+
+
+def test_cli_verify_no_section_leaves_the_loop_row_empty(capsys):
+    """Without a section the loop row stays empty, as the message says."""
+    path = FIXTURE_DIR / "free_double_cover.sset"
+    assert main(["verify", str(path), "--loop-max", "3", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["hypotheses"]["section_exists"] is False
+    assert doc["loop_row"] == []
+    message = next(m for m in doc["messages"] if m.startswith("no simplicial section"))
+    assert message.endswith("so the loop row is left empty")
 
 
 def test_cli_verify_requires_involution(capsys):
@@ -599,11 +587,12 @@ def test_truncation_error_names_both_truncations():
     torus_part = smash_power(circle(), 2, 1)  # top dimension 2
     with pytest.raises(TruncationError, match="factor truncation 1 .* truncation 3"):
         smash_power(torus_part, 2, 3)
-    square, shipped = smash_power(circle(truncation=1), 2, 3), smash_power(circle(), 2, 3)
+    low = FiniteSimplicialSet(1, {0: ["*"], 1: ["e"]}, {"e": ["*", "*"]})  # circle, truncation 1
+    square, shipped = smash_power(low, 2, 3), smash_power(circle(), 2, 3)
     for n in range(4):
         assert square.nondeg(n) == shipped.nondeg(n)
         total = count_by_enumeration(square, n)
-        assert try_materialize_count(circle(truncation=1), 2, n, total) == total
+        assert try_materialize_count(low, 2, n, total) == total
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ def test_traced_functions_resolve():
     for module, attr_path, *_ in functions:
         reduce(getattr, attr_path.split("."), importlib.import_module(module))
     # the rank wrapper and the counters read these
-    from loopbetti.fixtures import circle
+    from shipped import circle
     from loopbetti.homology import ChainComplexGF2, GF2SparseMatrix
     from loopbetti.simplicial import basepoint_subset
 

@@ -3,7 +3,6 @@
 import random
 from itertools import combinations
 from operator import is_
-from pathlib import Path
 
 import pytest
 
@@ -31,17 +30,18 @@ from oracles import (
     whole_subset,
 )
 from section_spaces import SURFACES, planted, random_verify_case, trivial_surface
-
-from loopbetti.closed_form import BettiInput, betti_pinched_formula, betti_pinched_formula_table
-from loopbetti.constructions import orbit_space, quotient, smash_power
-from loopbetti.fixtures import (
+from shipped import (
     DEFAULT_TRUNCATION,
+    FIXTURE_DIR,
     free_double_cover,
     interval,
     sphere_pair_swap,
     trivial_circle,
     zero_sphere_subset,
 )
+
+from loopbetti.closed_form import BettiInput, betti_pinched_formula, betti_pinched_formula_table
+from loopbetti.constructions import orbit_space, quotient, smash_power
 from loopbetti.homology import (
     BettiTable,
     UncertifiedRangeError,
@@ -126,6 +126,9 @@ def test_pinched_trivial_levels(glued_spheres):
     for s in (0, 1):
         subset = pinched_set(orbit, fixed, s)
         assert subset.counts() == {0: 1}
+    ambient = pinched_set(orbit, fixed, 0).ambient  # the empty smash power: a point
+    assert ambient.nondeg(0) == ("*",) and ambient.top_dim() == 0
+    assert ambient.truncation == DEFAULT_TRUNCATION
 
 
 def test_subset_members_keep_the_component_sort_order(glued_spheres):
@@ -472,7 +475,6 @@ def test_cut_table_eliminates_at_most_a_betti_number_of_columns(glued_spheres, m
     assert len(_cells(tables, 4, 3, True)) - ranks[2] > 300
 
 
-FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 SHIPPED_ACTIONS = {
     path.stem: action
     for path in sorted(FIXTURE_DIR.glob("*.sset"))

@@ -7,13 +7,13 @@ from pathlib import Path
 
 import pytest
 from section_spaces import planted_fixed_loop, random_verify_case, trivial_surface
+from shipped import FIXTURE_DIR
 
 import loopbetti.verify as verify
 from loopbetti.cli import main
 from loopbetti.sset_io import parse, serialize
 from loopbetti.verify import DEFAULT_DIRECT_BUDGET, HYPOTHESIS_NOT_SATISFIED, run_verify
 
-FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 # ---------------------------------------------------------------------------

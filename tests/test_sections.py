@@ -5,9 +5,9 @@ import random
 import pytest
 from oracles import find_section_backtracking
 from section_spaces import build, planted, random_space, rotated
+from shipped import free_double_cover, sphere_pair_swap
 
 from loopbetti.constructions import _components, decide_section, find_section, orbit_space
-from loopbetti.fixtures import free_double_cover, sphere_pair_swap
 from loopbetti.simplicial import ValidationError
 
 

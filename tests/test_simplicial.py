@@ -7,21 +7,13 @@ from oracles import (
     SimplicialMap,
     compose,
     count_by_enumeration,
+    orbit_projection,
     section_map,
     wedge_axes_subset,
     whole_subset,
 )
 from section_spaces import planted
-
-from loopbetti.constructions import (
-    find_section,
-    orbit_space,
-    product,
-    quotient,
-    smash,
-    smash_power,
-)
-from loopbetti.fixtures import (
+from shipped import (
     circle,
     circle_subset,
     free_double_cover,
@@ -30,6 +22,15 @@ from loopbetti.fixtures import (
     sphere_pair_swap,
     trivial_circle,
     two_disc_sphere,
+)
+
+from loopbetti.constructions import (
+    find_section,
+    orbit_space,
+    product,
+    quotient,
+    smash,
+    smash_power,
 )
 from loopbetti.homology import reduced_betti
 from loopbetti.simplicial import (
@@ -379,8 +380,8 @@ def test_orbit_space_of_glued_spheres(glued_spheres):
 
 def test_orbit_space_picks_the_first_stored_simplex_of_each_orbit():
     for space, invol in (sphere_pair_swap(), free_double_cover(), planted(random.Random(3), 6, 9)):
-        orbit, projection, fixed = orbit_space(space, invol)
-        SimplicialMap(space, orbit, projection)
+        orbit, rep, fixed = orbit_space(space, invol)
+        projection = orbit_projection(space, orbit, rep)
         for n in range(space.top_dim() + 1):
             stored = space.nondeg(n)
             reps = tuple(k for k in stored if stored.index(k) <= stored.index(invol(k)))
@@ -388,7 +389,7 @@ def test_orbit_space_picks_the_first_stored_simplex_of_each_orbit():
             assert fixed.nondeg(n) == tuple(k for k in stored if invol(k) == k)
             for key in stored:
                 image = min(key, invol(key), key=stored.index)
-                assert projection[n][key] == SimplexRef(n, image, ())
+                assert projection.apply_key(n, key) == SimplexRef(n, image, ())
 
 
 def test_orbit_space_of_free_cover():
@@ -402,7 +403,7 @@ def test_section_exists_for_glued_spheres(glued_spheres):
     space = glued_spheres["space"]
     invol = glued_spheres["invol"]
     orbit = glued_spheres["orbit"]
-    projection = SimplicialMap(space, orbit, glued_spheres["projection"])
+    projection = orbit_projection(space, orbit, glued_spheres["rep"])
     section = find_section(space, invol)
     assert section is not None
     assert section.counts() == {0: 1, 1: 1, 2: 2}
