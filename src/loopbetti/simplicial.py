@@ -20,7 +20,9 @@ subset of ``{0, ..., n-1}``.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import combinations
+from functools import partial
+from itertools import chain, combinations, compress, count, repeat
+from operator import eq, itemgetter, ne
 from typing import Any, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 
@@ -50,6 +52,15 @@ class SimplexRef(NamedTuple):
     @property
     def dim(self) -> int:
         return self.base_dim + len(self.word)
+
+
+# SimplexRef((base_dim, base, word)) without the Python-level __new__ of a
+# NamedTuple, for building refs in bulk
+_new_ref = partial(tuple.__new__, SimplexRef)
+
+
+def _interpretable(entry: Any) -> bool:
+    return isinstance(entry, (str, SimplexRef))
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +107,20 @@ def strip_word(word: tuple[int, ...], shared: Sequence[int]) -> tuple[int, ...]:
     sh = sorted(shared)
     shared_set = set(sh)
     return tuple(w - bisect_right(sh, w) for w in word if w not in shared_set)
+
+
+def _columns(rows: Sequence[Sequence[Any]], width: int) -> list[list[Any]]:
+    """The columns of rows of one width.  ``zip(*rows)`` would make an
+    iterator per row, garbage the collector then walks."""
+    return [list(map(itemgetter(i), rows)) for i in range(width)]
+
+
+def first_repeat(items: Sequence[Any]) -> Optional[int]:
+    """Position of the first item equal to an earlier one, or None."""
+    first = dict(zip(reversed(items), range(len(items) - 1, -1, -1)))
+    if len(first) == len(items):
+        return None
+    return min(set(range(len(items))).difference(first.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -188,32 +213,6 @@ class SimplicialSet:
                     out.append(SimplexRef(p, key, word))
         return out
 
-    # -- validation ----------------------------------------------------------
-    def check_face_identities(self) -> None:
-        """Check d_i d_j = d_{j-1} d_i (i < j) on every stored simplex.
-
-        The faces of each distinct face are computed once per call.
-        """
-        top = min(self.top_dim(), self.truncation)
-        faces_of: dict[SimplexRef, list[SimplexRef]] = {}
-        for n in range(2, top + 1):
-            for key in self.nondeg(n):
-                outer = []
-                for i in range(n + 1):
-                    face = self._base_face(key, n, i)
-                    inner = faces_of.get(face)
-                    if inner is None:
-                        inner = faces_of[face] = [self.face_of(face, k) for k in range(n)]
-                    outer.append(inner)
-                for j in range(1, n + 1):
-                    for i in range(j):
-                        if outer[j][i] != outer[i][j - 1]:
-                            raise ValidationError(
-                                f"face identity fails on {key!r}: "
-                                f"d_{i} d_{j} != d_{j - 1} d_{i}",
-                                key,
-                            )
-
 
 class FiniteSimplicialSet(SimplicialSet):
     """A finite pointed simplicial set with explicit tables.
@@ -224,10 +223,12 @@ class FiniteSimplicialSet(SimplicialSet):
     ``"label"`` (nondegenerate) or ``"s1s0@label"`` (degenerate; operators
     outermost first) when all keys are strings.
 
-    Validation computes each distinct face once: an entry is resolved once
-    per ambient dimension (equal entries share one ref), and the face
-    identities compute the faces of each distinct face once, so simplices
-    that share faces add only table lookups.
+    Validation takes one dimension at a time and works on whole columns
+    of the face table: each distinct entry is resolved once per ambient
+    dimension (equal entries share one ref), and the face identities read
+    the faces of a nondegenerate face from the table and compute those of
+    each distinct degenerate face once, so simplices that share faces add
+    only table lookups.
     """
 
     def __init__(
@@ -249,46 +250,135 @@ class FiniteSimplicialSet(SimplicialSet):
             raise ValidationError("a pointed simplicial set needs at least one vertex")
         self._dim_of: dict[Any, int] = {}
         for n, keys in self._simplices.items():
-            for key in keys:
-                if key in self._dim_of:
-                    raise ValidationError(f"duplicate simplex identifier {key!r}")
-                self._dim_of[key] = n
+            self._dim_of.update(zip(keys, repeat(n)))
+        if len(self._dim_of) != sum(map(len, self._simplices.values())):
+            listed = list(chain.from_iterable(self._simplices.values()))
+            key = listed[first_repeat(listed)]
+            raise ValidationError(f"duplicate simplex identifier {key!r}")
         self._basepoint = self._simplices[0][0] if basepoint is None else basepoint
         if self._dim_of.get(self._basepoint) != 0:
             raise ValidationError(f"basepoint {self._basepoint!r} is not a vertex")
-        self._faces: dict[Any, tuple[SimplexRef, ...]] = {}
-        # entry -> ref per ambient dimension: each distinct entry is resolved
-        # once, and equal entries share one ref
-        resolved: dict[int, dict[Any, SimplexRef]] = {}
-        for key, entries in faces.items():
-            n = self._dim_of.get(key)
-            if n is None:
-                raise ValidationError(f"faces given for unknown simplex {key!r}", key)
-            if n == 0:
-                raise ValidationError(f"vertex {key!r} cannot have faces", key)
-            if len(entries) != n + 1:
-                raise ValidationError(
-                    f"simplex {key!r} of dimension {n} needs {n + 1} faces", key
-                )
-            refs = resolved.setdefault(n - 1, {})
-            for e in entries:
-                if not isinstance(e, (str, SimplexRef)):
-                    raise ValidationError(f"cannot interpret face entry {e!r}", key)
-                if e not in refs:
-                    try:
-                        refs[e] = self._coerce_ref(e, n - 1)
-                    except ValidationError as exc:
-                        exc.simplex = key
-                        raise
-            self._faces[key] = tuple([refs[e] for e in entries])
-        for n, keys in self._simplices.items():
-            if n == 0:
-                continue
-            for key in keys:
-                if key not in self._faces:
-                    raise ValidationError(f"missing face list for simplex {key!r}", key)
+        self._faces: dict[Any, tuple[SimplexRef, ...]] = self._face_tables(faces)
+        # every key of the face table is a stored simplex above dimension 0
+        if len(self._faces) != len(self._dim_of) - len(self._simplices[0]):
+            above = chain.from_iterable(keys for n, keys in self._simplices.items() if n)
+            key = next(key for key in above if key not in self._faces)
+            raise ValidationError(f"missing face list for simplex {key!r}", key)
         self._top_bound: Optional[int] = None
         self.check_face_identities()
+
+    def _face_tables(
+        self, faces: Mapping[Any, Sequence[Any]]
+    ) -> dict[Any, tuple[SimplexRef, ...]]:
+        """The face table as refs, checked one dimension at a time.  A
+        failure names the first simplex of ``faces`` that fails, and within
+        it the first entry."""
+        keys = list(faces)
+        rows = list(faces.values())
+        dims = list(map(self._dim_of.get, keys))
+        tables: dict[Any, tuple[SimplexRef, ...]] = {}
+        failures: list[tuple[int, ValidationError]] = []  # (position in faces, error)
+        for n in set(dims):
+            at = list(compress(count(), map(eq, dims, repeat(n))))
+            if n is None:
+                message = f"faces given for unknown simplex {keys[at[0]]!r}"
+                failures.append((at[0], ValidationError(message)))
+                continue
+            if n == 0:
+                message = f"vertex {keys[at[0]]!r} cannot have faces"
+                failures.append((at[0], ValidationError(message)))
+                continue
+            found = list(map(rows.__getitem__, at))
+            wrong = next(compress(count(), map(ne, map(len, found), repeat(n + 1))), None)
+            if wrong is not None:
+                message = f"simplex {keys[at[wrong]]!r} of dimension {n} needs {n + 1} faces"
+                failures.append((at[wrong], ValidationError(message)))
+                del at[wrong:], found[wrong:]
+            refs, bad = self._ref_rows(found, n - 1)
+            if bad is None:
+                tables.update(zip(map(keys.__getitem__, at), refs))
+            else:
+                failures.append((at[bad[0]], bad[1]))
+        if failures:
+            position, exc = min(failures, key=itemgetter(0))
+            exc.simplex = keys[position]
+            raise exc
+        return tables
+
+    def _ref_rows(
+        self, rows: list[Sequence[Any]], ambient: int
+    ) -> tuple[list[tuple[SimplexRef, ...]], Optional[tuple[int, ValidationError]]]:
+        """Rows of face entries of one dimension as rows of refs.
+
+        Each distinct entry is resolved once, so equal entries share one
+        ref; a nondegenerate entry is a key stored at ``ambient``.  On a bad
+        entry, returns the index of the first row holding one and its error.
+        """
+        try:
+            tokens = set(chain.from_iterable(rows))
+        except TypeError:  # an unhashable entry, which the scan below names
+            tokens = set(filter(_interpretable, chain.from_iterable(rows)))
+            clean = False
+        else:
+            clean = all(issubclass(tp, (str, SimplexRef)) for tp in set(map(type, tokens)))
+            if not clean:
+                tokens = set(filter(_interpretable, tokens))
+        plain = [
+            t for t in tokens.intersection(self._simplices.get(ambient, ()))
+            if isinstance(t, str) and "@" not in t
+        ]
+        refs = dict(zip(plain, map(_new_ref, zip(repeat(ambient), plain, repeat(())))))
+        errors: dict[Any, ValidationError] = {}
+        for token in tokens.difference(refs):
+            try:
+                refs[token] = self._coerce_ref(token, ambient)
+            except ValidationError as exc:
+                errors[token] = exc
+        if errors or not clean:
+            for index, row in enumerate(rows):
+                for e in row:
+                    if not _interpretable(e):
+                        return [], (index, ValidationError(f"cannot interpret face entry {e!r}"))
+                    if e in errors:
+                        return [], (index, errors[e])
+        columns = [list(map(refs.__getitem__, column)) for column in _columns(rows, ambient + 2)]
+        return list(zip(*columns)), None
+
+    def check_face_identities(self) -> None:
+        """Check d_i d_j = d_{j-1} d_i (i < j) on every stored simplex.
+
+        One pass per dimension: column i holds d_i of every simplex there,
+        the faces of a nondegenerate face are read from the table and those
+        of each distinct degenerate face are computed once, so d_k d_i is a
+        column too and each identity is one compare of two columns.  A
+        failure names the first simplex in stored order, then j, then i.
+        """
+        table = self._faces
+        for n in range(2, min(self.top_dim(), self.truncation) + 1):
+            keys = self._simplices.get(n)
+            if not keys:
+                continue
+            columns = _columns(list(map(table.__getitem__, keys)), n + 1)
+            distinct = list(set(chain.from_iterable(columns)))
+            # the stored row of each base, then computed faces for the faces
+            # with a nonempty word
+            faces_of = dict(zip(distinct, map(table.get, map(itemgetter(1), distinct))))
+            for face in compress(distinct, map(itemgetter(2), distinct)):
+                faces_of[face] = [self.face_of(face, k) for k in range(n)]
+            # twice[i][k] is the column of d_k d_i
+            twice = [_columns(list(map(faces_of.__getitem__, column)), n) for column in columns]
+            failing = [
+                (j, i) for j in range(1, n + 1) for i in range(j) if twice[j][i] != twice[i][j - 1]
+            ]
+            if failing:
+                p = min(
+                    next(compress(count(), map(ne, twice[j][i], twice[i][j - 1])))
+                    for j, i in failing
+                )
+                j, i = next((j, i) for j, i in failing if twice[j][i][p] != twice[i][j - 1][p])
+                raise ValidationError(
+                    f"face identity fails on {keys[p]!r}: d_{i} d_{j} != d_{j - 1} d_{i}", keys[p]
+                )
 
     @classmethod
     def from_tables(
@@ -374,11 +464,12 @@ def parse_ref_token(token: str, dim_of: Mapping[Any, int]) -> SimplexRef:
         word_part, label = token.split("@", 1)
         if not word_part or word_part[0] != "s":
             raise ValidationError(f"malformed degeneracy word in {token!r}")
-        try:
-            ops = [int(piece) for piece in word_part[1:].split("s")]
-        except ValueError:
-            raise ValidationError(f"malformed degeneracy word in {token!r}") from None
-        word = tuple(reversed(ops))
+        pieces = word_part[1:].split("s")
+        # ASCII digits only: int() also takes "+0", "0_0" and other scripts'
+        # digits, which would serialize differently
+        if not (word_part.isascii() and all(map(str.isdigit, pieces))):
+            raise ValidationError(f"malformed degeneracy word in {token!r}")
+        word = tuple(reversed(list(map(int, pieces))))
         if any(a >= b for a, b in zip(word, word[1:])) or (word and word[0] < 0):
             raise ValidationError(f"degeneracy word in {token!r} is not canonical")
     if label not in dim_of:
@@ -409,13 +500,19 @@ class Involution:
         self.space = space
         self._map: dict[Any, Any] = dict(mapping) if mapping else {}
         dim_of = space._dim_of
-        for src, dst in self._map.items():
+        dim = dim_of.__getitem__
+        if not (
+            self._map.keys() <= dim_of.keys()
+            and all(map(dim_of.__contains__, self._map.values()))
+            and all(map(eq, map(dim, self._map), map(dim, self._map.values())))
+        ):
+            src, dst = next(
+                (src, dst) for src, dst in self._map.items()
+                if src not in dim_of or dst not in dim_of or dim_of[src] != dim_of[dst]
+            )
             if src not in dim_of or dst not in dim_of:
-                raise ValidationError(
-                    f"involution names unknown simplex {src!r} -> {dst!r}", src
-                )
-            if dim_of[src] != dim_of[dst]:
-                raise ValidationError(f"involution {src!r} -> {dst!r} changes dimension", src)
+                raise ValidationError(f"involution names unknown simplex {src!r} -> {dst!r}", src)
+            raise ValidationError(f"involution {src!r} -> {dst!r} changes dimension", src)
         self.check()
 
     def __call__(self, key: Any) -> Any:
@@ -425,30 +522,45 @@ class Involution:
         return tuple(k for k in self.space.nondeg(n) if self(k) == k)
 
     def check(self) -> None:
+        """The involution fixes the basepoint, squares to one and commutes
+        with every face map, checked one dimension at a time over whole
+        columns.  A failure names the first simplex in stored order, and
+        for it the square before d_0, d_1, ..."""
         space = self.space
         t = self._map.get
         if t(space.basepoint, space.basepoint) != space.basepoint:
             raise ValidationError("involution moves the basepoint", space.basepoint)
+        table = space._faces
         for n in range(space.top_dim() + 1):
-            for key in space.nondeg(n):
-                image = t(key, key)
-                if t(image, image) != key:
-                    raise ValidationError(f"involution does not square to one at {key!r}", key)
-                if n == 0:
-                    continue
+            keys = space.nondeg(n)
+            images = list(map(t, keys, keys))
+            # (position of the first failing simplex, face index or -1 for the
+            # square); position len(keys) when nothing fails
+            squares = map(t, images, images)
+            failures = [(next(compress(count(), map(ne, squares, keys)), len(keys)), -1)]
+            if n:
                 # t commutes with degeneracies, so t(d_i x) = d_i(tx) says that
                 # the stored faces of x and tx share base dimension and word,
                 # and that t maps the one base to the other
-                pairs = zip(space._faces[key], space._faces[image])
-                for i, (face, image_face) in enumerate(pairs):
-                    if (
-                        image_face.base_dim != face.base_dim
-                        or image_face.word != face.word
-                        or image_face.base != t(face.base, face.base)
-                    ):
-                        raise ValidationError(
-                            f"involution fails to commute with d_{i} at {key!r}", key
-                        )
+                rows = list(map(table.__getitem__, keys))
+                image_rows = list(map(table.__getitem__, images))
+                for i in range(n + 1):
+                    column = list(map(itemgetter(i), rows))
+                    faces = list(set(column))
+                    bases = list(map(itemgetter(1), faces))
+                    # plain tuples, equal to the refs they stand for: the
+                    # collector stops tracking them, unlike SimplexRefs
+                    moved = dict(zip(faces, zip(
+                        map(itemgetter(0), faces), map(t, bases, bases), map(itemgetter(2), faces)
+                    )))
+                    wrong = map(ne, map(moved.__getitem__, column), map(itemgetter(i), image_rows))
+                    failures.append((next(compress(count(), wrong), len(keys)), i))
+            p, i = min(failures)
+            if p < len(keys):
+                key = keys[p]
+                if i < 0:
+                    raise ValidationError(f"involution does not square to one at {key!r}", key)
+                raise ValidationError(f"involution fails to commute with d_{i} at {key!r}", key)
 
 
 # ---------------------------------------------------------------------------

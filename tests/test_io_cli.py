@@ -2,11 +2,13 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from section_spaces import SURFACES, planted, random_verify_case, rotated, trivial_surface
 from shipped import FIXTURE_DIR, circle, sphere_pair_swap
 
 from loopbetti.cli import main
@@ -29,6 +31,29 @@ def test_parse_serialize_parse_is_identity(name):
     assert serialize(space2, invol2) == text
     for n in range(space.top_dim() + 1):
         assert space2.nondeg(n) == space.nondeg(n)
+
+
+def generated_spaces():
+    yield planted(random.Random(1), 200, 500)
+    yield rotated(12)
+    for name in sorted(SURFACES):
+        yield trivial_surface(name)
+    rng = random.Random(1)
+    for _ in range(100):
+        yield random_verify_case(rng)[:2]
+
+
+def test_parse_rebuilds_generated_spaces():
+    for space, invol in generated_spaces():
+        again, invol2 = parse(serialize(space, invol))
+        # the text has no record for a dimension without simplices
+        assert again._simplices == {n: keys for n, keys in space._simplices.items() if keys}
+        assert again._faces == space._faces
+        assert again._dim_of == space._dim_of
+        assert again.basepoint == space.basepoint
+        # a trivial involution serializes as "involution * *", so compare
+        # the maps by what they do
+        assert {k: invol2(k) for k in again._dim_of} == {k: invol(k) for k in space._dim_of}
 
 
 def test_whitespace_and_comments_are_ignored():
@@ -162,6 +187,96 @@ REJECTIONS = {
     "repeated_basepoint": (
         HEAD + "simplices 0 * v\nbasepoint v\n",
         "line 4: duplicate basepoint record",
+    ),
+    "faces_of_undeclared": (
+        HEAD + "simplices 0 *\nsimplices 1 e\nfaces e * *\nfaces x * *\n",
+        "line 6: faces given for undeclared simplex 'x'",
+    ),
+    "vertex_with_faces": (
+        HEAD + "simplices 0 * v\nsimplices 1 e\nfaces e * *\nfaces v * *\n",
+        "line 6: vertex 'v' cannot have faces",
+    ),
+    "wrong_face_count": (
+        HEAD + "simplices 0 *\nsimplices 1 e f\nfaces e * *\nfaces f * * *\n",
+        "line 6: simplex 'f' of dimension 1 needs 2 faces",
+    ),
+    "missing_face_list": (
+        HEAD + "simplices 0 *\nsimplices 1 e f g h\nfaces e * *\nfaces h * *\nfaces g * *\n",
+        "missing face list for simplex 'f'",
+    ),
+    "duplicate_faces_entry": (
+        HEAD + "simplices 0 *\nsimplices 1 e\nfaces e * *\nfaces e * *\n",
+        "line 6: duplicate faces entry for 'e'",
+    ),
+    "duplicate_involution_entry": (
+        HEAD + "simplices 0 * u w\ninvolution u w\ninvolution w u\ninvolution u w\n",
+        "line 6: duplicate involution entry for 'u'",
+    ),
+    "reserved_character_before_a_duplicate": (
+        HEAD + "simplices 0 * v a@b v\n",
+        "line 3: label 'a@b' contains a reserved character",
+    ),
+    "unknown_record": (
+        HEAD + "simplices 0 *\nedges e\n",
+        "line 4: unknown record 'edges'",
+    ),
+    "missing_truncation": (
+        "basepoint *\nsimplices 0 *\n",
+        "missing truncation record",
+    ),
+    "no_vertices": (
+        "truncation 2\nsimplices 1 e\n",
+        "no vertices declared",
+    ),
+    "malformed_word": (
+        HEAD + "simplices 0 *\nsimplices 1 e\nsimplices 2 g\nfaces e * *\nfaces g e sx@* s0@*\n",
+        "line 7: malformed degeneracy word in 'sx@*'",
+    ),
+    "involution_changes_dimension": (
+        HEAD + "simplices 0 * v\nsimplices 1 e\nfaces e * *\ninvolution v e\n",
+        "line 6: involution 'v' -> 'e' changes dimension",
+    ),
+    "involution_not_of_order_two": (
+        HEAD + "simplices 0 * v u w\ninvolution w u\ninvolution u v\ninvolution v w\n",
+        "line 6: involution does not square to one at 'v'",
+    ),
+    "involution_moves_basepoint": (
+        HEAD + "simplices 0 * v\ninvolution v *\ninvolution * v\n",
+        "line 5: involution moves the basepoint",
+    ),
+    "involution_off_d1": (
+        HEAD + "simplices 0 *\nsimplices 1 x y\nsimplices 2 g h\nfaces x * *\nfaces y * *\n"
+        "faces g x x s0@*\nfaces h y x s0@*\n"
+        "involution x y\ninvolution y x\ninvolution g h\ninvolution h g\n",
+        "line 12: involution fails to commute with d_1 at 'g'",
+    ),
+    # h fails at d_0 d_1 and its record comes first, but g is stored first
+    "identity_on_first_stored_of_two": (
+        HEAD + "simplices 0 * v\nsimplices 1 e f k\nsimplices 2 g h\n"
+        "faces e v *\nfaces f * *\nfaces k * v\nfaces h f e e\nfaces g f f k\n",
+        "line 10: face identity fails on 'g': d_1 d_2 != d_1 d_1",
+    ),
+    # a digit of another script, or an int() spelling, is not a number
+    "arabic_indic_truncation": (
+        "truncation \u0663\nsimplices 0 *\n",
+        "line 1: truncation needs one nonnegative integer",
+    ),
+    "arabic_indic_dimension": (
+        HEAD + "simplices \u0660 *\n",
+        "line 3: simplices needs a dimension and labels",
+    ),
+    "signed_degeneracy_index": (
+        HEAD + "simplices 0 *\nsimplices 1 e\nsimplices 2 g\nfaces e * *\nfaces g e s+0@* s0@*\n",
+        "line 7: malformed degeneracy word in 's+0@*'",
+    ),
+    "underscored_degeneracy_index": (
+        HEAD + "simplices 0 *\nsimplices 1 e\nsimplices 2 g\nfaces e * *\nfaces g e s0_0@* s0@*\n",
+        "line 7: malformed degeneracy word in 's0_0@*'",
+    ),
+    # only \n, \r\n and \r end a line: a form feed is whitespace
+    "form_feed_is_not_a_line_break": (
+        HEAD + "simplices 0 *\nsimplices 1 e\n\x0cfaces e * *\nfaces e * *\n",
+        "line 6: duplicate faces entry for 'e'",
     ),
 }
 
