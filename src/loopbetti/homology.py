@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import chain, repeat
 from typing import Any, Collection, Container, Hashable, Iterable, Mapping, Optional, Sequence
 
-from .simplicial import SimplexRef, SimplicialSet, TruncationError
+from .simplicial import SimplicialSet, TruncationError
 
 
 class UncertifiedRangeError(ValueError):
@@ -334,10 +334,9 @@ class ChainComplexGF2:
             cols = []
             index = self._index.get(n - 1, {})
             for key in bases[n]:
-                ref = SimplexRef(n, key, ())
                 col: set[int] = set()
                 for i in range(n + 1):
-                    face = space.face_of(ref, i)
+                    face = space._base_face(key, n, i)
                     if face.word or space.is_basepoint_ref(face):
                         continue
                     col ^= {index[face.base]}

@@ -33,7 +33,6 @@ from .homology import BettiTable, boundary_ranks, kunneth, reduced_betti
 from .simplicial import (
     FiniteSimplicialSet,
     PointedSubset,
-    SimplexRef,
     SimplicialSet,
     ValidationError,
     basepoint_subset,
@@ -176,7 +175,7 @@ def _faces(
         if p == n:  # nondegenerate: the stored face lists
             for k, face in enumerate(faces):
                 for key, j in bases[n].items():
-                    ref = q.face_of(SimplexRef(n, key, ()), k)
+                    ref = q._base_face(key, n, k)
                     if not q.is_basepoint_ref(ref):
                         low_start, _, low_words, low_rank = below[ref.base_dim]
                         place = bases[ref.base_dim][ref.base] * len(low_words)

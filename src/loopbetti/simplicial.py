@@ -15,6 +15,12 @@ acting first.  Rewriting with ``s_i s_j = s_{j+1} s_i`` (``i <= j``) always
 reaches this form, and the form is unique, so two refs are equal iff their
 fields are equal.  A word reaching ambient dimension ``n`` is exactly a
 subset of ``{0, ..., n-1}``.
+
+The word is read off the vertex map: ``s_J y``, with ``y`` of dimension
+``p``, pulls ``y`` back along a monotone surjection ``[n] -> [p]``, and
+``J`` lists the positions ``m`` that this map sends to the same vertex as
+``m + 1`` (Goerss and Jardine, *Simplicial Homotopy Theory*, I.1).  A face
+``d_i`` drops position ``i``, which gives ``face_of`` in one pass.
 """
 
 from __future__ import annotations
@@ -78,30 +84,6 @@ def insert_degeneracy(word: tuple[int, ...], j: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def face_through_word(word: tuple[int, ...], i: int):
-    """Push ``d_i`` from outside through a canonical degeneracy word.
-
-    Returns ``(emitted, outcome)`` where ``emitted`` lists the degeneracy
-    indices produced on the outside (outermost first) and ``outcome`` is
-    either ``("cancel", inner_word)`` when the face met a matching
-    degeneracy, or ``("base", i2)`` when ``d_{i2}`` reaches the base.
-    Uses ``d_i s_j = s_{j-1} d_i`` (i < j), ``d_j s_j = d_{j+1} s_j = id``
-    and ``d_i s_j = s_j d_{i-1}`` (i > j + 1).
-    """
-    emitted: list[int] = []
-    k = i
-    for pos in range(len(word) - 1, -1, -1):
-        w = word[pos]
-        if k == w or k == w + 1:
-            return emitted, ("cancel", word[:pos])
-        if k < w:
-            emitted.append(w - 1)
-        else:
-            emitted.append(w)
-            k -= 1
-    return emitted, ("base", k)
-
-
 def strip_word(word: tuple[int, ...], shared: Sequence[int]) -> tuple[int, ...]:
     """Remove the indices in ``shared`` from ``word`` and renumber the rest."""
     sh = sorted(shared)
@@ -155,21 +137,34 @@ class SimplicialSet:
 
     # -- shared operator algebra -------------------------------------------
     def face_of(self, ref: SimplexRef, i: int) -> SimplexRef:
-        """Canonical form of ``d_i`` applied to an arbitrary simplex."""
+        """Canonical form of ``d_i`` applied to an arbitrary simplex.
+
+        ``d_i`` drops position ``i`` of the vertex map, so the repeats
+        above it move down by one.  If ``i`` took part in a repeat, the face
+        is a degeneracy of the same base less that repeat; otherwise the
+        face meets the base at its vertex ``c`` and is a degeneracy of the
+        stored face ``d_c y``, whose repeats land on the last position of
+        their vertices.
+        """
         n = ref.dim
         if n == 0:
             raise ValueError("a vertex has no faces")
         if not 0 <= i <= n:
             raise ValueError(f"face index {i} out of range for dimension {n}")
-        emitted, outcome = face_through_word(ref.word, i)
-        if outcome[0] == "cancel":
-            out = SimplexRef(ref.base_dim, ref.base, outcome[1])
-        else:
-            # the face survived the whole word, so the base is positive-dim
-            out = self._base_face(ref.base, ref.base_dim, outcome[1])
-        for e in reversed(emitted):
-            out = self.degenerate_of(out, e)
-        return out
+        word = ref.word
+        c = bisect_left(word, i)  # the repeats before position i
+        # the repeat that i may take part in: with i + 1, else with i - 1
+        q = c if word[c:c + 1] == (i,) else c - 1
+        if q >= 0 and word[q] >= i - 1:
+            return SimplexRef(ref.base_dim, ref.base, word[:q] + tuple(j - 1 for j in word[q + 1:]))
+        face = self._base_face(ref.base, ref.base_dim, i - c)
+        if not word:
+            return face
+        moved = word[:c] + tuple(j - 1 for j in word[c:])
+        if face.word:
+            last = [m for m in range(n - 1) if m not in moved]  # last[v]: last position of vertex v
+            moved = tuple(sorted(moved + tuple(map(last.__getitem__, face.word))))
+        return SimplexRef(face.base_dim, face.base, moved)
 
     def degenerate_of(self, ref: SimplexRef, j: int) -> SimplexRef:
         """Canonical form of ``s_j`` applied to an arbitrary simplex."""
@@ -469,7 +464,10 @@ def parse_ref_token(token: str, dim_of: Mapping[Any, int]) -> SimplexRef:
         # digits, which would serialize differently
         if not (word_part.isascii() and all(map(str.isdigit, pieces))):
             raise ValidationError(f"malformed degeneracy word in {token!r}")
-        word = tuple(reversed(list(map(int, pieces))))
+        try:
+            word = tuple(reversed(list(map(int, pieces))))
+        except ValueError:  # more digits than int() converts
+            raise ValidationError(f"malformed degeneracy word in {token!r}") from None
         if any(a >= b for a, b in zip(word, word[1:])) or (word and word[0] < 0):
             raise ValidationError(f"degeneracy word in {token!r} is not canonical")
     if label not in dim_of:

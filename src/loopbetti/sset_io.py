@@ -14,11 +14,12 @@ inside its line, and error messages count lines by this rule:
 
 A face is ``label`` for a nondegenerate face or ``s1s0@label`` for a
 degenerate one, operators written outermost first.  Numbers (``N``,
-``DIM`` and degeneracy indices) are ASCII digits ``[0-9]+``, nothing else.
-Labels may not contain whitespace, ``@`` or ``#``.  Serialization is
-canonical (single spaces, dimensions ascending, one trailing newline), so
-parse-serialize-parse is the identity and serializing a parsed file
-reproduces it up to whitespace.
+``DIM`` and degeneracy indices) are ASCII digits ``[0-9]+``, nothing else,
+and no more digits than ``int()`` converts.  Labels may not be empty or
+contain whitespace, ``@`` or ``#``, and ``serialize`` refuses such labels.
+Serialization is canonical (single spaces, dimensions ascending, one
+trailing newline), so parse-serialize-parse is the identity and
+serializing a parsed file reproduces it up to whitespace.
 """
 
 from __future__ import annotations
@@ -182,8 +183,15 @@ def _records(text: str) -> dict[str, tuple[list[tuple[str, ...]], list[int]]]:
 
 
 def _is_number(field: str) -> bool:
-    """ASCII digits only: int() also reads "+1", "1_0" and other scripts' digits."""
-    return field.isascii() and field.isdigit()
+    """ASCII digits only (int() also reads "+1", "1_0" and other scripts'
+    digits), and no more of them than int() converts."""
+    if not (field.isascii() and field.isdigit()):
+        return False
+    try:
+        int(field)
+    except ValueError:  # over the interpreter's limit on digits converted
+        return False
+    return True
 
 
 def _once(errors: list, kind: str, lines: list[int], shaped: list[bool], malformed: str) -> None:
@@ -215,6 +223,11 @@ def serialize(space: FiniteSimplicialSet, invol: Optional[Involution] = None) ->
             if not isinstance(key, str):
                 raise ValidationError(
                     "only simplicial sets with string labels can be serialized"
+                )
+            # a label is one field of its line and names no face or comment
+            if key.split() != [key] or "@" in key or "#" in key:
+                raise ValidationError(
+                    f"label {key!r} is empty or holds whitespace, '@' or '#'", key
                 )
     lines = [f"truncation {space.truncation}", f"basepoint {space.basepoint}"]
     for n in range(space.top_dim() + 1):

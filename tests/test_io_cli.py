@@ -56,6 +56,16 @@ def test_parse_rebuilds_generated_spaces():
         assert {k: invol2(k) for k in again._dim_of} == {k: invol(k) for k in space._dim_of}
 
 
+def test_serialize_refuses_labels_the_format_cannot_hold():
+    # each would parse back as other vertices, as none, or not at all
+    for label in ("a b", "a\x0cb", "a\u2028b", "", "a@b", "a#b", "a\nb"):
+        space = FiniteSimplicialSet(0, {0: ["*", label]}, {})
+        with pytest.raises(ValidationError) as err:
+            serialize(space)
+        assert str(err.value) == f"label {label!r} is empty or holds whitespace, '@' or '#'"
+        assert err.value.simplex == label
+
+
 def test_whitespace_and_comments_are_ignored():
     text = (FIXTURE_DIR / "two_disc_sphere.sset").read_text()
     noisy = "# a comment\n\n" + text.replace("\n", "\n\n") + "   \n"
@@ -272,6 +282,25 @@ REJECTIONS = {
     "underscored_degeneracy_index": (
         HEAD + "simplices 0 *\nsimplices 1 e\nsimplices 2 g\nfaces e * *\nfaces g e s0_0@* s0@*\n",
         "line 7: malformed degeneracy word in 's0_0@*'",
+    ),
+    # a number with more digits than int() converts (4,300 by default)
+    "truncation_past_int_digits": (
+        "truncation " + "9" * 5000 + "\nsimplices 0 *\n",
+        "line 1: truncation needs one nonnegative integer",
+    ),
+    "dimension_past_int_digits": (
+        HEAD + "simplices 0 *\nsimplices " + "1" * 5000 + " e\n",
+        "line 4: simplices needs a dimension and labels",
+    ),
+    "degeneracy_index_past_int_digits": (
+        HEAD + "simplices 0 *\nsimplices 1 e\nsimplices 2 g\nfaces e * *\n"
+        f"faces g e s{'1' * 5000}@* s0@*\n",
+        f"line 7: malformed degeneracy word in 's{'1' * 5000}@*'",
+    ),
+    "zero_degeneracy_index_past_int_digits": (
+        HEAD + "simplices 0 *\nsimplices 1 e\nsimplices 2 g\nfaces e * *\n"
+        f"faces g e s0@* s{'0' * 5000}@*\n",
+        f"line 7: malformed degeneracy word in 's{'0' * 5000}@*'",
     ),
     # only \n, \r\n and \r end a line: a form feed is whitespace
     "form_feed_is_not_a_line_break": (

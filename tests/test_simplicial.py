@@ -103,50 +103,37 @@ def test_word_normalization_matches_naive_rewriting():
         assert word == naive_normalize(list(reversed(ops_applied)))
 
 
-def random_ref(rng, space, max_extra=3):
-    dims = [n for n in range(space.top_dim() + 1) if space.nondeg(n)]
-    p = rng.choice(dims)
-    base = rng.choice(space.nondeg(p))
-    ref = SimplexRef(p, base, ())
-    for _ in range(rng.randint(0, max_extra)):
-        ref = space.degenerate_of(ref, rng.randint(0, ref.dim))
-    return ref
-
-
 SPACES = [circle(), two_disc_sphere(), interval(), sphere_pair_swap()[0]]
 
 
-def test_simplicial_identities_randomized():
-    """All the operator identities, on random simplices of several spaces."""
-    rng = random.Random(11)
-    for _ in range(400):
-        space = rng.choice(SPACES)
-        r = random_ref(rng, space)
-        n = r.dim
-        # s_i s_j = s_{j+1} s_i for i <= j
-        j = rng.randint(0, n)
-        i = rng.randint(0, j)
-        assert space.degenerate_of(space.degenerate_of(r, j), i) == \
-            space.degenerate_of(space.degenerate_of(r, i), j + 1)
-        # d_i d_j = d_{j-1} d_i for i < j
-        if n >= 2:
-            j = rng.randint(1, n)
-            i = rng.randint(0, j - 1)
-            assert space.face_of(space.face_of(r, j), i) == \
-                space.face_of(space.face_of(r, i), j - 1)
-        # d_i s_j family
-        j = rng.randint(0, n)
-        sj = space.degenerate_of(r, j)
-        assert space.face_of(sj, j) == r
-        assert space.face_of(sj, j + 1) == r
-        if j >= 1 and n >= 1:
-            i = rng.randint(0, j - 1)
-            assert space.face_of(sj, i) == \
-                space.degenerate_of(space.face_of(r, i), j - 1)
-        if j + 1 < n + 1:
-            i = rng.randint(j + 2, n + 1)
-            assert space.face_of(sj, i) == \
-                space.degenerate_of(space.face_of(r, i - 1), j)
+def test_simplicial_identities_exhaustive():
+    """All the operator identities, on every simplex of several spaces
+    through dimension 5 (each base with each word) and every index pair,
+    so that faces which cancel a repeat and faces which reach the base are
+    both checked at every position."""
+    for space in SPACES:
+        for n in range(6):
+            for r in space.refs_at(n):
+                s = [space.degenerate_of(r, j) for j in range(n + 1)]
+                d = [space.face_of(r, i) for i in range(n + 1)] if n else []
+                # s_i s_j = s_{j+1} s_i for i <= j
+                for j in range(n + 1):
+                    for i in range(j + 1):
+                        assert space.degenerate_of(s[j], i) == space.degenerate_of(s[i], j + 1)
+                # d_i d_j = d_{j-1} d_i for i < j
+                for j in range(1, n + 1) if n >= 2 else ():
+                    for i in range(j):
+                        assert space.face_of(d[j], i) == space.face_of(d[i], j - 1)
+                # d_i s_j = s_{j-1} d_i (i < j), id (i = j, j + 1), s_j d_{i-1} (i > j + 1)
+                for j in range(n + 1):
+                    for i in range(n + 2):
+                        if i < j:
+                            expected = space.degenerate_of(d[i], j - 1)
+                        elif i <= j + 1:
+                            expected = r
+                        else:
+                            expected = space.degenerate_of(d[i - 1], j)
+                        assert space.face_of(s[j], i) == expected, (r, j, i)
 
 
 def test_stored_face_tables_satisfy_identities():
