@@ -24,7 +24,7 @@ from .closed_form import conjecture_rows
 from .homology import reduced_betti
 from .simplicial import TruncationError, ValidationError
 from .sset_io import ParseError, parse_file
-from .verify import DEFAULT_DIRECT_BUDGET, run_verify
+from .verify import DEFAULT_BRUTE_LOOP_MAX, DEFAULT_DIRECT_BUDGET, run_verify
 
 
 def _cmd_betti(args) -> int:
@@ -127,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--brute-loop-max",
         type=nonnegative,
-        default=5,
+        default=DEFAULT_BRUTE_LOOP_MAX,
         help="largest smash power brute-forced for the loop row",
     )
     p_verify.add_argument("--direct-budget", type=nonnegative, default=DEFAULT_DIRECT_BUDGET)

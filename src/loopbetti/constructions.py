@@ -69,13 +69,12 @@ class TupleSpace(SimplicialSet):
         return self._bp
 
     def top_dim(self) -> int:
-        # the honest bound on nondegenerate dimensions; enumeration beyond
-        # the truncation still raises, it does not silently return nothing
+        # the honest bound on nondegenerate dimensions; enumeration where the
+        # space does not reach raises, it does not silently return nothing
         return self._top
 
     def nondeg(self, n: int) -> tuple[Any, ...]:
-        if n > self.truncation:
-            raise TruncationError(f"dimension {n} beyond truncation {self.truncation}")
+        self.require(n)
         cached = self._nondeg_cache.get(n)
         if cached is None:
             head = (self._bp,) if self.smash and n == 0 else ()
@@ -189,7 +188,9 @@ def quotient(
     """
     if subset.ambient is not space:
         raise ValidationError("subset does not live in the space being collapsed")
-    top = min(space.top_dim(), space.truncation)
+    # a cut smash power is listed through its truncation; the quotient keeps its top
+    whole = space.reaches(space.top_dim())
+    top = space.top_dim() if whole else space.truncation
     simplices: dict[int, list[Any]] = {0: [space.basepoint]}
     for n in range(top + 1):
         kept = [
@@ -215,7 +216,7 @@ def quotient(
         simplices,
         faces,
         space.basepoint,
-        top_bound=space.top_dim() if space.top_dim() > space.truncation else None,
+        top_bound=None if whole else space.top_dim(),
     )
     projection = {
         n: {key: project(SimplexRef(n, key, ())) for key in space.nondeg(n)}

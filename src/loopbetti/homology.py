@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import chain, repeat
 from typing import Any, Collection, Container, Hashable, Iterable, Mapping, Optional, Sequence
 
-from .simplicial import SimplicialSet, TruncationError
+from .simplicial import SimplicialSet
 
 
 class UncertifiedRangeError(ValueError):
@@ -314,10 +314,7 @@ class ChainComplexGF2:
 
     def __init__(self, space: SimplicialSet, top: int):
         need = min(top, space.top_dim())
-        if need > space.truncation:
-            raise TruncationError(
-                f"chains through dimension {top} need truncation >= {need}"
-            )
+        space.require(need)
         self.space = space
         self.top = top
         bases: dict[int, tuple[Any, ...]] = {}

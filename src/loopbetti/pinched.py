@@ -710,8 +710,8 @@ def quotient_betti_brute(
     Runs on the integer tables: the cells of each dimension are the
     nondegenerate tuples outside the pinched subset, and a face that is the
     basepoint, degenerate or pinched is zero in the relative chains.  Cells
-    are enumerated through min(n_max + 1, s top(Q)), which must not exceed
-    the truncation of ``q``; the table certifies vanishing above the top
+    are enumerated through min(n_max + 1, s top(Q)), which ``q`` must
+    reach; the table certifies vanishing above the top
     dimension of the smash power, or above the last cell when every
     dimension up to that one was enumerated.
     """

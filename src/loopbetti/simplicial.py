@@ -171,18 +171,20 @@ class SimplicialSet:
         n = ref.dim
         if not 0 <= j <= n:
             raise ValueError(f"degeneracy index {j} out of range for dimension {n}")
-        if not self.reaches(n + 1):
-            raise TruncationError(
-                f"degeneracy to dimension {n + 1} exceeds truncation {self.truncation}"
-            )
+        self.require(n + 1)
         return SimplexRef(ref.base_dim, ref.base, insert_degeneracy(ref.word, j))
 
     def reaches(self, n: int) -> bool:
-        """Whether the simplices at ambient dimension n are known: n is
-        within the truncation, or the truncation is at least the top
-        dimension, so that every simplex at n is a degeneracy of a stored
-        one."""
+        """Whether the simplices at ambient dimension n are known, the one
+        test of it: n is within the truncation, or the truncation is at
+        least the top dimension, as in every listed space, so that every
+        simplex at n is a degeneracy of a stored one."""
         return n <= self.truncation or self.truncation >= self.top_dim()
+
+    def require(self, n: int) -> None:
+        """Raise ``TruncationError`` unless the space reaches dimension n."""
+        if not self.reaches(n):
+            raise TruncationError(f"dimension {n} beyond truncation {self.truncation}")
 
     def basepoint_ref(self, n: int) -> SimplexRef:
         return SimplexRef(0, self.basepoint, tuple(range(n)))
@@ -197,8 +199,7 @@ class SimplicialSet:
         A canonical word from base dimension ``p`` to ambient ``n`` is any
         ``(n - p)``-subset of ``{0, ..., n-1}``, so enumeration is by shuffles.
         """
-        if not self.reaches(n):
-            raise TruncationError(f"dimension {n} beyond truncation {self.truncation}")
+        self.require(n)
         out: list[SimplexRef] = []
         for p in range(min(n, self.top_dim()) + 1):
             for key in self.nondeg(p):
@@ -349,7 +350,7 @@ class FiniteSimplicialSet(SimplicialSet):
         failure names the first simplex in stored order, then j, then i.
         """
         table = self._faces
-        for n in range(2, min(self.top_dim(), self.truncation) + 1):
+        for n in range(2, self.top_dim() + 1):
             keys = self._simplices.get(n)
             if not keys:
                 continue
@@ -415,8 +416,7 @@ class FiniteSimplicialSet(SimplicialSet):
 
     # -- protocol ------------------------------------------------------------
     def nondeg(self, n: int) -> tuple[Any, ...]:
-        if n > self.truncation:
-            raise TruncationError(f"dimension {n} beyond truncation {self.truncation}")
+        self.require(n)
         return self._simplices.get(n, ())
 
     def _base_face(self, base: Any, dim: int, i: int) -> SimplexRef:
@@ -591,27 +591,24 @@ class PointedSubset(SimplicialSet):
     ):
         self.ambient = ambient
         self.truncation = ambient.truncation if truncation is None else truncation
-        if self.truncation > ambient.truncation:
-            raise TruncationError("subset truncation exceeds the ambient truncation")
+        ambient.require(self.truncation)
         # dict keys keep the order, drop repeats and answer membership
         keys = {n: dict.fromkeys(ks) for n, ks in members.items()}
         if ambient.basepoint not in keys.setdefault(0, {}):
             keys[0] = {ambient.basepoint: None, **keys[0]}
         self._member_sets = {n: ks for n, ks in sorted(keys.items()) if ks}
         self._members = {n: tuple(ks) for n, ks in self._member_sets.items()}
-        if top_bound is None:
-            if self.truncation >= ambient.top_dim():
-                top_bound = max(self._members)
-            else:
-                top_bound = ambient.top_dim()
-        self._top_bound = min(top_bound, ambient.top_dim())
+        self._top_bound = ambient.top_dim()
+        if top_bound is None and self.reaches(self._top_bound):
+            top_bound = max(self._members)  # known through the ambient's top
+        if top_bound is not None:
+            self._top_bound = min(top_bound, self._top_bound)
         if check:
             self.check_closure()
 
     # -- protocol ------------------------------------------------------------
     def nondeg(self, n: int) -> tuple[Any, ...]:
-        if n > self.truncation:
-            raise TruncationError(f"dimension {n} beyond subset truncation {self.truncation}")
+        self.require(n)
         return self._members.get(n, ())
 
     def _base_face(self, base: Any, dim: int, i: int) -> SimplexRef:

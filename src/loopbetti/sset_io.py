@@ -143,20 +143,19 @@ def parse(text: str) -> tuple[FiniteSimplicialSet, Optional[Involution]]:
             raise ParseError(f"faces given for undeclared simplex {label!r}", lineno)
         target = next(filter(strays.__contains__, faces[label])).split("@", 1)[-1]
         raise ParseError(f"face of {label!r} names undeclared simplex {target!r}", lineno)
+    space = None
     try:
         space = FiniteSimplicialSet(truncation, simplices, faces, basepoint=basepoint)
+        invol = Involution(space, involution) if has_involution else None
     except ValidationError as exc:
-        # the line of the faces record of the simplex that failed
-        lineno = dict(zip(face_labels, face_lines)).get(exc.simplex)
-        raise ParseError(str(exc), lineno) from exc
-    invol = None
-    if has_involution:
-        try:
-            invol = Involution(space, involution)
-        except ValidationError as exc:
-            # the line of the involution record of the source that failed
-            lineno = dict(zip(sources, involution_lines)).get(exc.simplex)
-            raise ParseError(str(exc), lineno) from exc
+        # the line of a record of the simplex that failed: its involution
+        # record if the involution failed, else its faces record, else the
+        # simplices record that declares it
+        lines = {label: line for row, line in zip(simplex_rows, simplex_lines) for label in row[2:]}
+        lines.update(zip(face_labels, face_lines))
+        if space is not None:
+            lines.update(zip(sources, involution_lines))
+        raise ParseError(str(exc), lines.get(exc.simplex)) from exc
     return space, invol
 
 

@@ -45,6 +45,7 @@ from .pinched import (
 from .simplicial import FiniteSimplicialSet, Involution, PointedSubset
 
 DEFAULT_DIRECT_BUDGET = 30000
+DEFAULT_BRUTE_LOOP_MAX = 5
 
 HYPOTHESIS_NOT_SATISFIED = "hypothesis not satisfied"
 PATHS = ("brute", "mv_e1", "closed")
@@ -228,14 +229,14 @@ def direct_quotient_betti(
     note, without a pinched table: the basepoint quotient at s = 1, else the
     homology of the quotient's cells on the integer tables
     (``quotient_betti_brute``).  None when the ambient is over budget or
-    needs dimensions beyond the truncation of ``q``.  No path's data is
-    read, so one result serves all three."""
+    needs a dimension ``q`` does not reach.  No path's data is read, so one
+    result serves all three."""
     if s == 1:
         entries = {n: betti_q[n] for n in range(n_max + 1)}
         table = BettiTable(entries, certified=n_max, zero_from=q.top_dim() + 1)
         return table, "quotient by the basepoint"
     trunc = min(n_max + 1, q.top_dim() * s)
-    if trunc > q.truncation:
+    if not q.reaches(trunc):
         return None
     count = try_materialize_count(q, s, trunc, direct_budget)
     if count is None:
@@ -350,14 +351,15 @@ def run_verify(
     t_max: int,
     fixture: str = "",
     loop_max: Optional[int] = None,
-    brute_loop_max: Optional[int] = None,
+    brute_loop_max: int = DEFAULT_BRUTE_LOOP_MAX,
     direct_budget: int = DEFAULT_DIRECT_BUDGET,
 ) -> RunReport:
-    """Fill the three-path grid and loop row for a space with involution."""
+    """Fill the three-path grid and loop row for a space with involution.
+    Brute force fills the loop row through s = ``brute_loop_max``, by
+    default ``DEFAULT_BRUTE_LOOP_MAX``, the command line's default too."""
     t_start = time.perf_counter()
     orbit, _, fixed = orbit_space(space, invol)
     loop_max = t_max if loop_max is None else loop_max
-    brute_loop_max = loop_max if brute_loop_max is None else brute_loop_max
 
     section, refutation = decide_section(space, invol)
     diagonal_null = check_diagonal_null(fixed)

@@ -118,10 +118,10 @@ HEAD = "truncation 4\nbasepoint *\n"
 # Each text is rejected with exactly this message.  Validation resolves a
 # face token once per ambient dimension and reuses faces it has computed,
 # so every case puts the bad use of a token or face after a good one.  A
-# validation message gets the line of the faces or involution record of
-# the simplex that failed, so "line 8" in dimension_of_label is the record
-# of ``f``, not of the ``e`` it quotes.  The unhashable entry reaches
-# FiniteSimplicialSet without a text.
+# validation message gets the line of the involution record, else the faces
+# record, else the declaring simplices record, of the simplex that failed, so
+# "line 8" in dimension_of_label is the record of ``f``, not of the ``e`` it
+# quotes.  The unhashable entry reaches FiniteSimplicialSet without a text.
 REJECTIONS = {
     "unhashable_entry": (
         lambda: FiniteSimplicialSet(
@@ -161,6 +161,12 @@ REJECTIONS = {
         HEAD + "simplices 0 * u w\nsimplices 1 e f\nfaces e u *\nfaces f * w\n"
         "involution u w\ninvolution w u\ninvolution e f\ninvolution f e\n",
         "line 9: involution fails to commute with d_0 at 'e'",
+    ),
+    # e has no involution record, so the line is that of its faces record
+    "involution_off_d0_at_a_fixed_simplex": (
+        HEAD + "simplices 0 * u w\nsimplices 1 e\nfaces e u *\n"
+        "involution u w\ninvolution w u\n",
+        "line 5: involution fails to commute with d_0 at 'e'",
     ),
     "duplicate_label": (
         HEAD + "simplices 0 * a\nsimplices 1 e a\nfaces a * *\n",
@@ -212,7 +218,7 @@ REJECTIONS = {
     ),
     "missing_face_list": (
         HEAD + "simplices 0 *\nsimplices 1 e f g h\nfaces e * *\nfaces h * *\nfaces g * *\n",
-        "missing face list for simplex 'f'",
+        "line 4: missing face list for simplex 'f'",
     ),
     "duplicate_faces_entry": (
         HEAD + "simplices 0 *\nsimplices 1 e\nfaces e * *\nfaces e * *\n",
@@ -571,8 +577,9 @@ def test_verify_chooses_quotient_route_once_per_smash_power(monkeypatch):
 
 
 def test_verify_trivial_circle_to_degree_forty():
-    """Smash powers past the orbit space's truncation (32) have no direct
-    quotient, so bookkeeping serves them; the loop row is 2^(n-1)."""
+    """From s = 7 on the smash power is over the direct budget, so the
+    bookkeeping serves s = 7..40, the ones past the truncation record (32)
+    included; the loop row is 2^(n-1)."""
     from loopbetti.sset_io import parse_file as load
     from loopbetti.verify import run_verify
 

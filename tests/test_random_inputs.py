@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 from section_spaces import planted_fixed_loop, random_verify_case, trivial_surface
-from shipped import FIXTURE_DIR
+from shipped import FIXTURE_DIR, sphere_pair_swap
 
 import loopbetti.verify as verify
 from loopbetti.cli import main
@@ -273,6 +273,65 @@ def test_loop_row_stops_at_the_first_refused_smash_power(monkeypatch):
     for cell in report.loop_row[2:]:
         assert cell.notes == {p: refused for p in verify.PATHS}
     assert {s for _, s in built} == {2, 3}, built
+
+
+# ---------------------------------------------------------------------------
+# The truncation record and the brute loop default.
+# ---------------------------------------------------------------------------
+
+def retruncated(space, invol, truncation: int):
+    """The space and involution saved with another truncation record."""
+    _, rest = serialize(space, invol).split("\n", 1)
+    return parse(f"truncation {truncation}\n{rest}")
+
+
+def test_loop_row_of_a_fixed_loop_at_truncation_two():
+    """A listed space reaches every dimension, so its loop row does not
+    depend on the number in its truncation record: at truncation 2 the
+    direct quotient of s = 3 runs as at truncation 8."""
+    built = planted_fixed_loop(random.Random(1), 3, 3)
+    rows = []
+    for space, invol in (built, retruncated(*built, 2)):
+        report = run_verify(space, invol, 2, 2, loop_max=3)
+        assert report.agreement
+        rows.append([[getattr(c, p) for p in verify.PATHS] for c in report.loop_row])
+    assert rows[0] == rows[1] == [[2] * 3, [6] * 3, [17] * 3]
+
+
+def test_report_does_not_depend_on_the_truncation_record():
+    """Random spaces saved with their top dimension as the truncation give
+    the report they give as built, less the fields that name the input."""
+    rng = random.Random(1)
+    for i in range(100):
+        space, invol, flags = random_verify_case(rng)
+        reports = [
+            run_verify(*pair, **flags).to_dict()
+            for pair in ((space, invol), retruncated(space, invol, space.top_dim()))
+        ]
+        for doc in reports:
+            for key in ("fixture", "truncation", "timings"):
+                del doc[key]
+        assert reports[0] == reports[1], (i, flags, serialize(space, invol))
+
+
+def test_brute_loop_column_stops_at_the_shared_default(monkeypatch):
+    """``run_verify`` and ``--brute-loop-max`` share one default, 5: a loop
+    row through n = 9 builds no brute table past s = 5, and from n = 6 on
+    the brute column names s = 6 and the flag."""
+    built = []
+    real = verify.pinched_betti_brute
+
+    def brute(q, fixed, s, t_max):
+        built.append(s)
+        return real(q, fixed, s, t_max)
+
+    monkeypatch.setattr(verify, "pinched_betti_brute", brute)
+    report = run_verify(*sphere_pair_swap(), 2, 2, loop_max=9)
+    assert report.agreement and len(report.loop_row) == 9
+    assert built and max(built) <= 5, built
+    for cell in report.loop_row[5:]:
+        assert cell.brute is None
+        assert cell.notes["brute"] == "s=6: not computed (beyond --brute-loop-max 5)"
 
 
 # ---------------------------------------------------------------------------

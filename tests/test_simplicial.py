@@ -32,7 +32,7 @@ from loopbetti.constructions import (
     smash,
     smash_power,
 )
-from loopbetti.homology import reduced_betti
+from loopbetti.homology import ChainComplexGF2, reduced_betti
 from loopbetti.simplicial import (
     FiniteSimplicialSet,
     Involution,
@@ -41,6 +41,7 @@ from loopbetti.simplicial import (
     ValidationError,
     basepoint_subset,
     SimplicialSet,
+    TruncationError,
     insert_degeneracy,
 )
 
@@ -293,6 +294,30 @@ def test_quotient_by_everything_is_point():
     sp = two_disc_sphere()
     quot, _ = quotient(sp, whole_subset(sp))
     assert [len(quot.nondeg(n)) for n in range(3)] == [1, 0, 0]
+
+
+def test_reaches_is_the_one_truncation_rule():
+    """Above its recorded truncation a listed space still reaches: nondeg is
+    empty and refs_at gives the degeneracies.  A smash power cut at its
+    truncation raises one message wherever a dimension past it is asked."""
+    listed = FiniteSimplicialSet(1, {0: ["*"], 1: ["e"]}, {"e": ["*", "*"]})
+    assert listed.nondeg(3) == ()
+    assert listed.refs_at(3) == [SimplexRef(0, "*", (0, 1, 2))] + [
+        SimplexRef(1, "e", word) for word in ((0, 1), (0, 2), (1, 2))
+    ]
+    assert reduced_betti(listed, 3).nonzero() == {1: 1}
+    cut = smash_power(two_disc_sphere(), 2, truncation=2)
+    asks = [
+        (3, lambda: cut.nondeg(3)),
+        (3, lambda: cut.refs_at(3)),
+        (3, lambda: cut.degenerate_of(cut.basepoint_ref(2), 0)),
+        (4, lambda: ChainComplexGF2(cut, 4)),
+        (3, lambda: PointedSubset(cut, {}, truncation=3)),
+    ]
+    for n, ask in asks:
+        with pytest.raises(TruncationError) as caught:
+            ask()
+        assert str(caught.value) == f"dimension {n} beyond truncation 2"
 
 
 def test_subset_closure_validated():
