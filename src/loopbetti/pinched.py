@@ -9,9 +9,12 @@ stored faces; per dimension it walks once over the slots, whose states
 record what a prefix still allows.  The same walk, accepting the runs
 with no such pair, gives the cells of the quotient of the smash power by
 the subset.  One shared kernel computes the homology of both by brute
-force on the same tables.  It codes each cell as one int, which is also
-its id in the cochains, finds faces through tables over groups of slots,
-and builds and reduces the cochains from degree 0 up.  The module also
+force on the same tables.  It codes each cell as one int, one field per
+slot, which is also its id in the cochains.  Where every component fits a
+byte and s <= 8 the code is a 64-bit word of one byte per slot, and face k
+of a whole dimension is one ``bytes.translate`` of its words; wider tables
+find faces through tables over groups of slots.  Both build and reduce the
+cochains from degree 0 up.  The module also
 evaluates the cover-intersection Betti sum, a function of the Betti tables
 of Q and A alone, which gives the pinched homology when the reduced
 diagonal of A is homologous to zero; ``check_diagonal_null`` decides that
@@ -23,8 +26,9 @@ are checked against this one in the test suite and run nowhere else.
 
 from __future__ import annotations
 
+import sys
 from itertools import combinations, compress, repeat
-from operator import add, and_, eq, floordiv, mod, or_
+from operator import and_, eq, or_, rshift
 from typing import Any, Iterable, Optional, Sequence
 
 from .closed_form import BettiInput
@@ -223,7 +227,7 @@ _State = tuple[int, int, bool]
 
 def _cells(tables: _FactorTables, s: int, n: int, pinched: bool) -> list[int]:
     """The nondegenerate s-tuples at ambient dimension n (s >= 2), as cell
-    codes (see ``_slot_groups``): for ``pinched`` those with an adjacent
+    codes (see ``_slot_bits``): for ``pinched`` those with an adjacent
     equal pair of fixed components (a witness), else those without one:
     the cells but the basepoint of the smash power modulo the subset.
 
@@ -238,12 +242,15 @@ def _cells(tables: _FactorTables, s: int, n: int, pinched: bool) -> list[int]:
     pass lists the states reachable after each slot; a backward pass then
     builds the codes of the slots left after each, once per state, from
     the last slot to the first, holding two levels; the root frees each
-    list of the level below it after its last move that reads it.  Groups
-    and members go in table order, so the codes come out depth first in
-    that order.
+    list of the level below it after its last move that reads it.  A slot's
+    field goes onto each code of the slots after it by an OR, the fields
+    being disjoint, so each code is an int of exactly the digits its value
+    needs: on byte-sized tables a 64-bit word, which the byte engine packs
+    and the cochains keep as the cell's id.  Groups and members go in table
+    order, so the codes come out depth first in that order.
     """
     masks, fixed, groups = tables.masks[n], tables.fixed[n], tables.groups[n]
-    top_q, radix = tables.top_q, len(masks)
+    top_q, bits = tables.top_q, _slot_bits(tables, s, n)
 
     def moves(state: _State, rem: int) -> Iterable[tuple[Sequence[int], _State]]:
         # runs of the components the next slot may take, each with the state
@@ -274,18 +281,18 @@ def _cells(tables: _FactorTables, s: int, n: int, pinched: bool) -> list[int]:
     for rem in range(s, 1, -1):
         levels.append({after for state in levels[-1] for _, after in moves(state, rem)})
     suffixes = {  # the last slot's codes after each state
-        state: [i for run, after in moves(state, 1) if after[2] == pinched for i in run]
+        state: [i + 1 for run, after in moves(state, 1) if after[2] == pinched for i in run]
         for state in levels.pop()
     }
     for rem, states in enumerate(reversed(levels[1:]), start=2):
-        scale = radix ** (rem - 1)
+        shift = bits * (rem - 1)
         level: dict[_State, list[int]] = {}
         for state in states:
             codes: list[int] = []
             for run, after in moves(state, rem):
                 if tail := suffixes.get(after):
                     for i in run:
-                        codes.extend(map((i * scale).__add__, tail))
+                        codes.extend(map(((i + 1) << shift).__or__, tail))
             if codes:
                 level[state] = codes
         suffixes = level
@@ -293,52 +300,74 @@ def _cells(tables: _FactorTables, s: int, n: int, pinched: bool) -> list[int]:
     # list of that level is freed at the root's last move that reads it
     runs = [(run, after) for run, after in moves(root, s) if suffixes.get(after)]
     last = {after: j for j, (_, after) in enumerate(runs)}
-    scale = radix ** (s - 1)
+    shift = bits * (s - 1)
     codes: list[int] = []
     for j, (run, after) in enumerate(runs):
         tail = suffixes.pop(after) if last[after] == j else suffixes[after]
         for i in run:
-            codes.extend(map((i * scale).__add__, tail))
+            codes.extend(map(((i + 1) << shift).__or__, tail))
     return codes
 
 
-def _slot_groups(s: int, radix: int, cells: int) -> list[tuple[int, int]]:
-    """The slot groups of a cell code as (exponent, width).
+_WORD = 8  # the bytes of a cell code on byte-sized tables
 
-    A cell at dimension n is coded as the int sum of c_j * R^(s-1-j) over
-    its component indices c_j, with R = len(tables.masks[n]) (the
-    components and the basepoint marker), so codes sort as the tuples do
-    and a face at n - 1 is coded alike at its own radix.  A group holds the
-    digits of w adjacent slots ending e slots from the right, so its code is
-    (code // R^e) % R^w.  The groups are the pairs (0, 1), (2, 3), ... and a
-    lone last slot when s is odd; a pair table has R^2 entries per face, so
-    when that exceeds the number of cells every slot is a group of its own.
+
+def _byte_sized(tables: _FactorTables, s: int, n: int) -> bool:
+    """Whether the cells at n take the byte layout: s <= 8 and every
+    component index + 1 at n, the basepoint marker's too, fits a byte.  The
+    components at n - 1 are never more than those at n (C(n - 1, p) <=
+    C(n, p) words per base), so the cells below then take it too."""
+    return s <= _WORD and len(tables.masks[n]) < 256
+
+
+def _slot_bits(tables: _FactorTables, s: int, n: int) -> int:
+    """The bits w of one slot of a cell code at n.
+
+    A cell at dimension n is coded as the int OR of (c_j + 1) << w(s-1-j)
+    over its component indices c_j, so a slot holds a digit 1 .. R, R being
+    the basepoint marker's index + 1 (len(tables.masks[n])), and digit 0
+    never occurs in a slot.  Codes sort as the tuples do, and a face at
+    n - 1 is coded alike with its own w.  On byte-sized tables w is 8, so a
+    code is a 64-bit word of one byte per slot with zero bytes above, which
+    ``bytes.translate`` maps to its face; elsewhere w is the fewest bits
+    that hold R.  Built with OR, a code takes exactly the digits of its
+    value, where an addition would leave one spare.
     """
-    width = 2 if radix * radix <= cells else 1
-    starts = range(0, s, width)
-    return [(max(s - a - width, 0), min(width, s - a)) for a in starts]
+    return 8 if _byte_sized(tables, s, n) else len(tables.masks[n]).bit_length()
 
 
-def _digits(codes: list[int], radix: int, s: int) -> list[list[int]]:
-    """The component indices of each code, slot by slot."""
-    return _group_codes(codes, radix, s, [(e, 1) for e in reversed(range(s))])
+def _digits(codes: list[int], bits: int, s: int) -> list[list[int]]:
+    """The component indices of each code, slot by slot (the inverse of the
+    layout of ``_slot_bits``, whose w is ``bits``)."""
+    top = (1 << bits) - 1
+    return [[(code >> bits * e & top) - 1 for code in codes] for e in reversed(range(s))]
 
 
-def _group_codes(
-    codes: list[int], radix: int, s: int, groups: list[tuple[int, int]]
-) -> list[list[int]]:
-    """The code of each slot group of each code, drawn from one pool of
-    ints: a code above 256 costs a pointer, not an int object of its own."""
-    pool = list(range(radix ** max(w for _, w in groups))).__getitem__
-    return [
-        codes if w == s else list(map(pool, _group(codes, radix, s, e, w))) for e, w in groups
-    ]
+def _by_digit(values: list[Any], pad: Any, size: int) -> list[Any]:
+    """``values``, one per component index then the marker, as a table
+    indexed by slot digit (index + 1), ``pad`` filling digit 0 and the
+    digits past the marker up to ``size``."""
+    return [pad, *values] + [pad] * (size - 1 - len(values))
 
 
-def _group(codes: Iterable[int], radix: int, s: int, e: int, w: int) -> Iterable[int]:
-    """The codes of the group (e, w) of each code, one at a time."""
-    part = map(floordiv, codes, repeat(radix**e)) if e else codes
-    return map(mod, part, repeat(radix**w)) if e + w < s else part
+def _face_digits(tables: _FactorTables, n: int, k: int, size: int) -> list[int]:
+    """Face k as a map from a slot digit at n to a slot digit at n - 1: the
+    marker's face is the marker."""
+    values = [f + 1 for f in tables.faces[n][k]] + [len(tables.masks[n - 1])]
+    return _by_digit(values, 0, size)
+
+
+def _flagged(tables: _FactorTables, n: int, size: int) -> tuple[list[int], int]:
+    """The flagged mask of each slot digit at n - 1, and the flag.
+
+    A component's flagged mask is FLAG | its word mask, FLAG being a bit
+    above every word bit at n - 1, and the basepoint marker's is every word
+    bit without FLAG.  So the AND over a face's slots is exactly FLAG when
+    the face is neither degenerate nor the basepoint.
+    """
+    flag = 1 << (n - 1)
+    values = [flag | m for m in tables.masks[n - 1][:-1]] + [flag - 1]
+    return _by_digit(values, flag - 1, size), flag
 
 
 def _face_passes(tables: _FactorTables, n: int) -> tuple[list[int], bool]:
@@ -370,12 +399,180 @@ def _face_passes(tables: _FactorTables, n: int) -> tuple[list[int], bool]:
     return live, distinct
 
 
+def _degenerate(n: int) -> ValidationError:
+    return ValidationError(f"a {n}-cell is degenerate: its components share a degeneracy")
+
+
+def _missing(k: int, n: int) -> ValidationError:
+    return ValidationError(f"cells are not face-closed: face {k} of a {n}-cell is missing")
+
+
+# ---------------------------------------------------------------------------
+# The byte engine: faces by byte translation.
+# ---------------------------------------------------------------------------
+
+# the cells packed at once: packing makes one bytes object per cell before
+# the join, so a larger block raises the peak (by 2.7 MB in the s = 5
+# table at 65,536 cells a block)
+_CHUNK = 1 << 12
+_IS_ZERO = bytes([1]) + bytes(255)  # a translation: byte 0 to 1, any other to 0
+_IS_NONZERO = bytes([0]) + bytes([1]) * 255
+
+
+def _slot_offsets(s: int) -> list[int]:
+    """The place of each slot's byte in a native 64-bit word."""
+    if sys.byteorder == "little":
+        return [s - 1 - j for j in range(s)]
+    return [_WORD - s + j for j in range(s)]
+
+
+def _words(codes: list[int]) -> bytes:
+    """The codes as native 64-bit words."""
+    return b"".join(map(int.to_bytes, codes, repeat(_WORD), repeat(sys.byteorder)))
+
+
+def _planes(values: list[int], bits: int) -> list[bytes]:
+    """A 256-digit table of ``bits``-bit values as one translation table
+    per byte plane, low plane first."""
+    return [bytes(v >> 8 * p & 255 for v in values) for p in range((bits + 7) // 8)]
+
+
+def _and_slots(words: bytes, offsets: list[int], plane: bytes) -> int:
+    """The AND over the slots of the words of their digits translated by
+    ``plane``: one byte per word, the first word lowest."""
+    common = -1
+    for b in offsets:
+        common &= int.from_bytes(words[b::_WORD].translate(plane), "little")
+    return common
+
+
+def _unexcused(
+    faces: bytes, offsets: list[int], flags: list[tuple[int, bytes]], loose: Optional[bytes]
+) -> int:
+    """1 in the byte of each face word that is neither degenerate nor the
+    basepoint and, given ``loose`` (the digits outside the fixed set), not
+    pinched either, else 0.
+
+    Per byte plane of the flagged masks (``flags`` pairs the flag's byte
+    with the plane's table), the AND over the slots is compared with the
+    flag's byte; a face that matches in every plane is live.  A face is
+    pinched where some adjacent pair of slots holds equal digits, the left
+    one not loose.
+    """
+    size = len(faces) // _WORD
+    ones = int.from_bytes(bytes([1]) * size, "little")
+    differ = 0
+    for byte, plane in flags:
+        differ |= _and_slots(faces, offsets, plane) ^ byte * ones
+    bad = int.from_bytes(differ.to_bytes(size, "little").translate(_IS_ZERO), "little")
+    if loose is not None:
+        for left, right in zip(offsets, offsets[1:]):
+            digits = faces[left::_WORD]
+            apart = int.from_bytes(digits, "little") ^ int.from_bytes(faces[right::_WORD], "little")
+            apart |= int.from_bytes(digits.translate(loose), "little")
+            bad &= int.from_bytes(apart.to_bytes(size, "little").translate(_IS_NONZERO), "little")
+    return bad
+
+
+def _face_translations(tables: _FactorTables, n: int, passes: list[int]) -> list[bytes]:
+    """Per face k in ``passes``: the translation of a word at n to the word
+    of its face k at n - 1."""
+    return [bytes(_face_digits(tables, n, k, 256)) for k in passes]
+
+
+def _faces_of(words: bytes, translation: bytes) -> memoryview:
+    """The codes of one face of the cells with these words."""
+    return memoryview(words.translate(translation)).cast("Q")
+
+
+def _byte_faces(
+    tables: _FactorTables,
+    s: int,
+    n: int,
+    cells: list[int],
+    passes: list[int],
+    columns: dict[int, list[int]],
+    relative: bool,
+) -> None:
+    """Append each cell at n to the column of each of its faces k in
+    ``passes``, on byte-sized tables, checking every cell.
+
+    The cells go in blocks of 64-bit words.  Nondegeneracy: per byte plane
+    of the word masks at n, the AND over the slots of each slot's digits
+    translated to that plane must be 0 in every byte.  Face k of every word
+    of a block is one ``bytes.translate``, read back as ints through a
+    memoryview into ``columns.get`` and ``list.append``.  A cell whose face
+    is not a key goes to a sink, whose faces must all be excused
+    (``_unexcused``), or the cells are not closed under faces.
+    """
+    offsets = _slot_offsets(s)
+    masks = _planes(_by_digit(tables.masks[n], -1, 256), n)
+    flagged, flag = _flagged(tables, n, 256)
+    flags = list(zip(flag.to_bytes((n + 7) // 8, "little"), _planes(flagged, n)))
+    loose = None
+    if relative:
+        loose = bytes(_by_digit([not f for f in tables.fixed[n - 1]] + [True], True, 256))
+    translations = _face_translations(tables, n, passes)
+    get = columns.get
+    for start in range(0, len(cells), _CHUNK):
+        chunk = cells[start:start + _CHUNK]
+        words = _words(chunk)
+        if any(_and_slots(words, offsets, plane) for plane in masks):
+            raise _degenerate(n)
+        for k, translation in zip(passes, translations):
+            sink: list[int] = []
+            # list.append returns None, so any() runs every append, in C
+            any(map(list.append, map(get, _faces_of(words, translation), repeat(sink)), chunk))
+            if sink and _unexcused(_words(sink).translate(translation), offsets, flags, loose):
+                raise _missing(k, n)
+
+
+# ---------------------------------------------------------------------------
+# The group engine: faces through slot-group tables.
+# ---------------------------------------------------------------------------
+
+def _slot_groups(s: int, bits: int, cells: int) -> list[tuple[int, int]]:
+    """The slot groups of a cell code as (exponent, width).
+
+    A group holds the digits of w adjacent slots ending e slots from the
+    right, so its code is (code >> e bits) & (1 << w bits) - 1 (see
+    ``_slot_bits``).  The groups are the pairs (0, 1), (2, 3), ... and a
+    lone last slot when s is odd; a pair table has 2^(2 bits) entries per
+    face, so when that exceeds the number of cells every slot is a group of
+    its own.
+    """
+    width = 2 if 1 << 2 * bits <= cells else 1
+    starts = range(0, s, width)
+    return [(max(s - a - width, 0), min(width, s - a)) for a in starts]
+
+
+def _group_codes(
+    codes: list[int], bits: int, s: int, groups: list[tuple[int, int]]
+) -> list[list[int]]:
+    """The code of each slot group of each code, drawn from one pool of
+    ints: a code above 256 costs a pointer, not an int object of its own."""
+    pool = list(range(1 << bits * max(w for _, w in groups))).__getitem__
+    return [
+        codes if w == s else list(map(pool, _group(codes, bits, s, e, w))) for e, w in groups
+    ]
+
+
+def _group(codes: Iterable[int], bits: int, s: int, e: int, w: int) -> Iterable[int]:
+    """The codes of the group (e, w) of each code, one at a time."""
+    part = map(rshift, codes, repeat(bits * e)) if e else codes
+    return map(and_, part, repeat((1 << bits * w) - 1)) if e + w < s else part
+
+
 def _nondegenerate(
-    tables: _FactorTables, n: int, groups: list[tuple[int, int]], codes: list[list[int]]
+    tables: _FactorTables,
+    n: int,
+    radix: int,
+    groups: list[tuple[int, int]],
+    codes: list[list[int]],
 ) -> bool:
     """Whether every cell at n with these group codes has an empty common
     degeneracy word: one AND pass over per-group tables of own masks."""
-    masks = tables.masks[n]
+    masks = _by_digit(tables.masks[n], -1, radix)
     pair_masks = [x & y for x in masks for y in masks] if any(w == 2 for _, w in groups) else []
     common: Iterable[int] = repeat(-1)
     for (_, w), group in zip(groups, codes):
@@ -388,29 +585,21 @@ def _face_tables(
 ) -> tuple[list[list[tuple[list[int], list[int]]]], int]:
     """Per face k in ``passes``, per slot group: the map from a group code
     at n to its share of the face code at n - 1, and to the AND of its
-    faces' flagged masks; and the flag.
-
-    A component's flagged mask is FLAG | its word mask, FLAG being a bit
-    above every word bit at n - 1, and the basepoint marker's is every word
-    bit without FLAG.  So the AND over a face's groups is exactly FLAG when
-    the face is neither degenerate nor the basepoint.
-    """
-    low_masks = tables.masks[n - 1]
-    low = len(low_masks)
-    flag = 1 << (n - 1)
-    flagged = [flag | m for m in low_masks[:-1]] + [flag - 1]
+    faces' flagged masks (see ``_flagged``); and the flag."""
+    radix, low_bits = 1 << _slot_bits(tables, s, n), _slot_bits(tables, s, n - 1)
+    flagged, flag = _flagged(tables, n, 1 << low_bits)
     pairs = any(w == 2 for _, w in groups)
     out = []
     for k in passes:
-        digits = tables.faces[n][k] + [low - 1]  # pads the marker digit, which no cell holds
+        digits = _face_digits(tables, n, k, radix)
         digit_masks = list(map(flagged.__getitem__, digits))
         if pairs:
-            pair_codes = [x * low + y for x in digits for y in digits]
+            pair_codes = [x << low_bits | y for x in digits for y in digits]
             pair_masks = [x & y for x in digit_masks for y in digit_masks]
         out.append([
-            ([c * low**e for c in pair_codes], pair_masks)
+            ([c << low_bits * e for c in pair_codes], pair_masks)
             if w == 2
-            else ([c * low**e for c in digits], digit_masks)
+            else ([c << low_bits * e for c in digits], digit_masks)
             for e, w in groups
         ])
     return out, flag
@@ -422,18 +611,65 @@ def _face_codes(
     """The codes of one face of the cells with these group codes."""
     faces: Iterable[int] = map(per_group[0][0].__getitem__, codes[0])
     for (table, _), group in zip(per_group[1:], codes[1:]):
-        faces = map(add, faces, map(table.__getitem__, group))
+        faces = map(or_, faces, map(table.__getitem__, group))
     return faces
 
 
-def _pinched(faces: list[int], radix: int, s: int, fixed: list[bool]) -> Iterable[bool]:
+def _pinched(faces: list[int], bits: int, s: int, fixed: list[bool]) -> Iterable[bool]:
     """Whether each code has an adjacent equal pair of fixed components."""
-    digits = _digits(faces, radix, s)
+    digits = _digits(faces, bits, s)
     pinched: Iterable[bool] = repeat(False)
     for left, right in zip(digits, digits[1:]):
         pair = map(and_, map(eq, left, right), map(fixed.__getitem__, left))
         pinched = map(or_, pinched, pair)
     return pinched
+
+
+def _group_faces(
+    tables: _FactorTables,
+    s: int,
+    n: int,
+    cells: list[int],
+    passes: list[int],
+    columns: dict[int, list[int]],
+    relative: bool,
+) -> None:
+    """Append each cell at n to the column of each of its faces k in
+    ``passes``, through slot-group tables, checking every cell.
+
+    The cells' group codes are read off their codes once.  Nondegeneracy is
+    one AND pass over per-group tables of own masks.  Face k of every cell
+    is the OR over the slot groups of a tabulated share of each group code,
+    appended straight to the column of that face; a cell whose face is not
+    a key goes to a sink, where the AND over the groups of the faces'
+    flagged masks is FLAG only for a face that is neither degenerate nor
+    the basepoint, which raises, unless, for ``relative``, it is pinched.
+    """
+    bits = _slot_bits(tables, s, n)
+    groups = _slot_groups(s, bits, len(cells))
+    codes = _group_codes(cells, bits, s, groups)
+    if not _nondegenerate(tables, n, 1 << bits, groups, codes):
+        raise _degenerate(n)
+    face_tables, flag = _face_tables(tables, s, n, groups, passes)
+    get = columns.get
+    for k, per_group in zip(passes, face_tables):
+        sink: list[int] = []
+        # list.append returns None, so any() runs every append, in C
+        any(map(list.append, map(get, _face_codes(per_group, codes), repeat(sink)), cells))
+        if sink:
+            ands: Iterable[int] = repeat(-1)
+            for (e, w), (_, masks) in zip(groups, per_group):
+                ands = map(and_, ands, map(masks.__getitem__, _group(sink, bits, s, e, w)))
+            if relative:
+                # the missed faces that are neither degenerate nor the basepoint
+                live_faces = list(compress(sink, map(eq, ands, repeat(flag))))
+                faces = list(_face_codes(per_group, _group_codes(live_faces, bits, s, groups)))
+                low_bits = _slot_bits(tables, s, n - 1)
+                closed = all(_pinched(faces, low_bits, s, tables.fixed[n - 1]))
+            else:
+                closed = flag not in ands
+            if not closed:
+                raise _missing(k, n)
 
 
 def _coboundary_columns(
@@ -450,48 +686,22 @@ def _coboundary_columns(
 
     Each cell is its own id: the dict is both the face lookup and the
     column store.  A face pass that ``_face_passes`` proves dead is skipped
-    whole.  Face k of every cell in each other pass is computed at once:
-    its code is the sum over the slot groups of a tabulated share of each
-    group code.  The cell is appended straight to the column of that face,
-    so no column of the boundary is built, and a cell whose face k is not
-    below goes to a sink list.  Such a face must be the basepoint or
-    degenerate, which the flagged mask tables tell, or, for the chains
-    relative to the pinched subset (``relative``), pinched; any other miss
-    means the cells are not closed under faces and raises ValidationError.
-    When ``_face_passes`` cannot rule out a cell meeting one face twice, a
+    whole.  Face k of every cell in each other pass is appended straight to
+    the column of that face, by the byte engine (``_byte_faces``) where the
+    cells at n are byte-sized, else by the group engine (``_group_faces``),
+    so no column of the boundary is built.  A face that is not below must
+    be the basepoint or degenerate, or, for the chains relative to the
+    pinched subset (``relative``), pinched; any other miss means the cells
+    are not closed under faces and raises ValidationError.  When
+    ``_face_passes`` cannot rule out a cell meeting one face twice, a
     column keeps the cells it holds an odd number of times.  Its proofs
     hold only for nondegenerate cells, so a degenerate cell raises
     ValidationError first.
     """
-    radix = len(tables.masks[n])
-    groups = _slot_groups(s, radix, len(cells))
-    codes = _group_codes(cells, radix, s, groups)
-    if not _nondegenerate(tables, n, groups, codes):
-        raise ValidationError(f"a {n}-cell is degenerate: its components share a degeneracy")
     live, distinct = _face_passes(tables, n)
-    face_tables, flag = _face_tables(tables, s, n, groups, live)
     columns: dict[int, Any] = {code: [] for code in below}  # lists, then tuples
-    get = columns.get
-    for k, per_group in zip(live, face_tables):
-        sink: list[int] = []
-        # list.append returns None, so any() runs every append, in C
-        any(map(list.append, map(get, _face_codes(per_group, codes), repeat(sink)), cells))
-        if sink:
-            ands: Iterable[int] = repeat(-1)
-            for (e, w), (_, masks) in zip(groups, per_group):
-                ands = map(and_, ands, map(masks.__getitem__, _group(sink, radix, s, e, w)))
-            if relative:
-                # the missed faces that are neither degenerate nor the basepoint
-                live_faces = list(compress(sink, map(eq, ands, repeat(flag))))
-                faces = list(_face_codes(per_group, _group_codes(live_faces, radix, s, groups)))
-                closed = all(_pinched(faces, len(tables.masks[n - 1]), s, tables.fixed[n - 1]))
-            else:
-                closed = flag not in ands
-            if not closed:
-                raise ValidationError(
-                    f"cells are not face-closed: face {k} of a {n}-cell is missing"
-                )
-    del codes
+    engine = _byte_faces if _byte_sized(tables, s, n) else _group_faces
+    engine(tables, s, n, cells, live, columns, relative)
     if distinct:
         # no column holds a cell twice: each list becomes its tuple in place,
         # which changes no key, so the views stay valid
@@ -526,7 +736,7 @@ def pinched_set(
     for n in range(len(tables.masks)):
         refs = q.refs_at(n, include_basepoint=False)
         # ascending codes list the tuples in the ambient's order
-        digits = _digits(sorted(_cells(tables, s, n, True)), len(refs) + 1, s)
+        digits = _digits(sorted(_cells(tables, s, n, True)), _slot_bits(tables, s, n), s)
         members[n] = list(zip(*(map(refs.__getitem__, slot) for slot in digits)))
     return PointedSubset(amb, members, truncation=trunc, top_bound=bound, check=False)
 
@@ -665,8 +875,13 @@ def _table_betti(
         for n in range(1, top + 1):
             cells = _cells(tables, s, n, not relative)
             sizes[n] = len(cells)
-            yield n, _coboundary_columns(tables, s, cells, below, n, relative)
-            below = cells
+            columns = _coboundary_columns(tables, s, cells, below, n, relative)
+            # the list of the top cells goes before the ranks are taken; the
+            # cells live on in the columns
+            below = cells if n < top else []
+            del cells
+            yield n, columns
+            del columns
 
     ranks = boundary_ranks(coboundaries())
     entries = {

@@ -29,7 +29,7 @@ from oracles import (
     union_predicate,
     whole_subset,
 )
-from section_spaces import SURFACES, planted, random_verify_case, trivial_surface
+from section_spaces import SURFACES, build, planted, random_verify_case, trivial_surface
 from shipped import (
     DEFAULT_TRUNCATION,
     FIXTURE_DIR,
@@ -51,11 +51,15 @@ from loopbetti.homology import (
 )
 from loopbetti.pinched import (
     HypothesisError,
+    _byte_faces,
+    _byte_sized,
     _FactorTables,
     _cells,
     _coboundary_columns,
     _digits,
     _face_passes,
+    _group_faces,
+    _slot_bits,
     _table_betti,
     check_diagonal_null,
     mv_e1_betti,
@@ -325,35 +329,48 @@ def test_brute_kernel_refuses_cells_missing_a_face(glued_spheres):
 def test_last_face_pass_is_proven_dead_on_the_glued_spheres(glued_spheres, monkeypatch):
     """On the glued spheres the last face of every nondegenerate cell is
     the basepoint, at every s and n.  The factor tables prove it once per
-    dimension, and the brute kernel builds face tables, so face codes, for
-    the live passes only."""
+    dimension, and the brute kernel, on byte-sized tables here, builds face
+    translations, so face codes, for the live passes only."""
     import loopbetti.pinched as pinched
 
     orbit, fixed = glued_spheres["orbit"], glued_spheres["fixed"]
-    build_tables, build_codes = pinched._face_tables, pinched._face_codes
+    build_translations, faces_of = pinched._face_translations, pinched._faces_of
     passes_at: dict[int, list[int]] = {}
-    coded = []
+    built, coded = [], []
 
-    def tables_for(tables, s, n, groups, passes):
+    def translations_for(tables, n, passes):
         passes_at[n] = list(passes)
         assert passes == _face_passes(tables, n)[0]
-        return build_tables(tables, s, n, groups, passes)
+        built.extend(build_translations(tables, n, passes))
+        return built[-len(passes):] if passes else []
 
-    def codes_for(per_group, codes):
-        coded.append(per_group)
-        return build_codes(per_group, codes)
+    def faces_for(words, translation):
+        coded.append(translation)
+        return faces_of(words, translation)
 
-    monkeypatch.setattr(pinched, "_face_tables", tables_for)
-    monkeypatch.setattr(pinched, "_face_codes", codes_for)
+    monkeypatch.setattr(pinched, "_face_translations", translations_for)
+    monkeypatch.setattr(pinched, "_faces_of", faces_for)
     for s in range(2, 6):
         bound = pinched_top_bound(orbit, fixed, s)
         passes_at.clear()
+        built.clear()
         coded.clear()
         assert pinched_betti_brute(orbit, fixed, s, bound).nonzero()
         assert sorted(passes_at) == list(range(1, bound + 1)), s
         for n, live in passes_at.items():
             assert n not in live, (s, n)
-        assert len(coded) == sum(map(len, passes_at.values())), s
+        assert len(built) == sum(map(len, passes_at.values())), s
+        # every live pass codes faces, through its own translation only
+        assert {id(t) for t in coded} == {id(t) for t in built}, s
+
+
+def encode(cell, bits):
+    """The code of a cell of component indices, ``bits`` a slot: the layout
+    of ``_slot_bits``, which ``_digits`` reads back."""
+    code = 0
+    for index in cell:
+        code = code << bits | index + 1
+    return code
 
 
 def test_brute_kernel_refuses_a_degenerate_cell(glued_spheres):
@@ -367,13 +384,14 @@ def test_brute_kernel_refuses_a_degenerate_cell(glued_spheres):
     live, distinct = _face_passes(tables, 3)
     assert len(live) < 4 and distinct
     index = {ref: i for i, ref in enumerate(orbit.refs_at(3, include_basepoint=False))}
-    radix, low = len(tables.masks[3]), orbit.refs_at(2, include_basepoint=False)
+    bits, low = _slot_bits(tables, 3, 3), orbit.refs_at(2, include_basepoint=False)
     for relative in (False, True):
         below, cells = _cells(tables, 3, 2, not relative), _cells(tables, 3, 3, not relative)
         _coboundary_columns(tables, 3, cells, below, 3, relative)
-        first = [slot[0] for slot in _digits(below, len(tables.masks[2]), 3)]
+        first = [slot[0] for slot in _digits(below, _slot_bits(tables, 3, 2), 3)]
         degenerate = [index[orbit.degenerate_of(low[i], 0)] for i in first]
-        code = (degenerate[0] * radix + degenerate[1]) * radix + degenerate[2]
+        code = encode(degenerate[:3], bits)
+        assert [slot[0] for slot in _digits([code], bits, 3)] == degenerate[:3]
         assert code not in cells
         with pytest.raises(ValidationError, match="3-cell is degenerate"):
             _coboundary_columns(tables, 3, cells + [code], below, 3, relative)
@@ -501,8 +519,8 @@ def test_packed_kernel_equals_tuple_reference(name):
             below, tuple_lower = [], {}
             for n in range(top + 1):
                 codes, cells = _cells(tables, s, n, not relative), tuple_at(tables, s, n)
-                radix = len(tables.masks[n])
-                assert list(zip(*_digits(codes, radix, s))) == cells, (s, n)
+                bits = _slot_bits(tables, s, n)
+                assert list(zip(*_digits(codes, bits, s))) == cells, (s, n)
                 if n:
                     packed = _coboundary_columns(tables, s, codes, below, n, relative)
                     assert list(packed) == below, (s, n)
@@ -522,6 +540,216 @@ def test_packed_kernel_equals_tuple_reference(name):
             top = min(4, top)
             entries, _ = _table_betti(tables, s, top, top, relative)
             assert entries == tuple_table_betti(tables, tuple_at, s, top, top, relative), s
+
+
+def decoded(tables, s, n, cells, below, columns):
+    """Columns keyed by the codes of the cells below, decoded to tuples of
+    component indices, each column sorted."""
+    low = dict(zip(below, zip(*_digits(below, _slot_bits(tables, s, n - 1), s))))
+    high = dict(zip(cells, zip(*_digits(cells, _slot_bits(tables, s, n), s))))
+    return {low[code]: sorted(map(high.__getitem__, col)) for code, col in columns.items()}
+
+
+def engine_columns(engine, tables, s, n, cells, below, relative):
+    """The columns one face engine scatters from the cells at n, before any
+    mod-2 normalization, decoded."""
+    columns = {code: [] for code in below}
+    engine(tables, s, n, cells, _face_passes(tables, n)[0], columns, relative)
+    return decoded(tables, s, n, cells, below, columns)
+
+
+def engine_actions():
+    """Every shipped fixture under its own involution and the trivial one,
+    the dunce cap, the doubled face and three random cases."""
+    actions = {}
+    for path in sorted(FIXTURE_DIR.glob("*.sset")):
+        space, invol = parse_file(path)
+        if invol is not None:
+            actions[path.stem] = (space, invol)
+        actions[f"{path.stem}/trivial"] = (space, Involution(space, {}))
+    actions["dunce_cap"], actions["doubled_face"] = dunce_cap(), doubled_face()
+    rng = random.Random(1)
+    for i in range(3):
+        actions[f"random_{i}"] = random_verify_case(rng)[:2]
+    return actions
+
+
+def test_face_engines_agree_on_byte_sized_tables():
+    """The byte engine and the group engine, called directly on the same
+    byte-sized tables and cells, scatter the same columns for the pinched
+    chains and the chains relative to them, for s <= 4 and n <= 7 - s; where
+    the factor tables cannot prove that no cell meets a face twice (the
+    dunce cap and the doubled face), the kernel's mod-2 normalization of
+    the byte engine's columns keeps what the group engine's hold an odd
+    number of times."""
+    normalized = 0
+    for name, action in engine_actions().items():
+        orbit, _, fixed = orbit_space(*action)
+        tables = _FactorTables(orbit, fixed, 5)
+        for s in range(2, 5):
+            for relative in (False, True):
+                top = min(7 - s, orbit.top_dim() * s)
+                below = _cells(tables, s, 0, not relative)
+                for n in range(1, top + 1):
+                    assert _byte_sized(tables, s, n), (name, s, n)
+                    cells = _cells(tables, s, n, not relative)
+                    by_bytes = engine_columns(_byte_faces, tables, s, n, cells, below, relative)
+                    by_groups = engine_columns(_group_faces, tables, s, n, cells, below, relative)
+                    assert by_bytes == by_groups, (name, s, n, relative)
+                    if not _face_passes(tables, n)[1]:
+                        kernel = _coboundary_columns(tables, s, cells, below, n, relative)
+                        kept = decoded(tables, s, n, cells, below, kernel)
+                        odd = {
+                            face: sorted(c for c in set(col) if col.count(c) % 2)
+                            for face, col in by_groups.items()
+                        }
+                        assert kept == odd, (name, s, n, relative)
+                        normalized += any(odd[face] != col for face, col in by_groups.items())
+                    below = cells
+    assert normalized
+
+
+def test_byte_engine_reads_word_masks_past_one_byte():
+    """At n = 9 a word mask takes two byte planes.  On the smash cube of
+    the 3-sphere (one 3-simplex on the basepoint, trivial action) relative
+    to its pinched subset, 1,680 cells at n = 9: both engines scatter the
+    same columns there; on either one, a cell whose components share only
+    word bit 8, in the second plane, raises, and so does a missing face;
+    and the table is that of the exact sequence of the pair, b5 = 1 and
+    b7 = 2 from the pinched b4 = 1 and b6 = 2, and b9 = 1 from S^9."""
+    orbit, _, fixed = orbit_space(*build({0: ["*"], 3: ["C"]}, {"C": ["s1s0@*"] * 4}, {}))
+    tables = _FactorTables(orbit, fixed, 9)
+    below, cells = _cells(tables, 3, 8, False), _cells(tables, 3, 9, False)
+    assert len(cells) == 1680 and _byte_sized(tables, 3, 9)
+    by_bytes = engine_columns(_byte_faces, tables, 3, 9, cells, below, True)
+    assert by_bytes == engine_columns(_group_faces, tables, 3, 9, cells, below, True)
+    index = {ref: i for i, ref in enumerate(orbit.refs_at(9, include_basepoint=False))}
+    low = orbit.refs_at(8, include_basepoint=False)
+    cell = next(zip(*_digits(below, _slot_bits(tables, 3, 8), 3)))
+    lifted = encode([index[orbit.degenerate_of(low[i], 8)] for i in cell], 8)
+    live = _face_passes(tables, 9)[0]
+    for engine in (_byte_faces, _group_faces):
+        with pytest.raises(ValidationError, match="9-cell is degenerate"):
+            engine(tables, 3, 9, cells + [lifted], live, {code: [] for code in below}, True)
+        with pytest.raises(ValidationError, match="not face-closed"):
+            engine(tables, 3, 9, cells, live, {code: [] for code in below[1:]}, True)
+    assert quotient_betti_brute(orbit, fixed, 3, 9).nonzero() == {5: 1, 7: 2, 9: 1}
+    assert pinched_betti_brute(orbit, fixed, 3, 9).nonzero() == {4: 1, 6: 2}
+
+def test_wide_tables_take_the_group_engine(monkeypatch):
+    """Tables past the byte layout route to the group engine and match the
+    tuple kernel: 150 + 150 planted orbits at s = 2 (450 components and
+    the marker at n = 2, fewer at n = 1) and the trivial circle at s = 9."""
+    import loopbetti.pinched as pinched
+
+    ran = []
+
+    def recorded(name):
+        run = getattr(pinched, name)
+
+        def engine(tables, s, n, *rest):
+            ran.append((n, name))
+            return run(tables, s, n, *rest)
+
+        return engine
+
+    for name in ("_byte_faces", "_group_faces"):
+        monkeypatch.setattr(pinched, name, recorded(name))
+    orbit, _, fixed = orbit_space(*planted(random.Random(1), 150, 150))
+    tables = _FactorTables(orbit, fixed, 2)
+    assert len(tables.masks[1]) < 256 <= len(tables.masks[2]) == 451
+    orbit_c, _, fixed_c = orbit_space(*trivial_circle())
+    circle = _FactorTables(orbit_c, fixed_c, 3)
+    cases = [(tables, 2, 2, [(1, "_byte_faces"), (2, "_group_faces")])]
+    cases.append((circle, 9, 3, [(n, "_group_faces") for n in (1, 2, 3)]))
+    for case_tables, s, top, route in cases:
+        for tuple_at, relative in ((tuple_pinched_cells, False), (tuple_quotient_cells, True)):
+            ran.clear()
+            entries, _ = _table_betti(case_tables, s, top, top, relative)
+            reference = tuple_table_betti(case_tables, tuple_at, s, top, top, relative)
+            assert entries == reference, (s, relative)
+            assert sorted(ran) == route, (s, relative)
+
+
+def test_both_face_engines_refuse_what_the_kernel_refuses(glued_spheres):
+    """On either engine: cells missing a face below raise, a degenerate
+    cell raises before any face is coded, and in the chains relative to
+    the pinched subset a missing face that is not pinched raises."""
+    orbit, fixed = glued_spheres["orbit"], glued_spheres["fixed"]
+    tables = _FactorTables(orbit, fixed, 3)
+    live = _face_passes(tables, 3)[0]
+    index = {ref: i for i, ref in enumerate(orbit.refs_at(3, include_basepoint=False))}
+    low = orbit.refs_at(2, include_basepoint=False)
+    in_fixed = tables.fixed[2]
+    for engine in (_byte_faces, _group_faces):
+
+        def scatter(cells, below, relative):
+            columns = {code: [] for code in below}
+            engine(tables, 3, 3, cells, live, columns, relative)
+            return columns
+
+        for relative in (False, True):
+            below, cells = _cells(tables, 3, 2, not relative), _cells(tables, 3, 3, not relative)
+            columns = scatter(cells, below, relative)
+            first = [slot[0] for slot in _digits(below, _slot_bits(tables, 3, 2), 3)]
+            degenerate = [index[orbit.degenerate_of(low[i], 0)] for i in first[:3]]
+            with pytest.raises(ValidationError, match="3-cell is degenerate"):
+                scatter(cells + [encode(degenerate, _slot_bits(tables, 3, 3))], below, relative)
+            cell_of = dict(zip(below, zip(*_digits(below, _slot_bits(tables, 3, 2), 3))))
+            # a face whose repeat is outside the fixed set is not pinched
+            missing = next(
+                code for code in below
+                if columns[code] and any(
+                    a == b and not in_fixed[a] for a, b in zip(cell_of[code], cell_of[code][1:])
+                ) == relative
+            )
+            with pytest.raises(ValidationError, match="not face-closed"):
+                scatter(cells, [code for code in below if code != missing], relative)
+        below, cells = _cells(tables, 3, 2, False), _cells(tables, 3, 3, False)
+        with pytest.raises(ValidationError, match="not face-closed"):
+            scatter(cells, below, False)
+
+
+def test_a_corrupt_face_translation_is_caught(glued_spheres, monkeypatch):
+    """A face translation with one entry changed is refused.  At s = 3 on
+    the glued spheres every change of the face of a component at n = 3 to
+    another component fails the relative chains through n = 4: the
+    coboundary to 4 no longer kills the one to 3.  In the pinched chains,
+    where n = 3 is the top, sending face 0 of component 0 to the component
+    2, outside the fixed set, makes faces that are live but not cells,
+    which the face-closure check finds."""
+    import loopbetti.pinched as pinched
+
+    orbit, fixed = glued_spheres["orbit"], glued_spheres["fixed"]
+    assert pinched_top_bound(orbit, fixed, 3) == 3
+    tables = _FactorTables(orbit, fixed, 3)
+    build = pinched._face_translations
+
+    def corrupt(n, place, component, target):
+        def translations(tables, m, passes):
+            out = build(tables, m, passes)
+            if m == n:
+                table = bytearray(out[place])
+                table[component + 1] = target + 1
+                out[place] = bytes(table)
+            return out
+
+        monkeypatch.setattr(pinched, "_face_translations", translations)
+
+    changes = 0
+    for place, k in enumerate(_face_passes(tables, 3)[0]):
+        for component, face in enumerate(tables.faces[3][k]):
+            for target in range(len(tables.masks[2]) - 1):
+                if target != face:
+                    corrupt(3, place, component, target)
+                    with pytest.raises(ValueError, match="does not square to zero"):
+                        quotient_betti_brute(orbit, fixed, 3, 3)
+                    changes += 1
+    assert changes == 86
+    assert _face_passes(tables, 3)[0][0] == 0 and not tables.fixed[2][2]
+    corrupt(3, 0, 0, 2)
+    with pytest.raises(ValidationError, match="face 0 of a 3-cell is missing"):
+        pinched_betti_brute(orbit, fixed, 3, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -566,8 +794,8 @@ def test_integer_quotient_refuses_cells_missing_a_face(glued_spheres):
     columns = _coboundary_columns(tables, 3, cells, below, 3, relative=True)
     with pytest.raises(ValidationError):
         _coboundary_columns(tables, 3, cells, below, 3)
-    in_fixed, radix = tables.fixed[2], len(tables.masks[2])
-    cell_of = dict(zip(below, zip(*_digits(below, radix, 3))))
+    in_fixed, bits = tables.fixed[2], _slot_bits(tables, 3, 2)
+    cell_of = dict(zip(below, zip(*_digits(below, bits, 3))))
     below.remove(next(
         code
         for code in below
