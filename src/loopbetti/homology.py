@@ -123,7 +123,10 @@ def boundary_ranks(
     its index where its coboundary is a sequence and by its key where it is
     a mapping.  Given as a mapping n -> coboundary to n, or as
     ``(n, coboundary)`` pairs from the lowest degree up; the result maps n
-    to the rank of the boundary from n.
+    to the rank of the boundary from n.  A pivot is the largest name in a
+    column, so the order of the names decides the pivots and the fill-in,
+    and so the work, but never the ranks.  Indices are small ints, which
+    make the pivot lookups and the sorts of the check below cheapest.
 
     Works bottom up, reducing the coboundary to n with clearing (de Silva,
     Morozov and Vejdemo-Johansson, "Dualities in persistent (co)homology",

@@ -9,12 +9,14 @@ stored faces; per dimension it walks once over the slots, whose states
 record what a prefix still allows.  The same walk, accepting the runs
 with no such pair, gives the cells of the quotient of the smash power by
 the subset.  One shared kernel computes the homology of both by brute
-force on the same tables.  It codes each cell as one int, one field per
-slot, which is also its id in the cochains.  Where every component fits a
-byte and s <= 8 the code is a 64-bit word of one byte per slot, and face k
-of a whole dimension is one ``bytes.translate`` of its words; wider tables
-find faces through tables over groups of slots.  Both build and reduce the
-cochains from degree 0 up.  The module also
+force on the same tables.  It codes each cell with one field per slot,
+and the walk lists each dimension's codes in ascending order; a cell's
+position in that order is its id in the cochains.  Where every component
+fits a byte and s <= 8 the code is a 64-bit word of one byte per slot, the
+walk writes a dimension as one buffer of words, and face k of a whole
+dimension is one ``bytes.translate`` of its words; wider tables keep int
+codes and find faces through tables over groups of slots.  Both build and
+reduce the cochains from degree 0 up.  The module also
 evaluates the cover-intersection Betti sum, a function of the Betti tables
 of Q and A alone, which gives the pinched homology when the reduced
 diagonal of A is homologous to zero; ``check_diagonal_null`` decides that
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import sys
 from itertools import combinations, compress, repeat
-from operator import and_, eq, or_, rshift
+from operator import and_, eq, or_, rshift, sub
 from typing import Any, Iterable, Optional, Sequence
 
 from .closed_form import BettiInput
@@ -225,13 +227,27 @@ def _lifts(
 _State = tuple[int, int, bool]
 
 
-def _cells(tables: _FactorTables, s: int, n: int, pinched: bool) -> list[int]:
-    """The nondegenerate s-tuples at ambient dimension n (s >= 2), as cell
-    codes (see ``_slot_bits``): for ``pinched`` those with an adjacent
-    equal pair of fixed components (a witness), else those without one:
-    the cells but the basepoint of the smash power modulo the subset.
+def _cells(tables: _FactorTables, s: int, n: int, pinched: bool) -> Sequence[int]:
+    """The nondegenerate s-tuples at ambient dimension n (s >= 2), as
+    ascending cell codes (see ``_slot_bits``): for ``pinched`` those with an
+    adjacent equal pair of fixed components (a witness), else those without
+    one: the cells but the basepoint of the smash power modulo the subset.
 
-    Both are the accepted runs of one walk over the slots, whose state
+    On byte-sized tables the codes are one buffer of native 64-bit words
+    (``_walk`` with ``words``), read as a ``memoryview`` cast to "Q";
+    elsewhere they are a list of ints.  A cell's place in this ascending
+    order is its id in the cochains.
+    """
+    if _byte_sized(tables, s, n):
+        return memoryview(_walk(tables, s, n, pinched, True)).cast("Q")
+    return _walk(tables, s, n, pinched, False)
+
+
+def _walk(tables: _FactorTables, s: int, n: int, pinched: bool, words: bool) -> Any:
+    """The codes of ``_cells``, ascending: for ``words`` one bytearray of
+    native 64-bit words, else a list of ints.
+
+    The cells are the accepted runs of one walk over the slots, whose state
     after a prefix, (common degeneracy word, last component while a repeat
     of it could still make a witness else -1, whether a witness exists),
     fixes what can follow.  The word must end empty, and a component of
@@ -241,16 +257,15 @@ def _cells(tables: _FactorTables, s: int, n: int, pinched: bool) -> list[int]:
     witnessed; the other drops every move that would witness.  A forward
     pass lists the states reachable after each slot; a backward pass then
     builds the codes of the slots left after each, once per state, from
-    the last slot to the first, holding two levels; the root frees each
-    list of the level below it after its last move that reads it.  A slot's
-    field goes onto each code of the slots after it by an OR, the fields
-    being disjoint, so each code is an int of exactly the digits its value
-    needs: on byte-sized tables a 64-bit word, which the byte engine packs
-    and the cochains keep as the cell's id.  Groups and members go in table
-    order, so the codes come out depth first in that order.
+    the last slot to the first, holding two levels.  A state's codes take
+    its digits in ascending order, each followed by the ascending codes of
+    the state after it, so they ascend.  The slot fields are disjoint, so a
+    digit goes onto those codes without a carry: by an OR onto each int, or
+    for words by one join of their words and one extended-slice assignment
+    of the slot's bytes, 0 in them, per state.
     """
     masks, fixed, groups = tables.masks[n], tables.fixed[n], tables.groups[n]
-    top_q, bits = tables.top_q, _slot_bits(tables, s, n)
+    top_q, bits, offsets = tables.top_q, _slot_bits(tables, s, n), _slot_offsets(s)
 
     def moves(state: _State, rem: int) -> Iterable[tuple[Sequence[int], _State]]:
         # runs of the components the next slot may take, each with the state
@@ -280,33 +295,39 @@ def _cells(tables: _FactorTables, s: int, n: int, pinched: bool) -> list[int]:
     levels = [{root}]
     for rem in range(s, 1, -1):
         levels.append({after for state in levels[-1] for _, after in moves(state, rem)})
-    suffixes = {  # the last slot's codes after each state
-        state: [i + 1 for run, after in moves(state, 1) if after[2] == pinched for i in run]
-        for state in levels.pop()
-    }
-    for rem, states in enumerate(reversed(levels[1:]), start=2):
-        shift = bits * (rem - 1)
-        level: dict[_State, list[int]] = {}
+    suffixes: dict[_State, Any] = {}
+    for state in levels.pop():  # the last slot's digits after each state
+        if digits := sorted([
+            i + 1 for run, after in moves(state, 1) if after[2] == pinched for i in run
+        ]):
+            if words:
+                suffixes[state] = bytearray(_WORD * len(digits))
+                suffixes[state][offsets[-1]::_WORD] = bytes(digits)
+            else:
+                suffixes[state] = digits
+    for rem, states in enumerate(reversed(levels), start=2):
+        shift, at = bits * (rem - 1), offsets[s - rem]
+        level: dict[_State, Any] = {}
         for state in states:
-            codes: list[int] = []
-            for run, after in moves(state, rem):
-                if tail := suffixes.get(after):
-                    for i in run:
-                        codes.extend(map(((i + 1) << shift).__or__, tail))
-            if codes:
-                level[state] = codes
+            # the digits ascending (a component is in one run), each with the
+            # codes of the state after it, where it has some
+            steps = sorted([
+                (i + 1, after) for run, after in moves(state, rem) if after in suffixes for i in run
+            ])
+            if not steps:
+                continue
+            tails = [suffixes[after] for _, after in steps]
+            if words:
+                codes = level[state] = bytearray().join(tails)
+                codes[at::_WORD] = b"".join([
+                    _BYTES[digit] * (len(tail) // _WORD) for (digit, _), tail in zip(steps, tails)
+                ])
+            else:
+                codes = level[state] = []
+                for (digit, _), tail in zip(steps, tails):
+                    codes.extend(map((digit << shift).__or__, tail))
         suffixes = level
-    # the root's codes come to about the size of the level below it, so each
-    # list of that level is freed at the root's last move that reads it
-    runs = [(run, after) for run, after in moves(root, s) if suffixes.get(after)]
-    last = {after: j for j, (_, after) in enumerate(runs)}
-    shift = bits * (s - 1)
-    codes: list[int] = []
-    for j, (run, after) in enumerate(runs):
-        tail = suffixes.pop(after) if last[after] == j else suffixes[after]
-        for i in run:
-            codes.extend(map(((i + 1) << shift).__or__, tail))
-    return codes
+    return suffixes.get(root, bytearray() if words else [])
 
 
 _WORD = 8  # the bytes of a cell code on byte-sized tables
@@ -336,11 +357,21 @@ def _slot_bits(tables: _FactorTables, s: int, n: int) -> int:
     return 8 if _byte_sized(tables, s, n) else len(tables.masks[n]).bit_length()
 
 
-def _digits(codes: list[int], bits: int, s: int) -> list[list[int]]:
+def _digits(codes: Iterable[int], bits: int, s: int) -> list[list[int]]:
     """The component indices of each code, slot by slot (the inverse of the
     layout of ``_slot_bits``, whose w is ``bits``)."""
     top = (1 << bits) - 1
     return [[(code >> bits * e & top) - 1 for code in codes] for e in reversed(range(s))]
+
+
+def _slots(tables: _FactorTables, s: int, n: int, cells: Sequence[int]) -> list[list[int]]:
+    """The component indices of the cells at n that ``_cells`` gives, slot
+    by slot: on byte-sized tables each slot's bytes of the words, less one,
+    else ``_digits``."""
+    if _byte_sized(tables, s, n):
+        words = cells.tobytes()  # type: ignore[attr-defined]
+        return [list(words[b::_WORD].translate(_INDEX)) for b in _slot_offsets(s)]
+    return _digits(cells, _slot_bits(tables, s, n), s)
 
 
 def _by_digit(values: list[Any], pad: Any, size: int) -> list[Any]:
@@ -411,12 +442,13 @@ def _missing(k: int, n: int) -> ValidationError:
 # The byte engine: faces by byte translation.
 # ---------------------------------------------------------------------------
 
-# the cells packed at once: packing makes one bytes object per cell before
-# the join, so a larger block raises the peak (by 2.7 MB in the s = 5
-# table at 65,536 cells a block)
+# the cells translated at once: a block's words, its face words and its
+# slice of ids are held together
 _CHUNK = 1 << 12
 _IS_ZERO = bytes([1]) + bytes(255)  # a translation: byte 0 to 1, any other to 0
 _IS_NONZERO = bytes([0]) + bytes([1]) * 255
+_BYTES = [bytes((d,)) for d in range(256)]  # each byte value as a one-byte bytes
+_INDEX = bytes([0]) + bytes(range(255))  # a translation: a slot digit to its index
 
 
 def _slot_offsets(s: int) -> list[int]:
@@ -426,15 +458,13 @@ def _slot_offsets(s: int) -> list[int]:
     return [_WORD - s + j for j in range(s)]
 
 
-def _words(codes: list[int]) -> bytes:
-    """The codes as native 64-bit words."""
-    return b"".join(map(int.to_bytes, codes, repeat(_WORD), repeat(sys.byteorder)))
-
-
 def _planes(values: list[int], bits: int) -> list[bytes]:
     """A 256-digit table of ``bits``-bit values as one translation table
     per byte plane, low plane first."""
-    return [bytes(v >> 8 * p & 255 for v in values) for p in range((bits + 7) // 8)]
+    return [
+        bytes(map(and_, map(rshift, values, repeat(8 * p)), repeat(255)))
+        for p in range((bits + 7) // 8)
+    ]
 
 
 def _and_slots(words: bytes, offsets: list[int], plane: bytes) -> int:
@@ -446,12 +476,12 @@ def _and_slots(words: bytes, offsets: list[int], plane: bytes) -> int:
     return common
 
 
-def _unexcused(
+def _live(
     faces: bytes, offsets: list[int], flags: list[tuple[int, bytes]], loose: Optional[bytes]
-) -> int:
-    """1 in the byte of each face word that is neither degenerate nor the
-    basepoint and, given ``loose`` (the digits outside the fixed set), not
-    pinched either, else 0.
+) -> bytes:
+    """One byte per face word: 1 where the face is neither degenerate nor
+    the basepoint and, given ``loose`` (the digits outside the fixed set),
+    not pinched either, else 0.
 
     Per byte plane of the flagged masks (``flags`` pairs the flag's byte
     with the plane's table), the AND over the slots is compared with the
@@ -464,14 +494,14 @@ def _unexcused(
     differ = 0
     for byte, plane in flags:
         differ |= _and_slots(faces, offsets, plane) ^ byte * ones
-    bad = int.from_bytes(differ.to_bytes(size, "little").translate(_IS_ZERO), "little")
+    live = int.from_bytes(differ.to_bytes(size, "little").translate(_IS_ZERO), "little")
     if loose is not None:
         for left, right in zip(offsets, offsets[1:]):
             digits = faces[left::_WORD]
             apart = int.from_bytes(digits, "little") ^ int.from_bytes(faces[right::_WORD], "little")
             apart |= int.from_bytes(digits.translate(loose), "little")
-            bad &= int.from_bytes(apart.to_bytes(size, "little").translate(_IS_NONZERO), "little")
-    return bad
+            live &= int.from_bytes(apart.to_bytes(size, "little").translate(_IS_NONZERO), "little")
+    return live.to_bytes(size, "little")
 
 
 def _face_translations(tables: _FactorTables, n: int, passes: list[int]) -> list[bytes]:
@@ -489,21 +519,23 @@ def _byte_faces(
     tables: _FactorTables,
     s: int,
     n: int,
-    cells: list[int],
+    cells: memoryview,
+    ids: list[int],
     passes: list[int],
-    columns: dict[int, list[int]],
+    lookup: dict[int, list[int]],
     relative: bool,
 ) -> None:
-    """Append each cell at n to the column of each of its faces k in
+    """Append the id of each cell at n (``ids[j]`` for the j-th of
+    ``cells``, its words) to the row ``lookup`` gives each of its faces k in
     ``passes``, on byte-sized tables, checking every cell.
 
-    The cells go in blocks of 64-bit words.  Nondegeneracy: per byte plane
-    of the word masks at n, the AND over the slots of each slot's digits
-    translated to that plane must be 0 in every byte.  Face k of every word
-    of a block is one ``bytes.translate``, read back as ints through a
-    memoryview into ``columns.get`` and ``list.append``.  A cell whose face
-    is not a key goes to a sink, whose faces must all be excused
-    (``_unexcused``), or the cells are not closed under faces.
+    The words go in blocks.  Nondegeneracy: per byte plane of the word
+    masks at n, the AND over the slots of each slot's digits translated to
+    that plane must be 0 in every byte.  Face k of every word of a block is
+    one ``bytes.translate``, read back as ints through a memoryview into
+    ``lookup.get`` and ``list.append``.  A cell whose face is not a key
+    goes to a sink, and its face must not be live (``_live``), or the cells
+    are not closed under faces.
     """
     offsets = _slot_offsets(s)
     masks = _planes(_by_digit(tables.masks[n], -1, 256), n)
@@ -513,18 +545,21 @@ def _byte_faces(
     if relative:
         loose = bytes(_by_digit([not f for f in tables.fixed[n - 1]] + [True], True, 256))
     translations = _face_translations(tables, n, passes)
-    get = columns.get
+    get = lookup.get
     for start in range(0, len(cells), _CHUNK):
-        chunk = cells[start:start + _CHUNK]
-        words = _words(chunk)
+        words = cells[start:start + _CHUNK].tobytes()
         if any(_and_slots(words, offsets, plane) for plane in masks):
             raise _degenerate(n)
+        block = ids[start:start + _CHUNK]
         for k, translation in zip(passes, translations):
             sink: list[int] = []
+            faces = _faces_of(words, translation)
             # list.append returns None, so any() runs every append, in C
-            any(map(list.append, map(get, _faces_of(words, translation), repeat(sink)), chunk))
-            if sink and _unexcused(_words(sink).translate(translation), offsets, flags, loose):
-                raise _missing(k, n)
+            any(map(list.append, map(get, faces, repeat(sink)), block))
+            if sink:
+                live = _live(faces.obj, offsets, flags, loose)  # type: ignore[arg-type]
+                if any(map(live.__getitem__, map(sub, sink, repeat(start)))):
+                    raise _missing(k, n)
 
 
 # ---------------------------------------------------------------------------
@@ -630,20 +665,22 @@ def _group_faces(
     s: int,
     n: int,
     cells: list[int],
+    ids: list[int],
     passes: list[int],
-    columns: dict[int, list[int]],
+    lookup: dict[int, list[int]],
     relative: bool,
 ) -> None:
-    """Append each cell at n to the column of each of its faces k in
-    ``passes``, through slot-group tables, checking every cell.
+    """Append the id of each cell at n (``ids[j]`` for the j-th of
+    ``cells``, their codes) to the row ``lookup`` gives each of its faces k
+    in ``passes``, through slot-group tables, checking every cell.
 
     The cells' group codes are read off their codes once.  Nondegeneracy is
     one AND pass over per-group tables of own masks.  Face k of every cell
     is the OR over the slot groups of a tabulated share of each group code,
-    appended straight to the column of that face; a cell whose face is not
-    a key goes to a sink, where the AND over the groups of the faces'
-    flagged masks is FLAG only for a face that is neither degenerate nor
-    the basepoint, which raises, unless, for ``relative``, it is pinched.
+    looked up straight away; a cell whose face is not a key goes to a sink,
+    where the AND over the groups of the faces' flagged masks is FLAG only
+    for a face that is neither degenerate nor the basepoint, which raises,
+    unless, for ``relative``, it is pinched.
     """
     bits = _slot_bits(tables, s, n)
     groups = _slot_groups(s, bits, len(cells))
@@ -651,18 +688,19 @@ def _group_faces(
     if not _nondegenerate(tables, n, 1 << bits, groups, codes):
         raise _degenerate(n)
     face_tables, flag = _face_tables(tables, s, n, groups, passes)
-    get = columns.get
+    get = lookup.get
     for k, per_group in zip(passes, face_tables):
         sink: list[int] = []
         # list.append returns None, so any() runs every append, in C
-        any(map(list.append, map(get, _face_codes(per_group, codes), repeat(sink)), cells))
+        any(map(list.append, map(get, _face_codes(per_group, codes), repeat(sink)), ids))
         if sink:
+            missed = list(map(cells.__getitem__, sink))
             ands: Iterable[int] = repeat(-1)
             for (e, w), (_, masks) in zip(groups, per_group):
-                ands = map(and_, ands, map(masks.__getitem__, _group(sink, bits, s, e, w)))
+                ands = map(and_, ands, map(masks.__getitem__, _group(missed, bits, s, e, w)))
             if relative:
                 # the missed faces that are neither degenerate nor the basepoint
-                live_faces = list(compress(sink, map(eq, ands, repeat(flag))))
+                live_faces = list(compress(missed, map(eq, ands, repeat(flag))))
                 faces = list(_face_codes(per_group, _group_codes(live_faces, bits, s, groups)))
                 low_bits = _slot_bits(tables, s, n - 1)
                 closed = all(_pinched(faces, low_bits, s, tables.fixed[n - 1]))
@@ -675,43 +713,53 @@ def _group_faces(
 def _coboundary_columns(
     tables: _FactorTables,
     s: int,
-    cells: list[int],
-    below: Iterable[int],
+    cells: Sequence[int],
+    below: Sequence[int],
     n: int,
+    ids: list[int],
     relative: bool = False,
-) -> dict[int, tuple[int, ...]]:
+) -> list[tuple[int, ...]]:
     """The coboundary to degree n, the transpose of the boundary from n: for
-    the code of each cell at n - 1 (``below``), the tuple of codes of the
-    n-cells (``cells``) that hold it as a face an odd number of times.
+    the cell at each position of ``below``, the cells at n - 1, the tuple
+    of the positions in ``cells`` of the n-cells that hold it as a face an
+    odd number of times.  Both are the codes ``_cells`` gives, ascending,
+    so positions order the cells as their codes do.
 
-    Each cell is its own id: the dict is both the face lookup and the
-    column store.  A face pass that ``_face_passes`` proves dead is skipped
-    whole.  Face k of every cell in each other pass is appended straight to
-    the column of that face, by the byte engine (``_byte_faces``) where the
+    A position is an int of ``ids``, which this extends to ``len(cells)``
+    entries, so that every row naming a cell holds the one int object.  The
+    face lookup is a dict from each code below to its row, made for this
+    call and dropped before the rows are returned.  A face pass that
+    ``_face_passes`` proves dead is skipped whole.  Face k of every cell in
+    each other pass is looked up and the cell's position appended straight
+    to the row of that face, by the byte engine (``_byte_faces``) where the
     cells at n are byte-sized, else by the group engine (``_group_faces``),
     so no column of the boundary is built.  A face that is not below must
     be the basepoint or degenerate, or, for the chains relative to the
     pinched subset (``relative``), pinched; any other miss means the cells
     are not closed under faces and raises ValidationError.  When
-    ``_face_passes`` cannot rule out a cell meeting one face twice, a
-    column keeps the cells it holds an odd number of times.  Its proofs
-    hold only for nondegenerate cells, so a degenerate cell raises
-    ValidationError first.
+    ``_face_passes`` cannot rule out a cell meeting one face twice, a row
+    keeps the cells it holds an odd number of times.  Its proofs hold only
+    for nondegenerate cells, so a degenerate cell raises ValidationError
+    first.
     """
     live, distinct = _face_passes(tables, n)
-    columns: dict[int, Any] = {code: [] for code in below}  # lists, then tuples
+    ids.extend(range(len(ids), len(cells)))
+    lookup: dict[int, list[int]] = {code: [] for code in below}
     engine = _byte_faces if _byte_sized(tables, s, n) else _group_faces
-    engine(tables, s, n, cells, live, columns, relative)
+    engine(tables, s, n, cells, ids, live, lookup, relative)  # type: ignore[operator]
+    # the rows in the order of below, each key going as its row leaves; the
+    # dict goes before any tuple is made, which lowers the s = 6 peaks
+    rows: list[Any] = list(map(lookup.pop, below))
+    del lookup
     if distinct:
-        # no column holds a cell twice: each list becomes its tuple in place,
-        # which changes no key, so the views stay valid
-        any(map(columns.__setitem__, columns, map(tuple, columns.values())))
-        return columns
-    for code, col in columns.items():
-        if len(set(col)) != len(col):
-            col = [c for c in set(col) if col.count(c) % 2]
-        columns[code] = tuple(col)  # in place: each list goes as its tuple comes
-    return columns
+        # no row holds a cell twice: each list becomes its tuple in place
+        any(map(rows.__setitem__, range(len(rows)), map(tuple, rows)))
+        return rows
+    for j, row in enumerate(rows):
+        if len(set(row)) != len(row):
+            row = [c for c in set(row) if row.count(c) % 2]
+        rows[j] = tuple(row)  # in place: each list goes as its tuple comes
+    return rows
 
 
 def pinched_set(
@@ -736,8 +784,8 @@ def pinched_set(
     for n in range(len(tables.masks)):
         refs = q.refs_at(n, include_basepoint=False)
         # ascending codes list the tuples in the ambient's order
-        digits = _digits(sorted(_cells(tables, s, n, True)), _slot_bits(tables, s, n), s)
-        members[n] = list(zip(*(map(refs.__getitem__, slot) for slot in digits)))
+        slots = _slots(tables, s, n, _cells(tables, s, n, True))
+        members[n] = list(zip(*(map(refs.__getitem__, slot) for slot in slots)))
     return PointedSubset(amb, members, truncation=trunc, top_bound=bound, check=False)
 
 
@@ -860,28 +908,32 @@ def _table_betti(
 
     Streams the coboundaries into ``boundary_ranks`` from degree 0 up,
     enumerating each dimension once: the coboundary to n is built from the
-    cell codes at n and n - 1 (the face-closure check stays on) and keyed
-    by the codes at n - 1, so the cells of at most two dimensions, one
-    coboundary and the pivots of the one below are held at once.  Bottom
-    up, clearing leaves the coboundary to n one column per (n - 1)-st Betti
+    cell codes at n and n - 1 (the face-closure check stays on) as one row
+    per cell at n - 1, holding positions of cells at n, so the cells of at
+    most two dimensions, one coboundary and the pivots of the one below are
+    held at once.  The positions are the ints of one list shared by every
+    dimension, so a position is one int object wherever it is named.  They
+    ascend with the codes, so the pivots, and with them the fill-in of the
+    reduction, are those of cells named by their codes.  Bottom up,
+    clearing leaves the coboundary to n one column per (n - 1)-st Betti
     number to eliminate to zero, also at the top of a table cut below its
     last cell.
     """
     sizes: dict[int, int] = {}
 
-    def coboundaries() -> Iterable[tuple[int, dict[int, tuple[int, ...]]]]:
+    def coboundaries() -> Iterable[tuple[int, list[tuple[int, ...]]]]:
+        ids: list[int] = []  # the positions, shared by every dimension
         below = _cells(tables, s, 0, not relative)
         sizes[0] = len(below)
         for n in range(1, top + 1):
             cells = _cells(tables, s, n, not relative)
             sizes[n] = len(cells)
-            columns = _coboundary_columns(tables, s, cells, below, n, relative)
-            # the list of the top cells goes before the ranks are taken; the
-            # cells live on in the columns
-            below = cells if n < top else []
+            rows = _coboundary_columns(tables, s, cells, below, n, ids, relative)
+            # the top cells go before the ranks are taken
+            below = cells if n < top else ()
             del cells
-            yield n, columns
-            del columns
+            yield n, rows
+            del rows
 
     ranks = boundary_ranks(coboundaries())
     entries = {

@@ -1,8 +1,9 @@
 """Pinched subsets, blockwise pieces, intersections, and the cover sum."""
 
 import random
+import sys
 from itertools import combinations
-from operator import is_
+from operator import lt
 
 import pytest
 
@@ -56,11 +57,12 @@ from loopbetti.pinched import (
     _FactorTables,
     _cells,
     _coboundary_columns,
-    _digits,
     _face_passes,
     _group_faces,
     _slot_bits,
+    _slots,
     _table_betti,
+    _walk,
     check_diagonal_null,
     mv_e1_betti,
     mv_e1_table,
@@ -313,17 +315,42 @@ def test_brute_kernel_equals_generic_route_at_five(glued_spheres, glued_pinched)
     assert brute.zero_from == generic.zero_from
 
 
+def decode(tables, s, n, cells):
+    """The cells at n that ``_cells`` gives, as tuples of component indices."""
+    return list(zip(*_slots(tables, s, n, cells)))
+
+
+def encode(cell, bits):
+    """The code of a cell of component indices, ``bits`` a slot: the layout
+    of ``_slot_bits``."""
+    code = 0
+    for index in cell:
+        code = code << bits | index + 1
+    return code
+
+
+def as_cells(tables, s, n, cells):
+    """Tuples of component indices as ``_cells`` gives cells at n, so that
+    ``decode`` reads them back: native 64-bit words where the tables are
+    byte-sized, else int codes."""
+    codes = [encode(cell, _slot_bits(tables, s, n)) for cell in cells]
+    if _byte_sized(tables, s, n):
+        return memoryview(b"".join(code.to_bytes(8, sys.byteorder) for code in codes)).cast("Q")
+    return codes
+
+
 def test_brute_kernel_refuses_cells_missing_a_face(glued_spheres):
     orbit, fixed = glued_spheres["orbit"], glued_spheres["fixed"]
     tables = _FactorTables(orbit, fixed, 3)
     below = _cells(tables, 3, 2, True)
     cells = _cells(tables, 3, 3, True)
     # the complete cells pass, though some faces are degenerate or the basepoint
-    columns = _coboundary_columns(tables, 3, cells, below, 3)
-    assert sum(map(len, columns.values())) < 4 * len(cells)
-    below.remove(next(code for code in below if columns[code]))
+    rows = _coboundary_columns(tables, 3, cells, below, 3, [])
+    assert sum(map(len, rows)) < 4 * len(cells)
+    kept = decode(tables, 3, 2, below)
+    del kept[next(j for j, row in enumerate(rows) if row)]
     with pytest.raises(ValidationError):
-        _coboundary_columns(tables, 3, cells, below, 3)
+        _coboundary_columns(tables, 3, cells, as_cells(tables, 3, 2, kept), 3, [])
 
 
 def test_last_face_pass_is_proven_dead_on_the_glued_spheres(glued_spheres, monkeypatch):
@@ -364,15 +391,6 @@ def test_last_face_pass_is_proven_dead_on_the_glued_spheres(glued_spheres, monke
         assert {id(t) for t in coded} == {id(t) for t in built}, s
 
 
-def encode(cell, bits):
-    """The code of a cell of component indices, ``bits`` a slot: the layout
-    of ``_slot_bits``, which ``_digits`` reads back."""
-    code = 0
-    for index in cell:
-        code = code << bits | index + 1
-    return code
-
-
 def test_brute_kernel_refuses_a_degenerate_cell(glued_spheres):
     """The dead-pass and no-repeat proofs hold only for nondegenerate
     cells, both of which are used here, so a degenerate cell raises, in
@@ -384,17 +402,17 @@ def test_brute_kernel_refuses_a_degenerate_cell(glued_spheres):
     live, distinct = _face_passes(tables, 3)
     assert len(live) < 4 and distinct
     index = {ref: i for i, ref in enumerate(orbit.refs_at(3, include_basepoint=False))}
-    bits, low = _slot_bits(tables, 3, 3), orbit.refs_at(2, include_basepoint=False)
+    low = orbit.refs_at(2, include_basepoint=False)
     for relative in (False, True):
         below, cells = _cells(tables, 3, 2, not relative), _cells(tables, 3, 3, not relative)
-        _coboundary_columns(tables, 3, cells, below, 3, relative)
-        first = [slot[0] for slot in _digits(below, _slot_bits(tables, 3, 2), 3)]
-        degenerate = [index[orbit.degenerate_of(low[i], 0)] for i in first]
-        code = encode(degenerate[:3], bits)
-        assert [slot[0] for slot in _digits([code], bits, 3)] == degenerate[:3]
-        assert code not in cells
+        _coboundary_columns(tables, 3, cells, below, 3, [], relative)
+        first = decode(tables, 3, 2, below)[0]
+        degenerate = tuple(index[orbit.degenerate_of(low[i], 0)] for i in first)
+        extended = as_cells(tables, 3, 3, [*decode(tables, 3, 3, cells), degenerate])
+        assert decode(tables, 3, 3, extended)[-1] == degenerate
+        assert degenerate not in decode(tables, 3, 3, cells)
         with pytest.raises(ValidationError, match="3-cell is degenerate"):
-            _coboundary_columns(tables, 3, cells + [code], below, 3, relative)
+            _coboundary_columns(tables, 3, extended, below, 3, [], relative)
 
 
 def test_no_repeat_proof_holds_on_every_shipped_fixture():
@@ -502,13 +520,14 @@ SHIPPED_ACTIONS = {
 
 @pytest.mark.parametrize("name", [*SHIPPED_ACTIONS, "dunce_cap", "doubled_face"])
 def test_packed_kernel_equals_tuple_reference(name):
-    """The packed kernel (cell codes, slot-group face tables, the flagged
+    """The packed kernel (cells as words, face translations, the flagged
     miss check, streaming) gives the cells, the transposes of the per-cell
     column row sets and the Betti tables of the tuple kernel, for the
     pinched chains and the chains relative to them, for s <= 4 and n <= 6
-    (Betti numbers through 4).  Each cell is its own id: the coboundary is
-    keyed by exactly the codes below, and its entries are the int objects
-    of ``cells``, so no int is made to number a cell."""
+    (Betti numbers through 4).  The cells come in ascending order, the
+    tuple kernel's sorted, and a cell's id is its position there: the
+    coboundary has one row per cell below, and its entries are the int
+    objects of one list of positions, so no int is made per entry."""
     built = {"dunce_cap": dunce_cap, "doubled_face": doubled_face}
     orbit, _, fixed = orbit_space(*(built[name]() if name in built else SHIPPED_ACTIONS[name]))
     tables = _FactorTables(orbit, fixed, 6)
@@ -516,23 +535,28 @@ def test_packed_kernel_equals_tuple_reference(name):
     for s in range(2, 5):
         for tuple_at, relative in kernels:
             top = min(6, orbit.top_dim() * s)
-            below, tuple_lower = [], {}
+            below, tuple_lower, ids = [], {}, []
             for n in range(top + 1):
                 codes, cells = _cells(tables, s, n, not relative), tuple_at(tables, s, n)
-                bits = _slot_bits(tables, s, n)
-                assert list(zip(*_digits(codes, bits, s))) == cells, (s, n)
+                decoded_cells = decode(tables, s, n, codes)
+                assert decoded_cells == sorted(cells), (s, n)
                 if n:
-                    packed = _coboundary_columns(tables, s, codes, below, n, relative)
-                    assert list(packed) == below, (s, n)
-                    assert all(map(is_, packed, below)), (s, n)
-                    ids = set(map(id, codes))
-                    assert all(id(c) in ids for col in packed.values() for c in col), (s, n)
+                    packed = _coboundary_columns(tables, s, codes, below, n, ids, relative)
+                    assert len(packed) == len(below), (s, n)
+                    assert ids[:len(codes)] == list(range(len(codes))), (s, n)
+                    pool = set(map(id, ids))
+                    assert all(id(c) in pool for row in packed for c in row), (s, n)
                     reference = tuple_boundary_columns(tables, cells, tuple_lower, n, relative)
                     reference = transpose(reference, len(tuple_lower))
-                    assert [sorted(packed[code]) for code in below] == [
-                        sorted(map(codes.__getitem__, col)) for col in reference
-                    ], (s, n)
-                below = codes
+                    lower = list(tuple_lower)
+                    assert {
+                        decoded_below[p]: sorted(map(decoded_cells.__getitem__, row))
+                        for p, row in enumerate(packed)
+                    } == {
+                        lower[j]: sorted(map(cells.__getitem__, col))
+                        for j, col in enumerate(reference)
+                    }, (s, n)
+                below, decoded_below = codes, decoded_cells
                 tuple_lower = {cell: j for j, cell in enumerate(cells)}
             # through n = 4: the ranks of the relative boundaries from n = 5
             # and 6 at s = 4 (125,640 and 191,520 columns on the glued
@@ -542,20 +566,23 @@ def test_packed_kernel_equals_tuple_reference(name):
             assert entries == tuple_table_betti(tables, tuple_at, s, top, top, relative), s
 
 
-def decoded(tables, s, n, cells, below, columns):
-    """Columns keyed by the codes of the cells below, decoded to tuples of
-    component indices, each column sorted."""
-    low = dict(zip(below, zip(*_digits(below, _slot_bits(tables, s, n - 1), s))))
-    high = dict(zip(cells, zip(*_digits(cells, _slot_bits(tables, s, n), s))))
-    return {low[code]: sorted(map(high.__getitem__, col)) for code, col in columns.items()}
+def decoded(tables, s, n, cells, below, rows):
+    """Rows indexed by the positions of the cells below, holding positions
+    of ``cells``, as columns keyed by the cells below, all decoded to tuples
+    of component indices, each column sorted."""
+    low, high = decode(tables, s, n - 1, below), decode(tables, s, n, cells)
+    return {low[p]: sorted(map(high.__getitem__, row)) for p, row in enumerate(rows)}
 
 
 def engine_columns(engine, tables, s, n, cells, below, relative):
-    """The columns one face engine scatters from the cells at n, before any
+    """The columns one face engine scatters from the cells at n (words for
+    the byte engine, their int codes for the group engine), before any
     mod-2 normalization, decoded."""
-    columns = {code: [] for code in below}
-    engine(tables, s, n, cells, _face_passes(tables, n)[0], columns, relative)
-    return decoded(tables, s, n, cells, below, columns)
+    rows = [[] for _ in below]
+    given = cells if engine is _byte_faces else list(cells)
+    ids = list(range(len(cells)))
+    engine(tables, s, n, given, ids, _face_passes(tables, n)[0], dict(zip(below, rows)), relative)
+    return decoded(tables, s, n, cells, below, rows)
 
 
 def engine_actions():
@@ -597,7 +624,7 @@ def test_face_engines_agree_on_byte_sized_tables():
                     by_groups = engine_columns(_group_faces, tables, s, n, cells, below, relative)
                     assert by_bytes == by_groups, (name, s, n, relative)
                     if not _face_passes(tables, n)[1]:
-                        kernel = _coboundary_columns(tables, s, cells, below, n, relative)
+                        kernel = _coboundary_columns(tables, s, cells, below, n, [], relative)
                         kept = decoded(tables, s, n, cells, below, kernel)
                         odd = {
                             face: sorted(c for c in set(col) if col.count(c) % 2)
@@ -625,21 +652,92 @@ def test_byte_engine_reads_word_masks_past_one_byte():
     assert by_bytes == engine_columns(_group_faces, tables, 3, 9, cells, below, True)
     index = {ref: i for i, ref in enumerate(orbit.refs_at(9, include_basepoint=False))}
     low = orbit.refs_at(8, include_basepoint=False)
-    cell = next(zip(*_digits(below, _slot_bits(tables, 3, 8), 3)))
-    lifted = encode([index[orbit.degenerate_of(low[i], 8)] for i in cell], 8)
-    live = _face_passes(tables, 9)[0]
-    for engine in (_byte_faces, _group_faces):
+    cell = decode(tables, 3, 8, below)[0]
+    lifted = tuple(index[orbit.degenerate_of(low[i], 8)] for i in cell)
+    extended = as_cells(tables, 3, 9, [*decode(tables, 3, 9, cells), lifted])
+    live, ids = _face_passes(tables, 9)[0], list(range(len(extended)))
+    for engine, given in ((_byte_faces, memoryview), (_group_faces, list)):
         with pytest.raises(ValidationError, match="9-cell is degenerate"):
-            engine(tables, 3, 9, cells + [lifted], live, {code: [] for code in below}, True)
+            engine(tables, 3, 9, given(extended), ids, live, {code: [] for code in below}, True)
         with pytest.raises(ValidationError, match="not face-closed"):
-            engine(tables, 3, 9, cells, live, {code: [] for code in below[1:]}, True)
+            lookup = {code: [] for code in below[1:]}
+            engine(tables, 3, 9, given(cells), ids, live, lookup, True)
     assert quotient_betti_brute(orbit, fixed, 3, 9).nonzero() == {5: 1, 7: 2, 9: 1}
     assert pinched_betti_brute(orbit, fixed, 3, 9).nonzero() == {4: 1, 6: 2}
 
+def test_cell_walks_agree_and_ascend():
+    """On byte-sized tables the walk that writes words and the walk that
+    builds int codes give the same codes, strictly ascending, for the
+    pinched chains and the chains relative to them, for s <= 4 and
+    n <= 7 - s."""
+    for name, action in engine_actions().items():
+        orbit, _, fixed = orbit_space(*action)
+        tables = _FactorTables(orbit, fixed, 5)
+        for s in range(2, 5):
+            for pinched in (True, False):
+                for n in range(min(7 - s, orbit.top_dim() * s) + 1):
+                    assert _byte_sized(tables, s, n), (name, s, n)
+                    words = _cells(tables, s, n, pinched)
+                    codes = _walk(tables, s, n, pinched, False)
+                    assert list(words) == codes, (name, s, n, pinched)
+                    assert all(map(lt, codes, codes[1:])), (name, s, n, pinched)
+
+
+def wide_cases():
+    """Tables past the byte layout, as (tables, s, top): 150 + 150 planted
+    orbits at s = 2 (450 components and the marker at n = 2, fewer at
+    n = 1) and the trivial circle at s = 9."""
+    orbit, _, fixed = orbit_space(*planted(random.Random(1), 150, 150))
+    tables = _FactorTables(orbit, fixed, 2)
+    assert len(tables.masks[1]) < 256 <= len(tables.masks[2]) == 451
+    orbit, _, fixed = orbit_space(*trivial_circle())
+    return [(tables, 2, 2), (_FactorTables(orbit, fixed, 3), 9, 3)]
+
+
+def code_keyed_columns(tables, s, n, cells, below):
+    """A reference coboundary to n in the layout where each cell is its own
+    id: for the code of each cell below, the sorted codes of the n-cells
+    that hold it as a face an odd number of times, built cell by cell from
+    the face tables."""
+    low_bits = _slot_bits(tables, s, n - 1)
+    columns = {code: [] for code in below}
+    for code, cell in zip(cells, decode(tables, s, n, cells)):
+        for face in tables.faces[n]:
+            face_code = encode([face[i] for i in cell], low_bits)
+            if face_code in columns:
+                columns[face_code].append(code)
+    return {code: sorted(c for c in set(col) if col.count(c) % 2) for code, col in columns.items()}
+
+
+def test_coboundary_rows_name_cells_by_position():
+    """The coboundary holds one row per cell below, in the order of
+    ``below``, and each row holds positions in ``cells``; mapped back
+    through the cells, the rows are the reference's code-keyed columns.  On
+    byte-sized tables (the cases of ``engine_actions``, s <= 4 and
+    n <= 6 - s) and on wide ones, pinched and relative."""
+    cases = []
+    for action in engine_actions().values():
+        orbit, _, fixed = orbit_space(*action)
+        tables = _FactorTables(orbit, fixed, 4)
+        cases += [(tables, s, min(6 - s, orbit.top_dim() * s)) for s in range(2, 5)]
+    for tables, s, top in cases + wide_cases():
+        for relative in (False, True):
+            below, ids = _cells(tables, s, 0, not relative), []
+            for n in range(1, top + 1):
+                cells = _cells(tables, s, n, not relative)
+                rows = _coboundary_columns(tables, s, cells, below, n, ids, relative)
+                assert len(rows) == len(below), (s, n)
+                assert all(0 <= c < len(cells) for row in rows for c in row), (s, n)
+                mapped = {below[p]: sorted(map(cells.__getitem__, row)) for p, row in enumerate(rows)}
+                assert mapped == code_keyed_columns(tables, s, n, cells, below), (s, n, relative)
+                below = cells
+
+
 def test_wide_tables_take_the_group_engine(monkeypatch):
-    """Tables past the byte layout route to the group engine and match the
-    tuple kernel: 150 + 150 planted orbits at s = 2 (450 components and
-    the marker at n = 2, fewer at n = 1) and the trivial circle at s = 9."""
+    """Tables past the byte layout route to the group engine, their int
+    walk gives strictly ascending codes, and both match the tuple kernel
+    (the cells sorted): 150 + 150 planted orbits at s = 2 and the trivial
+    circle at s = 9 (``wide_cases``)."""
     import loopbetti.pinched as pinched
 
     ran = []
@@ -655,15 +753,14 @@ def test_wide_tables_take_the_group_engine(monkeypatch):
 
     for name in ("_byte_faces", "_group_faces"):
         monkeypatch.setattr(pinched, name, recorded(name))
-    orbit, _, fixed = orbit_space(*planted(random.Random(1), 150, 150))
-    tables = _FactorTables(orbit, fixed, 2)
-    assert len(tables.masks[1]) < 256 <= len(tables.masks[2]) == 451
-    orbit_c, _, fixed_c = orbit_space(*trivial_circle())
-    circle = _FactorTables(orbit_c, fixed_c, 3)
-    cases = [(tables, 2, 2, [(1, "_byte_faces"), (2, "_group_faces")])]
-    cases.append((circle, 9, 3, [(n, "_group_faces") for n in (1, 2, 3)]))
-    for case_tables, s, top, route in cases:
+    routes = [[(1, "_byte_faces"), (2, "_group_faces")], [(n, "_group_faces") for n in (1, 2, 3)]]
+    for (case_tables, s, top), route in zip(wide_cases(), routes):
         for tuple_at, relative in ((tuple_pinched_cells, False), (tuple_quotient_cells, True)):
+            for n in range(top + 1):
+                cells = _cells(case_tables, s, n, not relative)
+                if not _byte_sized(case_tables, s, n):
+                    assert all(map(lt, cells, cells[1:])), (s, n, relative)
+                assert decode(case_tables, s, n, cells) == sorted(tuple_at(case_tables, s, n))
             ran.clear()
             entries, _ = _table_betti(case_tables, s, top, top, relative)
             reference = tuple_table_betti(case_tables, tuple_at, s, top, top, relative)
@@ -684,27 +781,30 @@ def test_both_face_engines_refuse_what_the_kernel_refuses(glued_spheres):
     for engine in (_byte_faces, _group_faces):
 
         def scatter(cells, below, relative):
-            columns = {code: [] for code in below}
-            engine(tables, 3, 3, cells, live, columns, relative)
-            return columns
+            rows = [[] for _ in below]
+            given = cells if engine is _byte_faces else list(cells)
+            ids = list(range(len(cells)))
+            engine(tables, 3, 3, given, ids, live, dict(zip(below, rows)), relative)
+            return rows
 
         for relative in (False, True):
             below, cells = _cells(tables, 3, 2, not relative), _cells(tables, 3, 3, not relative)
-            columns = scatter(cells, below, relative)
-            first = [slot[0] for slot in _digits(below, _slot_bits(tables, 3, 2), 3)]
-            degenerate = [index[orbit.degenerate_of(low[i], 0)] for i in first[:3]]
+            rows = scatter(cells, below, relative)
+            first = decode(tables, 3, 2, below)[0]
+            degenerate = tuple(index[orbit.degenerate_of(low[i], 0)] for i in first[:3])
             with pytest.raises(ValidationError, match="3-cell is degenerate"):
-                scatter(cells + [encode(degenerate, _slot_bits(tables, 3, 3))], below, relative)
-            cell_of = dict(zip(below, zip(*_digits(below, _slot_bits(tables, 3, 2), 3))))
+                scatter(as_cells(tables, 3, 3, [*decode(tables, 3, 3, cells), degenerate]),
+                        below, relative)
+            cell_of = decode(tables, 3, 2, below)
             # a face whose repeat is outside the fixed set is not pinched
             missing = next(
-                code for code in below
-                if columns[code] and any(
-                    a == b and not in_fixed[a] for a, b in zip(cell_of[code], cell_of[code][1:])
+                p for p, cell in enumerate(cell_of)
+                if rows[p] and any(
+                    a == b and not in_fixed[a] for a, b in zip(cell, cell[1:])
                 ) == relative
             )
             with pytest.raises(ValidationError, match="not face-closed"):
-                scatter(cells, [code for code in below if code != missing], relative)
+                scatter(cells, [code for p, code in enumerate(below) if p != missing], relative)
         below, cells = _cells(tables, 3, 2, False), _cells(tables, 3, 3, False)
         with pytest.raises(ValidationError, match="not face-closed"):
             scatter(cells, below, False)
@@ -791,19 +891,18 @@ def test_integer_quotient_refuses_cells_missing_a_face(glued_spheres):
     tables = _FactorTables(orbit, fixed, 3)
     below = _cells(tables, 3, 2, False)
     cells = _cells(tables, 3, 3, False)
-    columns = _coboundary_columns(tables, 3, cells, below, 3, relative=True)
+    rows = _coboundary_columns(tables, 3, cells, below, 3, [], relative=True)
     with pytest.raises(ValidationError):
-        _coboundary_columns(tables, 3, cells, below, 3)
-    in_fixed, bits = tables.fixed[2], _slot_bits(tables, 3, 2)
-    cell_of = dict(zip(below, zip(*_digits(below, bits, 3))))
-    below.remove(next(
-        code
-        for code in below
-        if columns[code]
-        and any(a == b and not in_fixed[a] for a, b in zip(cell_of[code], cell_of[code][1:]))
-    ))
+        _coboundary_columns(tables, 3, cells, below, 3, [])
+    in_fixed = tables.fixed[2]
+    kept = decode(tables, 3, 2, below)
+    del kept[next(
+        p
+        for p, cell in enumerate(kept)
+        if rows[p] and any(a == b and not in_fixed[a] for a, b in zip(cell, cell[1:]))
+    )]
     with pytest.raises(ValidationError):
-        _coboundary_columns(tables, 3, cells, below, 3, relative=True)
+        _coboundary_columns(tables, 3, cells, as_cells(tables, 3, 2, kept), 3, [], relative=True)
 
 
 def test_quotient_cells_are_the_complement_of_the_pinched_cells(glued_spheres):
@@ -848,7 +947,7 @@ def test_cell_walk_work_does_not_grow_with_free_orbits():
 
         tables.groups = [[(mask, Scanned(members)) for mask, members in at] for at in tables.groups]
         for n in range(6):
-            assert _cells(tables, 4, n, True) == [], (k, n)
+            assert len(_cells(tables, 4, n, True)) == 0, (k, n)
         scans.append(count[0])
     assert scans[0] == scans[1], scans
 
