@@ -28,9 +28,10 @@ are checked against this one in the test suite and run nowhere else.
 
 from __future__ import annotations
 
+import gc
 import sys
 from itertools import combinations, compress, repeat
-from operator import and_, eq, or_, rshift, sub
+from operator import and_, eq, or_, rshift
 from typing import Any, Iterable, Optional, Sequence
 
 from .closed_form import BettiInput
@@ -481,7 +482,9 @@ def _live(
 ) -> bytes:
     """One byte per face word: 1 where the face is neither degenerate nor
     the basepoint and, given ``loose`` (the digits outside the fixed set),
-    not pinched either, else 0.
+    not pinched either, else 0.  These are the faces that the byte engine
+    looks up, each of which must be a cell below; the others are zero in
+    the chains.
 
     Per byte plane of the flagged masks (``flags`` pairs the flag's byte
     with the plane's table), the AND over the slots is compared with the
@@ -526,16 +529,20 @@ def _byte_faces(
     relative: bool,
 ) -> None:
     """Append the id of each cell at n (``ids[j]`` for the j-th of
-    ``cells``, its words) to the row ``lookup`` gives each of its faces k in
-    ``passes``, on byte-sized tables, checking every cell.
+    ``cells``, its words) to the row ``lookup`` gives each of its live faces
+    k in ``passes``, on byte-sized tables, checking every cell.
 
     The words go in blocks.  Nondegeneracy: per byte plane of the word
     masks at n, the AND over the slots of each slot's digits translated to
     that plane must be 0 in every byte.  Face k of every word of a block is
-    one ``bytes.translate``, read back as ints through a memoryview into
-    ``lookup.get`` and ``list.append``.  A cell whose face is not a key
-    goes to a sink, and its face must not be live (``_live``), or the cells
-    are not closed under faces.
+    one ``bytes.translate``; ``_live`` marks the faces that are neither
+    degenerate nor the basepoint (nor, for ``relative``, pinched), and only
+    those, read back as ints through a memoryview, go to
+    ``lookup.__getitem__`` and ``list.append``.  A live face that is not a
+    key means the cells are not closed under faces.  A dead face is never a
+    key: the cells below are nondegenerate, never hold the basepoint
+    marker and, in the relative chains, are not pinched, so skipping dead
+    faces loses no entry.
     """
     offsets = _slot_offsets(s)
     masks = _planes(_by_digit(tables.masks[n], -1, 256), n)
@@ -545,21 +552,20 @@ def _byte_faces(
     if relative:
         loose = bytes(_by_digit([not f for f in tables.fixed[n - 1]] + [True], True, 256))
     translations = _face_translations(tables, n, passes)
-    get = lookup.get
+    row = lookup.__getitem__
     for start in range(0, len(cells), _CHUNK):
         words = cells[start:start + _CHUNK].tobytes()
         if any(_and_slots(words, offsets, plane) for plane in masks):
             raise _degenerate(n)
         block = ids[start:start + _CHUNK]
         for k, translation in zip(passes, translations):
-            sink: list[int] = []
             faces = _faces_of(words, translation)
-            # list.append returns None, so any() runs every append, in C
-            any(map(list.append, map(get, faces, repeat(sink)), block))
-            if sink:
-                live = _live(faces.obj, offsets, flags, loose)  # type: ignore[arg-type]
-                if any(map(live.__getitem__, map(sub, sink, repeat(start)))):
-                    raise _missing(k, n)
+            live = _live(faces.obj, offsets, flags, loose)  # type: ignore[arg-type]
+            try:
+                # list.append returns None, so any() runs every append, in C
+                any(map(list.append, map(row, compress(faces, live)), compress(block, live)))
+            except KeyError:
+                raise _missing(k, n) from None
 
 
 # ---------------------------------------------------------------------------
@@ -727,8 +733,10 @@ def _coboundary_columns(
 
     A position is an int of ``ids``, which this extends to ``len(cells)``
     entries, so that every row naming a cell holds the one int object.  The
-    face lookup is a dict from each code below to its row, made for this
-    call and dropped before the rows are returned.  A face pass that
+    rows are made first, one empty list per cell below, and the face lookup
+    is a dict from each code below to its row, made for this call and
+    dropped once the faces are scattered, before any row becomes its
+    tuple.  A face pass that
     ``_face_passes`` proves dead is skipped whole.  Face k of every cell in
     each other pass is looked up and the cell's position appended straight
     to the row of that face, by the byte engine (``_byte_faces``) where the
@@ -744,12 +752,11 @@ def _coboundary_columns(
     """
     live, distinct = _face_passes(tables, n)
     ids.extend(range(len(ids), len(cells)))
-    lookup: dict[int, list[int]] = {code: [] for code in below}
+    rows: list[Any] = [[] for _ in range(len(below))]
+    lookup = dict(zip(below, rows))
     engine = _byte_faces if _byte_sized(tables, s, n) else _group_faces
     engine(tables, s, n, cells, ids, live, lookup, relative)  # type: ignore[operator]
-    # the rows in the order of below, each key going as its row leaves; the
-    # dict goes before any tuple is made, which lowers the s = 6 peaks
-    rows: list[Any] = list(map(lookup.pop, below))
+    # the dict goes before any tuple is made, which lowers the s = 6 peaks
     del lookup
     if distinct:
         # no row holds a cell twice: each list becomes its tuple in place
@@ -918,6 +925,13 @@ def _table_betti(
     clearing leaves the coboundary to n one column per (n - 1)-st Betti
     number to eliminate to zero, also at the top of a table cut below its
     last cell.
+
+    The cyclic garbage collector is paused while the table is built and
+    reduced, and left as it was found, also when the kernel raises.  This
+    is safe: the table holds only ints, lists and tuples of ints, dicts
+    keyed by ints, and bytes, which make no reference cycles, so a
+    collection would free nothing, yet the lists and tuples it makes would
+    set off one collection after another.
     """
     sizes: dict[int, int] = {}
 
@@ -935,7 +949,13 @@ def _table_betti(
             yield n, rows
             del rows
 
-    ranks = boundary_ranks(coboundaries())
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        ranks = boundary_ranks(coboundaries())
+    finally:
+        if enabled:
+            gc.enable()
     entries = {
         n: sizes[n] - ranks.get(n, 0) - ranks.get(n + 1, 0)
         for n in range(min(t_max, top) + 1)

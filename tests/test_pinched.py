@@ -1,5 +1,6 @@
 """Pinched subsets, blockwise pieces, intersections, and the cover sum."""
 
+import gc
 import random
 import sys
 from itertools import combinations
@@ -57,6 +58,7 @@ from loopbetti.pinched import (
     _FactorTables,
     _cells,
     _coboundary_columns,
+    _digits,
     _face_passes,
     _group_faces,
     _slot_bits,
@@ -733,6 +735,62 @@ def test_coboundary_rows_name_cells_by_position():
                 below = cells
 
 
+class RecordedLookup(dict):
+    """A face lookup that records every key asked, by ``__getitem__``,
+    ``get`` or ``in``."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.asked = []
+
+    def __getitem__(self, key):
+        self.asked.append(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.asked.append(key)
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self.asked.append(key)
+        return super().__contains__(key)
+
+
+def test_byte_engine_looks_up_only_live_faces():
+    """The byte engine asks its lookup for live faces only, each of which
+    is a cell below, and asks once per entry it scatters.  Where no cell
+    meets a face twice, the lookups are exactly the entries of the
+    reference's code-keyed coboundary; the faces coded in the live passes
+    are more, so a lookup of every face would fail here.  On the cases of
+    ``engine_actions`` (every shipped fixture among them), s <= 4 and
+    n <= 7 - s, pinched and relative."""
+    coded = asked = 0
+    for name, action in engine_actions().items():
+        orbit, _, fixed = orbit_space(*action)
+        tables = _FactorTables(orbit, fixed, 5)
+        for s in range(2, 5):
+            for relative in (False, True):
+                below = _cells(tables, s, 0, not relative)
+                for n in range(1, min(7 - s, orbit.top_dim() * s) + 1):
+                    cells = _cells(tables, s, n, not relative)
+                    live, distinct = _face_passes(tables, n)
+                    rows = [[] for _ in below]
+                    lookup = RecordedLookup(zip(below, rows))
+                    ids = list(range(len(cells)))
+                    _byte_faces(tables, s, n, cells, ids, live, lookup, relative)
+                    faces = list(zip(*_digits(lookup.asked, _slot_bits(tables, s, n - 1), s)))
+                    assert set(faces) <= set(decode(tables, s, n - 1, below)), (name, s, n)
+                    assert len(lookup.asked) == sum(map(len, rows)), (name, s, n, relative)
+                    if distinct:
+                        reference = code_keyed_columns(tables, s, n, cells, below)
+                        entries = sum(map(len, reference.values()))
+                        assert len(lookup.asked) == entries, (name, s, n, relative)
+                    coded += len(cells) * len(live)
+                    asked += len(lookup.asked)
+                    below = cells
+    assert asked < coded
+
+
 def test_wide_tables_take_the_group_engine(monkeypatch):
     """Tables past the byte layout route to the group engine, their int
     walk gives strictly ascending codes, and both match the tuple kernel
@@ -850,6 +908,76 @@ def test_a_corrupt_face_translation_is_caught(glued_spheres, monkeypatch):
     corrupt(3, 0, 0, 2)
     with pytest.raises(ValidationError, match="face 0 of a 3-cell is missing"):
         pinched_betti_brute(orbit, fixed, 3, 3)
+
+
+def test_brute_tables_pause_the_cycle_collector(glued_spheres, monkeypatch):
+    """The cyclic collector is off while a brute table is built and
+    reduced, and as it was found afterwards: on again after a table, also
+    when the kernel raises on a degenerate cell, on a missing face or on a
+    coboundary that does not square to zero, and still off where the caller
+    had switched it off."""
+    import loopbetti.pinched as pinched
+
+    orbit, fixed = glued_spheres["orbit"], glued_spheres["fixed"]
+    tables = _FactorTables(orbit, fixed, 3)
+    cells_of, translations_of = pinched._cells, pinched._face_translations
+    build = pinched._coboundary_columns
+    collecting = []
+
+    def watched(*args):
+        collecting.append(gc.isenabled())
+        return build(*args)
+
+    index = {ref: i for i, ref in enumerate(orbit.refs_at(3, include_basepoint=False))}
+    low = orbit.refs_at(2, include_basepoint=False)
+    first = decode(tables, 3, 2, cells_of(tables, 3, 2, True))[0]
+    degenerate = tuple(index[orbit.degenerate_of(low[i], 0)] for i in first)
+
+    def with_degenerate(tables, s, n, pinched):
+        cells = cells_of(tables, s, n, pinched)
+        return as_cells(tables, s, n, [*decode(tables, s, n, cells), degenerate]) if n == 3 else cells
+
+    def without_n2(tables, s, n, pinched):
+        return as_cells(tables, s, n, []) if n == 2 else cells_of(tables, s, n, pinched)
+
+    def corrupted(tables, n, passes):
+        out = translations_of(tables, n, passes)
+        if n == 3:
+            # face of component 0 sent to the next component at n = 2
+            target = (tables.faces[3][passes[0]][0] + 1) % (len(tables.masks[2]) - 1)
+            table = bytearray(out[0])
+            table[1] = target + 1
+            out[0] = bytes(table)
+        return out
+
+    runs = [
+        (None, None, pinched_betti_brute, None),
+        ("_cells", with_degenerate, pinched_betti_brute, "3-cell is degenerate"),
+        ("_cells", without_n2, pinched_betti_brute, "face . of a 3-cell is missing"),
+        ("_face_translations", corrupted, quotient_betti_brute, "square to zero"),
+    ]
+    monkeypatch.setattr(pinched, "_coboundary_columns", watched)
+    try:
+        for was_on in (True, False):
+            for name, patch, brute, match in runs:
+                if name:
+                    monkeypatch.setattr(pinched, name, patch)
+                collecting.clear()
+                if was_on:
+                    gc.enable()
+                else:
+                    gc.disable()
+                if match:
+                    with pytest.raises(ValueError, match=match):
+                        brute(orbit, fixed, 3, 3)
+                else:
+                    assert brute(orbit, fixed, 3, 3).nonzero()
+                assert gc.isenabled() == was_on, (was_on, match)
+                assert collecting and not any(collecting), (was_on, match)
+                monkeypatch.undo()
+                monkeypatch.setattr(pinched, "_coboundary_columns", watched)
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------
