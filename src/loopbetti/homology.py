@@ -11,7 +11,8 @@ results are exact, with no tolerances.
 
 from __future__ import annotations
 
-from itertools import chain, repeat
+from functools import reduce
+from operator import iconcat
 from typing import Any, Collection, Container, Hashable, Iterable, Mapping, Optional, Sequence
 
 from .simplicial import SimplicialSet
@@ -70,8 +71,10 @@ def reduce_columns(
     nonzero columns by pivot row.
 
     The input columns are never mutated.  A column that needs no elimination
-    is stored as given, so it aliases the caller's column; only the column
-    being reduced is a set, and it is stored as a tuple once reduced.
+    is stored as given, so it aliases the caller's column, a tuple, set or
+    list (the brute kernel's coboundary rows stay the lists they were built
+    in); only the column being reduced is a set, and it is stored as a
+    tuple once reduced.
     """
     pivots: dict[int, Collection[int]] = {}
     get = pivots.get
@@ -170,10 +173,15 @@ def check_squares_to_zero(upper: Coboundary, lower: Iterable[Iterable[int]], n: 
     when its even and odd positions agree: a run of equal cells of odd
     length would pair its first or last cell with a different one, and an
     odd total length makes the two halves differ in length.  So each column
-    costs one sort and one comparison, both in C.
+    costs one gather, one sort and one comparison, all in C.  The rows are
+    gathered by extending a fresh list per column in place; the rows
+    themselves, lists or tuples, are only read, since ``upper`` is reduced
+    next and its pivots are checked against the coboundary above.
     """
     rows = upper.__getitem__
-    for flat in map(sorted, map(chain.from_iterable, map(map, repeat(rows), lower))):
+    for col in lower:
+        flat = reduce(iconcat, map(rows, col), [])  # never a row as the start
+        flat.sort()
         if flat[::2] != flat[1::2]:
             raise ValueError(f"boundary does not square to zero at dimension {n}")
 

@@ -724,9 +724,9 @@ def _coboundary_columns(
     n: int,
     ids: list[int],
     relative: bool = False,
-) -> list[tuple[int, ...]]:
+) -> list[list[int]]:
     """The coboundary to degree n, the transpose of the boundary from n: for
-    the cell at each position of ``below``, the cells at n - 1, the tuple
+    the cell at each position of ``below``, the cells at n - 1, the list
     of the positions in ``cells`` of the n-cells that hold it as a face an
     odd number of times.  Both are the codes ``_cells`` gives, ascending,
     so positions order the cells as their codes do.
@@ -735,8 +735,10 @@ def _coboundary_columns(
     entries, so that every row naming a cell holds the one int object.  The
     rows are made first, one empty list per cell below, and the face lookup
     is a dict from each code below to its row, made for this call and
-    dropped once the faces are scattered, before any row becomes its
-    tuple.  A face pass that
+    dropped once the faces are scattered.  The rows are returned as the
+    lists they were built in, which the caller only reads: a copy of each
+    as a tuple would cost a pass, and the freed tuples would sit on the
+    interpreter's free lists through the next build.  A face pass that
     ``_face_passes`` proves dead is skipped whole.  Face k of every cell in
     each other pass is looked up and the cell's position appended straight
     to the row of that face, by the byte engine (``_byte_faces``) where the
@@ -746,9 +748,9 @@ def _coboundary_columns(
     pinched subset (``relative``), pinched; any other miss means the cells
     are not closed under faces and raises ValidationError.  When
     ``_face_passes`` cannot rule out a cell meeting one face twice, a row
-    keeps the cells it holds an odd number of times.  Its proofs hold only
-    for nondegenerate cells, so a degenerate cell raises ValidationError
-    first.
+    that holds a cell twice is replaced by the list of the cells it holds
+    an odd number of times.  Its proofs hold only for nondegenerate cells,
+    so a degenerate cell raises ValidationError first.
     """
     live, distinct = _face_passes(tables, n)
     ids.extend(range(len(ids), len(cells)))
@@ -756,16 +758,11 @@ def _coboundary_columns(
     lookup = dict(zip(below, rows))
     engine = _byte_faces if _byte_sized(tables, s, n) else _group_faces
     engine(tables, s, n, cells, ids, live, lookup, relative)  # type: ignore[operator]
-    # the dict goes before any tuple is made, which lowers the s = 6 peaks
     del lookup
-    if distinct:
-        # no row holds a cell twice: each list becomes its tuple in place
-        any(map(rows.__setitem__, range(len(rows)), map(tuple, rows)))
-        return rows
-    for j, row in enumerate(rows):
-        if len(set(row)) != len(row):
-            row = [c for c in set(row) if row.count(c) % 2]
-        rows[j] = tuple(row)  # in place: each list goes as its tuple comes
+    if not distinct:
+        for j, row in enumerate(rows):
+            if len(set(row)) != len(row):
+                rows[j] = [c for c in set(row) if row.count(c) % 2]
     return rows
 
 
@@ -916,15 +913,17 @@ def _table_betti(
     Streams the coboundaries into ``boundary_ranks`` from degree 0 up,
     enumerating each dimension once: the coboundary to n is built from the
     cell codes at n and n - 1 (the face-closure check stays on) as one row
-    per cell at n - 1, holding positions of cells at n, so the cells of at
+    per cell at n - 1, a list of positions of cells at n, so the cells of at
     most two dimensions, one coboundary and the pivots of the one below are
-    held at once.  The positions are the ints of one list shared by every
-    dimension, so a position is one int object wherever it is named.  They
-    ascend with the codes, so the pivots, and with them the fill-in of the
-    reduction, are those of cells named by their codes.  Bottom up,
-    clearing leaves the coboundary to n one column per (n - 1)-st Betti
-    number to eliminate to zero, also at the top of a table cut below its
-    last cell.
+    held at once.  The check d_(n-1) d_n = 0 and the reduction read the
+    rows as built: a pivot that needs no elimination is its row list
+    itself, a reduced one is a tuple.  The positions are the ints of one
+    list shared by every dimension, so a position is one int object
+    wherever it is named.  They ascend with the codes, so the pivots, and
+    with them the fill-in of the reduction, are those of cells named by
+    their codes.  Bottom up, clearing leaves the coboundary to n one column
+    per (n - 1)-st Betti number to eliminate to zero, also at the top of a
+    table cut below its last cell.
 
     The cyclic garbage collector is paused while the table is built and
     reduced, and left as it was found, also when the kernel raises.  This
@@ -935,7 +934,7 @@ def _table_betti(
     """
     sizes: dict[int, int] = {}
 
-    def coboundaries() -> Iterable[tuple[int, list[tuple[int, ...]]]]:
+    def coboundaries() -> Iterable[tuple[int, list[list[int]]]]:
         ids: list[int] = []  # the positions, shared by every dimension
         below = _cells(tables, s, 0, not relative)
         sizes[0] = len(below)

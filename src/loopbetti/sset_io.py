@@ -213,7 +213,10 @@ def _cut(errors: list, rows: list, lines: list[int], shaped: list[bool], malform
 
 def parse_file(path) -> tuple[FiniteSimplicialSet, Optional[Involution]]:
     with open(path, "r", encoding="utf-8") as handle:
-        return parse(handle.read())
+        text = handle.read()
+    # one leading byte-order mark, which some editors write, goes as the
+    # "utf-8-sig" codec would drop it, without the import of that codec
+    return parse(text.removeprefix("\ufeff"))
 
 
 def serialize(space: FiniteSimplicialSet, invol: Optional[Involution] = None) -> str:

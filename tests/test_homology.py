@@ -1,6 +1,7 @@
 """GF(2) linear algebra, chain complexes, Betti numbers, induced ranks."""
 
 import random
+from copy import deepcopy
 
 import pytest
 from oracles import (
@@ -326,11 +327,11 @@ def test_square_check_is_exact_by_parity():
     even number of times: sorted, their concatenation must agree at even
     and odd positions.  Cells held 2 or 4 times pass; a cell held once or
     three times raises, also where the total length is even, and so does
-    an odd total length."""
-    upper = {1: (10, 20), 2: (10, 30), 3: (20, 30), 4: (10, 20), 5: (10,), 6: (20,), 7: (30,)}
+    an odd total length.  Rows are tuples or, as the brute kernel builds
+    them, lists, and every call leaves them as they were: each column is
+    gathered into a list of its own, never into its first row."""
+    keyed = {1: (10, 20), 2: (10, 30), 3: (20, 30), 4: (10, 20), 5: (10,), 6: (20,), 7: (30,)}
     passing = [(1, 2, 3), (1, 4), (1, 1, 4, 4), (5, 5), (1, 4, 5, 5, 6, 6)]
-    check_squares_to_zero(upper, passing, 4)
-    check_squares_to_zero([(3, 9), (9, 3), (3,)], [(0, 1), (2, 2)], 4)
     failing = [
         (5, 6),  # 10 and 20 once each
         (1, 2),  # 10 twice, 20 and 30 once each
@@ -339,9 +340,17 @@ def test_square_check_is_exact_by_parity():
         (5, 5, 5),  # 10 three times: odd length
         (7,),  # 30 once
     ]
-    for col in failing:
-        with pytest.raises(ValueError, match="at dimension 4$"):
-            check_squares_to_zero(upper, passing + [col], 4)
+    for kind in (tuple, list):
+        upper = {j: kind(row) for j, row in keyed.items()}
+        listed = list(map(kind, [(3, 9), (9, 3), (3,)]))
+        before = deepcopy(upper), deepcopy(listed)
+        check_squares_to_zero(upper, passing, 4)
+        check_squares_to_zero(listed, [(0, 1), (2, 2)], 4)
+        assert (upper, listed) == before, kind
+        for col in failing:
+            with pytest.raises(ValueError, match="at dimension 4$"):
+                check_squares_to_zero(upper, passing + [col], 4)
+            assert upper == before[0], (kind, col)
 
 
 def test_code_keyed_columns_rank_like_positional_ones():
@@ -378,9 +387,10 @@ def test_code_keyed_columns_rank_like_positional_ones():
 def test_reduce_columns_leaves_its_input_columns_unmutated():
     """A column that needs no elimination becomes a pivot as it is, so the
     pivots alias the caller's columns, which the next d^2 check reads
-    again; neither tuple nor set columns may change."""
+    again; neither tuple, set nor list columns (the brute kernel's rows)
+    may change."""
     cc = ChainComplexGF2(smash_power(two_disc_sphere(), 2, truncation=5), 4)
-    for kind in (tuple, set):
+    for kind in (tuple, set, list):
         aliased = reduced = 0
         for n in (1, 2, 3, 4):
             cols = list(map(kind, transpose(cc.boundary(n).cols, cc.boundary(n).nrows)))

@@ -344,6 +344,21 @@ def test_cli_betti_sphere_json(capsys):
     assert doc["betti"] == {"0": 0, "1": 0, "2": 1, "3": 0}
 
 
+def test_cli_betti_reads_a_file_with_a_byte_order_mark(tmp_path, capsys):
+    """A file saved with a UTF-8 byte-order mark reads as the same file
+    without it; the mark is not part of the first record."""
+    plain = FIXTURE_DIR / "circle.sset"
+    marked = tmp_path / "circle.sset"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    outputs = []
+    for path in (plain, marked):
+        rc = main(["betti", str(path), "--json"])
+        captured = capsys.readouterr()
+        assert rc == 0 and captured.err == "", captured.err
+        outputs.append(captured.out.replace(str(path), "FILE"))
+    assert outputs[0] == outputs[1]
+
+
 def test_cli_betti_malformed_file(tmp_path, capsys):
     bad = tmp_path / "bad.sset"
     bad.write_text("truncation 3\nsimplices 0 *\nsimplices 1 e\nfaces e * ghost\n")
