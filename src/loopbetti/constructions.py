@@ -18,6 +18,8 @@ enumeration at all.
 
 from __future__ import annotations
 
+from itertools import chain, compress, count, repeat
+from operator import eq, is_not, itemgetter, lt, ne, not_, or_
 from typing import Any, Optional, Sequence
 
 from .simplicial import (
@@ -28,6 +30,7 @@ from .simplicial import (
     SimplicialSet,
     TruncationError,
     ValidationError,
+    _new_ref,
     strip_word,
 )
 
@@ -235,30 +238,39 @@ def orbit_space(
     """Orbit space of an involution, with representatives and fixed subset.
 
     The orbit space has one nondegenerate simplex per orbit (represented by
-    the earlier element in the stored order); fixed simplices have singleton
-    orbits, so the fixed set embeds as a pointed subset of the quotient.
-    The projection comes as its representative map, ``rep[key]`` the key of
-    the orbit simplex that the nondegenerate simplex ``key`` lands on.
+    the earlier element in the stored order, read off ``invol.pairing``);
+    fixed simplices have singleton orbits, so the fixed set embeds as a
+    pointed subset of the quotient.  The projection comes as its
+    representative map, ``rep[key]`` the key of the orbit simplex that the
+    nondegenerate simplex ``key`` lands on.  The face table is remapped one
+    dimension at a time, each distinct face once.
     """
     if invol.space is not space:
         raise ValidationError("involution acts on a different space")
     rep: dict[Any, Any] = {}
+    simplices: dict[int, tuple[Any, ...]] = {}
+    faces: dict[Any, tuple[SimplexRef, ...]] = {}
+    table = space._faces
     top = space.top_dim()
     for n in range(top + 1):
-        for key in space.nondeg(n):
-            # the partner's entry exists iff it is stored earlier
-            rep[key] = rep.get(invol(key), key)
-    simplices = {
-        n: tuple(k for k in space.nondeg(n) if rep[k] == k) for n in range(top + 1)
-    }
-    faces: dict[Any, tuple[SimplexRef, ...]] = {}
-    for n in range(1, top + 1):
-        for key in simplices.get(n, ()):
-            entries = []
-            for i in range(n + 1):
-                f = space._base_face(key, n, i)
-                entries.append(SimplexRef(f.base_dim, rep[f.base], f.word))
-            faces[key] = tuple(entries)
+        stored, pairs = space.nondeg(n), invol.pairing(n)
+        later = list(map(lt, pairs, count()))  # the partner is stored earlier
+        rep.update(zip(stored, stored))
+        rep.update(zip(compress(stored, later), map(stored.__getitem__, compress(pairs, later))))
+        keys = simplices[n] = tuple(compress(stored, map(not_, later)))
+        if not n:
+            continue
+        # each distinct face once, onto the representative of its base,
+        # which lies below n; then the rows again, n + 1 faces at a time
+        rows = list(map(table.__getitem__, keys))
+        distinct = list(set(chain.from_iterable(rows)))
+        moved = dict(zip(distinct, map(_new_ref, zip(
+            map(itemgetter(0), distinct),
+            map(rep.__getitem__, map(itemgetter(1), distinct)),
+            map(itemgetter(2), distinct),
+        ))))
+        remapped = map(moved.__getitem__, chain.from_iterable(rows))
+        faces.update(zip(keys, zip(*[remapped] * (n + 1))))
     orbit = FiniteSimplicialSet.from_tables(space.truncation, simplices, faces, space.basepoint)
     fixed_members = {n: invol.fixed(n) for n in range(top + 1)}
     fixed = PointedSubset(orbit, fixed_members, check=False)
@@ -283,6 +295,9 @@ def decide_section(
     every orbit the literal whose component has the smaller least literal
     satisfies them all.  Linear time, no recursion.
 
+    The orbits are numbered from ``invol.pairing`` in stored order, and the
+    clauses read the face rows of the free simplices, in stored order too.
+
     Returns ``(witness, ())`` when a section exists, else ``(None, cycle)``
     with ``cycle`` the simplices x, ..., tx, ..., x of one orbit: choosing
     each forces choosing the next, so neither x nor tx can be chosen.
@@ -293,35 +308,39 @@ def decide_section(
     literal: dict[Any, int] = {}
     keys: list[Any] = []
     for n in range(top + 1):
-        for key in space.nondeg(n):
-            other = invol(key)
-            if other != key and key not in literal:
-                literal[key], literal[other] = len(keys), len(keys) + 1
-                keys += (key, other)
+        stored, pairs = space.nondeg(n), invol.pairing(n)
+        heads = list(map(lt, count(), pairs))  # the first of a free orbit
+        firsts = list(compress(stored, heads))
+        partners = list(map(stored.__getitem__, compress(pairs, heads)))
+        literal.update(zip(firsts, count(len(keys), 2)))
+        literal.update(zip(partners, count(len(keys) + 1, 2)))
+        keys += chain.from_iterable(zip(firsts, partners))
     implies: list[list[int]] = [[] for _ in keys]
-    lookup, base_face = literal.get, space._base_face
+    table, lookup = space._faces, literal.get
     for n in range(1, top + 1):
-        for key in space.nondeg(n):
-            x = lookup(key)
-            if x is None:
-                continue
-            for i in range(n + 1):
-                b = lookup(base_face(key, n, i).base)
-                if b is not None:
-                    implies[x].append(b)
-                    implies[b ^ 1].append(x ^ 1)
+        free = list(compress(space.nondeg(n), map(ne, invol.pairing(n), count())))
+        # the literal of every face base, row after row, beside its simplex's
+        bases = list(map(lookup, map(itemgetter(1), chain.from_iterable(
+            map(table.__getitem__, free)
+        ))))
+        xs = chain.from_iterable(map(repeat, map(literal.__getitem__, free), repeat(n + 1)))
+        for x, b in compress(zip(xs, bases), map(is_not, bases, repeat(None))):
+            implies[x].append(b)
+            implies[b ^ 1].append(x ^ 1)
     comp = _components(implies)
-    for x in range(0, len(keys), 2):
-        if comp[x] == comp[x + 1]:
-            there = _path_within(implies, x, x + 1)
-            back = _path_within(implies, x + 1, x)
-            return None, tuple(keys[v] for v in there + back[1:])
+    even, odd = comp[0::2], comp[1::2]
+    x = next(compress(count(0, 2), map(eq, even, odd)), None)
+    if x is not None:
+        there = _path_within(implies, x, x + 1)
+        back = _path_within(implies, x + 1, x)
+        return None, tuple(keys[v] for v in there + back[1:])
+    # in every orbit the literal whose component has the smaller least literal
+    chosen = set(compress(keys[0::2], map(lt, even, odd)))
+    chosen.update(compress(keys[1::2], map(lt, odd, even)))
     members = {
-        n: [
-            key
-            for key in space.nondeg(n)
-            if key not in literal or comp[literal[key]] < comp[literal[key] ^ 1]
-        ]
+        n: list(compress(space.nondeg(n), map(
+            or_, map(eq, invol.pairing(n), count()), map(chosen.__contains__, space.nondeg(n))
+        )))
         for n in range(top + 1)
     }
     return PointedSubset(space, members, check=True), ()

@@ -30,8 +30,9 @@ from __future__ import annotations
 
 import gc
 import sys
+from functools import partial
 from itertools import combinations, compress, repeat
-from operator import and_, eq, or_, rshift
+from operator import and_, eq, not_, or_, rshift
 from typing import Any, Iterable, Optional, Sequence
 
 from .closed_form import BettiInput
@@ -227,6 +228,40 @@ def _lifts(
 
 _State = tuple[int, int, bool]
 
+# one slot group of the walk: (mask, its components, those of them outside
+# the fixed set, those in it)
+_Group = tuple[int, list[int], list[int], list[int]]
+
+
+def _moves(
+    groups: list[_Group], masks: list[int], top_q: int, pinched: bool, state: _State, rem: int
+) -> Iterable[tuple[Sequence[int], _State]]:
+    """Runs of the components the next slot of ``_walk`` may take, each
+    with the state after it, ``rem`` slots being left with this one.  A
+    state's last component is fixed or -1, so the members of a group
+    outside the fixed set never repeat it, and all step to one state: they
+    are one run, whatever their number."""
+    common, last, witnessed = state
+    cap = (rem - 1) * top_q  # the most the slots after this one clear
+    for mask, members, free, held in groups:
+        inter = common & mask
+        bits = inter.bit_count()
+        if bits > cap:
+            continue
+        if witnessed:
+            yield members, (inter, -1, True)
+        elif pinched and (rem == 1 or bits > cap - top_q):  # only the witness fits
+            if last >= 0 and mask == masks[last]:
+                yield (last,), (inter, -1, True)
+        else:
+            if free:
+                yield free, (inter, -1, False)
+            for i in held:
+                if i != last:
+                    yield (i,), (inter, i, False)
+                elif pinched:
+                    yield (i,), (inter, -1, True)
+
 
 def _cells(tables: _FactorTables, s: int, n: int, pinched: bool) -> Sequence[int]:
     """The nondegenerate s-tuples at ambient dimension n (s >= 2), as
@@ -265,32 +300,14 @@ def _walk(tables: _FactorTables, s: int, n: int, pinched: bool, words: bool) -> 
     for words by one join of their words and one extended-slice assignment
     of the slot's bytes, 0 in them, per state.
     """
-    masks, fixed, groups = tables.masks[n], tables.fixed[n], tables.groups[n]
+    masks, fixed = tables.masks[n], tables.fixed[n]
+    groups: list[_Group] = []
+    for mask, members in tables.groups[n]:
+        flags = list(map(fixed.__getitem__, members))
+        free = list(compress(members, map(not_, flags)))
+        groups.append((mask, members, free, list(compress(members, flags))))
     top_q, bits, offsets = tables.top_q, _slot_bits(tables, s, n), _slot_offsets(s)
-
-    def moves(state: _State, rem: int) -> Iterable[tuple[Sequence[int], _State]]:
-        # runs of the components the next slot may take, each with the state
-        # after it, rem slots being left with this one
-        common, last, witnessed = state
-        cap = (rem - 1) * top_q  # the most the slots after this one clear
-        for mask, members in groups:
-            inter = common & mask
-            bits = inter.bit_count()
-            if bits > cap:
-                continue
-            if witnessed:
-                yield members, (inter, -1, True)
-            elif pinched and (rem == 1 or bits > cap - top_q):  # only the witness fits
-                if last >= 0 and mask == masks[last]:
-                    yield (last,), (inter, -1, True)
-            elif rem == 1:  # no slot follows: every member but last ends alike
-                yield [i for i in members if i != last], (inter, -1, False)
-            else:
-                for i in members:
-                    if i != last:
-                        yield (i,), (inter, i if fixed[i] else -1, False)
-                    elif pinched:
-                        yield (i,), (inter, -1, True)
+    moves = partial(_moves, groups, masks, top_q, pinched)
 
     root = (-1, -1, False)
     levels = [{root}]

@@ -511,13 +511,29 @@ class Involution:
             if src not in dim_of or dst not in dim_of:
                 raise ValidationError(f"involution names unknown simplex {src!r} -> {dst!r}", src)
             raise ValidationError(f"involution {src!r} -> {dst!r} changes dimension", src)
+        self._pairs: dict[int, list[int]] = {}
         self.check()
 
     def __call__(self, key: Any) -> Any:
         return self._map.get(key, key)
 
+    def pairing(self, n: int) -> list[int]:
+        """The place among ``space.nondeg(n)`` of each simplex's partner,
+        its own place when it is fixed; the first-stored member of an orbit
+        sits at the smaller place of the two.  Computed on first use, once
+        per dimension, and kept."""
+        pairs = self._pairs.get(n)
+        if pairs is None:
+            pairs = self._pairs[n] = self._pair(n)
+        return pairs
+
+    def _pair(self, n: int) -> list[int]:
+        keys = self.space.nondeg(n)
+        place = dict(zip(keys, count()))
+        return list(map(place.__getitem__, map(self._map.get, keys, keys)))
+
     def fixed(self, n: int) -> tuple[Any, ...]:
-        return tuple(k for k in self.space.nondeg(n) if self(k) == k)
+        return tuple(compress(self.space.nondeg(n), map(eq, self.pairing(n), count())))
 
     def check(self) -> None:
         """The involution fixes the basepoint, squares to one and commutes
@@ -638,15 +654,31 @@ class PointedSubset(SimplicialSet):
 
     def check_closure(self) -> None:
         """Every member is a nondegenerate simplex of the ambient at its
-        dimension, and every face of a member lies in the subset."""
+        dimension, and every face of a member lies in the subset.
+
+        Each dimension is checked whole: the members against the stored
+        simplices, then each distinct face of a member once.  Only when
+        something fails are the members scanned again in stored order, so
+        the error names the first failing member, and for it the first
+        failing face."""
+        ambient = self.ambient
         for n, keys in self._member_sets.items():
-            stored = set(self.ambient.nondeg(n))
+            stored = set(ambient.nondeg(n))
+            if keys.keys() <= stored:
+                if not n:
+                    continue
+                # members are nondegenerate, so their faces are stored ones
+                if isinstance(ambient, FiniteSimplicialSet):
+                    faces = set(chain.from_iterable(map(ambient._faces.__getitem__, keys)))
+                else:
+                    faces = {ambient._base_face(key, n, i) for key in keys for i in range(n + 1)}
+                if all(map(self.contains_ref, faces)):
+                    continue
             for key in keys:
                 if key not in stored:
                     raise ValidationError(f"{key!r} is not a nondegenerate {n}-simplex", key)
-                # members are nondegenerate, so their faces are stored ones
                 for i in range(n + 1 if n else 0):
-                    if not self.contains_ref(self.ambient._base_face(key, n, i)):
+                    if not self.contains_ref(ambient._base_face(key, n, i)):
                         raise ValidationError(
                             f"subset is not face-closed: face {i} of {key!r} escapes"
                         )

@@ -1080,6 +1080,37 @@ def test_cell_walk_work_does_not_grow_with_free_orbits():
     assert scans[0] == scans[1], scans
 
 
+def test_cell_walk_moves_do_not_grow_with_free_orbits(monkeypatch):
+    """A state's last component is fixed or none, so the members of a slot
+    group outside the fixed set step to one state, as one run: on a planted
+    space each state yields as many runs with 60 orbit pairs as with 20, in
+    the pinched walk at s = 4, n <= 5 and in the other at s = 2, n <= 2."""
+    import loopbetti.pinched as pinched
+
+    moves = pinched._moves
+    runs = []
+
+    def counting(*args):
+        runs.append(0)
+        for move in moves(*args):
+            runs[-1] += 1
+            yield move
+
+    monkeypatch.setattr(pinched, "_moves", counting)
+    seen = []
+    for k in (20, 60):
+        orbit, _, fixed = orbit_space(*planted(random.Random(1), k, k))
+        tables = _FactorTables(orbit, fixed, 5)
+        runs.clear()
+        for n in range(6):
+            _walk(tables, 4, n, True, False)
+        for n in range(3):
+            _walk(tables, 2, n, False, False)
+        seen.append(list(runs))
+    assert seen[0] == seen[1]
+    assert max(seen[0]) < 20
+
+
 def test_cell_walk_is_not_recursive_in_s(glued_spheres):
     """The walk holds one level of states per slot, not one stack frame,
     so a smash power of 1,100 factors gets its table through degree 0."""

@@ -25,6 +25,7 @@ from shipped import (
 )
 
 from loopbetti.constructions import (
+    decide_section,
     find_section,
     orbit_space,
     product,
@@ -333,6 +334,46 @@ def test_subset_member_must_be_a_simplex_of_the_ambient(members, key):
     assert caught.value.simplex == key
 
 
+def test_closure_check_names_the_first_failing_member_in_stored_order():
+    """Each dimension is checked whole, then scanned again in stored order
+    on a failure: the error names the first failing member and, for it,
+    the first failing face, as a member-by-member scan would."""
+    sp = FiniteSimplicialSet(
+        4,
+        {0: ["*"], 1: ["e", "f"], 2: ["A", "B"]},
+        {
+            "e": ["*", "*"],
+            "f": ["*", "*"],
+            "A": ["s0@*", "s0@*", "f"],  # only face 2 can escape
+            "B": ["e", "s0@*", "f"],
+        },
+    )
+    escapes = "subset is not face-closed: face {} of {!r} escapes"
+    cases = [
+        # a member whose face escapes, then one that is no simplex at all
+        ({1: ["e"], 2: ["A", "ghost"]}, escapes.format(2, "A")),
+        # a later member failing at a lower face index
+        ({2: ["A", "B"]}, escapes.format(2, "A")),
+        ({2: ["B", "A"]}, escapes.format(0, "B")),
+        ({1: ["e"], 2: ["B", "A", "ghost"]}, escapes.format(2, "B")),
+        ({1: ["e", "f"], 2: ["ghost", "A"]}, "'ghost' is not a nondegenerate 2-simplex"),
+        ({1: ["e", "f"], 2: ["A", "ghost"]}, "'ghost' is not a nondegenerate 2-simplex"),
+        # the lower dimension fails first, whatever fails above it
+        ({1: ["e", "A"], 2: ["A"]}, "'A' is not a nondegenerate 1-simplex"),
+    ]
+    for members, message in cases:
+        with pytest.raises(ValidationError) as caught:
+            PointedSubset(sp, members)
+        assert str(caught.value) == message, members
+    PointedSubset(sp, {1: ["f", "e"], 2: ["B", "A"]})  # closed
+    # an ambient without a face table takes the same route
+    torus = product(circle(), circle(), truncation=3)
+    triangle = torus.nondeg(2)[0]
+    with pytest.raises(ValidationError) as caught:
+        PointedSubset(torus, {2: [triangle]})
+    assert str(caught.value) == escapes.format(0, triangle)
+
+
 def test_subset_keeps_the_callers_order():
     sp = FiniteSimplicialSet(
         4,
@@ -424,6 +465,26 @@ def test_section_exists_for_glued_spheres(glued_spheres):
     for n in range(orbit.top_dim() + 1):
         for key in orbit.nondeg(n):
             assert composite.apply_key(n, key) == SimplexRef(n, key, ())
+
+
+def test_orbit_pairing_is_built_once_per_dimension(monkeypatch):
+    """The orbit space, the section search and the fixed simplices all read
+    one pairing per involution and dimension, built on first use."""
+    built = []
+    pair = Involution._pair
+
+    def counting(self, n):
+        built.append((id(self), n))
+        return pair(self, n)
+
+    monkeypatch.setattr(Involution, "_pair", counting)
+    for space, invol in (sphere_pair_swap(), free_double_cover(), planted(random.Random(3), 6, 9)):
+        built.clear()
+        orbit_space(space, invol)
+        decide_section(space, invol)
+        for n in range(space.top_dim() + 1):
+            invol.fixed(n)
+        assert sorted(built) == [(id(invol), n) for n in range(space.top_dim() + 1)]
 
 
 def test_section_exists_for_trivial_action():
