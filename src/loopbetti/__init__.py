@@ -34,7 +34,6 @@ from .homology import (
 from .pinched import mv_e1_betti, pinched_betti_brute, pinched_set
 from .closed_form import (
     BettiInput,
-    RecurrenceSeries,
     betti_pinched_example,
     betti_pinched_formula,
     c_coeff,
@@ -42,6 +41,7 @@ from .closed_form import (
     loop_betti_example,
     poincare_coeffs,
     quotient_betti_concentrated,
+    series_coeffs,
 )
 from .verify import RunReport, run_verify
 
@@ -70,7 +70,6 @@ __all__ = [
     "pinched_betti_brute",
     "pinched_set",
     "BettiInput",
-    "RecurrenceSeries",
     "betti_pinched_example",
     "betti_pinched_formula",
     "c_coeff",
@@ -78,6 +77,7 @@ __all__ = [
     "loop_betti_example",
     "poincare_coeffs",
     "quotient_betti_concentrated",
+    "series_coeffs",
     "RunReport",
     "run_verify",
 ]

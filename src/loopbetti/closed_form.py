@@ -189,43 +189,24 @@ def loop_betti_example(n: int) -> int:
 EXAMPLE_LOOP_BETTI_1_TO_12 = (0, 2, 1, 5, 5, 14, 19, 42, 66, 131, 221, 417)
 
 
-class RecurrenceSeries:
-    """Power-series coefficients of a rational function numerator/denominator.
-
-    The denominator's constant coefficient must be 1; the coefficients then
-    satisfy the linear recurrence it induces.
-    """
-
-    __slots__ = ("numerator", "denominator", "coeffs")
-
-    def __init__(
-        self, numerator: tuple[int, ...], denominator: tuple[int, ...], coeffs: tuple[int, ...]
-    ):
-        self.numerator = numerator
-        self.denominator = denominator
-        self.coeffs = coeffs
-
-    @classmethod
-    def expand(
-        cls, numerator: Sequence[int], denominator: Sequence[int], n_max: int
-    ) -> "RecurrenceSeries":
-        num = tuple(numerator)
-        den = tuple(denominator)
-        if not den or den[0] != 1:
-            raise ValueError("denominator must have constant coefficient 1")
-        coeffs = []
-        for n in range(n_max + 1):
-            value = num[n] if n < len(num) else 0
-            for k in range(1, min(n, len(den) - 1) + 1):
-                value -= den[k] * coeffs[n - k]
-            coeffs.append(value)
-        return cls(num, den, tuple(coeffs))
-
-    def __getitem__(self, n: int) -> int:
-        return self.coeffs[n]
+def series_coeffs(
+    numerator: Sequence[int], denominator: Sequence[int], n_max: int
+) -> tuple[int, ...]:
+    """Power-series coefficients of numerator/denominator through degree
+    n_max.  The denominator's constant coefficient must be 1; the
+    coefficients then satisfy the linear recurrence it induces."""
+    if not denominator or denominator[0] != 1:
+        raise ValueError("denominator must have constant coefficient 1")
+    coeffs: list[int] = []
+    for n in range(n_max + 1):
+        value = numerator[n] if n < len(numerator) else 0
+        for k in range(1, min(n, len(denominator) - 1) + 1):
+            value -= denominator[k] * coeffs[n - k]
+        coeffs.append(value)
+    return tuple(coeffs)
 
 
-def poincare_coeffs(n_max: int) -> RecurrenceSeries:
+def poincare_coeffs(n_max: int) -> tuple[int, ...]:
     """Coefficients of (1 - x) / (1 - x - 2x^2 + x^3) through degree n_max.
 
     The induced recurrence is a_n = a_{n-1} + 2 a_{n-2} - a_{n-3} with
@@ -234,7 +215,7 @@ def poincare_coeffs(n_max: int) -> RecurrenceSeries:
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    return RecurrenceSeries.expand((1, -1), (1, -1, -2, 1), n_max)
+    return series_coeffs((1, -1), (1, -1, -2, 1), n_max)
 
 
 def conjecture_rows(n_max: int) -> list[tuple[int, int, int, bool]]:

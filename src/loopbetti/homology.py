@@ -5,7 +5,7 @@ per nondegenerate non-basepoint simplex; the boundary is the alternating
 face sum, where signs vanish mod 2 and faces whose canonical form is
 degenerate or the basepoint contribute nothing.  Everything downstream is
 sparse linear algebra over the two-element field: columns are sets of rows
-(indices or cell codes) and row operations are symmetric differences, so
+(positions of cells) and row operations are symmetric differences, so
 results are exact, with no tolerances.
 """
 
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from functools import reduce
 from operator import iconcat
-from typing import Any, Collection, Container, Hashable, Iterable, Mapping, Optional, Sequence
+from typing import Any, Collection, Container, Iterable, Mapping, Optional, Sequence
 
 from .simplicial import SimplicialSet
 
@@ -64,21 +64,18 @@ class GF2SparseMatrix:
 
 
 def reduce_columns(
-    cols: Iterable[tuple[Hashable, Collection[int]]], skip: Container[Hashable] = ()
+    cols: Iterable[Collection[int]], skip: Container[int] = ()
 ) -> dict[int, Collection[int]]:
-    """Column elimination with largest-row pivoting over (id, column)
-    pairs, leaving out the columns whose id is in ``skip``; the reduced
-    nonzero columns by pivot row.
+    """Column elimination with largest-row pivoting, leaving out the columns
+    whose position is in ``skip``; the reduced nonzero columns by pivot row.
 
-    The input columns are never mutated.  A column that needs no elimination
-    is stored as given, so it aliases the caller's column, a tuple, set or
-    list (the brute kernel's coboundary rows stay the lists they were built
-    in); only the column being reduced is a set, and it is stored as a
-    tuple once reduced.
+    The input columns are never mutated: a column that needs no elimination
+    is stored as given, aliasing the caller's row list or tuple, and only
+    the column being reduced is a set, stored as a tuple once reduced.
     """
     pivots: dict[int, Collection[int]] = {}
     get = pivots.get
-    for j, col in cols:
+    for j, col in enumerate(cols):
         if not col or j in skip:
             continue
         p = max(col)
@@ -101,35 +98,29 @@ def reduce_columns(
 
 def rank_of_columns(cols: Iterable[Collection[int]]) -> int:
     """GF(2) rank by column elimination with largest-row pivoting."""
-    return len(reduce_columns(enumerate(cols)))
+    return len(reduce_columns(cols))
 
 
-def transpose(cols: Iterable[Iterable[int]], nrows: int) -> list[tuple[int, ...]]:
+def transpose(cols: Iterable[Iterable[int]], nrows: int) -> list[list[int]]:
     """The columns of the transpose of a matrix with ``nrows`` rows: for
     each row, the ascending indices of the columns holding it."""
     rows: list[list[int]] = [[] for _ in range(nrows)]
     for j, col in enumerate(cols):
         for i in col:
             rows[i].append(j)
-    return list(map(tuple, rows))
-
-
-Coboundary = Sequence[Collection[int]] | Mapping[Hashable, Collection[int]]
+    return rows
 
 
 def boundary_ranks(
-    coboundaries: Mapping[int, Coboundary] | Iterable[tuple[int, Coboundary]],
+    coboundaries: Iterable[tuple[int, Sequence[Collection[int]]]],
 ) -> dict[int, int]:
     """Ranks of the boundary matrices of a GF(2) chain complex, given by
-    their transposes: the coboundary to degree n lists, for each
-    (n - 1)-cell, the n-cells whose boundary holds it; a cell is named by
-    its index where its coboundary is a sequence and by its key where it is
-    a mapping.  Given as a mapping n -> coboundary to n, or as
-    ``(n, coboundary)`` pairs from the lowest degree up; the result maps n
-    to the rank of the boundary from n.  A pivot is the largest name in a
-    column, so the order of the names decides the pivots and the fill-in,
-    and so the work, but never the ranks.  Indices are small ints, which
-    make the pivot lookups and the sorts of the check below cheapest.
+    their transposes as ``(n, rows)`` pairs, in consecutive degrees from the
+    lowest up: the coboundary to degree n holds, for the (n - 1)-cell at
+    each position, the positions of the n-cells whose boundary holds it.
+    The result maps n to the rank of the boundary from n.  A pivot is the
+    largest position in a column, so the order of the cells decides the
+    pivots and the fill-in, and so the work, but never the ranks.
 
     Works bottom up, reducing the coboundary to n with clearing (de Silva,
     Morozov and Vejdemo-Johansson, "Dualities in persistent (co)homology",
@@ -144,26 +135,24 @@ def boundary_ranks(
     below has passed, a column that clearing skipped or that was eliminated
     to zero is a sum of pivots, so the pivots span the columns.
     """
-    if isinstance(coboundaries, Mapping):
-        coboundaries = sorted(coboundaries.items())
     ranks: dict[int, int] = {}
     below: Optional[int] = None  # the degree of the last coboundary, if any
     pivots: dict[int, Collection[int]] = {}  # its reduced columns by pivot row
     for n, rows in coboundaries:
-        if below is not None and n <= below:
-            raise ValueError("coboundaries must come from the lowest degree up")
-        adjacent = below == n - 1
-        if adjacent:
+        if below is not None:
+            if n != below + 1:
+                raise ValueError("coboundaries must come in consecutive degrees")
             check_squares_to_zero(rows, pivots.values(), n)
-        columns = rows.items() if isinstance(rows, Mapping) else enumerate(rows)
-        pivots = reduce_columns(columns, pivots if adjacent else ())
+        pivots = reduce_columns(rows, pivots)
         ranks[n] = len(pivots)
         below = n
-        del rows, columns  # the raw coboundary goes before the next is built
+        del rows  # the raw coboundary goes before the next is built
     return ranks
 
 
-def check_squares_to_zero(upper: Coboundary, lower: Iterable[Iterable[int]], n: int) -> None:
+def check_squares_to_zero(
+    upper: Sequence[Collection[int]], lower: Iterable[Iterable[int]], n: int
+) -> None:
     """Raise unless the coboundary to n (``upper``) kills every column of
     ``lower``, the pivots of the coboundary to n - 1 (or its columns): that
     is d_(n-1) d_n = 0.
@@ -174,9 +163,9 @@ def check_squares_to_zero(upper: Coboundary, lower: Iterable[Iterable[int]], n: 
     length would pair its first or last cell with a different one, and an
     odd total length makes the two halves differ in length.  So each column
     costs one gather, one sort and one comparison, all in C.  The rows are
-    gathered by extending a fresh list per column in place; the rows
-    themselves, lists or tuples, are only read, since ``upper`` is reduced
-    next and its pivots are checked against the coboundary above.
+    gathered by extending a fresh list per column in place and are only
+    read, since ``upper`` is reduced next and its pivots are checked
+    against the coboundary above.
     """
     rows = upper.__getitem__
     for col in lower:

@@ -377,19 +377,11 @@ def _slot_bits(tables: _FactorTables, s: int, n: int) -> int:
 
 def _digits(codes: Iterable[int], bits: int, s: int) -> list[list[int]]:
     """The component indices of each code, slot by slot (the inverse of the
-    layout of ``_slot_bits``, whose w is ``bits``)."""
+    layout of ``_slot_bits``, whose w is ``bits``).  A native 64-bit word of
+    the byte layout, read as an int, is its code with w = 8, so the words
+    decode alike."""
     top = (1 << bits) - 1
     return [[(code >> bits * e & top) - 1 for code in codes] for e in reversed(range(s))]
-
-
-def _slots(tables: _FactorTables, s: int, n: int, cells: Sequence[int]) -> list[list[int]]:
-    """The component indices of the cells at n that ``_cells`` gives, slot
-    by slot: on byte-sized tables each slot's bytes of the words, less one,
-    else ``_digits``."""
-    if _byte_sized(tables, s, n):
-        words = cells.tobytes()  # type: ignore[attr-defined]
-        return [list(words[b::_WORD].translate(_INDEX)) for b in _slot_offsets(s)]
-    return _digits(cells, _slot_bits(tables, s, n), s)
 
 
 def _by_digit(values: list[Any], pad: Any, size: int) -> list[Any]:
@@ -466,7 +458,6 @@ _CHUNK = 1 << 12
 _IS_ZERO = bytes([1]) + bytes(255)  # a translation: byte 0 to 1, any other to 0
 _IS_NONZERO = bytes([0]) + bytes([1]) * 255
 _BYTES = [bytes((d,)) for d in range(256)]  # each byte value as a one-byte bytes
-_INDEX = bytes([0]) + bytes(range(255))  # a translation: a slot digit to its index
 
 
 def _slot_offsets(s: int) -> list[int]:
@@ -805,7 +796,7 @@ def pinched_set(
     for n in range(len(tables.masks)):
         refs = q.refs_at(n, include_basepoint=False)
         # ascending codes list the tuples in the ambient's order
-        slots = _slots(tables, s, n, _cells(tables, s, n, True))
+        slots = _digits(_cells(tables, s, n, True), _slot_bits(tables, s, n), s)
         members[n] = list(zip(*(map(refs.__getitem__, slot) for slot in slots)))
     return PointedSubset(amb, members, truncation=trunc, top_bound=bound, check=False)
 
@@ -933,14 +924,11 @@ def _table_betti(
     per cell at n - 1, a list of positions of cells at n, so the cells of at
     most two dimensions, one coboundary and the pivots of the one below are
     held at once.  The check d_(n-1) d_n = 0 and the reduction read the
-    rows as built: a pivot that needs no elimination is its row list
-    itself, a reduced one is a tuple.  The positions are the ints of one
-    list shared by every dimension, so a position is one int object
-    wherever it is named.  They ascend with the codes, so the pivots, and
-    with them the fill-in of the reduction, are those of cells named by
-    their codes.  Bottom up, clearing leaves the coboundary to n one column
-    per (n - 1)-st Betti number to eliminate to zero, also at the top of a
-    table cut below its last cell.
+    rows as built.  The positions are the ints of one list shared by every
+    dimension, so a position is one int object wherever it is named; they
+    ascend with the codes, and so do the pivots.  Bottom up, clearing
+    leaves the coboundary to n one column per (n - 1)-st Betti number to
+    eliminate to zero, also at the top of a table cut below its last cell.
 
     The cyclic garbage collector is paused while the table is built and
     reduced, and left as it was found, also when the kernel raises.  This

@@ -26,7 +26,6 @@ from operator import and_, is_, not_
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from loopbetti.closed_form import (
-    RecurrenceSeries,
     betti_pinched_example,
     quotient_betti_concentrated,
 )
@@ -779,7 +778,7 @@ def induced_ranks_via_cycles(f: SimplicialMap, t_max: int) -> dict[int, int]:
             for j in cycle:
                 acc.symmetric_difference_update(images[j])
             pushed.append(acc)
-        spanned = reduce_columns(enumerate(tgt.boundary(n + 1).cols + tuple(pushed)))
+        spanned = reduce_columns(tgt.boundary(n + 1).cols + tuple(pushed))
         out[n] = len(spanned) - boundary_rank.get(n + 1, 0)
     return out
 
@@ -843,15 +842,15 @@ def example_quotient_tables(s_max: int) -> dict[int, BettiTable]:
     return out
 
 
-def check_recurrence(series: RecurrenceSeries) -> bool:
+def check_recurrence(
+    numerator: Sequence[int], denominator: Sequence[int], coeffs: Sequence[int]
+) -> bool:
     """Convolving the coefficients with the denominator returns the
     numerator, which certifies the expansion."""
-    for n in range(len(series.coeffs)):
-        acc = sum(
-            series.denominator[k] * series.coeffs[n - k]
-            for k in range(min(n, len(series.denominator) - 1) + 1)
-        )
-        expected = series.numerator[n] if n < len(series.numerator) else 0
+    for n in range(len(coeffs)):
+        terms = range(min(n, len(denominator) - 1) + 1)
+        acc = sum(denominator[k] * coeffs[n - k] for k in terms)
+        expected = numerator[n] if n < len(numerator) else 0
         if acc != expected:
             return False
     return True
@@ -1058,13 +1057,13 @@ def tuple_table_betti(
     ``cells_at(tables, s, n)``: every dimension built bottom up and held,
     then transposed, checked and ranked with ``boundary_ranks``."""
     sizes = []
-    coboundaries: dict[int, list[tuple[int, ...]]] = {}
+    coboundaries: list[tuple[int, list[list[int]]]] = []
     lower: dict[tuple[int, ...], int] = {}
     for n in range(top + 1):
         cells = cells_at(tables, s, n)
         if n >= 1:
             columns = tuple_boundary_columns(tables, cells, lower, n, relative)
-            coboundaries[n] = transpose(columns, len(lower))
+            coboundaries.append((n, transpose(columns, len(lower))))
         lower = {cell: j for j, cell in enumerate(cells)}
         sizes.append(len(cells))
     ranks = boundary_ranks(coboundaries)
@@ -1097,15 +1096,15 @@ def first_nonzero_square(
     return None
 
 
-def pivot_columns(cols: Iterable[tuple[Any, Any]], skip: Any = ()) -> dict[Any, bool]:
-    """The ids of the columns, outside ``skip``, that are not in the span of
-    the kept columns before them, which a column elimination keeps as
-    pivots rather than eliminating to zero; each with whether it is kept as
-    given, which under largest-row pivoting (as in ``reduce_columns``)
+def pivot_columns(cols: Iterable[Iterable[int]], skip: Any = ()) -> dict[int, bool]:
+    """The positions of the columns, outside ``skip``, that are not in the
+    span of the kept columns before them, which a column elimination keeps
+    as pivots rather than eliminating to zero; each with whether it is kept
+    as given, which under largest-row pivoting (as in ``reduce_columns``)
     means that no kept column before it has the same largest row."""
-    pivots: dict[Any, set[Any]] = {}
+    pivots: dict[int, set[int]] = {}
     kept = {}
-    for j, col in cols:
+    for j, col in enumerate(cols):
         if j in skip or not col:
             continue
         c = set(col)

@@ -6,7 +6,6 @@ from oracles import check_recurrence, compositions_of, example_quotient_tables
 from loopbetti.closed_form import (
     EXAMPLE_LOOP_BETTI_1_TO_12,
     BettiInput,
-    RecurrenceSeries,
     betti_pinched_example,
     betti_pinched_formula,
     binom,
@@ -16,6 +15,7 @@ from loopbetti.closed_form import (
     loop_betti_example,
     poincare_coeffs,
     quotient_betti_concentrated,
+    series_coeffs,
 )
 from loopbetti.homology import BettiTable, UncertifiedRangeError, table_from_dict
 
@@ -123,30 +123,35 @@ def test_assembly_identity_through_24():
         assert loop_betti(tables, n) == loop_betti_example(n), n
 
 
+POINCARE = (1, -1), (1, -1, -2, 1)  # numerator and denominator
+
+
 def test_series_coefficients():
     series = poincare_coeffs(12)
-    assert series.coeffs[:7] == (1, 0, 2, 1, 5, 5, 14)
+    assert series[:7] == (1, 0, 2, 1, 5, 5, 14)
     assert series[12] == 417
-    assert check_recurrence(series)
+    assert len(series) == 13
+    assert check_recurrence(*POINCARE, series)
+    assert series_coeffs(*POINCARE, 12) == series
 
 
 def test_series_recurrence_property():
-    series = poincare_coeffs(30)
-    a = series.coeffs
+    a = poincare_coeffs(30)
     for n in range(3, 31):
         assert a[n] == a[n - 1] + 2 * a[n - 2] - a[n - 3]
 
 
 def test_series_expand_validates_denominator():
     with pytest.raises(ValueError):
-        RecurrenceSeries.expand((1,), (2, 1), 5)
+        series_coeffs((1,), (2, 1), 5)
+    with pytest.raises(ValueError):
+        series_coeffs((1,), (), 5)
 
 
 def test_long_division_oracle():
     """Multiply the expansion back by the denominator and compare with the
     numerator, coefficient by coefficient."""
-    series = poincare_coeffs(40)
-    num, den, a = series.numerator, series.denominator, series.coeffs
+    (num, den), a = POINCARE, poincare_coeffs(40)
     for n in range(41):
         conv = sum(den[k] * a[n - k] for k in range(min(n, len(den) - 1) + 1))
         assert conv == (num[n] if n < len(num) else 0)

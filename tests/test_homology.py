@@ -168,7 +168,7 @@ def test_rank_with_clearing_equals_rank_without():
     for space, top in clearing_spaces():
         cc = ChainComplexGF2(space, top)
         mats = {n: cc.boundary(n) for n in range(1, top + 1)}
-        cleared = boundary_ranks({n: transpose(mat.cols, mat.nrows) for n, mat in mats.items()})
+        cleared = boundary_ranks((n, transpose(mat.cols, mat.nrows)) for n, mat in mats.items())
         for n, mat in mats.items():
             plain = rank_of_columns(mat.cols)
             assert cleared[n] == plain == mat.rank(), (space, n)
@@ -198,32 +198,46 @@ def test_clearing_skips_only_pivot_rows_of_the_degree_below(monkeypatch):
         return reduce(cols, skip)
 
     monkeypatch.setattr(homology, "reduce_columns", reduced)
-    assert boundary_ranks({1: vertices, 2: edges}) == {1: 2, 2: 1}
+    assert boundary_ranks([(1, vertices), (2, edges)]) == {1: 2, 2: 1}
     assert skipped == [set(), {1, 2}]
-    assert boundary_ranks({2: edges}) == {2: 1}
-    # pivot rows of the coboundary to 1 index 1-cells, so they never clear
-    # columns of the coboundary to 3, which index 2-cells
-    assert boundary_ranks({1: [{0}], 3: [{0}]}) == {1: 1, 3: 1}
+    # the lowest degree clears nothing
+    assert boundary_ranks([(2, edges)]) == {2: 1}
+    assert skipped[2:] == [set()]
 
 
 def test_boundary_ranks_raises_on_a_non_complex():
     # one edge on vertices 0 and 1, and one 2-cell whose boundary is that
     # edge, whose own boundary {0, 1} is not zero
-    cob = {1: [(0,), (0,)], 2: [(0,)]}
+    cob = [(1, [(0,), (0,)]), (2, [(0,)])]
     with pytest.raises(ValueError, match="does not square to zero at dimension 2"):
         boundary_ranks(cob)
     with pytest.raises(ValueError, match="does not square to zero at dimension 2"):
-        boundary_ranks(iter(sorted(cob.items())))
-    with pytest.raises(ValueError, match="lowest degree up"):
-        boundary_ranks(iter([(2, [(0,)]), (1, [(0,), (0,)])]))
+        boundary_ranks(iter(cob))
 
 
-def test_streamed_boundaries_rank_like_a_mapping():
+def test_boundary_ranks_raises_on_degrees_out_of_sequence():
+    """The degrees must be consecutive from the lowest up: a stream that
+    goes down, repeats a degree or skips one raises before it is ranked."""
+    vertices, edges = [(0, 2), (0, 1), (1, 2)], [(0,), (0,), (0,)]
+    assert boundary_ranks([(1, vertices), (2, edges)]) == {1: 2, 2: 1}
+    for stream in (
+        [(2, edges), (1, vertices)],
+        [(1, vertices), (1, vertices)],
+        [(1, [(0,)]), (3, [(0,)])],
+        [(1, vertices), (2, edges), (4, [])],
+    ):
+        with pytest.raises(ValueError, match="consecutive degrees"):
+            boundary_ranks(iter(stream))
+
+
+def test_streamed_boundaries_rank_like_each_degree_alone():
+    """The stream's ranks, taken with clearing and the ∂² check, are the
+    ranks of each coboundary reduced on its own."""
     for space, top in clearing_spaces():
         cc = ChainComplexGF2(space, top)
         mats = {n: transpose(cc.boundary(n).cols, cc.boundary(n).nrows) for n in range(1, top + 1)}
         streamed = boundary_ranks((n, mats[n]) for n in range(1, top + 1))
-        assert streamed == boundary_ranks(mats), space
+        assert streamed == {n: rank_of_columns(rows) for n, rows in mats.items()}, space
         assert cc.ranks().items() <= streamed.items(), space
 
 
@@ -253,9 +267,8 @@ def test_boundary_ranks_checks_each_pair_before_reducing_and_streams(monkeypatch
         return check(upper, lower, n)
 
     def reduced(cols, skip=()):
-        cols = list(cols)
         latest = alive[max(alive)]()
-        assert all(col is given for (_, col), given in zip(cols, latest))
+        assert cols is latest
         events.append(("reduce", latest.degree))
         pivots_of[latest.degree] = pivots = reduce(cols, skip)
         return pivots
@@ -296,7 +309,8 @@ def test_square_check_against_the_pivots_below_is_exact():
         cc = ChainComplexGF2(space, top)
         cob = {n: transpose(cc.boundary(n).cols, cc.boundary(n).nrows) for n in range(1, top + 1)}
         assert first_nonzero_square(cob) is None
-        assert boundary_ranks(cob) == {m: rank_of_columns(c) for m, c in cob.items()}, space
+        plain = {m: rank_of_columns(c) for m, c in cob.items()}
+        assert boundary_ranks(cob.items()) == plain, space
         flippable = [n for n in cob if cob[n] and cc.basis(n)]
         if not flippable:
             continue
@@ -306,17 +320,18 @@ def test_square_check_against_the_pivots_below_is_exact():
         cob[n][j] = tuple(sorted(set(cob[n][j]) ^ {i}))
         failure = first_nonzero_square(cob)
         if failure is None:
-            assert boundary_ranks(cob) == {m: rank_of_columns(c) for m, c in cob.items()}, space
+            plain = {m: rank_of_columns(c) for m, c in cob.items()}
+            assert boundary_ranks(cob.items()) == plain, space
             continue
         degree, failing = failure
         with pytest.raises(ValueError, match=f"at dimension {degree}$"):
-            boundary_ranks(cob)
+            boundary_ranks(cob.items())
         # the columns of the coboundary to degree - 1 that its reduction
         # keeps, cleared by the pivot rows of the one below it
         skip: object = ()
         for m in range(1, degree - 1):
-            skip = reduce_columns(enumerate(cob[m]), skip)
-        kept = pivot_columns(enumerate(cob[degree - 1]), skip)
+            skip = reduce_columns(cob[m], skip)
+        kept = pivot_columns(cob[degree - 1], skip)
         assert set(failing) & set(kept), space
         only_unread += not any(kept.get(c) for c in failing)
     assert only_unread
@@ -330,58 +345,25 @@ def test_square_check_is_exact_by_parity():
     an odd total length.  Rows are tuples or, as the brute kernel builds
     them, lists, and every call leaves them as they were: each column is
     gathered into a list of its own, never into its first row."""
-    keyed = {1: (10, 20), 2: (10, 30), 3: (20, 30), 4: (10, 20), 5: (10,), 6: (20,), 7: (30,)}
-    passing = [(1, 2, 3), (1, 4), (1, 1, 4, 4), (5, 5), (1, 4, 5, 5, 6, 6)]
+    rows = [(10, 20), (10, 30), (20, 30), (10, 20), (10,), (20,), (30,)]
+    passing = [(0, 1, 2), (0, 3), (0, 0, 3, 3), (4, 4), (0, 3, 4, 4, 5, 5)]
     failing = [
-        (5, 6),  # 10 and 20 once each
-        (1, 2),  # 10 twice, 20 and 30 once each
-        (1, 5),  # 10 twice, 20 once: odd length
-        (1, 4, 5, 6),  # 10 and 20 three times each: even length
-        (5, 5, 5),  # 10 three times: odd length
-        (7,),  # 30 once
+        (4, 5),  # 10 and 20 once each
+        (0, 1),  # 10 twice, 20 and 30 once each
+        (0, 4),  # 10 twice, 20 once: odd length
+        (0, 3, 4, 5),  # 10 and 20 three times each: even length
+        (4, 4, 4),  # 10 three times: odd length
+        (6,),  # 30 once
     ]
     for kind in (tuple, list):
-        upper = {j: kind(row) for j, row in keyed.items()}
-        listed = list(map(kind, [(3, 9), (9, 3), (3,)]))
-        before = deepcopy(upper), deepcopy(listed)
+        upper = list(map(kind, rows))
+        before = deepcopy(upper)
         check_squares_to_zero(upper, passing, 4)
-        check_squares_to_zero(listed, [(0, 1), (2, 2)], 4)
-        assert (upper, listed) == before, kind
+        assert upper == before, kind
         for col in failing:
             with pytest.raises(ValueError, match="at dimension 4$"):
                 check_squares_to_zero(upper, passing + [col], 4)
-            assert upper == before[0], (kind, col)
-
-
-def test_code_keyed_columns_rank_like_positional_ones():
-    """``reduce_columns`` and ``boundary_ranks`` read a coboundary keyed by
-    cell codes as one indexed by position: the same ranks, with ``skip``
-    matched by key.  The codes are spread out, and in the second labelling
-    out of order, so no key equals its position by accident."""
-    rng = random.Random(5)
-    labellings = [
-        lambda size: [5 + 3 * i for i in range(size)],
-        lambda size: rng.sample(range(10 * size + 1), size),
-    ]
-    for space, top in clearing_spaces():
-        cc = ChainComplexGF2(space, top)
-        positional = {
-            n: transpose(cc.boundary(n).cols, cc.boundary(n).nrows) for n in range(1, top + 1)
-        }
-        for monotone, label in zip((True, False), labellings):
-            codes = [label(len(cc.basis(n))) for n in range(top + 1)]
-            keyed = {
-                n: {codes[n - 1][j]: tuple(codes[n][i] for i in col) for j, col in enumerate(cols)}
-                for n, cols in positional.items()
-            }
-            assert boundary_ranks(keyed) == boundary_ranks(positional), space
-            for n, cols in positional.items():
-                skip = set(rng.sample(range(len(cols)), len(cols) // 3))
-                by_key = reduce_columns(keyed[n].items(), {codes[n - 1][j] for j in skip})
-                by_index = reduce_columns(enumerate(cols), skip)
-                assert len(by_key) == len(by_index), (space, n)
-                if monotone:
-                    assert set(by_key) == {codes[n][p] for p in by_index}, (space, n)
+            assert upper == before, (kind, col)
 
 
 def test_reduce_columns_leaves_its_input_columns_unmutated():
@@ -395,7 +377,7 @@ def test_reduce_columns_leaves_its_input_columns_unmutated():
         for n in (1, 2, 3, 4):
             cols = list(map(kind, transpose(cc.boundary(n).cols, cc.boundary(n).nrows)))
             before = [sorted(col) for col in cols]
-            pivots = reduce_columns(enumerate(cols))
+            pivots = reduce_columns(cols)
             assert [sorted(col) for col in cols] == before, (kind, n)
             assert len(pivots) == cc.ranks().get(n, 0), (kind, n)
             given = {id(col) for col in cols}

@@ -31,7 +31,14 @@ from oracles import (
     union_predicate,
     whole_subset,
 )
-from section_spaces import SURFACES, build, planted, random_verify_case, trivial_surface
+from section_spaces import (
+    SURFACES,
+    build,
+    planted,
+    planted_fixed_loop,
+    random_verify_case,
+    trivial_surface,
+)
 from shipped import (
     DEFAULT_TRUNCATION,
     FIXTURE_DIR,
@@ -62,7 +69,6 @@ from loopbetti.pinched import (
     _face_passes,
     _group_faces,
     _slot_bits,
-    _slots,
     _table_betti,
     _walk,
     check_diagonal_null,
@@ -319,7 +325,7 @@ def test_brute_kernel_equals_generic_route_at_five(glued_spheres, glued_pinched)
 
 def decode(tables, s, n, cells):
     """The cells at n that ``_cells`` gives, as tuples of component indices."""
-    return list(zip(*_slots(tables, s, n, cells)))
+    return list(zip(*_digits(cells, _slot_bits(tables, s, n), s)))
 
 
 def encode(cell, bits):
@@ -496,9 +502,8 @@ def test_cut_table_eliminates_at_most_a_betti_number_of_columns(glued_spheres, m
     zeros, ranks = [], []
 
     def counted(cols, skip=()):
-        cols = list(cols)
         pivots = reduce(cols, skip)
-        kept = sum(1 for key, _ in cols if key not in skip)
+        kept = sum(1 for j, col in enumerate(cols) if j not in skip)
         zeros.append(kept - len(pivots))
         ranks.append(len(pivots))
         return pivots
@@ -824,6 +829,59 @@ def test_wide_tables_take_the_group_engine(monkeypatch):
             reference = tuple_table_betti(case_tables, tuple_at, s, top, top, relative)
             assert entries == reference, (s, relative)
             assert sorted(ran) == route, (s, relative)
+
+
+def test_pair_groups_on_wide_digits_scatter_like_single_slots(monkeypatch):
+    """Pair groups on tables of at least 256 components: 22 + 22 planted
+    orbits under the trivial involution, so every simplex is fixed, wide
+    from n = 3 (264 components and the marker, 440 at n = 4).  There the
+    relative chains at s = 2 (one pair group, and faces missed for being
+    pinched) and the pinched chains at s = 3 (a pair and a lone slot) take
+    the group engine, with the faces coded in bytes at n = 3 and in 9-bit
+    slots at n = 4.  With pair groups forced, its rows are the rows it
+    gives with every slot a group of its own, and the tuple kernel's
+    coboundary."""
+    import loopbetti.pinched as pinched
+
+    space, _ = planted(random.Random(1), 22, 22)
+    orbit, _, fixed = orbit_space(space, Involution(space, {}))
+    tables = _FactorTables(orbit, fixed, 4)
+    assert [len(masks) for masks in tables.masks[2:]] == [133, 265, 441]
+    chosen, pinched_of = pinched._slot_groups, pinched._pinched
+    checked = []
+
+    def pinched_faces(faces, *rest):
+        checked.append(len(faces))
+        return pinched_of(faces, *rest)
+
+    monkeypatch.setattr(pinched, "_pinched", pinched_faces)
+    cases = [(2, tuple_quotient_cells, True), (3, tuple_pinched_cells, False)]
+    for s, tuple_at, relative in cases:
+        below = _cells(tables, s, 2, not relative)
+        lower = {cell: j for j, cell in enumerate(decode(tables, s, 2, below))}
+        for n in (3, 4):
+            cells = _cells(tables, s, n, not relative)
+            assert not _byte_sized(tables, s, n)
+            decoded = decode(tables, s, n, cells)
+            assert decoded == sorted(tuple_at(tables, s, n)), (s, n, relative)
+            rows, widths = {}, []
+            for pairs in (True, False):
+
+                def groups(s, bits, size, pairs=pairs):
+                    # the rule takes pairs from as many cells as a pair table has entries
+                    widths.append(chosen(s, bits, (1 << 2 * bits) * pairs))
+                    return widths[-1]
+
+                monkeypatch.setattr(pinched, "_slot_groups", groups)
+                rows[pairs] = _coboundary_columns(tables, s, cells, below, n, [], relative)
+            assert [max(w for _, w in groups) for groups in widths] == [2, 1], widths
+            assert rows[True] == rows[False], (s, n, relative)
+            reference = tuple_boundary_columns(tables, decoded, lower, n, relative)
+            assert list(map(sorted, rows[True])) == transpose(reference, len(lower)), (s, n)
+            assert sum(map(len, rows[True])), (s, n, relative)
+            below, lower = cells, {cell: j for j, cell in enumerate(decoded)}
+    # the relative chains missed live faces, which had to be pinched
+    assert sum(checked)
 
 
 def test_both_face_engines_refuse_what_the_kernel_refuses(glued_spheres):
