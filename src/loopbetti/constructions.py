@@ -31,6 +31,7 @@ from .simplicial import (
     TruncationError,
     ValidationError,
     _new_ref,
+    collector_paused,
     strip_word,
 )
 
@@ -277,6 +278,7 @@ def orbit_space(
     return orbit, rep, fixed
 
 
+@collector_paused()
 def decide_section(
     space: FiniteSimplicialSet, invol: Involution
 ) -> tuple[Optional[PointedSubset], tuple[Any, ...]]:
@@ -301,6 +303,11 @@ def decide_section(
     Returns ``(witness, ())`` when a section exists, else ``(None, cycle)``
     with ``cycle`` the simplices x, ..., tx, ..., x of one orbit: choosing
     each forces choosing the next, so neither x nor tx can be chosen.
+
+    The cyclic garbage collector is paused for the call
+    (``collector_paused``): the clauses are lists of ints, so a collection
+    would free nothing, yet the hundreds of thousands of lists made at
+    scale would set off collections that walk the whole parsed space.
     """
     if invol.space is not space:
         raise ValidationError("involution acts on a different space")

@@ -28,7 +28,6 @@ are checked against this one in the test suite and run nowhere else.
 
 from __future__ import annotations
 
-import gc
 import sys
 from functools import partial
 from itertools import combinations, compress, repeat
@@ -44,6 +43,7 @@ from .simplicial import (
     SimplicialSet,
     ValidationError,
     basepoint_subset,
+    collector_paused,
 )
 
 
@@ -931,11 +931,9 @@ def _table_betti(
     eliminate to zero, also at the top of a table cut below its last cell.
 
     The cyclic garbage collector is paused while the table is built and
-    reduced, and left as it was found, also when the kernel raises.  This
-    is safe: the table holds only ints, lists and tuples of ints, dicts
-    keyed by ints, and bytes, which make no reference cycles, so a
-    collection would free nothing, yet the lists and tuples it makes would
-    set off one collection after another.
+    reduced (``collector_paused``).  This is safe: the table holds only
+    ints, lists and tuples of ints, dicts keyed by ints, and bytes, which
+    make no reference cycles.
     """
     sizes: dict[int, int] = {}
 
@@ -953,13 +951,8 @@ def _table_betti(
             yield n, rows
             del rows
 
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with collector_paused():
         ranks = boundary_ranks(coboundaries())
-    finally:
-        if enabled:
-            gc.enable()
     entries = {
         n: sizes[n] - ranks.get(n, 0) - ranks.get(n + 1, 0)
         for n in range(min(t_max, top) + 1)

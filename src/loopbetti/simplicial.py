@@ -25,11 +25,13 @@ The word is read off the vertex map: ``s_J y``, with ``y`` of dimension
 
 from __future__ import annotations
 
+import gc
 from bisect import bisect_left, bisect_right
+from contextlib import contextmanager
 from functools import partial
 from itertools import chain, combinations, compress, count, repeat
 from operator import eq, itemgetter, ne
-from typing import Any, Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 
 class TruncationError(ValueError):
@@ -103,6 +105,23 @@ def first_repeat(items: Sequence[Any]) -> Optional[int]:
     if len(first) == len(items):
         return None
     return min(set(range(len(items))).difference(first.values()))
+
+
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector for the body, as a ``with``
+    block or a decorator, and leave it as it was found, also when the body
+    raises.  For bulk work on ints, strings, lists, tuples, dicts and bytes
+    that makes no reference cycles: a collection would free nothing, yet
+    the containers it makes would set off one collection after another,
+    each walking every tracked object of the process."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------

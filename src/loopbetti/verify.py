@@ -16,13 +16,19 @@ fixed set.  Loop degree n sums the quotient tables of s = 1..n, so a path
 stops building them at its first s without one, and an empty loop cell
 names that s.
 
-Quotient tables are brute-forced directly when the ambient smash power is
-small enough to materialize; otherwise they follow from exact-sequence
-bookkeeping, which is certified only when in every needed degree either the
-ambient homology (a smash power of the orbit table) or the pinched homology
-vanishes.  The route is chosen once per smash power: the direct table reads
-no path's pinched table, so all three paths share it.  Cells that cannot be
-computed honestly stay empty rather than guessed.
+A quotient table is either brute-forced directly, when the ambient smash
+power is small enough to materialize, or follows from exact-sequence
+bookkeeping on a path's own pinched table, which is certified only when in
+every needed degree either the ambient homology (a smash power of the
+orbit table) or the pinched homology vanishes.  Each path builds only the
+quotient tables its loop cells read, through the last degree they read.
+The cover sum and the closed formula take their bookkeeping wherever it
+certifies, brute force takes the direct quotient, and each falls back to
+the other route; one direct quotient per smash power serves every path
+that reads it.  So at every s up to --brute-loop-max where the
+bookkeeping certifies, the loop row compares brute force on the
+quotient's cells with the formula paths' own bookkeeping.
+Cells that cannot be computed honestly stay empty rather than guessed.
 """
 
 from __future__ import annotations
@@ -230,7 +236,7 @@ def direct_quotient_betti(
     homology of the quotient's cells on the integer tables
     (``quotient_betti_brute``).  None when the ambient is over budget or
     needs a dimension ``q`` does not reach.  No path's data is read, so one
-    result serves all three."""
+    result serves every path that reads it."""
     if s == 1:
         entries = {n: betti_q[n] for n in range(n_max + 1)}
         table = BettiTable(entries, certified=n_max, zero_from=q.top_dim() + 1)
@@ -245,13 +251,13 @@ def direct_quotient_betti(
 
 
 def bookkept_quotient_betti(
-    q, s: int, n_max: int, pinched_table: BettiTable, betti_q: BettiTable
+    q, s: int, n_max: int, pinched_table: BettiTable, ambient_table: BettiTable
 ) -> tuple[Optional[BettiTable], str]:
     """Betti table of (smash power)/(pinched subset) through n_max by
     exact-sequence bookkeeping, valid in each degree where the ambient
-    (Kunneth power of the orbit table) or the pinched homology vanishes.
-    Returns the table and a note, or (None, reason)."""
-    ambient_table = kunneth_power(betti_q, s)
+    (``ambient_table``, the Kunneth power of the orbit table) or the
+    pinched homology vanishes.  Returns the table and a note, or (None,
+    reason)."""
     entries = {}
     for n in range(n_max + 1):
         if not (ambient_table.covers(n) and pinched_table.covers(n - 1)):
@@ -291,7 +297,9 @@ def stunted_quotient_betti(
     note on the route: direct when the ambient is small enough, otherwise
     bookkeeping from ``pinched_table``; (None, reason) when neither works."""
     direct = direct_quotient_betti(q, fixed, s, n_max, betti_q, direct_budget)
-    return direct or bookkept_quotient_betti(q, s, n_max, pinched_table, betti_q)
+    return direct or bookkept_quotient_betti(
+        q, s, n_max, pinched_table, kunneth_power(betti_q, s)
+    )
 
 
 def loop_quotient_tables(
@@ -309,32 +317,60 @@ def loop_quotient_tables(
     (0 for none), and ``pinched(path, s, top)`` gives that table through
     degree ``top``.  A path takes part at s only when it has a quotient
     table for every smaller s: past its first gap no loop degree can use
-    one.  The route is chosen once per s and the direct result is shared by
-    every path taking part.  The bookkeeping asks for a path's pinched table
-    through n_max, the last degree its inclusion-rank check reads.  Below
-    the lowest degree d where the ambient is nonzero no check can fail on a
-    pinched value, so the bookkeeping first runs through d on a table
-    through d: a refusal there is the full run's refusal, and the deeper
-    table is never built.
+    one.  So a path's loop cells read its tables through min(n_max, its
+    limit), and each of its tables is built through that degree alone.
+
+    At s = 1 every path takes the quotient by the basepoint.  From s = 2
+    the formula paths, whose pinched tables cost nothing, take the
+    bookkeeping of their own tables, and read the direct quotient only
+    where it refuses; brute force reads the direct quotient, and falls
+    back to the bookkeeping of its own table where that is over budget.
+    At most one direct quotient is built per s, through the deepest degree
+    among its readers that fits, and it serves each reader through that
+    degree.  The bookkeeping first runs through the lowest degree d where
+    the ambient is nonzero, on a pinched table through d: below d no check
+    can fail on a pinched value, so a refusal there is the full run's
+    refusal, and the deeper table is never built.
     """
+
+    def bookkept(name: str, s: int, top: int) -> tuple[Optional[BettiTable], str]:
+        first = min(ambient.support()[:1] + [top])
+        result = bookkept_quotient_betti(q, s, first, pinched(name, s, first), ambient)
+        if result[0] is not None and first < top:
+            result = bookkept_quotient_betti(q, s, top, pinched(name, s, top), ambient)
+        return result
+
     tables: dict[str, dict[int, BettiTable]] = {name: {} for name in limits}
     notes: dict[str, dict[int, str]] = {name: {} for name in limits}
     for s in range(1, n_max + 1):
-        names = [name for name, top in limits.items() if s <= top and len(tables[name]) == s - 1]
-        if not names:
+        # the last degree each path taking part at s reads
+        reads = {
+            name: min(n_max, top)
+            for name, top in limits.items()
+            if s <= top and len(tables[name]) == s - 1
+        }
+        if not reads:
             break
-        direct = direct_quotient_betti(q, fixed, s, n_max, betti_q, direct_budget)
-        if direct is None:
-            first = min(kunneth_power(betti_q, s).support()[:1] + [n_max])
-        for name in names:
-            result = direct
-            if result is None:
-                result = bookkept_quotient_betti(q, s, first, pinched(name, s, first), betti_q)
-                if result[0] is not None and first < n_max:
-                    result = bookkept_quotient_betti(
-                        q, s, n_max, pinched(name, s, n_max), betti_q
-                    )
-            table, notes[name][s] = result
+        ambient = kunneth_power(betti_q, s)
+        results = {
+            name: bookkept(name, s, top)
+            for name, top in reads.items()
+            if s > 1 and name != "brute"
+        }
+        direct_reads = {
+            name: top
+            for name, top in reads.items()
+            if name not in results or results[name][0] is None
+        }
+        # one direct quotient, through the deepest of their degrees that fits
+        for top in sorted(set(direct_reads.values()), reverse=True):
+            direct = direct_quotient_betti(q, fixed, s, top, betti_q, direct_budget)
+            if direct is not None:
+                results.update((name, direct) for name, read in direct_reads.items() if read <= top)
+                break
+        for name, top in reads.items():
+            # brute force without a direct quotient falls back to bookkeeping
+            table, notes[name][s] = results.get(name) or bookkept(name, s, top)
             if table is not None:
                 tables[name][s] = table
     return tables, notes

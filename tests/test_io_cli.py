@@ -8,7 +8,14 @@ import sys
 from pathlib import Path
 
 import pytest
-from section_spaces import SURFACES, planted, random_verify_case, rotated, trivial_surface
+from section_spaces import (
+    SURFACES,
+    planted,
+    planted_fixed_loop,
+    random_verify_case,
+    rotated,
+    trivial_surface,
+)
 from shipped import FIXTURE_DIR, circle, sphere_pair_swap
 
 from loopbetti.cli import main
@@ -546,49 +553,99 @@ def test_trivial_action_loop_row_three_ways(direct_budget):
         assert cell.brute == cell.mv_e1 == cell.closed
 
 
-def test_verify_chooses_quotient_route_once_per_smash_power(monkeypatch):
-    """The direct quotient reads no path's pinched table, so each s counts
-    its ambient and runs the integer quotient kernel at most once, and every
-    path with a table at that s carries the same direct route."""
-    from collections import Counter
+def watch_quotient_routes(monkeypatch):
+    """Record, per s, the ambient counts, the direct quotients built (their
+    degrees), the bookkeeping runs (degree, refused) and the route notes of
+    ``run_verify``'s loop row."""
+    from collections import defaultdict
 
     import loopbetti.verify as verify
 
-    counted, built, notes = Counter(), Counter(), {}
+    seen = {"counted": defaultdict(int), "built": defaultdict(list),
+            "bookkept": defaultdict(list), "notes": {}}
     real_count, real_quotient = verify.try_materialize_count, verify.quotient_betti_brute
-    real_tables = verify.loop_quotient_tables
+    real_bookkept, real_tables = verify.bookkept_quotient_betti, verify.loop_quotient_tables
 
     def count(q, s, *args):
-        counted[s] += 1
+        seen["counted"][s] += 1
         return real_count(q, s, *args)
 
     def quotient(q, fixed, s, n_max):
-        built[s] += 1
+        seen["built"][s].append(n_max)
         return real_quotient(q, fixed, s, n_max)
+
+    def bookkept(q, s, n_max, *args):
+        result = real_bookkept(q, s, n_max, *args)
+        seen["bookkept"][s].append((n_max, result[0] is None))
+        return result
 
     def tables(*args, **kwargs):
         result = real_tables(*args, **kwargs)
-        notes.update(result[1])
+        seen["notes"].update(result[1])
         return result
 
     monkeypatch.setattr(verify, "try_materialize_count", count)
     monkeypatch.setattr(verify, "quotient_betti_brute", quotient)
+    monkeypatch.setattr(verify, "bookkept_quotient_betti", bookkept)
     monkeypatch.setattr(verify, "loop_quotient_tables", tables)
+    return seen
+
+
+def test_verify_chooses_quotient_route_once_per_smash_power(monkeypatch):
+    """Each path builds only the quotient tables its loop cells read.  The
+    cover sum and the closed formula take the bookkeeping of their own
+    pinched tables, which certifies at every s here, so they read no direct
+    quotient; brute force reads the direct quotient through its last loop
+    degree, min(--loop-max, --brute-loop-max), and only at the s it reaches."""
+    import loopbetti.verify as verify
+
+    seen = watch_quotient_routes(monkeypatch)
     space, invol = sphere_pair_swap()
     report = verify.run_verify(
         space, invol, s_max=2, t_max=2, loop_max=5, brute_loop_max=3
     )
 
-    assert set(counted) == {2, 3, 4, 5} and set(counted.values()) == {1}
-    assert set(built) == {2, 3} and set(built.values()) == {1}
+    assert report.agreement
+    assert set(seen["counted"]) == {2, 3}
+    assert dict(seen["built"]) == {2: [3], 3: [3]}
+    notes = seen["notes"]
     for cell in report.loop_row:
         if cell.s_or_n > 3:
             assert cell.brute is None
             assert cell.notes["brute"] == "s=4: not computed (beyond --brute-loop-max 3)"
+    assert set(notes["brute"]) == {1, 2, 3}
     for s in (2, 3):
-        note = notes["brute"][s]
-        assert note.startswith("direct quotient homology")
-        assert notes["mv_e1"][s] == notes["closed"][s] == note
+        assert notes["brute"][s].startswith("direct quotient homology")
+    for s in (2, 3, 4, 5):
+        assert notes["mv_e1"][s].startswith("exact-sequence bookkeeping")
+        assert notes["closed"][s].startswith("exact-sequence bookkeeping")
+
+
+def test_formula_paths_fall_back_to_one_shared_direct_quotient(monkeypatch):
+    """Where the bookkeeping refuses, the cover sum and the closed formula
+    read the direct quotient, and one quotient per s serves every path that
+    reads it, built through the deepest degree among them: at s = 2 both
+    formula paths certify by bookkeeping and brute force reads a direct
+    quotient through its last loop degree 2; at s = 3, past brute force's
+    limit, both bookkeeping runs refuse and share one quotient through 4."""
+    import loopbetti.verify as verify
+
+    seen = watch_quotient_routes(monkeypatch)
+    space, invol = planted_fixed_loop(random.Random(1), 3, 3)
+    report = verify.run_verify(space, invol, s_max=3, t_max=4, loop_max=4, brute_loop_max=2)
+
+    assert report.agreement
+    assert dict(seen["built"]) == {2: [2], 3: [4]}
+    notes = seen["notes"]
+    assert notes["brute"][2] == "direct quotient homology (232 cells)"
+    for name in ("mv_e1", "closed"):
+        assert notes[name][2].startswith("exact-sequence bookkeeping")
+        assert notes[name][3] == "direct quotient homology (24818 cells)"
+    assert [refused for _, refused in seen["bookkept"][2]] == [False] * 4
+    assert [refused for _, refused in seen["bookkept"][3]] == [True, True]
+    assert [[c.brute, c.mv_e1, c.closed] for c in report.loop_row] == [
+        [2, 2, 2], [6, 6, 6], [None, 17, 17], [None, None, None]
+    ]
 
 
 def test_verify_trivial_circle_to_degree_forty():

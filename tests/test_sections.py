@@ -183,3 +183,42 @@ def test_rotated_cycle_too_long_to_backtrack():
     witness, cycle = decide_section(space, invol)
     assert witness is None
     assert_refutes(space, invol, cycle)
+
+
+def test_section_search_pauses_the_cycle_collector(monkeypatch):
+    """The cyclic collector is off while the clauses are built and their
+    components taken, and as it was found afterwards: on again after a
+    witness, after a refutation and after an involution of another space
+    is refused, and still off where the caller had switched it off."""
+    import gc
+
+    import loopbetti.constructions as constructions
+
+    collecting = []
+
+    def watched(graph):
+        collecting.append(gc.isenabled())
+        return _components(graph)
+
+    monkeypatch.setattr(constructions, "_components", watched)
+    glued, double = sphere_pair_swap(), free_double_cover()
+    runs = [(glued, True), (double, False), ((glued[0], double[1]), None)]
+    try:
+        for was_on in (True, False):
+            for (space, invol), found in runs:
+                collecting.clear()
+                if was_on:
+                    gc.enable()
+                else:
+                    gc.disable()
+                if found is None:
+                    with pytest.raises(ValidationError, match="different space"):
+                        decide_section(space, invol)
+                    assert not collecting
+                else:
+                    witness, cycle = decide_section(space, invol)
+                    assert (witness is not None) == found and bool(cycle) != found
+                    assert collecting == [False]
+                assert gc.isenabled() == was_on, (was_on, found)
+    finally:
+        gc.enable()
