@@ -238,6 +238,11 @@ class FiniteSimplicialSet(SimplicialSet):
     ``"label"`` (nondegenerate) or ``"s1s0@label"`` (degenerate; operators
     outermost first) when all keys are strings.
 
+    The constructor alone checks the structure, for a file as for a direct
+    call, and raises the first failure: dimensions, vertices, keys and
+    basepoint, then the ``faces`` entries in order (declared key, count,
+    entries), the missing face lists and the face identities.
+
     Validation takes one dimension at a time and works on whole columns
     of the face table: each distinct entry is resolved once per ambient
     dimension (equal entries share one ref), and the face identities read
@@ -262,7 +267,7 @@ class FiniteSimplicialSet(SimplicialSet):
                 raise TruncationError(f"simplex dimension {n} outside 0..{truncation}")
             self._simplices[n] = tuple(simplices[n])
         if not self._simplices.get(0):
-            raise ValidationError("a pointed simplicial set needs at least one vertex")
+            raise ValidationError("no vertices declared")
         self._dim_of: dict[Any, int] = {}
         for n, keys in self._simplices.items():
             self._dim_of.update(zip(keys, repeat(n)))
@@ -296,7 +301,7 @@ class FiniteSimplicialSet(SimplicialSet):
         for n in set(dims):
             at = list(compress(count(), map(eq, dims, repeat(n))))
             if n is None:
-                message = f"faces given for unknown simplex {keys[at[0]]!r}"
+                message = f"faces given for undeclared simplex {keys[at[0]]!r}"
                 failures.append((at[0], ValidationError(message)))
                 continue
             if n == 0:

@@ -20,6 +20,11 @@ contain whitespace, ``@`` or ``#``, and ``serialize`` refuses such labels.
 Serialization is canonical (single spaces, dimensions ascending, one
 trailing newline), so parse-serialize-parse is the identity and
 serializing a parsed file reproduces it up to whitespace.
+
+``parse`` checks the records (the first line's error wins), then that
+the basepoint record names a vertex if any exist; ``FiniteSimplicialSet``
+and ``Involution`` check the structure, and their error gets the line of
+the failing simplex's record.
 """
 
 from __future__ import annotations
@@ -68,9 +73,8 @@ def parse(text: str) -> tuple[FiniteSimplicialSet, Optional[Involution]]:
          [len(row) > 2 and _is_number(row[1]) for row in simplex_rows],
          "simplices needs a dimension and labels")
     labels = list(chain.from_iterable(map(itemgetter(slice(2, None)), simplex_rows)))
-    declared = set(labels)
     joined = " ".join(labels)
-    if "@" in joined or "#" in joined or len(declared) != len(labels):
+    if "@" in joined or "#" in joined or len(set(labels)) != len(labels):
         reserved = next((p for p, x in enumerate(labels) if "@" in x or "#" in x), None)
         repeated = first_repeat(labels)
         p = min(q for q in (reserved, repeated) if q is not None)
@@ -123,26 +127,10 @@ def parse(text: str) -> tuple[FiniteSimplicialSet, Optional[Involution]]:
     if above:
         dim = min(above)
         raise ParseError(f"simplex dimension {dim} outside 0..{truncation}", first_lines[dim])
-    if not simplices.get(0):
-        raise ParseError("no vertices declared")
     basepoint = basepoint_rows[0][1] if basepoint_rows else None
-    if basepoint is not None and basepoint not in simplices[0]:
+    # with no vertices at all, the constructor's "no vertices declared" wins
+    if basepoint is not None and simplices.get(0) and basepoint not in simplices[0]:
         raise ParseError(f"basepoint {basepoint!r} is not a vertex", basepoint_lines[0])
-    undeclared = faces.keys() - declared
-    # a face entry names the label after its first "@"
-    strays = {
-        entry for entry in set(chain.from_iterable(faces.values())) - declared
-        if entry.split("@", 1)[-1] not in declared
-    }
-    if undeclared or strays:
-        label, lineno = next(
-            (label, lineno) for label, lineno in zip(face_labels, face_lines)
-            if label in undeclared or not strays.isdisjoint(faces[label])
-        )
-        if label in undeclared:
-            raise ParseError(f"faces given for undeclared simplex {label!r}", lineno)
-        target = next(filter(strays.__contains__, faces[label])).split("@", 1)[-1]
-        raise ParseError(f"face of {label!r} names undeclared simplex {target!r}", lineno)
     space = None
     try:
         space = FiniteSimplicialSet(truncation, simplices, faces, basepoint=basepoint)

@@ -40,7 +40,7 @@ from typing import Any, Callable, Optional
 
 from .closed_form import BettiInput, betti_pinched_formula_table, loop_betti
 from .constructions import decide_section, orbit_space
-from .homology import BettiTable, kunneth_power, reduced_betti
+from .homology import BettiTable, kunneth, kunneth_power, reduced_betti
 from .pinched import (
     check_diagonal_null,
     mv_e1_table,
@@ -280,7 +280,7 @@ def bookkept_quotient_betti(
     zf = q.top_dim() * s + 1
     return (
         BettiTable(entries, certified=n_max, zero_from=zf if n_max + 1 >= zf else None),
-        "exact-sequence bookkeeping (ambient too large to materialize)",
+        "exact-sequence bookkeeping",
     )
 
 
@@ -351,7 +351,7 @@ def loop_quotient_tables(
         }
         if not reads:
             break
-        ambient = kunneth_power(betti_q, s)
+        ambient = kunneth(ambient, betti_q) if s > 1 else betti_q
         results = {
             name: bookkept(name, s, top)
             for name, top in reads.items()

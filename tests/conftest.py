@@ -1,5 +1,5 @@
 import pytest
-from shipped import circle, circle_subset, sphere_pair_swap, trivial_circle, two_disc_sphere
+from shipped import sphere_pair_swap, trivial_circle
 
 from loopbetti.constructions import orbit_space, smash_power
 from loopbetti.homology import reduced_betti
@@ -78,14 +78,3 @@ def trivial_pinched(trivial_circle_action):
     return PinchedCache(
         trivial_circle_action["orbit"], trivial_circle_action["fixed"]
     )
-
-
-@pytest.fixture(scope="session")
-def small_spaces():
-    """A pool of small materializable spaces for randomized properties."""
-    sphere = two_disc_sphere()
-    return {
-        "circle": circle(),
-        "sphere": sphere,
-        "sphere_circle_subset": circle_subset(sphere),
-    }

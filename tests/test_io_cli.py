@@ -128,7 +128,7 @@ HEAD = "truncation 4\nbasepoint *\n"
 # validation message gets the line of the involution record, else the faces
 # record, else the declaring simplices record, of the simplex that failed, so
 # "line 8" in dimension_of_label is the record of ``f``, not of the ``e`` it
-# quotes.  The unhashable entry reaches FiniteSimplicialSet without a text.
+# quotes.  A callable builds FiniteSimplicialSet directly, without a text.
 REJECTIONS = {
     "unhashable_entry": (
         lambda: FiniteSimplicialSet(
@@ -136,9 +136,31 @@ REJECTIONS = {
         ),
         "cannot interpret face entry ['*']",
     ),
+    # FiniteSimplicialSet alone checks that a face entry names a declared
+    # simplex, so the file gets the message a direct call gets
     "undeclared_label": (
         HEAD + "simplices 0 *\nsimplices 1 e f\nfaces e * *\nfaces f * ghost\n",
-        "line 6: face of 'f' names undeclared simplex 'ghost'",
+        "line 6: unknown simplex 'ghost' in face entry 'ghost'",
+    ),
+    # the first faulty faces record wins, not the first with a stray entry
+    "stray_entry_after_a_faulty_faces_record": (
+        HEAD + "simplices 0 *\nsimplices 1 e f\nfaces e * * *\nfaces f * ghost\n",
+        "line 5: simplex 'e' of dimension 1 needs 2 faces",
+    ),
+    # a direct call gets the text of the file that holds the same fault
+    "undeclared_label_direct": (
+        lambda: FiniteSimplicialSet(
+            4, {0: ["*"], 1: ["e", "f"]}, {"e": ["*", "*"], "f": ["*", "ghost"]}
+        ),
+        "unknown simplex 'ghost' in face entry 'ghost'",
+    ),
+    "faces_of_undeclared_direct": (
+        lambda: FiniteSimplicialSet(4, {0: ["*"], 1: ["e"]}, {"e": ["*", "*"], "x": ["*", "*"]}),
+        "faces given for undeclared simplex 'x'",
+    ),
+    "no_vertices_direct": (
+        lambda: FiniteSimplicialSet(2, {1: ["e"]}, {"e": ["*", "*"]}),
+        "no vertices declared",
     ),
     "dimension_of_label": (
         HEAD + "simplices 0 *\nsimplices 1 e f\nsimplices 2 g\n"
@@ -249,6 +271,12 @@ REJECTIONS = {
     ),
     "no_vertices": (
         "truncation 2\nsimplices 1 e\n",
+        "no vertices declared",
+    ),
+    # a basepoint record cannot name a vertex where there are none, and
+    # the missing vertices are the fault reported
+    "no_vertices_with_a_basepoint": (
+        "truncation 2\nbasepoint *\nsimplices 1 e\n",
         "no vertices declared",
     ),
     "malformed_word": (
