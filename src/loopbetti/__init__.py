@@ -27,7 +27,6 @@ from .homology import (
     GF2SparseMatrix,
     ChainComplexGF2,
     kunneth,
-    kunneth_power,
     reduced_betti,
     table_from_dict,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "GF2SparseMatrix",
     "ChainComplexGF2",
     "kunneth",
-    "kunneth_power",
     "reduced_betti",
     "table_from_dict",
     "mv_e1_betti",

@@ -295,15 +295,6 @@ def kunneth(a: BettiTable, b: BettiTable) -> BettiTable:
     return BettiTable(entries, certified=certified, zero_from=zero_from)
 
 
-def kunneth_power(table: BettiTable, s: int) -> BettiTable:
-    if s < 1:
-        raise ValueError("smash power of tables needs s >= 1")
-    out = table
-    for _ in range(s - 1):
-        out = kunneth(out, table)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Chain complexes.
 # ---------------------------------------------------------------------------

@@ -960,6 +960,22 @@ def _table_betti(
     return entries, sizes
 
 
+def _certified_table(
+    q: SimplicialSet, fixed: PointedSubset, s: int, top: int, n_max: int, relative: bool = False
+) -> tuple[dict[int, int], dict[int, int], int]:
+    """Betti numbers, cell counts per dimension and the certified degree of
+    the brute table (``_table_betti``) whose cells stop at ``top``.
+
+    Cells are enumerated through min(n_max + 1, top).  Once that reaches
+    ``top`` every cell has been enumerated, so the table decides every
+    degree and is certified through max(n_max, top); else through n_max.
+    """
+    trunc = max(min(n_max + 1, top), 0)
+    certified = max(n_max, top) if trunc == top else n_max
+    entries, sizes = _table_betti(_FactorTables(q, fixed, trunc), s, trunc, certified, relative)
+    return entries, sizes, certified
+
+
 def pinched_betti_brute(
     q: SimplicialSet,
     fixed: PointedSubset,
@@ -970,16 +986,16 @@ def pinched_betti_brute(
 
     Runs on the integer tables: the cells of each dimension come from the
     adjacent-pair enumeration.  The subset is enumerated only up to its
-    structural top bound, so the table also certifies vanishing above it.
+    structural top bound, so the table also certifies vanishing above it;
+    once the enumeration reaches the bound, which asking through bound - 1
+    already does, the table is certified through the bound and complete.
     """
     if s <= 1:
         return BettiTable({}, certified=t_max, zero_from=0)
     _check_fixed_subset(q, fixed)
     bound = pinched_top_bound(q, fixed, s)
-    trunc = max(min(t_max + 1, bound), 0)
-    tables = _FactorTables(q, fixed, trunc)
-    entries, _ = _table_betti(tables, s, trunc, t_max)
-    return BettiTable(entries, certified=t_max, zero_from=bound + 1)
+    entries, _, certified = _certified_table(q, fixed, s, bound, t_max)
+    return BettiTable(entries, certified=certified, zero_from=bound + 1)
 
 
 def quotient_betti_brute(
@@ -995,19 +1011,17 @@ def quotient_betti_brute(
     nondegenerate tuples outside the pinched subset, and a face that is the
     basepoint, degenerate or pinched is zero in the relative chains.  Cells
     are enumerated through min(n_max + 1, s top(Q)), which ``q`` must
-    reach; the table certifies vanishing above the top
-    dimension of the smash power, or above the last cell when every
-    dimension up to that one was enumerated.
+    reach.  A table cut below s top(Q) certifies vanishing above it; one
+    that reaches it has every cell, so it is certified through s top(Q)
+    and vanishes above its last cell.
     """
     _check_fixed_subset(q, fixed)
     if s < 2:
         raise ValidationError("the integer quotient needs s >= 2")
     top = q.top_dim() * s
-    trunc = max(min(n_max + 1, top), 0)
-    tables = _FactorTables(q, fixed, trunc)
-    entries, sizes = _table_betti(tables, s, trunc, n_max, relative=True)
-    if trunc < top:
+    entries, sizes, certified = _certified_table(q, fixed, s, top, n_max, relative=True)
+    if certified < top:
         zero_from = top + 1
     else:
         zero_from = max((n for n, size in sizes.items() if size), default=0) + 1
-    return BettiTable(entries, certified=n_max, zero_from=zero_from)
+    return BettiTable(entries, certified=certified, zero_from=zero_from)

@@ -471,6 +471,18 @@ class FiniteSimplicialSet(SimplicialSet):
 # Refs as text (shared by builders and the file format).
 # ---------------------------------------------------------------------------
 
+def as_number(field: str) -> Optional[int]:
+    """The number a field of ASCII digits reads, or None for any other
+    field (int() also reads "+1", "1_0" and other scripts' digits, which
+    would serialize differently) and for more digits than int() converts."""
+    if field.isascii() and field.isdigit():
+        try:
+            return int(field)
+        except ValueError:  # over the interpreter's limit on digits converted
+            pass
+    return None
+
+
 def parse_ref_token(token: str, dim_of: Mapping[Any, int]) -> SimplexRef:
     """Parse ``"label"`` or ``"s1s0@label"`` into a SimplexRef.
 
@@ -481,17 +493,9 @@ def parse_ref_token(token: str, dim_of: Mapping[Any, int]) -> SimplexRef:
     label = token
     if "@" in token:
         word_part, label = token.split("@", 1)
-        if not word_part or word_part[0] != "s":
+        word = tuple(map(as_number, reversed(word_part[1:].split("s"))))
+        if word_part[:1] != "s" or None in word:
             raise ValidationError(f"malformed degeneracy word in {token!r}")
-        pieces = word_part[1:].split("s")
-        # ASCII digits only: int() also takes "+0", "0_0" and other scripts'
-        # digits, which would serialize differently
-        if not (word_part.isascii() and all(map(str.isdigit, pieces))):
-            raise ValidationError(f"malformed degeneracy word in {token!r}")
-        try:
-            word = tuple(reversed(list(map(int, pieces))))
-        except ValueError:  # more digits than int() converts
-            raise ValidationError(f"malformed degeneracy word in {token!r}") from None
         if any(a >= b for a, b in zip(word, word[1:])) or (word and word[0] < 0):
             raise ValidationError(f"degeneracy word in {token!r} is not canonical")
     if label not in dim_of:

@@ -38,6 +38,7 @@ from .simplicial import (
     FiniteSimplicialSet,
     Involution,
     ValidationError,
+    as_number,
     first_repeat,
     format_ref,
 )
@@ -64,13 +65,13 @@ def parse(text: str) -> tuple[FiniteSimplicialSet, Optional[Involution]]:
     # checked whole, and of the errors found the one on the first line wins.
     errors: list[tuple[int, str]] = []
     _once(errors, "truncation", truncation_lines,
-          [len(row) == 2 and _is_number(row[1]) for row in truncation_rows[:2]],
+          [len(row) == 2 and as_number(row[1]) is not None for row in truncation_rows[:2]],
           "truncation needs one nonnegative integer")
     _once(errors, "basepoint", basepoint_lines, [len(row) == 2 for row in basepoint_rows[:2]],
           "basepoint needs one label")
 
     _cut(errors, simplex_rows, simplex_lines,
-         [len(row) > 2 and _is_number(row[1]) for row in simplex_rows],
+         [len(row) > 2 and as_number(row[1]) is not None for row in simplex_rows],
          "simplices needs a dimension and labels")
     labels = list(chain.from_iterable(map(itemgetter(slice(2, None)), simplex_rows)))
     joined = " ".join(labels)
@@ -167,18 +168,6 @@ def _records(text: str) -> dict[str, tuple[list[tuple[str, ...]], list[int]]]:
         found += rows[start:stop]
         lines += linenos[start:stop]
     return kinds
-
-
-def _is_number(field: str) -> bool:
-    """ASCII digits only (int() also reads "+1", "1_0" and other scripts'
-    digits), and no more of them than int() converts."""
-    if not (field.isascii() and field.isdigit()):
-        return False
-    try:
-        int(field)
-    except ValueError:  # over the interpreter's limit on digits converted
-        return False
-    return True
 
 
 def _once(errors: list, kind: str, lines: list[int], shaped: list[bool], malformed: str) -> None:

@@ -8,7 +8,9 @@ assembles the loop-space Betti numbers from quotient tables per path.
 Each path has one builder of a pinched Betti table per s, and one cache
 serves both parts: the grid reads the tables through t_max and the loop
 row asks for them through its last degree, so no loop cell depends on
-t_max.  A path disabled by a failed hypothesis, or brute force past
+t_max.  A brute table certifies every degree its cells decide: one whose
+enumeration reaches the structural top is complete, however far it was
+asked.  A path disabled by a failed hypothesis, or brute force past
 --brute-loop-max, leaves cells empty with one reason, the same in both.
 The diagonal hypothesis is decided once per run; the cover sum and the
 closed formula then read only the Betti tables of the orbit space and the
@@ -35,17 +37,17 @@ from __future__ import annotations
 
 import json
 import time
+from functools import reduce
 from math import comb
 from typing import Any, Callable, Optional
 
 from .closed_form import BettiInput, betti_pinched_formula_table, loop_betti
 from .constructions import decide_section, orbit_space
-from .homology import BettiTable, kunneth, kunneth_power, reduced_betti
+from .homology import BettiTable, kunneth, reduced_betti
 from .pinched import (
     check_diagonal_null,
     mv_e1_table,
     pinched_betti_brute,
-    pinched_top_bound,
     quotient_betti_brute,
 )
 from .simplicial import FiniteSimplicialSet, Involution, PointedSubset
@@ -201,9 +203,9 @@ class RunReport:
 # Quotient-table strategies.
 # ---------------------------------------------------------------------------
 
-def try_materialize_count(q, s: int, top: int, budget: int) -> Optional[int]:
+def try_materialize_count(q, s: int, n_max: int, budget: int) -> Optional[int]:
     """Total nondegenerate simplices of the s-fold smash power of q through
-    ``top``, basepoint included, or None over budget.
+    ``n_max``, basepoint included, or None over budget.
 
     Counted without enumeration, by inclusion-exclusion over the degeneracy
     indices shared by every component: the s-tuples whose words all contain
@@ -212,11 +214,11 @@ def try_materialize_count(q, s: int, top: int, budget: int) -> Optional[int]:
     counting its non-basepoint nondegenerate d-simplices.  So asking about
     an explosively large smash power stays cheap, and an ambient within
     budget is enumerated only once, by the quotient."""
-    top = min(top, s * q.top_dim())
-    counts = [len(q.nondeg(d)) - (d == 0) for d in range(min(top, q.top_dim()) + 1)]
-    tuples = [sum(c * comb(m, d) for d, c in enumerate(counts)) ** s for m in range(top + 1)]
+    n_max = min(n_max, s * q.top_dim())
+    counts = [len(q.nondeg(d)) - (d == 0) for d in range(min(n_max, q.top_dim()) + 1)]
+    tuples = [sum(c * comb(m, d) for d, c in enumerate(counts)) ** s for m in range(n_max + 1)]
     total = 1  # the basepoint
-    for n in range(top + 1):
+    for n in range(n_max + 1):
         total += sum((-1) ** k * comb(n, k) * tuples[n - k] for k in range(n + 1))
         if total > budget:
             return None
@@ -298,7 +300,7 @@ def stunted_quotient_betti(
     bookkeeping from ``pinched_table``; (None, reason) when neither works."""
     direct = direct_quotient_betti(q, fixed, s, n_max, betti_q, direct_budget)
     return direct or bookkept_quotient_betti(
-        q, s, n_max, pinched_table, kunneth_power(betti_q, s)
+        q, s, n_max, pinched_table, reduce(kunneth, [betti_q] * (s - 1), betti_q)
     )
 
 
@@ -426,19 +428,12 @@ def run_verify(
     betti_q = reduced_betti(orbit, max(top_needed, orbit.top_dim()))
     inp = BettiInput(betti_q, reduced_betti(fixed, max(top_needed, fixed.top_dim())))
 
-    def bound(s: int) -> int:
-        return pinched_top_bound(orbit, fixed, s)
-
     def formula(top: int, values: list[int]) -> BettiTable:
         return BettiTable(dict(enumerate(values)), certified=top)
 
-    # each builds the pinched Betti table of one s through degree top; brute
-    # force goes one degree further when that is the structural bound, which
-    # enumerates the same cells and makes the table complete
+    # each builds the pinched Betti table of one s through degree top
     builders: dict[str, Callable[[int, int], BettiTable]] = {
-        "brute": lambda s, top: pinched_betti_brute(
-            orbit, fixed, s, top + 1 if top + 1 == bound(s) else top
-        ),
+        "brute": lambda s, top: pinched_betti_brute(orbit, fixed, s, top),
         "mv_e1": lambda s, top: formula(top, mv_e1_table(inp, s, top)),
         "closed": lambda s, top: formula(top, betti_pinched_formula_table(inp, s, top)),
     }

@@ -304,15 +304,19 @@ def doubled_face():
 )
 def test_brute_kernel_equals_generic_route(builder):
     """The integer kernel equals the generic route, pinched_set through the
-    chain complex over SimplexRef keys, for s <= 4 and every t <= 5."""
+    chain complex over SimplexRef keys, for s <= 4 and every t <= 5.  Asked
+    through one degree short of the structural bound, the kernel has
+    enumerated every cell, so it is certified through the bound."""
     orbit, _, fixed = orbit_space(*builder())
     for s in range(2, 5):
-        trunc = min(6, pinched_top_bound(orbit, fixed, s))
-        generic = reduced_betti(pinched_set(orbit, fixed, s, truncation=trunc), 5)
+        bound = pinched_top_bound(orbit, fixed, s)
+        generic = reduced_betti(pinched_set(orbit, fixed, s, truncation=min(6, bound)), 5)
         for t in range(6):
             brute = pinched_betti_brute(orbit, fixed, s, t)
-            assert (brute.certified, brute.zero_from) == (t, generic.zero_from), (s, t)
-            assert brute.through(t) == generic.through(t), (s, t)
+            certified = bound if t == bound - 1 else t
+            assert (brute.certified, brute.zero_from) == (certified, generic.zero_from), (s, t)
+            top = min(certified, 5)
+            assert brute.through(top) == generic.through(top), (s, t)
 
 
 def test_brute_kernel_equals_generic_route_at_five(glued_spheres, glued_pinched):
@@ -321,6 +325,21 @@ def test_brute_kernel_equals_generic_route_at_five(glued_spheres, glued_pinched)
     brute = pinched_betti_brute(orbit, fixed, 5, 6)
     assert brute.through(6) == generic.through(6)
     assert brute.zero_from == generic.zero_from
+
+
+@pytest.mark.parametrize("builder", [sphere_pair_swap, trivial_circle, free_double_cover])
+def test_brute_tables_certify_every_degree_their_cells_decide(builder):
+    """A brute table asked through one degree short of its structural top
+    (the pinched bound, or s top(Q) for the quotient) has enumerated every
+    cell: it is complete and equals the table asked through the top."""
+    orbit, _, fixed = orbit_space(*builder())
+    for s in range(2, 5):
+        bound = pinched_top_bound(orbit, fixed, s)
+        short = pinched_betti_brute(orbit, fixed, s, bound - 1)
+        assert short.complete and short == pinched_betti_brute(orbit, fixed, s, bound), s
+        top = s * orbit.top_dim()
+        short = quotient_betti_brute(orbit, fixed, s, top - 1)
+        assert short.complete and short == quotient_betti_brute(orbit, fixed, s, top), s
 
 
 def decode(tables, s, n, cells):
@@ -1061,9 +1080,12 @@ def generic_quotient_betti(orbit, fixed, s, n_max):
     ],
 )
 def test_integer_quotient_equals_generic_route(make_space, s, n_max):
+    """Asked through one degree short of s top(Q), the integer quotient
+    has every cell and is certified through s top(Q), so the generic route
+    is asked through the degree the table certifies."""
     orbit, _, fixed = orbit_space(*make_space())
-    generic = generic_quotient_betti(orbit, fixed, s, n_max)
     table = quotient_betti_brute(orbit, fixed, s, n_max)
+    generic = generic_quotient_betti(orbit, fixed, s, table.certified)
     assert table.nonzero() == generic.nonzero()
     assert (table.certified, table.zero_from) == (generic.certified, generic.zero_from)
 

@@ -139,21 +139,24 @@ def test_loop_row_does_not_depend_on_t_max(direct_budget):
 @pytest.mark.parametrize("loop_max", [4, 5])
 def test_loop_row_at_and_past_a_small_truncation(loop_max, monkeypatch):
     """The shipped sphere pair swap stored only through dimension 4.  At
-    s = 4 the structural bound is 5, so the brute table is built one
-    degree past the truncation; every simplex there is a degeneracy of a
-    stored one, so the loop row is filled, not refused."""
+    s = 4 the structural bound is 5, so the brute table, asked through the
+    loop row's last degree, enumerates its cells through 5 and is certified
+    there, one degree past the truncation, even when asked through 4; every
+    simplex there is a degeneracy of a stored one, so the loop row is
+    filled, not refused."""
     built = []
     real = verify.pinched_betti_brute
 
     def brute(q, fixed, s, t_max):
-        built.append((s, t_max))
-        return real(q, fixed, s, t_max)
+        table = real(q, fixed, s, t_max)
+        built.append((s, t_max, table.certified))
+        return table
 
     monkeypatch.setattr(verify, "pinched_betti_brute", brute)
     text = (FIXTURE_DIR / "sphere_pair_swap.sset").read_text()
     space, invol = parse(text.replace("truncation 32", "truncation 4"))
     report = run_verify(space, invol, 2, 2, loop_max=loop_max)
-    assert (4, 5) in built
+    assert (4, loop_max, 5) in built
     assert report.agreement
     values = [(c.brute, c.mv_e1, c.closed) for c in report.loop_row]
     assert values == [(b, b, b) for b in [0, 2, 1, 5, 5][:loop_max]]
