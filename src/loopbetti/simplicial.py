@@ -496,7 +496,7 @@ def parse_ref_token(token: str, dim_of: Mapping[Any, int]) -> SimplexRef:
         word = tuple(map(as_number, reversed(word_part[1:].split("s"))))
         if word_part[:1] != "s" or None in word:
             raise ValidationError(f"malformed degeneracy word in {token!r}")
-        if any(a >= b for a, b in zip(word, word[1:])) or (word and word[0] < 0):
+        if any(a >= b for a, b in zip(word, word[1:])):
             raise ValidationError(f"degeneracy word in {token!r} is not canonical")
     if label not in dim_of:
         raise ValidationError(f"unknown simplex {label!r} in face entry {token!r}")

@@ -54,6 +54,10 @@ class ParseError(ValueError):
 
 
 def parse(text: str) -> tuple[FiniteSimplicialSet, Optional[Involution]]:
+    """The space and involution (None without involution records) a text
+    describes.  The faces, involution and basepoint records name a label
+    by the string of the simplices record that declares it, so the space
+    holds one string per label, however many records name it."""
     kinds = _records(text)
     truncation_rows, truncation_lines = kinds.get("truncation", ([], []))
     basepoint_rows, basepoint_lines = kinds.get("basepoint", ([], []))
@@ -74,6 +78,9 @@ def parse(text: str) -> tuple[FiniteSimplicialSet, Optional[Involution]]:
          [len(row) > 2 and as_number(row[1]) is not None for row in simplex_rows],
          "simplices needs a dimension and labels")
     labels = list(chain.from_iterable(map(itemgetter(slice(2, None)), simplex_rows)))
+    # each label as the one string its simplices record declares, so the
+    # space keeps one string per label, not one per record that names it
+    canon = dict(zip(labels, labels))
     joined = " ".join(labels)
     if "@" in joined or "#" in joined or len(set(labels)) != len(labels):
         reserved = next((p for p, x in enumerate(labels) if "@" in x or "#" in x), None)
@@ -86,26 +93,30 @@ def parse(text: str) -> tuple[FiniteSimplicialSet, Optional[Involution]]:
         else:
             errors.append((lineno, f"duplicate simplex identifier {labels[p]!r}"))
 
-    _cut(errors, face_rows, face_lines, list(map(gt, map(len, face_rows), repeat(2))),
-         "faces needs a label and its face list")
-    face_labels = list(map(itemgetter(1), face_rows))
-    faces = dict(zip(face_labels, map(itemgetter(slice(2, None)), face_rows)))
-    if len(faces) != len(face_labels):
-        p = first_repeat(face_labels)
-        errors.append((face_lines[p], f"duplicate faces entry for {face_labels[p]!r}"))
-    # the rows, with their first fields, go before the space is built
-    del face_rows
-
     _cut(errors, involution_rows, involution_lines,
          list(map(eq, map(len, involution_rows), repeat(3))),
          "involution needs a source and an image label")
     sources = list(map(itemgetter(1), involution_rows))
-    involution = dict(zip(sources, map(itemgetter(2), involution_rows)))
+    sources = list(map(canon.get, sources, sources))
+    images = list(map(itemgetter(2), involution_rows))
+    involution = dict(zip(sources, map(canon.get, images, images)))
     if len(involution) != len(sources):
         p = first_repeat(sources)
         errors.append((involution_lines[p], f"duplicate involution entry for {sources[p]!r}"))
     has_involution = bool(involution_rows)
-    del involution_rows  # as the faces rows above
+    # the rows and their strings go before the face lists below are made,
+    # which then take the room they held
+    del involution_rows
+
+    _cut(errors, face_rows, face_lines, list(map(gt, map(len, face_rows), repeat(2))),
+         "faces needs a label and its face list")
+    face_labels = list(map(itemgetter(1), face_rows))
+    face_labels = list(map(canon.get, face_labels, face_labels))
+    faces = dict(zip(face_labels, map(itemgetter(slice(2, None)), face_rows)))
+    if len(faces) != len(face_labels):
+        p = first_repeat(face_labels)
+        errors.append((face_lines[p], f"duplicate faces entry for {face_labels[p]!r}"))
+    del face_rows  # as the involution rows above, before the space is built
 
     for kind, (_, lines) in kinds.items():
         if kind not in RECORDS and not kind.startswith("#"):
@@ -128,7 +139,8 @@ def parse(text: str) -> tuple[FiniteSimplicialSet, Optional[Involution]]:
     if above:
         dim = min(above)
         raise ParseError(f"simplex dimension {dim} outside 0..{truncation}", first_lines[dim])
-    basepoint = basepoint_rows[0][1] if basepoint_rows else None
+    basepoint = canon.get(basepoint_rows[0][1], basepoint_rows[0][1]) if basepoint_rows else None
+    del canon  # before the space's own label table is made
     # with no vertices at all, the constructor's "no vertices declared" wins
     if basepoint is not None and simplices.get(0) and basepoint not in simplices[0]:
         raise ParseError(f"basepoint {basepoint!r} is not a vertex", basepoint_lines[0])

@@ -63,6 +63,26 @@ def test_parse_rebuilds_generated_spaces():
         assert {k: invol2(k) for k in again._dim_of} == {k: invol(k) for k in space._dim_of}
 
 
+def test_a_parsed_space_holds_one_string_per_label():
+    """The faces, involution and basepoint records name a label by the very
+    string its simplices record declares, not by a copy of it."""
+    texts = [path.read_text() for path in sorted(FIXTURE_DIR.glob("*.sset"))]
+    for space, invol in (
+        planted(random.Random(1), 20, 30),
+        planted_fixed_loop(random.Random(1), 20, 30),
+        rotated(5),
+    ):
+        texts.append(serialize(space, invol))
+    for text in texts:
+        space, invol = parse(text)
+        declared = {id(key) for n in range(space.top_dim() + 1) for key in space.nondeg(n)}
+        named = [*space._faces, space.basepoint]
+        if invol is not None:
+            assert invol._map
+            named += [*invol._map, *invol._map.values()]
+        assert all(id(key) in declared for key in named), [k for k in named if id(k) not in declared]
+
+
 def test_serialize_refuses_labels_the_format_cannot_hold():
     # each would parse back as other vertices, as none, or not at all
     for label in ("a b", "a\x0cb", "a\u2028b", "", "a@b", "a#b", "a\nb"):

@@ -1273,6 +1273,12 @@ def test_diagonal_check_matches_the_cycle_basis_oracle():
         subsets.append(orbit_space(*builder())[2])
     for name in SURFACES:
         subsets.append(whole_subset(trivial_surface(name)[0]))
+    # S^1 v S^2: homology in two positive degrees, every cup product zero
+    wedge, _ = build(
+        {0: ["*"], 1: ["a"], 2: ["S"]}, {"a": ["*", "*"], "S": ["s0@*", "s0@*", "s0@*"]}, {}
+    )
+    subsets.append(whole_subset(wedge))
+    assert reduced_betti(wedge, 3).nonzero() == {1: 1, 2: 1} and check_diagonal_null(subsets[-1])
     rng = random.Random(1)
     for _ in range(300):
         space, invol, _ = random_verify_case(rng)
