@@ -10,12 +10,13 @@ the reference for ``check_diagonal_null``, and the exact-sequence
 bookkeeping on those ranks; dense views and products of sparse GF(2)
 matrices, the d^2 check over every raw column and the columns an
 elimination keeps; simplicial maps with their face check, the identity,
-constant, inclusion and orbit maps and composites; the backtracking section
-search; the factor tables through the word calculus, the reference for
-the ones built from the dimension below; and the brute kernel on tuples
-of component indices, the reference for the packed one.  Helpers
-that only tests call, such as the member dimensions of a subset or the
-recurrence check of a series, live here as functions as well.
+constant, inclusion and orbit maps and composites; the involution check
+walked entry by entry; the backtracking section search; the factor tables
+through the word calculus, the reference for the ones built from the
+dimension below; and the brute kernel on tuples of component indices, the
+reference for the packed one.  Helpers that only tests call, such as the
+member dimensions of a subset or the recurrence check of a series, live
+here as functions as well.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, compress, repeat
 from operator import and_, is_, not_
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from loopbetti.closed_form import (
     betti_pinched_example,
@@ -191,6 +192,34 @@ def count_by_enumeration(space, top: int) -> int:
     """Nondegenerate simplices of a space through ``top``, enumerated."""
     top = min(top, space.top_dim(), space.truncation)
     return sum(len(space.nondeg(n)) for n in range(top + 1))
+
+
+def check_involution_by_walk(space: FiniteSimplicialSet, mapping: Mapping[Any, Any]) -> None:
+    """The checks of ``Involution(space, mapping)`` one entry at a time:
+    each map entry's names and dimensions in map order, then the basepoint,
+    then every simplex in stored order, dimensions ascending, its square
+    before d_0, d_1, ...  Raises the first failure's ``ValidationError``."""
+    dim_of = {key: n for n in range(space.top_dim() + 1) for key in space.nondeg(n)}
+    for src, dst in mapping.items():
+        if src not in dim_of or dst not in dim_of:
+            raise ValidationError(f"involution names unknown simplex {src!r} -> {dst!r}", src)
+        if dim_of[src] != dim_of[dst]:
+            raise ValidationError(f"involution {src!r} -> {dst!r} changes dimension", src)
+
+    def t(key: Any) -> Any:
+        return mapping.get(key, key)
+
+    if t(space.basepoint) != space.basepoint:
+        raise ValidationError("involution moves the basepoint", space.basepoint)
+    for n in range(space.top_dim() + 1):
+        for key in space.nondeg(n):
+            if t(t(key)) != key:
+                raise ValidationError(f"involution does not square to one at {key!r}", key)
+            for i in range(n + 1 if n else 0):
+                face = space.face_of(space.simplex(key), i)
+                image = space.face_of(space.simplex(t(key)), i)
+                if (face.base_dim, t(face.base), face.word) != image:
+                    raise ValidationError(f"involution fails to commute with d_{i} at {key!r}", key)
 
 
 def find_section_backtracking(

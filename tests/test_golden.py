@@ -41,6 +41,8 @@ ARGVS = [
     *(["verify", f"fixtures/{name}.sset", "--s-max", str(s_max), "--t-max", str(t_max),
        "--loop-max", str(loop_max), "--brute-loop-max", str(brute), "--json"]
       for name, s_max, t_max, loop_max, brute in BENCHMARK),
+    ["conjecture"],
+    ["conjecture", "--n-max", "40", "--json"],
 ]
 
 

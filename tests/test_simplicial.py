@@ -5,6 +5,7 @@ import random
 import pytest
 from oracles import (
     SimplicialMap,
+    check_involution_by_walk,
     compose,
     count_by_enumeration,
     orbit_projection,
@@ -12,7 +13,7 @@ from oracles import (
     wedge_axes_subset,
     whole_subset,
 )
-from section_spaces import planted
+from section_spaces import planted, random_verify_case
 from shipped import (
     circle,
     circle_subset,
@@ -404,6 +405,48 @@ def test_involution_must_commute_with_faces():
     with pytest.raises(ValidationError):
         # swapping two vertices without moving the edges breaks d_i
         Involution(space, {"v0": "v1", "v1": "v0"})
+
+
+def test_involution_check_names_what_an_entry_by_entry_walk_names():
+    """The check runs over whole dimensions, yet a broken map fails with the
+    message and simplex of a walk over its entries, the basepoint, and then
+    every simplex in stored order, its square before d_0, d_1, ..."""
+    rng = random.Random(5)
+    cases = [random_verify_case(rng)[:2] for _ in range(200)]
+    kinds = ("unknown simplex", "changes dimension", "moves the basepoint",
+             "does not square", "fails to commute")
+    seen = set()
+    for k, (space, invol) in enumerate(cases):
+        keys = [key for n in range(space.top_dim() + 1) for key in space.nondeg(n)]
+        broken = {key: invol(key) for key in keys if invol(key) != key}
+        kind = k % 5
+        if kind == 0:  # swap two images
+            x, y = rng.sample(keys, 2)
+            broken[x], broken[y] = invol(y), invol(x)
+        elif kind == 1:  # send one simplex to a non-partner of its dimension
+            x = rng.choice([key for key in keys if len(space.nondeg(space.dim_of(key))) > 1])
+            broken[x] = rng.choice([y for y in space.nondeg(space.dim_of(x)) if y != invol(x)])
+        elif kind == 2:  # drop one side of a swap
+            free = [key for key in keys if invol(key) != key]
+            if free:
+                del broken[rng.choice(free)]
+        elif kind == 3:  # move the basepoint
+            broken[space.basepoint] = rng.choice([v for v in space.nondeg(0) if v != space.basepoint])
+        elif rng.random() < 0.5:  # name an undeclared label
+            broken[rng.choice(keys)] = "ghost"
+        else:
+            broken["ghost"] = rng.choice(keys)
+        outcomes = []
+        for check in (Involution, check_involution_by_walk):
+            try:
+                check(space, broken)
+                outcomes.append(None)
+            except ValidationError as err:
+                outcomes.append((str(err), err.simplex))
+        assert outcomes[0] == outcomes[1], (k, broken)
+        if outcomes[0]:
+            seen.add(next(kind for kind in kinds if kind in outcomes[0][0]))
+    assert seen == set(kinds), seen
 
 
 def test_involution_applied_twice_is_identity():
