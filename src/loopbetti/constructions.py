@@ -239,7 +239,7 @@ def orbit_space(
     """Orbit space of an involution, with representatives and fixed subset.
 
     The orbit space has one nondegenerate simplex per orbit (represented by
-    the earlier element in the stored order, read off ``invol.pairing``);
+    the earlier element in the stored order, read off ``invol.pairs``);
     fixed simplices have singleton orbits, so the fixed set embeds as a
     pointed subset of the quotient.  The projection comes as its
     representative map, ``rep[key]`` the key of the orbit simplex that the
@@ -254,7 +254,7 @@ def orbit_space(
     table = space._faces
     top = space.top_dim()
     for n in range(top + 1):
-        stored, pairs = space.nondeg(n), invol.pairing(n)
+        stored, pairs = space.nondeg(n), invol.pairs[n]
         later = list(map(lt, pairs, count()))  # the partner is stored earlier
         rep.update(zip(stored, stored))
         rep.update(zip(compress(stored, later), map(stored.__getitem__, compress(pairs, later))))
@@ -297,7 +297,7 @@ def decide_section(
     every orbit the literal whose component has the smaller least literal
     satisfies them all.  Linear time, no recursion.
 
-    The orbits are numbered from ``invol.pairing`` in stored order, and the
+    The orbits are numbered from ``invol.pairs`` in stored order, and the
     clauses read the face rows of the free simplices, in stored order too.
 
     Returns ``(witness, ())`` when a section exists, else ``(None, cycle)``
@@ -315,7 +315,7 @@ def decide_section(
     literal: dict[Any, int] = {}
     keys: list[Any] = []
     for n in range(top + 1):
-        stored, pairs = space.nondeg(n), invol.pairing(n)
+        stored, pairs = space.nondeg(n), invol.pairs[n]
         heads = list(map(lt, count(), pairs))  # the first of a free orbit
         firsts = list(compress(stored, heads))
         partners = list(map(stored.__getitem__, compress(pairs, heads)))
@@ -325,7 +325,7 @@ def decide_section(
     implies: list[list[int]] = [[] for _ in keys]
     table, lookup = space._faces, literal.get
     for n in range(1, top + 1):
-        free = list(compress(space.nondeg(n), map(ne, invol.pairing(n), count())))
+        free = list(compress(space.nondeg(n), map(ne, invol.pairs[n], count())))
         # the literal of every face base, row after row, beside its simplex's
         bases = list(map(lookup, map(itemgetter(1), chain.from_iterable(
             map(table.__getitem__, free)
@@ -346,7 +346,7 @@ def decide_section(
     chosen.update(compress(keys[1::2], map(lt, odd, even)))
     members = {
         n: list(compress(space.nondeg(n), map(
-            or_, map(eq, invol.pairing(n), count()), map(chosen.__contains__, space.nondeg(n))
+            or_, map(eq, invol.pairs[n], count()), map(chosen.__contains__, space.nondeg(n))
         )))
         for n in range(top + 1)
     }

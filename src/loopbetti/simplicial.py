@@ -519,7 +519,12 @@ class Involution:
 
     Given as a mapping on nondegenerate simplices (absent keys are fixed).
     It must square to the identity and commute with every face map, and
-    construction checks both.
+    construction checks both.  ``pairs[n][p]`` is the place among
+    ``space.nondeg(n)`` of the image of the simplex at place p (p itself
+    when it is fixed), so the first-stored member of an orbit sits at the
+    smaller place of the two.  Construction computes it once per dimension,
+    and the checks, the fixed simplices, the orbit space and the section
+    search all read it.
     """
 
     def __init__(self, space: FiniteSimplicialSet, mapping: Mapping[Any, Any] = ()):
@@ -539,53 +544,40 @@ class Involution:
             if src not in dim_of or dst not in dim_of:
                 raise ValidationError(f"involution names unknown simplex {src!r} -> {dst!r}", src)
             raise ValidationError(f"involution {src!r} -> {dst!r} changes dimension", src)
-        self._pairs: dict[int, list[int]] = {}
+        t = self._map.get
+        self.pairs: tuple[tuple[int, ...], ...] = tuple(
+            tuple(map(dict(zip(keys, count())).__getitem__, map(t, keys, keys)))
+            for keys in map(space.nondeg, range(space.top_dim() + 1))
+        )
         self.check()
 
     def __call__(self, key: Any) -> Any:
         return self._map.get(key, key)
 
-    def pairing(self, n: int) -> list[int]:
-        """The place among ``space.nondeg(n)`` of each simplex's partner,
-        its own place when it is fixed; the first-stored member of an orbit
-        sits at the smaller place of the two.  Computed on first use, once
-        per dimension, and kept."""
-        pairs = self._pairs.get(n)
-        if pairs is None:
-            pairs = self._pairs[n] = self._pair(n)
-        return pairs
-
-    def _pair(self, n: int) -> list[int]:
-        keys = self.space.nondeg(n)
-        place = dict(zip(keys, count()))
-        return list(map(place.__getitem__, map(self._map.get, keys, keys)))
-
     def fixed(self, n: int) -> tuple[Any, ...]:
-        return tuple(compress(self.space.nondeg(n), map(eq, self.pairing(n), count())))
+        return tuple(compress(self.space.nondeg(n), map(eq, self.pairs[n], count())))
 
     def check(self) -> None:
         """The involution fixes the basepoint, squares to one and commutes
         with every face map, checked one dimension at a time over whole
-        columns.  A failure names the first simplex in stored order, and
-        for it the square before d_0, d_1, ..."""
+        columns of places.  A failure names the first simplex in stored
+        order, and for it the square before d_0, d_1, ..."""
         space = self.space
         t = self._map.get
         if t(space.basepoint, space.basepoint) != space.basepoint:
             raise ValidationError("involution moves the basepoint", space.basepoint)
         table = space._faces
-        for n in range(space.top_dim() + 1):
+        for n, pairs in enumerate(self.pairs):
             keys = space.nondeg(n)
-            images = list(map(t, keys, keys))
-            # (position of the first failing simplex, face index or -1 for the
-            # square); position len(keys) when nothing fails
-            squares = map(t, images, images)
-            failures = [(next(compress(count(), map(ne, squares, keys)), len(keys)), -1)]
+            # (place of the first failing simplex, face index or -1 for the
+            # square); place len(keys) when nothing fails
+            squares = map(pairs.__getitem__, pairs)
+            failures = [(next(compress(count(), map(ne, squares, count())), len(keys)), -1)]
             if n:
                 # t commutes with degeneracies, so t(d_i x) = d_i(tx) says that
                 # the stored faces of x and tx share base dimension and word,
                 # and that t maps the one base to the other
                 rows = list(map(table.__getitem__, keys))
-                image_rows = list(map(table.__getitem__, images))
                 for i in range(n + 1):
                     column = list(map(itemgetter(i), rows))
                     faces = list(set(column))
@@ -595,7 +587,7 @@ class Involution:
                     moved = dict(zip(faces, zip(
                         map(itemgetter(0), faces), map(t, bases, bases), map(itemgetter(2), faces)
                     )))
-                    wrong = map(ne, map(moved.__getitem__, column), map(itemgetter(i), image_rows))
+                    wrong = map(ne, map(moved.__getitem__, column), map(column.__getitem__, pairs))
                     failures.append((next(compress(count(), wrong), len(keys)), i))
             p, i = min(failures)
             if p < len(keys):

@@ -1,5 +1,6 @@
 """The operator calculus, constructions and searches on simplicial sets."""
 
+import copy
 import random
 
 import pytest
@@ -13,7 +14,7 @@ from oracles import (
     wedge_axes_subset,
     whole_subset,
 )
-from section_spaces import planted, random_verify_case
+from section_spaces import planted, random_verify_case, rotated
 from shipped import (
     circle,
     circle_subset,
@@ -46,6 +47,7 @@ from loopbetti.simplicial import (
     TruncationError,
     insert_degeneracy,
 )
+from loopbetti.verify import run_verify
 
 
 # ---------------------------------------------------------------------------
@@ -510,24 +512,36 @@ def test_section_exists_for_glued_spheres(glued_spheres):
             assert composite.apply_key(n, key) == SimplexRef(n, key, ())
 
 
-def test_orbit_pairing_is_built_once_per_dimension(monkeypatch):
-    """The orbit space, the section search and the fixed simplices all read
-    one pairing per involution and dimension, built on first use."""
-    built = []
-    pair = Involution._pair
-
-    def counting(self, n):
-        built.append((id(self), n))
-        return pair(self, n)
-
-    monkeypatch.setattr(Involution, "_pair", counting)
-    for space, invol in (sphere_pair_swap(), free_double_cover(), planted(random.Random(3), 6, 9)):
-        built.clear()
-        orbit_space(space, invol)
-        decide_section(space, invol)
+def test_orbit_pairs_hold_the_place_of_each_image():
+    """``invol.pairs[n][p]`` is the place among ``nondeg(n)`` of the image
+    of the simplex at place p, and taking it twice comes back to p."""
+    for space, invol in (sphere_pair_swap(), trivial_circle(), free_double_cover(),
+                         planted(random.Random(3), 6, 9), rotated(12)):
         for n in range(space.top_dim() + 1):
-            invol.fixed(n)
-        assert sorted(built) == [(id(invol), n) for n in range(space.top_dim() + 1)]
+            keys, pairs = space.nondeg(n), invol.pairs[n]
+            for p in range(len(keys)):
+                assert keys[pairs[p]] == invol(keys[p])
+                assert pairs[pairs[p]] == p
+
+
+def test_nothing_changes_after_construction():
+    """A verify run and the section search leave the parsed space, its
+    involution, the orbit space and the fixed subset as they were built
+    (each compared less its back reference to the space it lives in)."""
+
+    def snapshot(obj):
+        return copy.deepcopy({k: v for k, v in vars(obj).items() if k not in ("space", "ambient")})
+
+    for space, invol in (sphere_pair_swap(), trivial_circle(), free_double_cover(),
+                         planted(random.Random(1), 30, 30)):
+        built = [space, invol]
+        before = [snapshot(space), snapshot(invol)]
+        orbit, _, fixed = orbit_space(space, invol)
+        built += [orbit, fixed]
+        before += [snapshot(orbit), snapshot(fixed)]
+        run_verify(space, invol, 3, 3, loop_max=4)
+        decide_section(space, invol)
+        assert [snapshot(obj) for obj in built] == before
 
 
 def test_section_exists_for_trivial_action():
