@@ -522,9 +522,8 @@ class Involution:
     construction checks both.  ``pairs[n][p]`` is the place among
     ``space.nondeg(n)`` of the image of the simplex at place p (p itself
     when it is fixed), so the first-stored member of an orbit sits at the
-    smaller place of the two.  Construction computes it once per dimension,
-    and the checks, the fixed simplices, the orbit space and the section
-    search all read it.
+    smaller place of the two; construction computes it, and the checks,
+    the orbit space and the section search read it.
     """
 
     def __init__(self, space: FiniteSimplicialSet, mapping: Mapping[Any, Any] = ()):
@@ -560,8 +559,8 @@ class Involution:
     def check(self) -> None:
         """The involution fixes the basepoint, squares to one and commutes
         with every face map, checked one dimension at a time over whole
-        columns of places.  A failure names the first simplex in stored
-        order, and for it the square before d_0, d_1, ..."""
+        columns read through ``pairs``.  A failure names the first simplex
+        in stored order, and for it the square before d_0, d_1, ..."""
         space = self.space
         t = self._map.get
         if t(space.basepoint, space.basepoint) != space.basepoint:

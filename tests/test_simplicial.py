@@ -415,8 +415,8 @@ def test_involution_check_names_what_an_entry_by_entry_walk_names():
     every simplex in stored order, its square before d_0, d_1, ..."""
     rng = random.Random(5)
     cases = [random_verify_case(rng)[:2] for _ in range(200)]
-    kinds = ("unknown simplex", "changes dimension", "moves the basepoint",
-             "does not square", "fails to commute")
+    messages = ("unknown simplex", "changes dimension", "moves the basepoint",
+                "does not square", "fails to commute")
     seen = set()
     for k, (space, invol) in enumerate(cases):
         keys = [key for n in range(space.top_dim() + 1) for key in space.nondeg(n)]
@@ -447,8 +447,8 @@ def test_involution_check_names_what_an_entry_by_entry_walk_names():
                 outcomes.append((str(err), err.simplex))
         assert outcomes[0] == outcomes[1], (k, broken)
         if outcomes[0]:
-            seen.add(next(kind for kind in kinds if kind in outcomes[0][0]))
-    assert seen == set(kinds), seen
+            seen.add(next(m for m in messages if m in outcomes[0][0]))
+    assert seen == set(messages), seen
 
 
 def test_involution_applied_twice_is_identity():
