@@ -629,37 +629,11 @@ def _nondegenerate(
     return not any(common)
 
 
-def _face_tables(
-    tables: _FactorTables, s: int, n: int, groups: list[tuple[int, int]], passes: list[int]
-) -> tuple[list[list[tuple[list[int], list[int]]]], int]:
-    """Per face k in ``passes``, per slot group: the map from a group code
-    at n to its share of the face code at n - 1, and to the AND of its
-    faces' flagged masks (see ``_flagged``); and the flag."""
-    radix, low_bits = 1 << _slot_bits(tables, s, n), _slot_bits(tables, s, n - 1)
-    flagged, flag = _flagged(tables, n, 1 << low_bits)
-    pairs = any(w == 2 for _, w in groups)
-    out = []
-    for k in passes:
-        digits = _face_digits(tables, n, k, radix)
-        digit_masks = list(map(flagged.__getitem__, digits))
-        if pairs:
-            pair_codes = [x << low_bits | y for x in digits for y in digits]
-            pair_masks = [x & y for x in digit_masks for y in digit_masks]
-        out.append([
-            ([c << low_bits * e for c in pair_codes], pair_masks)
-            if w == 2
-            else ([c << low_bits * e for c in digits], digit_masks)
-            for e, w in groups
-        ])
-    return out, flag
-
-
-def _face_codes(
-    per_group: list[tuple[list[int], list[int]]], codes: list[list[int]]
-) -> Iterable[int]:
-    """The codes of one face of the cells with these group codes."""
-    faces: Iterable[int] = map(per_group[0][0].__getitem__, codes[0])
-    for (table, _), group in zip(per_group[1:], codes[1:]):
+def _face_codes(shares: list[list[int]], codes: list[list[int]]) -> Iterable[int]:
+    """The codes of one face of the cells with these group codes, ``shares``
+    mapping each group's code to its share of the face code."""
+    faces: Iterable[int] = map(shares[0].__getitem__, codes[0])
+    for table, group in zip(shares[1:], codes[1:]):
         faces = map(or_, faces, map(table.__getitem__, group))
     return faces
 
@@ -667,7 +641,7 @@ def _face_codes(
 def _pinched(faces: list[int], bits: int, s: int, fixed: list[bool]) -> Iterable[bool]:
     """Whether each code has an adjacent equal pair of fixed components."""
     digits = _digits(faces, bits, s)
-    pinched: Iterable[bool] = repeat(False)
+    pinched: Iterable[bool] = repeat(False, len(faces))
     for left, right in zip(digits, digits[1:]):
         pair = map(and_, map(eq, left, right), map(fixed.__getitem__, left))
         pinched = map(or_, pinched, pair)
@@ -689,39 +663,52 @@ def _group_faces(
     in ``passes``, through slot-group tables, checking every cell.
 
     The cells' group codes are read off their codes once.  Nondegeneracy is
-    one AND pass over per-group tables of own masks.  Face k of every cell
-    is the OR over the slot groups of a tabulated share of each group code,
-    looked up straight away; a cell whose face is not a key goes to a sink,
-    where the AND over the groups of the faces' flagged masks is FLAG only
-    for a face that is neither degenerate nor the basepoint, which raises,
-    unless, for ``relative``, it is pinched.
+    one AND pass over per-group tables of own masks.  Each face pass k
+    then makes its own tables, per slot group: the share of a group code
+    in the code of face k at n - 1, and the AND of its faces' flagged masks
+    (see ``_flagged``); it drops them before the next pass.  Face k of
+    every cell is the OR over the groups of the shares, looked up straight
+    away; a cell whose face is not a key goes to a sink, where the AND over
+    the groups of the flagged masks, read through the sunk cells' group
+    codes, is FLAG only for a face that is neither degenerate nor the
+    basepoint, which raises, unless, for ``relative``, it is pinched.
     """
-    bits = _slot_bits(tables, s, n)
+    bits, low_bits = _slot_bits(tables, s, n), _slot_bits(tables, s, n - 1)
     groups = _slot_groups(s, bits, len(cells))
     codes = _group_codes(cells, bits, s, groups)
     if not _nondegenerate(tables, n, 1 << bits, groups, codes):
         raise _degenerate(n)
-    face_tables, flag = _face_tables(tables, s, n, groups, passes)
+    flagged, flag = _flagged(tables, n, 1 << low_bits)
     get = lookup.get
-    for k, per_group in zip(passes, face_tables):
+    for k in passes:
+        digits = _face_digits(tables, n, k, 1 << bits)
+        digit_masks = list(map(flagged.__getitem__, digits))
+        shares = [
+            [(x << low_bits | y) << low_bits * e for x in digits for y in digits]
+            if w == 2 else [c << low_bits * e for c in digits]
+            for e, w in groups
+        ]
+        # the pairs come first, the lone slot last
+        pair_masks = [x & y for x in digit_masks for y in digit_masks] if groups[0][1] == 2 else []
+        masks = [pair_masks if w == 2 else digit_masks for _, w in groups]
         sink: list[int] = []
         # list.append returns None, so any() runs every append, in C
-        any(map(list.append, map(get, _face_codes(per_group, codes), repeat(sink)), ids))
+        any(map(list.append, map(get, _face_codes(shares, codes), repeat(sink)), ids))
         if sink:
-            missed = list(map(cells.__getitem__, sink))
+            sunk = [list(map(group.__getitem__, sink)) for group in codes]
             ands: Iterable[int] = repeat(-1)
-            for (e, w), (_, masks) in zip(groups, per_group):
-                ands = map(and_, ands, map(masks.__getitem__, _group(missed, bits, s, e, w)))
+            for table, group in zip(masks, sunk):
+                ands = map(and_, ands, map(table.__getitem__, group))
             if relative:
-                # the missed faces that are neither degenerate nor the basepoint
-                live_faces = list(compress(missed, map(eq, ands, repeat(flag))))
-                faces = list(_face_codes(per_group, _group_codes(live_faces, bits, s, groups)))
-                low_bits = _slot_bits(tables, s, n - 1)
+                # the sunk faces that are neither degenerate nor the basepoint
+                live = list(map(eq, ands, repeat(flag)))
+                faces = list(_face_codes(shares, [list(compress(g, live)) for g in sunk]))
                 closed = all(_pinched(faces, low_bits, s, tables.fixed[n - 1]))
             else:
                 closed = flag not in ands
             if not closed:
                 raise _missing(k, n)
+        del shares, masks, pair_masks
 
 
 def _coboundary_columns(

@@ -267,16 +267,13 @@ def bookkept_quotient_betti(
         amb_n = ambient_table[n]
         pin_prev = pinched_table[n - 1]
         # b_n(quot) = amb_n - rank_n + pin_prev - rank_{n-1}; an inclusion
-        # rank is certifiably zero when either side of the map vanishes
+        # rank is certifiably zero when either side of the map vanishes.
+        # rank_{n-1} needs no check here: degree n - 1 went on only where
+        # amb_(n-1) or pin_prev is zero
         if amb_n and not (pinched_table.covers(n) and pinched_table[n] == 0):
             return None, (
                 f"cannot certify the inclusion rank at degree {n}: ambient and "
                 "pinched homology may both be nonzero"
-            )
-        if pin_prev and not (ambient_table.covers(n - 1) and ambient_table[n - 1] == 0):
-            return None, (
-                f"cannot certify the inclusion rank at degree {n - 1}: ambient "
-                "and pinched homology may both be nonzero"
             )
         entries[n] = amb_n + pin_prev
     zf = q.top_dim() * s + 1

@@ -31,7 +31,16 @@ from shipped import (
     zero_sphere_subset,
 )
 
+from loopbetti.closed_form import (
+    BettiInput,
+    betti_pinched_example,
+    betti_pinched_formula_table,
+    loop_betti,
+    poincare_coeffs,
+    quotient_betti_concentrated,
+)
 from loopbetti.constructions import (
+    TupleSpace,
     orbit_space,
     product,
     quotient,
@@ -52,7 +61,10 @@ from loopbetti.homology import (
     table_from_dict,
     transpose,
 )
-from loopbetti.simplicial import PointedSubset, SimplexRef
+from loopbetti.pinched import mv_e1_table, pinched_betti_brute, pinched_set, quotient_betti_brute
+from loopbetti.simplicial import FiniteSimplicialSet, PointedSubset, SimplexRef
+from loopbetti.sset_io import serialize
+from loopbetti.verify import bookkept_quotient_betti
 
 
 # ---------------------------------------------------------------------------
@@ -579,8 +591,6 @@ def test_les_matches_direct_quotient_on_random_pairs():
 
 
 def test_pinched_inclusion_into_smash_square_is_zero(glued_pinched, glued_spheres):
-    from loopbetti.pinched import pinched_set
-
     ambient = glued_pinched.ambient(2, 5)
     subset = pinched_set(
         glued_spheres["orbit"], glued_spheres["fixed"], 2, ambient=ambient
@@ -591,11 +601,109 @@ def test_pinched_inclusion_into_smash_square_is_zero(glued_pinched, glued_sphere
 def test_quotient_of_smash_square_by_pinched(glued_pinched, glued_spheres):
     orbit = glued_spheres["orbit"]
     amb = glued_pinched.ambient(2, 5)
-    from loopbetti.pinched import pinched_set
-
     sub5 = pinched_set(orbit, glued_spheres["fixed"], 2, truncation=5, ambient=amb)
     quot, _ = quotient(amb, sub5)
     direct = reduced_betti(quot, 4)
     assert direct.nonzero() == {2: 1, 4: 1}
     # the rank bookkeeping agrees without building the quotient at all
     assert quotient_betti_via_les(amb, sub5, 4).through(4) == direct.through(4)
+
+
+def test_bookkeeping_refuses_what_its_tables_cannot_decide(glued_spheres):
+    """Bookkeeping through degree 1 refuses tables that do not reach it,
+    and a nonzero pinched b_0 beside a nonzero ambient b_0 at degree 0,
+    before degree 1 reads that pinched class."""
+    orbit = glued_spheres["orbit"]
+    point = BettiTable({}, certified=0)
+    assert bookkept_quotient_betti(orbit, 2, 1, point, point) == (
+        None, "tables not certified at degree 1"
+    )
+    both = BettiTable({0: 1}, certified=1)
+    assert bookkept_quotient_betti(orbit, 2, 1, both, both) == (
+        None,
+        "cannot certify the inclusion rank at degree 0: ambient and pinched homology "
+        "may both be nonzero",
+    )
+
+
+# ---------------------------------------------------------------------------
+# Refusals across the library.
+# ---------------------------------------------------------------------------
+
+def input_tables():
+    return BettiInput(table_from_dict({1: 1}), table_from_dict({1: 1}))
+
+
+# each call, given the glued spheres, raises ValueError with this message
+REFUSALS = {
+    "quotient_brute_below_two": (
+        lambda g: quotient_betti_brute(g["orbit"], g["fixed"], 1, 2),
+        "the integer quotient needs s >= 2",
+    ),
+    "cover_sum_below_two": (
+        lambda g: mv_e1_table(input_tables(), 1, 2), "the cover sum needs s >= 2"
+    ),
+    "formula_table_below_two": (
+        lambda g: betti_pinched_formula_table(input_tables(), 1, 2),
+        "the pinched formula needs s >= 2",
+    ),
+    "formula_example_below_two": (lambda g: betti_pinched_example(1, 2), "needs s >= 2"),
+    "concentrated_below_one": (
+        lambda g: quotient_betti_concentrated(0, BettiTable({}, certified=2)), "needs s >= 1"
+    ),
+    "loop_betti_below_one": (
+        lambda g: loop_betti({}, 0), "reduced loop-space degrees start at 1"
+    ),
+    "poincare_below_zero": (lambda g: poincare_coeffs(-1), "n_max must be nonnegative"),
+    "tuple_space_without_factors": (
+        lambda g: TupleSpace([], 2, True), "a tuple space needs at least one factor"
+    ),
+    "quotient_by_a_foreign_subset": (
+        lambda g: quotient(g["space"], g["fixed"]),
+        "subset does not live in the space being collapsed",
+    ),
+    "pinched_brute_foreign_subset": (
+        lambda g: pinched_betti_brute(g["space"], g["fixed"], 2, 2),
+        "the fixed subset does not live in the given space",
+    ),
+    "pinched_set_wrong_ambient": (
+        lambda g: pinched_set(g["orbit"], g["fixed"], 3, ambient=smash_power(g["orbit"], 2, 2)),
+        "supplied ambient is not the s-fold smash power",
+    ),
+    "matrix_column_count": (
+        lambda g: GF2SparseMatrix(2, 2, [[0]]), "column count mismatch"
+    ),
+    "matrix_row_out_of_range": (
+        lambda g: GF2SparseMatrix(2, 1, [[2]]), "row index out of range"
+    ),
+    "matrix_repeated_row": (
+        lambda g: GF2SparseMatrix(2, 1, [[1, 1]]), "duplicate entry in a column"
+    ),
+    "betti_negative": (
+        lambda g: BettiTable({1: -1}, certified=2), "Betti numbers are nonnegative"
+    ),
+    "betti_past_certified": (
+        lambda g: BettiTable({3: 1}, certified=2),
+        "nonzero entry at 3 outside the certified range",
+    ),
+    "betti_at_zero_from": (
+        lambda g: BettiTable({2: 1}, certified=2, zero_from=2),
+        "nonzero entry at 2 contradicts vanishing from 2",
+    ),
+    "serialize_int_labels": (
+        lambda g: serialize(FiniteSimplicialSet(0, {0: [0]}, {})),
+        "only simplicial sets with string labels can be serialized",
+    ),
+    "degeneracy_index_out_of_range": (
+        lambda g: g["orbit"].degenerate_of(SimplexRef(0, g["orbit"].basepoint, ()), 1),
+        "degeneracy index 1 out of range for dimension 0",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_library_refusals_are_pinned(glued_spheres, case):
+    call, message = REFUSALS[case]
+    with pytest.raises(ValueError) as err:
+        call(glued_spheres)
+    assert str(err.value) == message

@@ -19,7 +19,12 @@ from section_spaces import (
 from shipped import FIXTURE_DIR, circle, sphere_pair_swap
 
 from loopbetti.cli import main
-from loopbetti.simplicial import FiniteSimplicialSet, ValidationError
+from loopbetti.simplicial import (
+    FiniteSimplicialSet,
+    SimplexRef,
+    TruncationError,
+    ValidationError,
+)
 from loopbetti.sset_io import ParseError, parse, serialize
 from loopbetti.verify import DEFAULT_DIRECT_BUDGET
 
@@ -181,6 +186,34 @@ REJECTIONS = {
     "no_vertices_direct": (
         lambda: FiniteSimplicialSet(2, {1: ["e"]}, {"e": ["*", "*"]}),
         "no vertices declared",
+    ),
+    "negative_truncation_direct": (
+        lambda: FiniteSimplicialSet(-1, {0: ["*"]}, {}),
+        "truncation must be nonnegative",
+    ),
+    "duplicate_identifier_direct": (
+        lambda: FiniteSimplicialSet(1, {0: ["*"], 1: ["*"]}, {"*": ["*", "*"]}),
+        "duplicate simplex identifier '*'",
+    ),
+    "basepoint_not_a_vertex_direct": (
+        lambda: FiniteSimplicialSet(1, {0: ["*"], 1: ["e"]}, {"e": ["*", "*"]}, basepoint="e"),
+        "basepoint 'e' is not a vertex",
+    ),
+    "non_string_entry_direct": (
+        lambda: FiniteSimplicialSet(1, {0: ["*"], 1: ["e"]}, {"e": ["*", 7]}),
+        "cannot interpret face entry 7",
+    ),
+    "unknown_ref_base_direct": (
+        lambda: FiniteSimplicialSet(
+            1, {0: ["*"], 1: ["e"]}, {"e": ["*", SimplexRef(0, "ghost", ())]}
+        ),
+        "face ref SimplexRef(base_dim=0, base='ghost', word=()) names an unknown simplex",
+    ),
+    # a dimension past the truncation is a TruncationError, not a ValidationError
+    "dimension_above_truncation_direct": (
+        lambda: FiniteSimplicialSet(1, {0: ["*"], 2: ["g"]}, {}),
+        "simplex dimension 2 outside 0..1",
+        TruncationError,
     ),
     "dimension_of_label": (
         HEAD + "simplices 0 *\nsimplices 1 e f\nsimplices 2 g\n"
@@ -373,10 +406,24 @@ REJECTIONS = {
 
 @pytest.mark.parametrize("case", sorted(REJECTIONS))
 def test_rejection_messages_are_pinned(case):
-    source, message = REJECTIONS[case]
-    with pytest.raises(ValidationError if callable(source) else ParseError) as err:
+    source, message, *kind = REJECTIONS[case]
+    expected = kind[0] if kind else ValidationError if callable(source) else ParseError
+    with pytest.raises(expected) as err:
         source() if callable(source) else parse(source)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("ending", ["\r\n", "\r"])
+def test_every_line_ending_reads_as_a_newline(ending):
+    r"""Under \r\n and \r line endings every fixture reads as it does
+    under \n, and a rejection names the line it names under \n."""
+    for path in sorted(FIXTURE_DIR.glob("*.sset")):
+        text = path.read_text()
+        assert serialize(*parse(text.replace("\n", ending))) == serialize(*parse(text)), path
+    duplicate = HEAD + "simplices 0 *\nsimplices 1 e\nfaces e * *\nfaces e * *\n"
+    with pytest.raises(ParseError) as err:
+        parse(duplicate.replace("\n", ending))
+    assert str(err.value) == "line 6: duplicate faces entry for 'e'"
 
 
 # ---------------------------------------------------------------------------

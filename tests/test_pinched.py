@@ -945,6 +945,77 @@ def test_both_face_engines_refuse_what_the_kernel_refuses(glued_spheres):
             scatter(cells, below, False)
 
 
+@pytest.mark.parametrize("s", [3, 4])
+def test_group_engine_refuses_with_slot_pairs_forced(glued_spheres, monkeypatch, s):
+    """The group engine with pair groups forced on the glued spheres: at
+    s = 3 a pair and a lone last slot, at s = 4 two pairs.  At n = 2 and 3,
+    in both chains, it scatters the cells as given, and refuses a
+    degenerate cell and cells missing one face below.  A lone slot read
+    through the pair tables would judge no missed face live."""
+    import loopbetti.pinched as pinched
+
+    orbit, fixed = glued_spheres["orbit"], glued_spheres["fixed"]
+    tables = _FactorTables(orbit, fixed, 3)
+    chosen, widths = pinched._slot_groups, []
+
+    def groups(s, bits, cells):
+        # the rule takes pairs from as many cells as a pair table has entries
+        widths.append(chosen(s, bits, 1 << 2 * bits))
+        return widths[-1]
+
+    monkeypatch.setattr(pinched, "_slot_groups", groups)
+    missed = []
+    for n in (2, 3):
+        live = _face_passes(tables, n)[0]
+        low = orbit.refs_at(n - 1, include_basepoint=False)
+        index = {ref: i for i, ref in enumerate(orbit.refs_at(n, include_basepoint=False))}
+        degenerate = (index[orbit.degenerate_of(low[0], 0)],) * s
+        for relative in (False, True):
+            below, cells = _cells(tables, s, n - 1, not relative), _cells(tables, s, n, not relative)
+
+            def scatter(cells, below, relative=relative):
+                rows = [[] for _ in below]
+                ids = list(range(len(cells)))
+                lookup = dict(zip(below, rows))
+                _group_faces(tables, s, n, list(cells), ids, live, lookup, relative)
+                return rows
+
+            rows = scatter(cells, below)
+            with pytest.raises(ValidationError, match=f"a {n}-cell is degenerate"):
+                scatter(as_cells(tables, s, n, [*decode(tables, s, n, cells), degenerate]), below)
+            needed = [p for p, row in enumerate(rows) if row]
+            for p in {needed[0], needed[-1]} if needed else ():
+                missed.append((n, relative))
+                with pytest.raises(ValidationError, match=f"not face-closed: face .* {n}-cell"):
+                    scatter(cells, [code for q, code in enumerate(below) if q != p])
+    assert sorted(set(missed)) == [(2, False), (3, False), (3, True)], missed
+    expected = [(1, 2), (0, 1)] if s == 3 else [(2, 2), (0, 2)]
+    assert widths and all(taken == expected for taken in widths), widths
+
+
+@pytest.mark.parametrize("t", [1, 2])
+def test_relative_kernel_at_one_slot_is_the_reduced_homology(t):
+    """At s = 1 the chains relative to the pinched subset, the basepoint,
+    are the reduced chains of the factor.  On 100 + 100 planted orbits the
+    factor has 600 components at n = 2, so the group engine runs there, and
+    the faces it misses are at the basepoint, none of them pinched."""
+    space = planted(random.Random(1), 100, 100)[0]
+    top = min(t + 1, space.top_dim())
+    tables = _FactorTables(space, basepoint_subset(space), top)
+    assert not _byte_sized(tables, 1, 2)
+    entries, _ = _table_betti(tables, 1, top, t, relative=True)
+    assert entries == reduced_betti(space, t).through(t)
+
+
+@pytest.mark.parametrize("s", [0, 1])
+def test_pinched_table_below_two_slots_is_the_point(glued_spheres, s):
+    """Below s = 2 the pinched subset is the basepoint, so its table is
+    zero in every degree, as the generic route computes it."""
+    orbit, fixed = glued_spheres["orbit"], glued_spheres["fixed"]
+    table = pinched_betti_brute(orbit, fixed, s, 4)
+    assert table.through(4) == reduced_betti(pinched_set(orbit, fixed, s), 4).through(4)
+
+
 def test_a_corrupt_face_translation_is_caught(glued_spheres, monkeypatch):
     """A face translation with one entry changed is refused.  At s = 3 on
     the glued spheres every change of the face of a component at n = 3 to
